@@ -31,7 +31,6 @@ from .numberfield import (
     SplittingField,
     automorphism_table,
     express_roots,
-    nf_inverse,
 )
 from .poly import MultiPoly, UniPoly, gcd
 from .resolvent import (
@@ -95,7 +94,6 @@ __all__ = [
     "identify_galois",
     "is_symmetric",
     "isolate_roots",
-    "nf_inverse",
     "parse_poly",
     "primitive_independence_check",
     "reconstruct_rational",

@@ -14,6 +14,7 @@ All values are immutable and safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt, ldexp
 
 Rational = Fraction
@@ -156,14 +157,6 @@ class Dyadic:
         if man & ((1 << shift) - 1):
             keep += 1
         return Dyadic(keep, self.exp + shift)
-
-    def nearest_int(self) -> int:
-        if self.exp >= 0:
-            return self.man << self.exp
-        shift = -self.exp
-        a = abs(self.man)
-        k = (a + (1 << (shift - 1))) >> shift
-        return -k if self.man < 0 else k
 
     def __repr__(self):
         return f"Dyadic({self.man}, {self.exp})"
@@ -341,6 +334,11 @@ def ball_disjoint(a: ComplexBall, b: ComplexBall) -> bool:
     di = a.im - b.im
     s = a.rad + b.rad
     return dr * dr + di * di > s * s
+
+
+def pairwise_disjoint(balls) -> bool:
+    """True only if every two of the balls are provably disjoint."""
+    return all(ball_disjoint(a, b) for a, b in combinations(balls, 2))
 
 
 def ball_sum(balls, prec: int) -> ComplexBall:

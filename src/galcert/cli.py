@@ -42,7 +42,13 @@ class _Tokens:
                 j = i
                 while j < len(text) and text[j].isdigit():
                     j += 1
-                self.items.append(("num", int(text[i:j]), i))
+                try:
+                    value = int(text[i:j])
+                except ValueError:  # beyond the interpreter's digit limit
+                    raise InputError(
+                        f"number too long ({j - i} digits) at position {i}"
+                    ) from None
+                self.items.append(("num", value, i))
                 i = j
                 continue
             if ch.isalpha():
@@ -151,6 +157,11 @@ def parse_poly(text: str) -> UniPoly:
         toks.next()
         parse_term(-1 if kind == "-" else 1)
 
+    # reject a high degree before a dense coefficient list is built;
+    # terms that cancel do not count
+    coeffs = {k: c for k, c in coeffs.items() if c}
+    if coeffs and max(coeffs) > 4:
+        raise InputError("the degree must be between 2 and 4")
     return UniPoly.from_dict(coeffs)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 
 class Permutation:
@@ -181,8 +181,12 @@ _SUBGROUP_CACHE: dict = {}
 def all_subgroups(g: PermGroup):
     """Every subgroup of g, each once, sorted by order then element list.
 
-    Found by closing all generator subsets of size <= 3 (ample for any
-    group of order <= 24) and deduplicating.
+    Found by iterated joins: starting from the trivial group, every
+    subgroup found is joined with one more element of g, carrying its
+    generators.  This reaches every subgroup K of a finite group: with
+    K = <k1, ..., km>, each link of the chain 1 <= <k1> <= <k1, k2> <= ...
+    is the join of the one before with one element.  Since <H, x> equals
+    <H, h * x> for every h in H, one element per coset H * x suffices.
     """
     if g.order > 24:
         raise ValueError(f"group order {g.order} exceeds the cap of 24")
@@ -190,16 +194,19 @@ def all_subgroups(g: PermGroup):
     cached = _SUBGROUP_CACHE.get(key)
     if cached is not None:
         return cached
-    seen = {}
-    elems = g.elements
-    seen_key = frozenset([Permutation.identity(g.n)])
-    seen[seen_key] = PermGroup([Permutation.identity(g.n)])
-    for size in (1, 2, 3):
-        for gens in combinations(elems, size):
-            sub = closure(gens)
-            k = frozenset(sub.elements)
-            if k not in seen:
-                seen[k] = sub
+    trivial = PermGroup([Permutation.identity(g.n)])
+    seen = {trivial.elements: trivial}
+    queue = [(trivial, ())]
+    for h, gens in queue:
+        covered = set(h.elements)
+        for x in g.elements:
+            if x in covered:
+                continue
+            covered.update(p * x for p in h)
+            sub = closure(gens + (x,))
+            if sub.elements not in seen:
+                seen[sub.elements] = sub
+                queue.append((sub, gens + (x,)))
     result = sorted(seen.values(), key=PermGroup.sort_key)
     _SUBGROUP_CACHE[key] = result
     return result

@@ -20,9 +20,7 @@ from .errors import CertificationError
 from .groups import Permutation
 from .poly import UniPoly, xgcd
 from .resolvent import GaloisData, conjugate_balls
-from .roots import RootSystem
-
-_PREC_CAP = 1 << 16
+from .roots import RootSystem, precisions, reconstruct_rational
 
 
 class NumberField:
@@ -208,10 +206,6 @@ class NumberFieldElement:
         return f"NFE({self.render()})"
 
 
-def nf_inverse(a: NumberFieldElement) -> NumberFieldElement:
-    return a.inverse()
-
-
 def compose_mod(p: UniPoly, x: NumberFieldElement) -> NumberFieldElement:
     """p(x) reduced in the field (Horner)."""
     acc = x.field.zero()
@@ -260,20 +254,12 @@ def _solve_ball_system(matrix, rhs_columns, prec):
 
 
 def _reconstruct_fraction(ball: ComplexBall):
-    """The unique rational the ball can pin down, or None."""
-    if abs(ball.im) > ball.rad:
-        return None
+    """The unique rational the ball can pin down, or None: a ball of
+    radius r separates denominators up to isqrt(1/(4r)); an exact ball
+    carries its own denominator."""
     rad = ball.rad.to_fraction()
-    center = ball.re.to_fraction()
-    if rad == 0:
-        return center
-    bound = isqrt(int(1 / (4 * rad))) if rad < Fraction(1, 4) else 0
-    if bound < 1:
-        return None
-    cand = center.limit_denominator(bound)
-    if abs(center - cand) > rad:
-        return None
-    return cand
+    bound = isqrt(int(1 / (4 * rad))) if rad else ball.re.to_fraction().denominator
+    return reconstruct_rational(ball, bound) if bound >= 1 else None
 
 
 def _unique_hit(value_ball, enclosures, index):
@@ -299,10 +285,9 @@ def express_roots(gd: GaloisData, rs: RootSystem):
     group = list(gd.group)
     f = rs.poly
     n = f.degree
-    bits = rs.precision_bits
 
-    while True:
-        cur = rs.refine(bits) if bits > rs.precision_bits else rs
+    for bits in precisions(rs.precision_bits):
+        cur = rs.refine(bits)
         prec = bits + 32
         vals = conjugate_balls(gd.spec, cur)
         matrix = []
@@ -318,24 +303,19 @@ def express_roots(gd: GaloisData, rs: RootSystem):
             for i in range(n):
                 coeffs = [_reconstruct_fraction(b) for b in sol[i]]
                 if any(c is None for c in coeffs):
-                    exprs = None
                     break
                 cand = field.element(coeffs)
                 if not compose_mod(f, cand).is_zero():
-                    exprs = None
                     break
                 val = cand.eval_ball(vals[Permutation.identity(n)], prec)
                 if not _unique_hit(val, cur.enclosures, i):
-                    exprs = None
                     break
                 exprs.append(cand)
-            if exprs is not None:
+            else:
                 return tuple(exprs)
-        bits *= 2
-        if bits > _PREC_CAP:
-            raise CertificationError(
-                "root expressions could not be certified within the precision budget"
-            )
+    raise CertificationError(
+        "root expressions could not be certified within the precision budget"
+    )
 
 
 @dataclass(frozen=True)
@@ -396,24 +376,19 @@ def automorphism_table(gd: GaloisData, roots, rs: RootSystem) -> SplittingField:
         autos.append((s, psi))
 
     # ball check: each image value lands in its own conjugate's ball
-    bits = rs.precision_bits
-    while True:
-        cur = rs.refine(bits) if bits > rs.precision_bits else rs
+    for bits in precisions(rs.precision_bits):
+        cur = rs.refine(bits)
         prec = bits + 32
         vals = conjugate_balls(gd.spec, cur)
         gen_ball = vals[Permutation.identity(n)]
         targets = [vals[s] for s in group]
-        ok = True
-        for (s, psi), k in zip(autos, range(len(group))):
-            val = psi.eval_ball(gen_ball, prec)
-            if not _unique_hit(val, targets, k):
-                ok = False
-                break
-        if ok:
+        if all(
+            _unique_hit(psi.eval_ball(gen_ball, prec), targets, k)
+            for k, (_, psi) in enumerate(autos)
+        ):
             break
-        bits *= 2
-        if bits > _PREC_CAP:
-            raise CertificationError("automorphism balls could not be separated")
+    else:
+        raise CertificationError("automorphism balls could not be separated")
 
     sf = SplittingField(
         galois=gd,

@@ -23,14 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product
 
-from .arith import ComplexBall, ball_disjoint, pow2
+from .arith import ComplexBall, pairwise_disjoint, pow2
 from .errors import CertificationError, InputError
 from .groups import PermGroup, Permutation, all_subgroups, symmetric_group
 from .poly import MultiPoly, UniPoly
-from .roots import RootSystem
+from .roots import PREC_CAP, RootSystem, precisions, reconstruct_rational
 from .sympoly import decompose, substitute_elementary
-
-_PREC_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -68,26 +66,15 @@ def conjugate_balls(spec: ResolventSpec, rs: RootSystem):
     return out
 
 
-def certify_distinct_values(weights, rs: RootSystem, cap: int = _PREC_CAP):
+def certify_distinct_values(weights, rs: RootSystem, cap: int = PREC_CAP):
     """True (with certificate) if all n! values are pairwise distinct;
     refines the root system as needed, giving up at the precision cap."""
     cur = rs
-    while True:
-        vals = list(conjugate_balls(ResolventSpec(weights), cur).values())
-        ok = True
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if not ball_disjoint(vals[i], vals[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    for bits in precisions(rs.precision_bits, cap):
+        cur = cur.refine(bits)
+        if pairwise_disjoint(conjugate_balls(ResolventSpec(weights), cur).values()):
             return True, cur
-        nxt = cur.precision_bits * 2
-        if nxt > cap:
-            return False, cur
-        cur = cur.refine(nxt)
+    return False, cur
 
 
 def search_resolvent(rs: RootSystem, max_norm: int = 8, skip: int = 0) -> ResolventSpec:
@@ -167,20 +154,6 @@ def _ball_poly_product(balls, prec):
     return coeffs
 
 
-def _reconstruct_integer(ball):
-    """(value, definite): value None if no integer lies in the ball;
-    definite=False means the ball is too wide to decide."""
-    if ball.rad >= pow2(-1):
-        return None, False
-    if abs(ball.im) > ball.rad:
-        return None, True
-    k = ball.re.nearest_int()
-    diff = ball.re - pow2(0) * k
-    if abs(diff) > ball.rad:
-        return None, True
-    return k, True
-
-
 def identify_galois(f: UniPoly, spec: ResolventSpec, rs: RootSystem) -> GaloisData:
     """Minimal-subgroup search for the Galois group with exact division
     and cofactor certificates; returns group, minimal polynomial and the
@@ -197,7 +170,7 @@ def identify_galois(f: UniPoly, spec: ResolventSpec, rs: RootSystem) -> GaloisDa
     cur = rs
 
     for sub in all_subgroups(symmetric_group(n)):
-        result = _test_subgroup(resolvent, sub, spec, cur, identity)
+        result = _test_subgroup(resolvent, sub, spec, cur)
         if result is None:
             continue
         min_poly, cur = result
@@ -215,39 +188,31 @@ def identify_galois(f: UniPoly, spec: ResolventSpec, rs: RootSystem) -> GaloisDa
     )
 
 
-def _test_subgroup(resolvent, sub, spec, rs, identity):
+def _test_subgroup(resolvent, sub, spec, rs):
     """None if the subgroup is rejected; else (min_poly, refined rs)."""
     cur = rs
-    while True:
-        prec = cur.precision_bits + 32
+    for bits in precisions(rs.precision_bits):
+        cur = cur.refine(bits)
+        prec = bits + 32
         vals = conjugate_balls(spec, cur)
         coeff_balls = _ball_poly_product([vals[s] for s in sub], prec)
         ints = []
-        widen = False
         for cb in coeff_balls[:-1]:
-            k, definite = _reconstruct_integer(cb)
-            if not definite:
-                widen = True
+            # below radius 1/2 a ball holds at most one integer, so a
+            # miss rejects the subgroup; a wider ball needs refining
+            if cb.rad >= pow2(-1):
                 break
+            k = reconstruct_rational(cb, 1)
             if k is None:
                 return None
-            ints.append(k)
-        if not widen:
+            ints.append(int(k))
+        else:
             candidate = UniPoly(ints + [1])
             quotient, remainder = divmod(resolvent, candidate)
             if not remainder.is_zero():
                 return None
             # cofactor certificate: resolvent kills each claimed value and
             # the cofactor provably does not, so the candidate must
-            certified = True
-            for s in sub:
-                q_val = quotient.eval_ball(vals[s], prec)
-                if q_val.contains_zero():
-                    certified = False
-                    break
-            if certified:
+            if not any(quotient.eval_ball(vals[s], prec).contains_zero() for s in sub):
                 return candidate, cur
-        nxt = cur.precision_bits * 2
-        if nxt > _PREC_CAP:
-            return None
-        cur = cur.refine(nxt)
+    return None

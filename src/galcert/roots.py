@@ -1,4 +1,5 @@
-"""Certified complex root isolation and rational reconstruction.
+"""Certified complex root isolation, the precision schedule, and rational
+reconstruction.
 
 Approximation is cheap and sloppy (float simultaneous iteration, then
 dyadic polishing at growing precision); every claim that matters is
@@ -7,6 +8,20 @@ root is within |f(z)|^(1/n), so inflating each approximation to that
 radius and checking the n balls pairwise disjoint proves a bijection
 between balls and roots.  |f(z)| is bounded above in ball arithmetic, so
 the certificate is rigorous no matter how the points were found.
+
+Every certificate that may need narrower balls follows one schedule,
+``precisions(start)``: the first attempt always runs at ``start``, even
+above the cap, then the precision doubles while it stays at or below
+``PREC_CAP`` = 2**16 bits.  Each caller decides what running out of the
+schedule means: ``certify_distinct_values`` returns ``False`` with the
+refined root system, the subgroup test of ``identify_galois`` rejects the
+subgroup, and ``RootSystem.refine``, ``express_roots`` and
+``automorphism_table`` raise ``CertificationError`` (exit code 3 in the
+CLI).  ``isolate_roots`` has a separate working-precision loop with its
+own budget: it drives the approximation, not a certificate.
+
+``reconstruct_rational`` is the one place where a ball is turned into the
+exact rational it pins down.
 """
 
 from __future__ import annotations
@@ -15,11 +30,31 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ComplexBall, Dyadic, ball_disjoint, dy_div, nth_root_upper, pow2
+from .arith import (
+    ComplexBall,
+    Dyadic,
+    ball_disjoint,
+    dy_div,
+    nth_root_upper,
+    pairwise_disjoint,
+    pow2,
+)
 from .errors import CertificationError, InputError
 from .poly import UniPoly, gcd
 
-_PREC_CAP = 1 << 16
+PREC_CAP = 1 << 16
+
+
+def precisions(start: int, cap: int = PREC_CAP):
+    """The certification schedule: start, then doublings up to cap."""
+    if start < 1:
+        raise InputError("the start precision must be at least 1 bit")
+    bits = start
+    while True:
+        yield bits
+        bits *= 2
+        if bits > cap:
+            return
 
 
 # -- plain (non-interval) dyadic complex helpers for the iteration --------
@@ -160,14 +195,6 @@ def _certified_balls(f: UniPoly, zs, prec):
     return balls
 
 
-def _pairwise_disjoint(balls):
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            if not ball_disjoint(balls[i], balls[j]):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class RootSystem:
     """Pairwise-disjoint certified enclosures, one per root of poly."""
@@ -180,30 +207,20 @@ class RootSystem:
         """Shrink all enclosures; root order is preserved."""
         if precision_bits <= self.precision_bits:
             return self
-        bits = precision_bits
-        while True:
-            seeds = [(b.re, b.im) for b in self.enclosures]
-            fresh = isolate_roots(self.poly, bits, _seeds=seeds)
-            mapping = []
-            ambiguous = False
-            for old in self.enclosures:
-                hits = [
-                    j
-                    for j, nb in enumerate(fresh.enclosures)
-                    if not ball_disjoint(old, nb)
-                ]
-                if len(hits) != 1:
-                    ambiguous = True
-                    break
-                mapping.append(hits[0])
-            if not ambiguous and sorted(mapping) == list(range(len(mapping))):
-                ordered = tuple(fresh.enclosures[j] for j in mapping)
+        seeds = [(b.re, b.im) for b in self.enclosures]
+        for bits in precisions(precision_bits):
+            fresh = isolate_roots(self.poly, bits, _seeds=seeds).enclosures
+            # each old ball must meet exactly one new ball, one-to-one
+            hits = [
+                [j for j, nb in enumerate(fresh) if not ball_disjoint(old, nb)]
+                for old in self.enclosures
+            ]
+            if sorted(hits) == [[j] for j in range(len(fresh))]:
+                ordered = tuple(fresh[j] for [j] in hits)
                 return RootSystem(self.poly, ordered, precision_bits)
-            bits *= 2
-            if bits > _PREC_CAP:
-                raise CertificationError(
-                    "could not match refined enclosures to the original ones"
-                )
+        raise CertificationError(
+            "could not match refined enclosures to the original ones"
+        )
 
 
 def isolate_roots(f: UniPoly, precision_bits: int = 128, *, _seeds=None) -> RootSystem:
@@ -245,7 +262,7 @@ def isolate_roots(f: UniPoly, precision_bits: int = 128, *, _seeds=None) -> Root
         zs = _dyadic_aberth(f, zs, prec, max_iters=80)
         balls = _certified_balls(f, zs, prec + 32)
         achieved = [b.rad for b in balls]
-        if all(b.rad <= target for b in balls) and _pairwise_disjoint(balls):
+        if all(b.rad <= target for b in balls) and pairwise_disjoint(balls):
             balls.sort(key=lambda b: (b.re.to_fraction(), b.im.to_fraction()))
             return RootSystem(f, tuple(balls), precision_bits)
         prec *= 2

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,28 @@ def test_main_exit_codes(capsys):
     assert main(["analyze", "x^2 - 2", "--spec", "0,1"]) == 0
     assert main(["analyze", "x^2 - 2", "--spec", "nope"]) == 2
     capsys.readouterr()
+
+
+def test_main_rejects_overlong_number(capsys):
+    # more digits than int() converts by default
+    text = "x^2 - " + "9" * 5000
+    assert main(["analyze", text]) == 2
+    assert "position 6" in capsys.readouterr().err
+    with pytest.raises(InputError, match="position 6"):
+        parse_poly(text)
+
+
+def test_main_rejects_high_degree_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        assert main(["analyze", "x^2000000"]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "degree must be between 2 and 4" in capsys.readouterr().err
+    # terms that cancel do not raise the degree
+    assert parse_poly("x^9 - x^9 + x^2 - 2") == UniPoly([-2, 0, 1])
 
 
 def test_main_explicit_spec_must_be_injective(capsys):

@@ -65,6 +65,13 @@ def test_all_subgroups_counts():
     assert len(subs4) == 10
     assert sorted(g.order for g in subs4) == [1, 2, 2, 2, 3, 3, 3, 3, 4, 12]
 
+    # a dihedral group of order 8 inside S4
+    d4 = closure([perm(1, 2, 3, 0), perm(0, 3, 2, 1)])
+    subs_d4 = all_subgroups(d4)
+    assert len(subs_d4) == 10
+    assert [g.order for g in subs_d4] == [1] + [2] * 5 + [4] * 3 + [8]
+    assert all(g.is_subgroup_of(d4) for g in subs_d4)
+
 
 def test_all_subgroups_cap():
     with pytest.raises(ValueError, match="cap"):
@@ -76,7 +83,9 @@ def test_subgroups_are_subgroups_and_sorted():
     subs = all_subgroups(s4)
     assert len(subs) == 30
     orders = [g.order for g in subs]
-    assert orders == sorted(orders)
+    assert orders == [1] + [2] * 9 + [3] * 4 + [4] * 7 + [6] * 4 + [8] * 3 + [12, 24]
+    assert subs == sorted(subs, key=PermGroup.sort_key)
+    assert len(set(subs)) == 30
     for g in subs:
         assert g.is_subgroup_of(s4)
 

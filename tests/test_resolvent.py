@@ -40,6 +40,18 @@ def test_single_root_weight_rejected_for_cubic():
     assert overlapping >= 3  # each root value is shared by two permutations
 
 
+def test_first_attempt_runs_even_above_the_cap():
+    rs = isolate_roots(UniPoly([-2, 0, 1]), 128)
+    ok, cur = certify_distinct_values((0, 1), rs, cap=64)
+    assert ok and cur is rs
+
+
+def test_schedule_needs_a_positive_start():
+    rs = isolate_roots(UniPoly([-2, 0, 1]), 0)
+    with pytest.raises(InputError, match="at least 1 bit"):
+        certify_distinct_values((0, 1), rs)
+
+
 def test_search_cubic_within_norm_two():
     spec = search_resolvent(rs3)
     assert max(spec.weights) <= 2
