@@ -180,6 +180,20 @@ def normalize_monic_integer(f: UniPoly):
     return UniPoly([int(v) for v in scaled.coeffs]), c
 
 
+def _check_digits(numbers):
+    """InputError for a numerator or denominator longer than the
+    interpreter's int digit limit, which number tokens obey too: products
+    of shorter tokens or the x -> x/c scaling can build one, and it could
+    not be rendered."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    bound = 10**limit
+    for c in map(Fraction, numbers):
+        if abs(c.numerator) >= bound or c.denominator >= bound:
+            raise InputError(f"coefficient too long (more than {limit} digits)")
+
+
 # -- pipeline ----------------------------------------------------------------
 
 @dataclass
@@ -207,6 +221,7 @@ def analyze(text: str, cfg: AnalysisConfig | None = None) -> CorrespondenceRepor
     if parsed.degree is None or not 2 <= parsed.degree <= 4:
         raise InputError("the degree must be between 2 and 4")
     f, scale = normalize_monic_integer(parsed)
+    _check_digits(parsed.coeffs + f.coeffs + (scale,))
     g = gcd(f, f.derivative())
     if g.degree != 0:
         raise InputError(f"not squarefree, gcd with derivative is {g.render()}")
@@ -215,8 +230,7 @@ def analyze(text: str, cfg: AnalysisConfig | None = None) -> CorrespondenceRepor
     if cfg.seed_spec is not None:
         if len(cfg.seed_spec) != f.degree:
             raise InputError("the explicit weight list must match the degree")
-        ok, rs = certify_distinct_values(tuple(cfg.seed_spec), rs)
-        if not ok:
+        if not certify_distinct_values(tuple(cfg.seed_spec), rs):
             raise CertificationError(
                 "the explicit weight vector could not be certified injective"
             )

@@ -1,21 +1,30 @@
-"""Resolvent machinery: injective weight search, the exact degree-n!
-resolvent polynomial, and identification of the Galois group.
+"""Resolvent machinery: the degree-n! resolvent, the injective weight
+search, and identification of the Galois group.
 
 A weight vector turns the roots into n! linear-combination values, one per
-permutation; once those are certified pairwise distinct, any one of them
-generates the splitting field.  The resolvent polynomial (the product of
-x minus each value) is computed exactly: its coefficients are symmetric
-in the roots, so they decompose into elementary symmetric polynomials and
-evaluate at the input's coefficients.
+permutation.  The resolvent R is the product of x minus each value.  Its
+coefficients are symmetric in the roots, so by the main theorem of
+symmetric polynomials they are integers when f is monic and integral.
+The pipeline reads R off the certified root balls (Stauduhar's approach):
+the ball product is refined until every coefficient ball is narrower than
+1/2, and each ball's unique integer is the exact coefficient.
+
+Injectivity is then an exact decision: the n! values are pairwise
+distinct exactly when R is squarefree, i.e. gcd(R, R') is constant.  Any
+one value of an injective weight vector generates the splitting field.
+``resolvent_poly`` keeps the symbolic route (multiply the linear forms,
+decompose into elementary symmetric polynomials, evaluate at the input's
+coefficients) as the reference that the tests and the selftest compare
+against.
 
 The group is found without factoring over Q: subgroups are enumerated by
-ascending order and each candidate product of linear factors is
-reconstructed to integer coefficients, checked to divide the resolvent
-exactly, and each claimed root is certified via the cofactor (if the
-cofactor provably misses a value that the full product kills, the
-candidate must kill it).  Any subgroup passing all of that contains the
-Galois group, so the first hit is the group and its candidate is the
-minimal polynomial, irreducible by minimality.
+ascending order and each candidate product of linear factors is read off
+as an integer polynomial the same way as R, checked to divide R exactly,
+and each claimed root is certified via the cofactor (if the cofactor
+provably misses a value that the full product kills, the candidate must
+kill it).  Any subgroup passing all of that contains the Galois group, so
+the first hit is the group and its candidate is the minimal polynomial,
+irreducible by minimality.
 """
 
 from __future__ import annotations
@@ -23,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product
 
-from .arith import ComplexBall, pairwise_disjoint, pow2
+from .arith import ComplexBall, pow2
 from .errors import CertificationError, InputError
 from .groups import PermGroup, Permutation, all_subgroups, symmetric_group
-from .poly import MultiPoly, UniPoly
-from .roots import PREC_CAP, RootSystem, precisions, reconstruct_rational
+from .poly import MultiPoly, UniPoly, gcd
+from .roots import RootSystem, precisions, reconstruct_rational
 from .sympoly import decompose, substitute_elementary
 
 
@@ -66,15 +75,11 @@ def conjugate_balls(spec: ResolventSpec, rs: RootSystem):
     return out
 
 
-def certify_distinct_values(weights, rs: RootSystem, cap: int = PREC_CAP):
-    """True (with certificate) if all n! values are pairwise distinct;
-    refines the root system as needed, giving up at the precision cap."""
-    cur = rs
-    for bits in precisions(rs.precision_bits, cap):
-        cur = cur.refine(bits)
-        if pairwise_disjoint(conjugate_balls(ResolventSpec(weights), cur).values()):
-            return True, cur
-    return False, cur
+def certify_distinct_values(weights, rs: RootSystem) -> bool:
+    """True if all n! weighted root combinations are pairwise distinct,
+    decided exactly: the resolvent read off the balls is squarefree."""
+    r = read_resolvent(ResolventSpec(weights), rs)
+    return gcd(r, r.derivative()).degree == 0
 
 
 def search_resolvent(rs: RootSystem, max_norm: int = 8, skip: int = 0) -> ResolventSpec:
@@ -82,10 +87,6 @@ def search_resolvent(rs: RootSystem, max_norm: int = 8, skip: int = 0) -> Resolv
     n! values are certified pairwise distinct.  skip returns later hits."""
     n = rs.poly.degree
     found = 0
-    cur = rs
-    # a candidate that cannot be separated at 4096 bits is hopeless at
-    # this height scale; rejecting it early never certifies a falsehood
-    search_cap = 4096
     for norm in range(1, max_norm + 1):
         for weights in iter_product(range(norm + 1), repeat=n):
             if max(weights) != norm:
@@ -93,8 +94,7 @@ def search_resolvent(rs: RootSystem, max_norm: int = 8, skip: int = 0) -> Resolv
             # a repeated weight makes two permutations collide for sure
             if len(set(weights)) != n:
                 continue
-            ok, cur = certify_distinct_values(weights, cur, cap=search_cap)
-            if ok:
+            if certify_distinct_values(weights, rs):
                 if found == skip:
                     return ResolventSpec(weights)
                 found += 1
@@ -154,6 +154,45 @@ def _ball_poly_product(balls, prec):
     return coeffs
 
 
+def _integer_products(spec, perms, rs):
+    """The monic product of (x - value) over the conjugate values of
+    ``perms``, read off its coefficient balls along the precision schedule.
+
+    Yields (poly, vals, prec) at each precision where every ball is
+    narrower than 1/2, so holds at most one integer; poly is None as soon
+    as some such ball holds none, which proves the product not integral.
+    """
+    half = pow2(-1)
+    cur = rs
+    for bits in precisions(rs.precision_bits):
+        cur = cur.refine(bits)
+        prec = bits + 32
+        vals = conjugate_balls(spec, cur)
+        balls = _ball_poly_product([vals[s] for s in perms], prec)[:-1]
+        ints = [reconstruct_rational(b, 1) for b in balls if b.rad < half]
+        if None in ints:
+            yield None, vals, prec
+        elif len(ints) == len(balls):
+            yield UniPoly([int(k) for k in ints] + [1]), vals, prec
+
+
+def read_resolvent(spec: ResolventSpec, rs: RootSystem) -> UniPoly:
+    """The resolvent, the product of (x - value) over all n! conjugate
+    values.  Its coefficients are symmetric in the roots, so for monic
+    integral f they are integers, and the ball product pins each down."""
+    if not rs.poly.has_integer_coeffs():
+        raise InputError(
+            "integer coefficients required; scale the variable first"
+        )
+    for poly, _, _ in _integer_products(spec, symmetric_group(rs.poly.degree), rs):
+        if poly is None:
+            break
+        return poly
+    raise CertificationError(
+        "the resolvent coefficients could not be read off as integers"
+    )
+
+
 def identify_galois(f: UniPoly, spec: ResolventSpec, rs: RootSystem) -> GaloisData:
     """Minimal-subgroup search for the Galois group with exact division
     and cofactor certificates; returns group, minimal polynomial and the
@@ -161,20 +200,14 @@ def identify_galois(f: UniPoly, spec: ResolventSpec, rs: RootSystem) -> GaloisDa
     n = f.degree
     if n is None or n < 1 or n > 4:
         raise InputError("degree must be between 1 and 4")
-    if not f.has_integer_coeffs():
-        raise InputError(
-            "integer coefficients required; scale the variable first"
-        )
-    resolvent = resolvent_poly(f, spec)
+    resolvent = read_resolvent(spec, rs)
     identity = Permutation.identity(n)
-    cur = rs
 
     for sub in all_subgroups(symmetric_group(n)):
-        result = _test_subgroup(resolvent, sub, spec, cur)
+        result = _test_subgroup(resolvent, sub, spec, rs)
         if result is None:
             continue
-        min_poly, cur = result
-        vals = conjugate_balls(spec, cur)
+        min_poly, vals = result
         return GaloisData(
             spec=spec,
             min_poly=min_poly,
@@ -189,30 +222,15 @@ def identify_galois(f: UniPoly, spec: ResolventSpec, rs: RootSystem) -> GaloisDa
 
 
 def _test_subgroup(resolvent, sub, spec, rs):
-    """None if the subgroup is rejected; else (min_poly, refined rs)."""
-    cur = rs
-    for bits in precisions(rs.precision_bits):
-        cur = cur.refine(bits)
-        prec = bits + 32
-        vals = conjugate_balls(spec, cur)
-        coeff_balls = _ball_poly_product([vals[s] for s in sub], prec)
-        ints = []
-        for cb in coeff_balls[:-1]:
-            # below radius 1/2 a ball holds at most one integer, so a
-            # miss rejects the subgroup; a wider ball needs refining
-            if cb.rad >= pow2(-1):
-                break
-            k = reconstruct_rational(cb, 1)
-            if k is None:
-                return None
-            ints.append(int(k))
-        else:
-            candidate = UniPoly(ints + [1])
-            quotient, remainder = divmod(resolvent, candidate)
-            if not remainder.is_zero():
-                return None
-            # cofactor certificate: resolvent kills each claimed value and
-            # the cofactor provably does not, so the candidate must
-            if not any(quotient.eval_ball(vals[s], prec).contains_zero() for s in sub):
-                return candidate, cur
+    """None if the subgroup is rejected; else (min_poly, conjugate balls)."""
+    for candidate, vals, prec in _integer_products(spec, sub, rs):
+        if candidate is None:
+            return None
+        quotient, remainder = divmod(resolvent, candidate)
+        if not remainder.is_zero():
+            return None
+        # cofactor certificate: resolvent kills each claimed value and
+        # the cofactor provably does not, so the candidate must
+        if not any(quotient.eval_ball(vals[s], prec).contains_zero() for s in sub):
+            return candidate, vals
     return None

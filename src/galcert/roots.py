@@ -12,13 +12,16 @@ the certificate is rigorous no matter how the points were found.
 Every certificate that may need narrower balls follows one schedule,
 ``precisions(start)``: the first attempt always runs at ``start``, even
 above the cap, then the precision doubles while it stays at or below
-``PREC_CAP`` = 2**16 bits.  Each caller decides what running out of the
-schedule means: ``certify_distinct_values`` returns ``False`` with the
-refined root system, the subgroup test of ``identify_galois`` rejects the
-subgroup, and ``RootSystem.refine``, ``express_roots`` and
+``PREC_CAP`` = 2**16 bits.  No caller picks another cap.  Each caller
+decides what running out of the schedule means: reading an integer
+polynomial off a ball product (the resolvent, or a subgroup's candidate
+factor in ``identify_galois``) gives up with ``CertificationError`` or
+rejects the subgroup, and ``RootSystem.refine``, ``express_roots`` and
 ``automorphism_table`` raise ``CertificationError`` (exit code 3 in the
-CLI).  ``isolate_roots`` has a separate working-precision loop with its
-own budget: it drives the approximation, not a certificate.
+CLI).  Injectivity of a weight vector needs no schedule of its own: it
+is decided exactly on the resolvent.  ``isolate_roots`` has a separate
+working-precision loop with its own budget: it drives the
+approximation, not a certificate.
 
 ``reconstruct_rational`` is the one place where a ball is turned into the
 exact rational it pins down.
@@ -45,15 +48,15 @@ from .poly import UniPoly, gcd
 PREC_CAP = 1 << 16
 
 
-def precisions(start: int, cap: int = PREC_CAP):
-    """The certification schedule: start, then doublings up to cap."""
+def precisions(start: int):
+    """The certification schedule: start, then doublings up to PREC_CAP."""
     if start < 1:
         raise InputError("the start precision must be at least 1 bit")
     bits = start
     while True:
         yield bits
         bits *= 2
-        if bits > cap:
+        if bits > PREC_CAP:
             return
 
 

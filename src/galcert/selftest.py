@@ -24,7 +24,7 @@ from .correspondence import (
 from .groups import Arrangement, PermGroup, Permutation, arrangement_array, closure, substitution_group
 from .numberfield import automorphism_table, express_roots
 from .poly import MultiPoly, UniPoly, gcd
-from .resolvent import certify_distinct_values, identify_galois, search_resolvent
+from .resolvent import identify_galois, resolvent_poly, search_resolvent
 from .roots import isolate_roots, reconstruct_rational
 from .sympoly import decompose, expand_elementary, substitute_elementary
 
@@ -167,15 +167,15 @@ def _exact_distinctness_value(weights, f: UniPoly):
 
 
 def criterion_5_distinctness_certificates():
-    """Ball certificates for the accepted weights on the whole corpus; on
-    degrees <= 3 the exact symmetric-elimination certificate must agree,
-    and the resolvent must be squarefree."""
+    """The pipeline's resolvent, read off the balls, equals the symbolic
+    resolvent and is squarefree on the whole corpus; on degrees <= 3 the
+    exact symmetric-elimination certificate must agree."""
     for text in CORPUS:
         data = corpus_pipeline(text)
-        ok, _ = certify_distinct_values(data.spec.weights, data.rs)
-        if not ok:
-            return False, f"{text}: conjugate balls not pairwise disjoint"
-        if gcd(data.gd.resolvent, data.gd.resolvent.derivative()).degree != 0:
+        resolvent = data.gd.resolvent
+        if resolvent != resolvent_poly(data.f, data.spec):
+            return False, f"{text}: resolvent differs from the symbolic one"
+        if gcd(resolvent, resolvent.derivative()).degree != 0:
             return False, f"{text}: resolvent is not squarefree"
         if data.f.degree <= 3:
             value = _exact_distinctness_value(data.spec.weights, data.f)

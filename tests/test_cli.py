@@ -148,6 +148,17 @@ def test_main_rejects_overlong_number(capsys):
         parse_poly(text)
 
 
+def test_main_rejects_overlong_coefficients(capsys):
+    # every token is within the digit limit; the products are not
+    a = "7" * 2500
+    assert main(["analyze", f"x^2 - 2*{a}*{a} x + {a}*{a}*{a}*{a}"]) == 2
+    assert "coefficient too long" in capsys.readouterr().err
+    # only the x -> x/c scaling makes the constant term B^3 too long
+    b = "7" * 1500
+    assert main(["analyze", f"x^4 + 1/{b}"]) == 2
+    assert "coefficient too long" in capsys.readouterr().err
+
+
 def test_main_rejects_high_degree_before_allocating(capsys):
     tracemalloc.start()
     try:

@@ -1,20 +1,23 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from galcert.arith import ball_disjoint
 from galcert.errors import InputError
 from galcert.groups import Permutation, symmetric_group
-from galcert.poly import UniPoly
+from galcert.poly import UniPoly, gcd
 from galcert.resolvent import (
     ResolventSpec,
     certify_distinct_values,
     conjugate_balls,
     identify_galois,
+    read_resolvent,
     resolvent_poly,
     search_resolvent,
 )
-from galcert.roots import isolate_roots
+from galcert.roots import PREC_CAP, RootSystem, isolate_roots, precisions
 
 
 def setup_module(module):
@@ -28,8 +31,7 @@ def test_search_quadratic_accepts_0_1():
 
 
 def test_single_root_weight_rejected_for_cubic():
-    ok, _ = certify_distinct_values((1, 0, 0), rs3, cap=1024)
-    assert not ok
+    assert not certify_distinct_values((1, 0, 0), rs3)
     vals = list(conjugate_balls(ResolventSpec((1, 0, 0)), rs3).values())
     overlapping = sum(
         1
@@ -41,9 +43,8 @@ def test_single_root_weight_rejected_for_cubic():
 
 
 def test_first_attempt_runs_even_above_the_cap():
-    rs = isolate_roots(UniPoly([-2, 0, 1]), 128)
-    ok, cur = certify_distinct_values((0, 1), rs, cap=64)
-    assert ok and cur is rs
+    assert list(precisions(2 * PREC_CAP)) == [2 * PREC_CAP]
+    assert list(precisions(PREC_CAP // 4)) == [PREC_CAP // 4, PREC_CAP // 2, PREC_CAP]
 
 
 def test_schedule_needs_a_positive_start():
@@ -55,8 +56,7 @@ def test_schedule_needs_a_positive_start():
 def test_search_cubic_within_norm_two():
     spec = search_resolvent(rs3)
     assert max(spec.weights) <= 2
-    ok, _ = certify_distinct_values(spec.weights, rs3)
-    assert ok
+    assert certify_distinct_values(spec.weights, rs3)
 
 
 def test_resolvent_poly_quadratics():
@@ -133,3 +133,42 @@ def test_identify_requires_integer_coefficients():
     rs = isolate_roots(f)
     with pytest.raises(InputError, match="integer"):
         identify_galois(f, ResolventSpec((0, 1)), rs)
+    with pytest.raises(InputError, match="integer coefficients required"):
+        certify_distinct_values((0, 1), rs)
+
+
+_small = st.integers(-12, 12)
+_inputs = st.one_of(
+    st.tuples(st.tuples(_small, _small), st.tuples(*[st.integers(0, 3)] * 2)),
+    st.tuples(st.tuples(_small, _small, _small), st.tuples(*[st.integers(0, 3)] * 3)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_inputs)
+@example(((-2, 0, 0), (1, 0, 0)))
+@example(((-2, 0, 0), (1, 1, 1)))
+@example(((-2, 0, 0), (1, 2, 0)))
+def test_resolvent_read_off_the_balls_is_the_symbolic_one(case):
+    coeffs, weights = case
+    f = UniPoly(list(coeffs) + [1])
+    assume(gcd(f, f.derivative()).degree == 0)
+    rs = isolate_roots(f)
+    expected = resolvent_poly(f, ResolventSpec(weights))
+    assert read_resolvent(ResolventSpec(weights), rs) == expected
+    squarefree = gcd(expected, expected.derivative()).degree == 0
+    assert certify_distinct_values(weights, rs) == squarefree
+
+
+def test_colliding_quartic_rejected_without_refining(monkeypatch):
+    requested = []
+    original = RootSystem.refine
+
+    def refine(self, bits):
+        requested.append(bits)
+        return original(self, bits)
+
+    monkeypatch.setattr(RootSystem, "refine", refine)
+    rs = isolate_roots(UniPoly([1, 0, 0, 0, 1]), 128)
+    assert not certify_distinct_values((0, 1, 2, 3), rs)
+    assert requested and max(requested) <= 128
