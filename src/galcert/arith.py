@@ -339,10 +339,3 @@ def ball_disjoint(a: ComplexBall, b: ComplexBall) -> bool:
 def pairwise_disjoint(balls) -> bool:
     """True only if every two of the balls are provably disjoint."""
     return all(ball_disjoint(a, b) for a, b in combinations(balls, 2))
-
-
-def ball_sum(balls, prec: int) -> ComplexBall:
-    acc = ComplexBall.from_int(0)
-    for b in balls:
-        acc = acc.add(b, prec)
-    return acc

@@ -9,7 +9,10 @@ onto the subfields, that dimensions match the group orders, and that the
 averaging witness expresses every fixed element as a symmetric value.
 
 Subfields are canonicalized as reduced row echelon bases over Q, so field
-equality is a syntactic comparison.
+equality is a syntactic comparison.  Automorphisms act through the
+matrices the splitting field stores (``sf.matrix``, ``sf.apply``);
+``compose_mod`` is kept for the polynomial identities that certify the
+isomorphism between two generators' fields.
 """
 
 from __future__ import annotations
@@ -112,8 +115,7 @@ class Subfield:
         return sub
 
     def _verify(self):
-        red = [list(map(Fraction, b.coeffs)) for b in self.basis]
-        pivots = [next(i for i, v in enumerate(row) if v != 0) for row in red]
+        red, pivots = self._rref_data()
         one = [Fraction(0)] * self.field.degree
         if self.field.degree:
             one[0] = Fraction(1)
@@ -273,37 +275,16 @@ class CorrespondenceReport:
 
 def minimal_polynomial(x: NumberFieldElement) -> UniPoly:
     """Minimal polynomial over Q by the first linear dependence among
-    powers of x."""
+    powers of x: one echelon form of the matrix whose columns are
+    1, x, ..., x^d.  Its first non-pivot column k holds the coordinates
+    c_i of x^k = sum c_i x^i over the pivot columns before it."""
     d = x.field.degree
     powers = [x.field.one()]
     for _ in range(d):
         powers.append(powers[-1] * x)
-    rows = []
-    for k in range(1, d + 1):
-        rows = [list(p.coeffs) for p in powers[:k]]
-        red, pivots = rref(rows)
-        if not in_span(red, pivots, list(powers[k].coeffs)):
-            continue
-        # solve powers[k] = sum c_i powers[i]
-        coeffs = _solve_exact(rows, list(powers[k].coeffs))
-        return UniPoly([-c for c in coeffs] + [1])
-    raise TheoremError("no linear dependence among powers up to the degree")
-
-
-def _solve_exact(rows, target):
-    """Coefficients expressing target in the given independent rows."""
-    k = len(rows)
-    aug = [
-        [Fraction(rows[j][i]) for j in range(k)] + [Fraction(target[i])]
-        for i in range(len(target))
-    ]
-    red, pivots = rref(aug)
-    sol = [Fraction(0)] * k
-    for row, p in zip(red, pivots):
-        if p == k:
-            raise TheoremError("inconsistent exact solve")
-        sol[p] = row[k]
-    return sol
+    red, pivots = rref(list(zip(*(p.coeffs for p in powers))))
+    k = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
+    return UniPoly([-red[i][k] for i in range(k)] + [1])
 
 
 def _primitive_element(sub: Subfield, sf: SplittingField):

@@ -3,7 +3,11 @@
 Elements are coefficient vectors in the power basis of the generator (the
 certified injective root combination).  Each root of the input polynomial
 is expressed as such an element, and each group permutation becomes a
-field automorphism sending the generator to the matching conjugate.  The
+field automorphism sending the generator to the matching conjugate.  An
+automorphism is stored as its power-basis matrix, derived once from the
+generator's image, and applied as a matrix-vector product;
+``compose_mod`` (substitution by Horner) is kept for evaluating
+polynomial identities such as f(expr) = 0 and m(image) = 0.  The
 uniform idiom: a numeric guess from ball linear algebra is only accepted
 once an exact modular identity confirms it, and balls only ever narrow
 down which exact object was found.
@@ -11,7 +15,7 @@ down which exact object was found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -327,6 +331,17 @@ class SplittingField:
     poly: UniPoly
     root_exprs: tuple
     automorphisms: tuple  # pairs (permutation, image of the generator)
+    # permutation -> power-basis matrix, derived once from the image
+    matrices: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        matrices = {}
+        for perm, psi in self.automorphisms:
+            cols = [self.field.one()]
+            for _ in range(self.field.degree - 1):
+                cols.append(cols[-1] * psi)
+            matrices[perm] = tuple(zip(*(c.coeffs for c in cols)))
+        object.__setattr__(self, "matrices", matrices)
 
     def psi_for(self, perm):
         for p, psi in self.automorphisms:
@@ -335,18 +350,17 @@ class SplittingField:
         raise KeyError(f"{perm} is not in the group")
 
     def apply(self, perm, x: NumberFieldElement) -> NumberFieldElement:
-        """The automorphism attached to perm, as substitution then reduce."""
-        return compose_mod(x.to_unipoly(), self.psi_for(perm))
+        """The automorphism attached to perm: its matrix times x."""
+        xs = x.coeffs
+        return NumberFieldElement(
+            self.field,
+            tuple(sum(a * c for a, c in zip(row, xs) if c) for row in self.matrices[perm]),
+        )
 
     def matrix(self, perm):
-        """Power-basis matrix of the automorphism (columns are images of
-        the basis vectors), derived on demand."""
-        d = self.field.degree
-        psi = self.psi_for(perm)
-        cols = [self.field.one()]
-        for _ in range(d - 1):
-            cols.append(cols[-1] * psi)
-        return [[Fraction(cols[j].coeffs[i]) for j in range(d)] for i in range(d)]
+        """Power-basis matrix of the automorphism: column j holds the
+        coordinates of the image of a^j, that is of psi^j."""
+        return self.matrices[perm]
 
     @property
     def degree(self):
@@ -399,10 +413,9 @@ def automorphism_table(gd: GaloisData, roots, rs: RootSystem) -> SplittingField:
     )
 
     # the induced root permutation must be the group element itself
-    for s, psi in autos:
+    for s in group:
         for i, expr in enumerate(roots):
-            image = compose_mod(expr.to_unipoly(), psi)
-            if image != roots[s(i)]:
+            if sf.apply(s, expr) != roots[s(i)]:
                 raise CertificationError(
                     "automorphism does not permute the root expressions "
                     f"as expected for {s.cycle_string()}"

@@ -32,10 +32,6 @@ class UniPoly:
             cs[k] = v
         return cls(cs)
 
-    @classmethod
-    def x_power(cls, k, c=1):
-        return cls([0] * k + [c])
-
     @property
     def degree(self):
         """Degree, or None for the zero polynomial."""
@@ -281,16 +277,6 @@ class MultiPoly:
         if c == 0:
             return MultiPoly(self.n)
         return MultiPoly(self.n, {e: c * v for e, v in self.terms.items()})
-
-    def __pow__(self, k):
-        acc = MultiPoly.const(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=None)

@@ -6,8 +6,9 @@ permutation.  The resolvent R is the product of x minus each value.  Its
 coefficients are symmetric in the roots, so by the main theorem of
 symmetric polynomials they are integers when f is monic and integral.
 The pipeline reads R off the certified root balls (Stauduhar's approach):
-the ball product is refined until every coefficient ball is narrower than
-1/2, and each ball's unique integer is the exact coefficient.
+the ball product is refined, skipping precisions too low for the size of
+its coefficients, until every coefficient ball is narrower than 1/2, and
+each ball's unique integer is the exact coefficient.
 
 Injectivity is then an exact decision: the n! values are pairwise
 distinct exactly when R is squarefree, i.e. gcd(R, R') is constant.  Any
@@ -32,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product
 
-from .arith import ComplexBall, pow2
+from .arith import ComplexBall, Dyadic, pow2
 from .errors import CertificationError, InputError
 from .groups import PermGroup, Permutation, all_subgroups, symmetric_group
 from .poly import MultiPoly, UniPoly, gcd
-from .roots import RootSystem, precisions, reconstruct_rational
+from .roots import PREC_CAP, RootSystem, precisions, reconstruct_rational
 from .sympoly import decompose, substitute_elementary
 
 
@@ -161,13 +162,27 @@ def _integer_products(spec, perms, rs):
     Yields (poly, vals, prec) at each precision where every ball is
     narrower than 1/2, so holds at most one integer; poly is None as soon
     as some such ball holds none, which proves the product not integral.
+
+    Attempts below log2(2 * len(perms) * sum|w| * B) bits are skipped,
+    except the schedule's last: every coefficient is at most
+    B = prod(1 + |value|), and moving the roots by 2**-bits moves a
+    coefficient by up to about len(perms) * sum|w| * B * 2**-bits, so
+    such attempts are not expected to narrow the balls enough.
     """
     half = pow2(-1)
+    vals = conjugate_balls(spec, rs)
+    bound = Dyadic(2 * len(perms) * sum(map(abs, spec.weights)) + 1)
+    for s in perms:
+        bound = bound * (vals[s].abs_upper() + Dyadic(1))
+    needed = bound.man.bit_length() + bound.exp
     cur = rs
     for bits in precisions(rs.precision_bits):
-        cur = cur.refine(bits)
+        if bits < needed and 2 * bits <= PREC_CAP:
+            continue
+        refined = cur.refine(bits)
+        if refined is not cur:
+            cur, vals = refined, conjugate_balls(spec, refined)
         prec = bits + 32
-        vals = conjugate_balls(spec, cur)
         balls = _ball_poly_product([vals[s] for s in perms], prec)[:-1]
         ints = [reconstruct_rational(b, 1) for b in balls if b.rad < half]
         if None in ints:

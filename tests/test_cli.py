@@ -198,6 +198,13 @@ def test_analyze_reducible_quartics():
     assert gauss.min_poly.degree == 2
     assert gauss.all_passed()
 
+    # a cubic with roots 1, 2, -3: the splitting field is Q itself, so
+    # every automorphism matrix is 1 x 1
+    split = analyze("x^3 - 7x + 6")
+    assert split.group_order == 1
+    assert len(split.entries) == 1
+    assert split.all_passed()
+
 
 def test_analyze_cyclic_quartic():
     rep = analyze("x^4 + x^3 + x^2 + x + 1")

@@ -14,7 +14,8 @@ from galcert.correspondence import (
 )
 from galcert.errors import TheoremError
 from galcert.groups import all_subgroups, closure
-from galcert.numberfield import automorphism_table, express_roots
+from galcert.numberfield import automorphism_table, compose_mod, express_roots
+from galcert.poly import UniPoly
 from galcert.resolvent import identify_galois, search_resolvent
 from galcert.selftest import corpus_pipeline
 
@@ -133,14 +134,20 @@ def test_lattice_dims_cubic():
 
 def test_minimal_polynomial_of_the_generator():
     data = corpus_pipeline("x^3 - 2")
-    assert minimal_polynomial(data.sf.field.gen()) == data.gd.min_poly
+    K = data.sf.field
+    assert minimal_polynomial(K.gen()) == data.gd.min_poly
+    # rationals: the first power already depends on 1
+    assert minimal_polynomial(K.zero()) == UniPoly([0, 1])
+    assert minimal_polynomial(K.rational(Fraction(-5, 3))) == UniPoly([Fraction(5, 3), 1])
 
 
 def test_primitive_elements_generate_their_subfields():
-    report = corpus_pipeline("x^3 - 2").report
-    for e in report.entries:
-        assert e.primitive_min_poly.degree == e.dim
-        assert e.subfield.contains(e.primitive)
+    for text in ("x^3 - 2", "x^4 - 2"):
+        report = corpus_pipeline(text).report
+        for e in report.entries:
+            assert e.primitive_min_poly.degree == e.dim
+            assert e.subfield.contains(e.primitive)
+            assert compose_mod(e.primitive_min_poly, e.primitive).is_zero()
 
 
 def test_subfield_construction_rejects_non_closed_spans():

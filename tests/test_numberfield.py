@@ -6,7 +6,7 @@ import pytest
 from galcert.groups import Permutation, symmetric_group
 from galcert.numberfield import NumberField, compose_mod
 from galcert.poly import UniPoly
-from galcert.selftest import corpus_pipeline
+from galcert.selftest import CORPUS, corpus_pipeline
 
 
 def sqrt2_field():
@@ -125,11 +125,21 @@ def test_generator_identity_element():
 
 
 def test_matrix_agrees_with_apply():
-    data = corpus_pipeline("x^2 - 2")
-    sf = data.sf
-    swap = Permutation((1, 0))
-    mat = sf.matrix(swap)
-    x = sf.field.element([Fraction(3), Fraction(5)])
-    applied = sf.apply(swap, x)
-    coords = [sum(mat[i][j] * Fraction(x.coeffs[j]) for j in range(2)) for i in range(2)]
-    assert list(applied.coeffs) == coords
+    # apply is the stored matrix times the coordinates; substituting the
+    # generator's image by Horner is the reference it must agree with
+    rng = random.Random(23)
+    for text in CORPUS:
+        data = corpus_pipeline(text)
+        sf = data.sf
+        K = sf.field
+        elems = list(data.roots) + [
+            K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(K.degree)])
+            for _ in range(3)
+        ]
+        for p, psi in sf.automorphisms:
+            mat = sf.matrix(p)
+            for x in elems:
+                applied = sf.apply(p, x)
+                assert applied == compose_mod(x.to_unipoly(), psi)
+                coords = [sum(m * Fraction(c) for m, c in zip(row, x.coeffs)) for row in mat]
+                assert list(applied.coeffs) == coords

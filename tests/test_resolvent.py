@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from galcert import resolvent
 from galcert.arith import ball_disjoint
 from galcert.errors import InputError
 from galcert.groups import Permutation, symmetric_group
@@ -172,3 +173,27 @@ def test_colliding_quartic_rejected_without_refining(monkeypatch):
     rs = isolate_roots(UniPoly([1, 0, 0, 0, 1]), 128)
     assert not certify_distinct_values((0, 1, 2, 3), rs)
     assert requested and max(requested) <= 128
+
+
+def test_search_pays_one_ball_product_per_candidate(monkeypatch):
+    # the resolvent coefficients of x^4 - 1000003 need more than the
+    # 128 bits the roots come with; no candidate should try 128 first
+    products, candidates = [], []
+    product, certify = resolvent._ball_poly_product, resolvent.certify_distinct_values
+
+    def counted_product(balls, prec):
+        products.append(prec)
+        return product(balls, prec)
+
+    def counted_certify(weights, rs):
+        candidates.append(weights)
+        return certify(weights, rs)
+
+    monkeypatch.setattr(resolvent, "_ball_poly_product", counted_product)
+    monkeypatch.setattr(resolvent, "certify_distinct_values", counted_certify)
+    f = UniPoly([-1000003, 0, 0, 0, 1])
+    rs = isolate_roots(f)
+    spec = search_resolvent(rs)
+    assert spec.weights == (0, 1, 2, 4)
+    assert len(products) <= len(candidates) + 1
+    assert identify_galois(f, spec, rs).group.order == 8
