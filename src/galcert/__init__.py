@@ -3,9 +3,10 @@ certified subgroup/subfield correspondence.
 
 The package exports the pipeline entry point and the stage functions
 named in the README; every other name is imported from its submodule.
+The command-line module is imported on first use of its names, so that
+``python -m galcert.cli`` runs it only once, as ``__main__``.
 """
 
-from .cli import AnalysisConfig, analyze
 from .correspondence import correspondence_lattice
 from .errors import CertificationError, InputError, TheoremError
 from .groups import all_subgroups, arrangement_array, substitution_group
@@ -35,3 +36,11 @@ __all__ = [
     "substitute_elementary",
     "substitution_group",
 ]
+
+
+def __getattr__(name):
+    if name in ("AnalysisConfig", "analyze"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,10 +9,16 @@ onto the subfields, that dimensions match the group orders, and that the
 averaging witness expresses every fixed element as a symmetric value.
 
 Subfields are canonicalized as reduced row echelon bases over Q, so field
-equality is a syntactic comparison.  Automorphisms act through the
-matrices the splitting field stores (``sf.matrix``, ``sf.apply``);
-``compose_mod`` is kept for the polynomial identities that certify the
-isomorphism between two generators' fields.
+equality is a syntactic comparison.  The exact linear algebra runs on
+ints: a field element is one integer vector over one denominator (see
+``numberfield``), so a basis row of the reduced echelon form is stored as
+its primitive integer vector over its pivot entry, and spans, kernels
+and minimal polynomials all come from the fraction-free ``echelon``.
+``rref`` and ``nullspace`` give the same forms over Q for callers that
+read rationals.  Automorphisms act through the integer matrices the
+splitting field stores (``sf.matrices``, ``sf.apply``); ``compose_mod``
+is kept for the polynomial identities that certify the isomorphism
+between two generators' fields.
 """
 
 from __future__ import annotations
@@ -20,54 +26,54 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 
 from .errors import CertificationError, TheoremError
 from .groups import PermGroup, all_subgroups
-from .numberfield import NumberField, NumberFieldElement, SplittingField, compose_mod
+from .numberfield import (
+    NumberField,
+    NumberFieldElement,
+    SplittingField,
+    compose_mod,
+    echelon,
+    in_span,
+    integer_vector,
+)
 from .poly import UniPoly
 from .sympoly import elementary_values
 
 
 # -- exact linear algebra over Q -------------------------------------------
 
+def _integer_rows(rows):
+    return [integer_vector(list(r))[0] for r in rows]
+
+
+def _as_fractions(red, pivots):
+    return [[Fraction(v, r[p]) for v in r] for r, p in zip(red, pivots)]
+
+
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column indices).
     Zero rows are dropped and pivots are normalized to 1."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    red, pivots = echelon(_integer_rows(rows))
+    return _as_fractions(red, pivots), pivots
 
 
-def _reduce_against(rref_rows, pivots, vec):
-    vec = list(map(Fraction, vec))
-    for row, p in zip(rref_rows, pivots):
-        if vec[p] != 0:
-            f = vec[p]
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return vec
-
-
-def in_span(rref_rows, pivots, vec):
-    return all(v == 0 for v in _reduce_against(rref_rows, pivots, vec))
+def _kernel(rows, ncols):
+    """Integer echelon rows (see ``echelon``) spanning the right kernel of
+    integer rows: the standard free-variable solutions, cleared of
+    denominators and brought to echelon form."""
+    red, pivots = echelon(rows)
+    den = lcm(*(r[p] for r, p in zip(red, pivots)))
+    basis = []
+    for fcol in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fcol] = den
+        for r, p in zip(red, pivots):
+            vec[p] = -r[fcol] * (den // r[p])
+        basis.append(vec)
+    return echelon(basis)
 
 
 def nullspace(rows):
@@ -75,27 +81,22 @@ def nullspace(rows):
     free-variable solutions)."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fcol in free:
-        vec = [Fraction(0)] * ncols
-        vec[fcol] = Fraction(1)
-        for row, p in zip(red, pivots):
-            vec[p] = -row[fcol]
-        basis.append(vec)
-    out, _ = rref(basis)
-    return out
+    return _as_fractions(*_kernel(_integer_rows(rows), len(rows[0])))
 
 
 # -- subfields ---------------------------------------------------------------
 
+def _elements(nf: NumberField, red, pivots):
+    """Echelon rows as field elements: row / pivot entry."""
+    return tuple(NumberFieldElement(nf, r, r[p]) for r, p in zip(red, pivots))
+
+
 @dataclass(frozen=True)
 class Subfield:
     """Q-subspace of the splitting field in canonical echelon form,
-    verified on construction to contain 1 and be closed under products."""
+    verified on construction to contain 1 and be closed under products.
+    Each basis element's integer vector is its echelon row, so membership
+    is decided on ints."""
 
     field: NumberField
     basis: tuple
@@ -107,50 +108,44 @@ class Subfield:
 
     @classmethod
     def from_elements(cls, nf: NumberField, elements, generators=()):
-        rows = [list(e.coeffs) for e in elements]
-        red, pivots = rref(rows)
-        basis = tuple(nf.element(r) for r in red)
-        sub = cls(nf, basis, tuple(generators))
+        red, pivots = echelon([e.num for e in elements])
+        sub = cls(nf, _elements(nf, red, pivots), tuple(generators))
         sub._verify()
         return sub
 
     def _verify(self):
-        red, pivots = self._rref_data()
-        one = [Fraction(0)] * self.field.degree
-        if self.field.degree:
-            one[0] = Fraction(1)
-        if not in_span(red, pivots, one):
+        if not self.contains(self.field.one()):
             raise TheoremError("span does not contain 1")
+        red, pivots = self._rref_data()
         for i in range(len(self.basis)):
             for j in range(i, len(self.basis)):
                 prod = self.basis[i] * self.basis[j]
-                if not in_span(red, pivots, list(prod.coeffs)):
+                if not in_span(red, pivots, prod.num):
                     raise TheoremError(
                         "span is not closed under multiplication"
                     )
 
     def _rref_data(self):
-        red = [list(map(Fraction, b.coeffs)) for b in self.basis]
-        pivots = [next(i for i, v in enumerate(row) if v != 0) for row in red]
+        red = [b.num for b in self.basis]
+        pivots = [next(i for i, v in enumerate(row) if v) for row in red]
         return red, pivots
 
     def contains(self, x: NumberFieldElement) -> bool:
-        red, pivots = self._rref_data()
-        return in_span(red, pivots, list(x.coeffs))
+        return in_span(*self._rref_data(), x.num)
 
     def contains_subfield(self, other: "Subfield") -> bool:
         red, pivots = self._rref_data()
-        return all(in_span(red, pivots, list(b.coeffs)) for b in other.basis)
+        return all(in_span(red, pivots, b.num) for b in other.basis)
 
     def coordinate_matrix(self):
-        return tuple(tuple(Fraction(c) for c in b.coeffs) for b in self.basis)
+        return tuple(b.coeffs for b in self.basis)
 
 
 def fields_equal(a: Subfield, b: Subfield) -> bool:
     """Equality of canonical echelon bases (same ambient field required)."""
     if a.field != b.field:
         raise ValueError("subfields of different ambient fields")
-    return a.coordinate_matrix() == b.coordinate_matrix()
+    return a.basis == b.basis
 
 
 def field_from_subgroup(h: PermGroup, sf: SplittingField) -> Subfield:
@@ -163,39 +158,37 @@ def field_from_subgroup(h: PermGroup, sf: SplittingField) -> Subfield:
     """
     conjugates = [sf.psi_for(s) for s in h]
     gens = elementary_values(conjugates)
-    elements = [sf.field.one()] + list(gens)
-    span = _span_rows(elements)
+    basis = _span(sf.field, [sf.field.one()] + list(gens))
     while True:
-        basis_elems = [sf.field.element(r) for r in span[0]]
         products = [
-            basis_elems[i] * basis_elems[j]
-            for i in range(len(basis_elems))
-            for j in range(i, len(basis_elems))
+            basis[i] * basis[j]
+            for i in range(len(basis))
+            for j in range(i, len(basis))
         ]
-        new_span = _span_rows(basis_elems + products)
-        if len(new_span[0]) == len(span[0]):
+        new_basis = _span(sf.field, basis + products)
+        if len(new_basis) == len(basis):
             break
-        span = new_span
-    basis = tuple(sf.field.element(r) for r in span[0])
+        basis = new_basis
     return Subfield.from_elements(sf.field, basis, generators=tuple(gens))
 
 
-def _span_rows(elements):
-    return rref([list(e.coeffs) for e in elements])
+def _span(nf: NumberField, elements):
+    return list(_elements(nf, *echelon([e.num for e in elements])))
 
 
 def fixed_field(h: PermGroup, sf: SplittingField) -> Subfield:
-    """Simultaneous fixed space of h's automorphisms, by exact kernels."""
+    """Simultaneous fixed space of h's automorphisms, by exact kernels:
+    the rows of den * (M - I) for each stored matrix M = rows / den."""
     d = sf.field.degree
     stacked = []
     for s in h:
-        mat = sf.matrix(s)
-        for i in range(d):
-            row = [mat[i][j] - (1 if i == j else 0) for j in range(d)]
+        rows, den = sf.matrices[s]
+        for i, row in enumerate(rows):
+            row = list(row)
+            row[i] -= den
             stacked.append(row)
-    kernel = nullspace(stacked)
-    elements = [sf.field.element(v) for v in kernel]
-    return Subfield.from_elements(sf.field, elements)
+    kernel = _elements(sf.field, *_kernel(stacked, d))
+    return Subfield.from_elements(sf.field, kernel)
 
 
 def averaging_check(x: NumberFieldElement, h: PermGroup, sf: SplittingField) -> bool:
@@ -275,16 +268,20 @@ class CorrespondenceReport:
 
 def minimal_polynomial(x: NumberFieldElement) -> UniPoly:
     """Minimal polynomial over Q by the first linear dependence among
-    powers of x: one echelon form of the matrix whose columns are
-    1, x, ..., x^d.  Its first non-pivot column k holds the coordinates
-    c_i of x^k = sum c_i x^i over the pivot columns before it."""
+    powers of x: one echelon form of the matrix whose columns are the
+    integer vectors num_j of x^j = num_j / den_j, j = 0..d.  Its first
+    non-pivot column k gives num_k = sum c_i num_i over the pivot columns
+    i < k, that is x^k = sum c_i (den_i / den_k) x^i."""
     d = x.field.degree
     powers = [x.field.one()]
     for _ in range(d):
         powers.append(powers[-1] * x)
-    red, pivots = rref(list(zip(*(p.coeffs for p in powers))))
+    red, pivots = echelon(list(zip(*(p.num for p in powers))))
     k = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
-    return UniPoly([-red[i][k] for i in range(k)] + [1])
+    dk = powers[k].den
+    return UniPoly(
+        [-Fraction(red[i][k] * powers[i].den, red[i][i] * dk) for i in range(k)] + [1]
+    )
 
 
 def _primitive_element(sub: Subfield, sf: SplittingField):
@@ -361,7 +358,7 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
     # injectivity: distinct subgroups give distinct subfields
     seen = {}
     for i, la in enumerate(constructed):
-        key = la.coordinate_matrix()
+        key = la.basis
         if key in seen:
             fail(
                 "subgroup_to_subfield_injective",

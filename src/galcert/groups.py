@@ -25,8 +25,16 @@ class Permutation:
         self.images = images
 
     @classmethod
+    def _trusted(cls, images: tuple) -> "Permutation":
+        """Unvalidated constructor for images known to be a permutation,
+        such as those of a product or an inverse."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, n):
-        return cls(range(n))
+        return cls._trusted(tuple(range(n)))
 
     @property
     def n(self):
@@ -38,13 +46,14 @@ class Permutation:
     def __mul__(self, other):
         if self.n != other.n:
             raise ValueError("degree mismatch")
-        return Permutation(self.images[other.images[i]] for i in range(self.n))
+        images = self.images
+        return Permutation._trusted(tuple([images[j] for j in other.images]))
 
     def inverse(self):
         inv = [0] * self.n
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.images))
@@ -110,6 +119,14 @@ class PermGroup:
                     raise ValueError(f"not closed: {p} * {q} outside the set")
         self.elements = tuple(elems)
 
+    @classmethod
+    def _trusted(cls, elements) -> "PermGroup":
+        """Unvalidated constructor for a set of permutations known to be a
+        group, such as a product fixpoint."""
+        g = object.__new__(cls)
+        g.elements = tuple(sorted(elements))
+        return g
+
     @property
     def n(self):
         return self.elements[0].n
@@ -150,7 +167,7 @@ def closure(generators, n=None) -> PermGroup:
     if not gens:
         if n is None:
             raise ValueError("empty generator set needs an explicit degree")
-        return PermGroup([Permutation.identity(n)])
+        return PermGroup._trusted([Permutation.identity(n)])
     deg = gens[0].n
     if any(g.n != deg for g in gens):
         raise ValueError("mixed degrees")
@@ -167,7 +184,8 @@ def closure(generators, n=None) -> PermGroup:
                     elems.add(q)
                     nxt.append(q)
         frontier = nxt
-    return PermGroup(elems)
+    # a nonempty finite set closed under products is a group
+    return PermGroup._trusted(elems)
 
 
 @lru_cache(maxsize=None)

@@ -1,43 +1,62 @@
 """Arithmetic in the splitting field realized as Q[a]/(m(a)).
 
 Elements are coefficient vectors in the power basis of the generator (the
-certified injective root combination).  Each root of the input polynomial
-is expressed as such an element, and each group permutation becomes a
-field automorphism sending the generator to the matching conjugate.  An
-automorphism is stored as its power-basis matrix, derived once from the
-generator's image, and applied as a matrix-vector product;
+certified injective root combination), stored as one integer vector over
+one positive denominator with no common factor (Cohen, *A Course in
+Computational Algebraic Number Theory*, 4.2).  The modulus m is monic
+with integer coefficients, so sums, products and the reduction mod m run
+on ints, and one gcd per result keeps the form canonical; ``coeffs``
+turns the pair back into rationals for callers that read them.
+
+Each root of the input polynomial is expressed as such an element, and
+each group permutation becomes a field automorphism sending the
+generator to the matching conjugate.  An automorphism is stored as its
+power-basis matrix, integer rows over one denominator, derived once from
+the generator's image, and applied as a matrix-vector product;
 ``compose_mod`` (substitution by Horner) is kept for evaluating
-polynomial identities such as f(expr) = 0 and m(image) = 0.  The
-uniform idiom: a numeric guess from ball linear algebra is only accepted
-once an exact modular identity confirms it, and balls only ever narrow
-down which exact object was found.
+polynomial identities such as f(expr) = 0.  Exact linear algebra,
+inverses included, runs through one fraction-free Gauss-Jordan
+elimination, ``echelon``.  The uniform idiom: a numeric guess from ball
+linear algebra is only accepted once an exact modular identity confirms
+it, and balls only ever narrow down which exact object was found.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .arith import ComplexBall, ball_disjoint
 from .errors import CertificationError
 from .groups import Permutation
-from .poly import UniPoly, xgcd
+from .poly import UniPoly
 from .resolvent import GaloisData, conjugate_balls
 from .roots import RootSystem, precisions, reconstruct_rational
 
 
+def integer_vector(cs):
+    """(num, den): a list of rationals as ints over their least common
+    denominator."""
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
 class NumberField:
-    """Context Q[a]/(m(a)) for a monic irreducible m."""
+    """Context Q[a]/(m(a)) for a monic irreducible m with integer
+    coefficients, so reducing an integer vector mod m stays integral."""
 
     __slots__ = ("modulus", "degree", "_mod_coeffs")
 
     def __init__(self, modulus: UniPoly):
         if not modulus.is_monic():
             raise ValueError("modulus must be monic")
+        if not modulus.has_integer_coeffs():
+            raise ValueError("modulus must have integer coefficients")
         self.modulus = modulus
         self.degree = modulus.degree
-        self._mod_coeffs = modulus.coeffs
+        self._mod_coeffs = tuple(int(c) for c in modulus.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.modulus == other.modulus
@@ -46,23 +65,23 @@ class NumberField:
         return hash(self.modulus)
 
     def element(self, coeffs) -> "NumberFieldElement":
-        cs = list(coeffs)
-        if len(cs) > self.degree:
-            cs = self._reduce(cs)
-        cs += [0] * (self.degree - len(cs))
-        return NumberFieldElement(self, tuple(cs))
+        """The element with the given rational coordinates; a longer
+        vector is reduced mod m."""
+        return NumberFieldElement(self, *integer_vector(list(coeffs)))
 
     def _reduce(self, cs):
+        """Integer vector of any length reduced mod m, padded to length d."""
         d = self.degree
         m = self._mod_coeffs
-        cs = list(cs)
         for i in range(len(cs) - 1, d - 1, -1):
             c = cs[i]
             if c:
                 cs[i] = 0
                 for j in range(d):
                     cs[i - d + j] -= c * m[j]
-        return cs[:d]
+        del cs[d:]
+        cs += [0] * (d - len(cs))
+        return cs
 
     def zero(self):
         return self.element([])
@@ -81,11 +100,31 @@ class NumberField:
 
 
 class NumberFieldElement:
-    __slots__ = ("field", "coeffs")
+    """num / den in the power basis: num holds d ints, den > 0 and
+    gcd(den, *num) == 1, so equal elements have equal (num, den)."""
 
-    def __init__(self, field: NumberField, coeffs: tuple):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num, den=1):
+        """Normalize an integer vector over an integer denominator; a
+        vector longer than d is reduced mod m first."""
+        if len(num) != field.degree:
+            num = field._reduce(list(num))
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
         self.field = field
-        self.coeffs = coeffs
+        self.num = tuple(num)
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The exact rational coordinates."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     def _coerce(self, other):
         if isinstance(other, NumberFieldElement):
@@ -96,45 +135,52 @@ class NumberFieldElement:
             return self.field.rational(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _add(self, other, sign):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            return NumberFieldElement(
+                self.field, [a + sign * b for a, b in zip(self.num, other.num)], da
+            )
         return NumberFieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            self.field,
+            [a * db + sign * b * da for a, b in zip(self.num, other.num)],
+            da * db,
         )
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NumberFieldElement(self.field, tuple(-a for a in self.coeffs))
+        return NumberFieldElement(self.field, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return NumberFieldElement(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NumberFieldElement(self.field, tuple(other * a for a in self.coeffs))
+            k = other.numerator
+            return NumberFieldElement(
+                self.field, [k * a for a in self.num], self.den * other.denominator
+            )
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        d = self.field.degree
-        conv = [0] * (2 * d - 1)
+        a, b = self.num, other.num
+        conv = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     if cb:
                         conv[i + j] += ca * cb
-        return NumberFieldElement(self.field, tuple(self.field._reduce(conv)))
+        return NumberFieldElement(self.field, conv, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -154,20 +200,32 @@ class NumberFieldElement:
         return self * other.inverse()
 
     def inverse(self) -> "NumberFieldElement":
-        """Multiplicative inverse via extended Euclid against the modulus."""
+        """Multiplicative inverse: the y with x * y = 1, solved exactly in
+        the basis x * a^j and then checked by the product itself."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        g, s, _ = xgcd(self.to_unipoly(), self.field.modulus)
-        if g.degree != 0:
+        field = self.field
+        d = field.degree
+        cols = [self.num]
+        for _ in range(d - 1):
+            cols.append(tuple(field._reduce([0, *cols[-1]])))
+        # x = num / den, so x * y = 1 reads sum_j y_j (num * a^j) = den * e_0
+        rows = [[*row, 0] for row in zip(*cols)]
+        rows[0][d] = self.den
+        red, pivots = echelon(rows)
+        if pivots != list(range(d)):
             raise ZeroDivisionError("element shares a factor with the modulus")
-        inv = s.scale(Fraction(1) / Fraction(g.coeffs[0]))
-        return self.field.element(inv.coeffs)
+        den = lcm(*(row[i] for i, row in enumerate(red)))
+        inv = NumberFieldElement(field, [row[d] * (den // row[i]) for i, row in enumerate(red)], den)
+        if self * inv != field.one():
+            raise CertificationError("inverse failed its check x * inv == 1")
+        return inv
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def to_unipoly(self) -> UniPoly:
         return UniPoly(self.coeffs)
@@ -180,12 +238,13 @@ class NumberFieldElement:
             other = self.field.rational(other)
         return (
             isinstance(other, NumberFieldElement)
+            and self.num == other.num
+            and self.den == other.den
             and self.field == other.field
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __hash__(self):
-        return hash(tuple(Fraction(c) for c in self.coeffs))
+        return hash(self.coeffs)
 
     def render(self, var="a"):
         if self.is_zero():
@@ -194,7 +253,7 @@ class NumberFieldElement:
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            mag = abs(Fraction(c))
+            mag = abs(c)
             if k == 0:
                 body = str(mag)
             else:
@@ -216,6 +275,59 @@ def compose_mod(p: UniPoly, x: NumberFieldElement) -> NumberFieldElement:
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
+
+
+# -- exact linear algebra over integer rows --------------------------------
+
+def _combine(a, p, b):
+    """b with its entry in column p eliminated by row a: a[p] * b - b[p] * a,
+    divided by its content.  Dividing both multipliers by their gcd first
+    gives the same row from smaller intermediate products."""
+    g = gcd(a[p], b[p])
+    ap, bp = a[p] // g, b[p] // g
+    row = [ap * y - bp * x for x, y in zip(a, b)]
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def echelon(rows):
+    """Fraction-free Gauss-Jordan elimination of integer rows.
+
+    Returns (rows, pivots): the nonzero rows of the reduced row echelon
+    form, each scaled to a primitive integer vector with a positive pivot
+    entry, and their pivot columns in increasing order.  Row i of the
+    reduced echelon form over Q is rows[i] / rows[i][pivots[i]].  Rows are
+    taken one at a time and reduced against the rows kept so far; each
+    row operation divides out the content, so entries stay small.
+    """
+    red, pivots = [], []
+    for row in rows:
+        for r, p in zip(red, pivots):
+            if row[p]:
+                row = _combine(r, p, row)
+        lead = next((j for j, v in enumerate(row) if v), None)
+        if lead is None:
+            continue
+        g = gcd(*row)
+        if row[lead] < 0:
+            g = -g
+        if g != 1:
+            row = [v // g for v in row]
+        for i, r in enumerate(red):
+            if r[lead]:
+                red[i] = _combine(row, lead, r)
+        k = bisect_left(pivots, lead)
+        red.insert(k, list(row))
+        pivots.insert(k, lead)
+    return red, pivots
+
+
+def in_span(red, pivots, vec):
+    """Whether the integer vector lies in the Q-span of echelon rows."""
+    for r, p in zip(red, pivots):
+        if vec[p]:
+            vec = _combine(r, p, vec)
+    return not any(vec)
 
 
 # -- ball linear algebra ---------------------------------------------------
@@ -322,6 +434,25 @@ def express_roots(gd: GaloisData, rs: RootSystem):
     )
 
 
+def _power_matrix(psi: NumberFieldElement):
+    """(rows, den): the integer matrix over one denominator whose column
+    j holds the coordinates of psi^j, j < d.  Returns it with psi^(d-1)."""
+    cols = [psi.field.one()]
+    for _ in range(psi.field.degree - 1):
+        cols.append(cols[-1] * psi)
+    den = lcm(*(c.den for c in cols))
+    rows = tuple(zip(*([v * (den // c.den) for v in c.num] for c in cols)))
+    return (rows, den), cols[-1]
+
+
+def _mat_vec(field: NumberField, mat, x: NumberFieldElement) -> NumberFieldElement:
+    rows, den = mat
+    xs = x.num
+    return NumberFieldElement(
+        field, [sum(a * c for a, c in zip(row, xs) if c) for row in rows], den * x.den
+    )
+
+
 @dataclass(frozen=True)
 class SplittingField:
     """The certified field together with its automorphism action."""
@@ -331,17 +462,8 @@ class SplittingField:
     poly: UniPoly
     root_exprs: tuple
     automorphisms: tuple  # pairs (permutation, image of the generator)
-    # permutation -> power-basis matrix, derived once from the image
-    matrices: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        matrices = {}
-        for perm, psi in self.automorphisms:
-            cols = [self.field.one()]
-            for _ in range(self.field.degree - 1):
-                cols.append(cols[-1] * psi)
-            matrices[perm] = tuple(zip(*(c.coeffs for c in cols)))
-        object.__setattr__(self, "matrices", matrices)
+    # permutation -> power-basis matrix (integer rows, denominator)
+    matrices: dict = field(repr=False, compare=False)
 
     def psi_for(self, perm):
         for p, psi in self.automorphisms:
@@ -351,16 +473,13 @@ class SplittingField:
 
     def apply(self, perm, x: NumberFieldElement) -> NumberFieldElement:
         """The automorphism attached to perm: its matrix times x."""
-        xs = x.coeffs
-        return NumberFieldElement(
-            self.field,
-            tuple(sum(a * c for a, c in zip(row, xs) if c) for row in self.matrices[perm]),
-        )
+        return _mat_vec(self.field, self.matrices[perm], x)
 
     def matrix(self, perm):
-        """Power-basis matrix of the automorphism: column j holds the
-        coordinates of the image of a^j, that is of psi^j."""
-        return self.matrices[perm]
+        """Power-basis matrix of the automorphism over Q: column j holds
+        the coordinates of the image of a^j, that is of psi^j."""
+        rows, den = self.matrices[perm]
+        return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
 
     @property
     def degree(self):
@@ -371,23 +490,29 @@ def automorphism_table(gd: GaloisData, roots, rs: RootSystem) -> SplittingField:
     """One automorphism per group element: the generator maps to the
     matching conjugate, built exactly from the root expressions and then
     verified both exactly (m(image) = 0 mod m) and by ball containment.
+    m(psi) = psi^(d-1) * psi + sum_j m_j psi^j is read off the powers
+    of psi that also make up the automorphism's matrix.
     """
     field = roots[0].field
     weights = gd.spec.weights
     n = rs.poly.degree
     group = list(gd.group)
+    low = field.element(gd.min_poly.coeffs[:-1])
 
     autos = []
+    matrices = {}
     for s in group:
         psi = field.zero()
         for i, w in enumerate(weights):
             if w:
                 psi = psi + roots[s(i)] * w
-        if not compose_mod(gd.min_poly, psi).is_zero():
+        mat, top = _power_matrix(psi)
+        if not (top * psi + _mat_vec(field, mat, low)).is_zero():
             raise CertificationError(
                 f"automorphism image for {s.cycle_string()} is not a conjugate"
             )
         autos.append((s, psi))
+        matrices[s] = mat
 
     # ball check: each image value lands in its own conjugate's ball
     for bits in precisions(rs.precision_bits):
@@ -410,6 +535,7 @@ def automorphism_table(gd: GaloisData, roots, rs: RootSystem) -> SplittingField:
         poly=rs.poly,
         root_exprs=tuple(roots),
         automorphisms=tuple(autos),
+        matrices=matrices,
     )
 
     # the induced root permutation must be the group element itself

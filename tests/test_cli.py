@@ -1,6 +1,11 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +217,33 @@ def test_analyze_cyclic_quartic():
     # cyclic of order 4: exactly three subgroups
     assert sorted(e.dim for e in rep.entries) == [1, 2, 4]
     assert rep.all_passed()
+
+
+def test_analyze_s4_quartic():
+    # the full symmetric group: a degree-24 field and 30 subgroups
+    report = analyze("x^4 - x - 1")
+    assert report.group_order == 24
+    assert len(report.entries) == 30
+    assert report.all_passed()
+    digest = hashlib.sha256(render_json(report).encode()).hexdigest()
+    assert digest == "c4282b338256f00070d3a6aee2942df09a634e0b078dff2e83241ed496df129e"
+
+
+def test_module_entry_points():
+    # the package and its cli module run the same command, with nothing
+    # on stderr (importing the package must not import the cli first)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", module, "analyze", "x^2 - 2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        for module in ("galcert", "galcert.cli")
+    ]
+    for run in runs:
+        assert run.returncode == 0
+        assert run.stderr == ""
+    assert runs[0].stdout == runs[1].stdout
+    assert "PASS  averaging_witness" in runs[0].stdout

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -10,7 +11,9 @@ from galcert.correspondence import (
     fields_equal,
     fixed_field,
     minimal_polynomial,
+    nullspace,
     primitive_independence_check,
+    rref,
 )
 from galcert.errors import TheoremError
 from galcert.groups import all_subgroups, closure
@@ -25,6 +28,58 @@ def is_square(q: Fraction) -> bool:
         return False
     rn, rd = isqrt(q.numerator), isqrt(q.denominator)
     return rn * rn == q.numerator and rd * rd == q.denominator
+
+
+def fraction_rref(rows):
+    """Reference: plain Gauss-Jordan over Fractions."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def test_rref_and_nullspace_match_fraction_gauss_jordan():
+    rng = random.Random(31)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 9)  # wide and tall
+        rank = rng.randint(0, min(nrows, ncols))
+        base = [
+            [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(ncols)]
+            for _ in range(rank)
+        ]
+        rows = []
+        for _ in range(nrows):
+            # rank-deficient: every row is a combination of the base rows,
+            # and some rows are zero
+            cs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in base]
+            rows.append([sum(c * b[j] for c, b in zip(cs, base)) for j in range(ncols)])
+        red, pivots = rref(rows)
+        assert (red, pivots) == fraction_rref(rows)
+        assert all(isinstance(v, Fraction) for row in red for v in row)
+        free = [c for c in range(ncols) if c not in pivots]
+        kernel = nullspace(rows)
+        standard = []
+        for f in free:
+            vec = [Fraction(0)] * ncols
+            vec[f] = Fraction(1)
+            for row, p in zip(red, pivots):
+                vec[p] = -row[f]
+            standard.append(vec)
+        assert kernel == fraction_rref(standard)[0]
+        for vec in kernel:
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
 
 
 def test_full_group_gives_the_rationals():

@@ -1,16 +1,24 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from galcert.groups import Permutation, symmetric_group
 from galcert.numberfield import NumberField, compose_mod
-from galcert.poly import UniPoly
+from galcert.poly import UniPoly, xgcd
 from galcert.selftest import CORPUS, corpus_pipeline
 
 
 def sqrt2_field():
     return NumberField(UniPoly([-2, 0, 1]))
+
+
+def xgcd_inverse(x):
+    """Reference inverse: extended Euclid against the modulus."""
+    g, s, _ = xgcd(x.to_unipoly(), x.field.modulus)
+    assert g.degree == 0
+    return x.field.element(s.scale(Fraction(1) / Fraction(g.coeffs[0])).coeffs)
 
 
 def test_inverse_examples():
@@ -20,11 +28,27 @@ def test_inverse_examples():
     assert root.inverse() == K.element([0, Fraction(1, 2)])
     assert (K.one() + root).inverse() == K.element([-1, 1])
     assert (K.one() + root) * K.element([-1, 1]) == K.one()
+    # the linear solve agrees with extended Euclid on every corpus field
+    rng = random.Random(29)
+    for text in CORPUS:
+        data = corpus_pipeline(text)
+        K = data.sf.field
+        seeded = [
+            K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(K.degree)])
+            for _ in range(3)
+        ]
+        for x in list(data.roots) + seeded:
+            if not x.is_zero():
+                assert x.inverse() == xgcd_inverse(x)
 
 
 def test_inverse_of_zero_is_an_error():
     with pytest.raises(ZeroDivisionError):
         sqrt2_field().zero().inverse()
+    # a zero divisor modulo a reducible modulus: a singular system
+    R = NumberField(UniPoly([-1, 0, 1]))
+    with pytest.raises(ZeroDivisionError):
+        (R.gen() - 1).inverse()
 
 
 def test_field_arithmetic_and_powers():
@@ -34,6 +58,19 @@ def test_field_arithmetic_and_powers():
     assert (a + 1) * (a - 1) == K.rational(1)
     assert a**3 == 2 * a
     assert (a / a) == K.one()
+    # every result is one integer vector over one positive denominator
+    # with no common factor, and coeffs reads it back as rationals
+    half = K.element([Fraction(3, 4), Fraction(-1, 6)])
+    for x in (half, half * Fraction(4, 3), half - half, -half * 6, half * half, (a + 1) / 3):
+        assert x.den > 0
+        assert gcd(x.den, *x.num) == 1
+        assert x.coeffs == tuple(Fraction(c, x.den) for c in x.num)
+    assert (half.num, half.den) == ((9, -2), 12)
+    assert (half - half).den == 1
+    with pytest.raises(ValueError, match="integer"):
+        NumberField(UniPoly([Fraction(1, 2), 0, 1]))
+    with pytest.raises(ValueError, match="monic"):
+        NumberField(UniPoly([1, 0, 2]))
 
 
 def test_express_roots_quadratic():
