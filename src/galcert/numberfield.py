@@ -8,17 +8,20 @@ with integer coefficients, so sums, products and the reduction mod m run
 on ints, and one gcd per result keeps the form canonical; ``coeffs``
 turns the pair back into rationals for callers that read them.
 
-Each root of the input polynomial is expressed as such an element, and
-each group permutation becomes a field automorphism sending the
-generator to the matching conjugate.  An automorphism is stored as its
-power-basis matrix, integer rows over one denominator, derived once from
-the generator's image, and applied as a matrix-vector product;
-``compose_mod`` (substitution by Horner) is kept for evaluating
-polynomial identities such as f(expr) = 0.  Exact linear algebra,
-inverses included, runs through one fraction-free Gauss-Jordan
-elimination, ``echelon``.  The uniform idiom: a numeric guess from ball
-linear algebra is only accepted once an exact modular identity confirms
-it, and balls only ever narrow down which exact object was found.
+Each root of the input polynomial is expressed as such an element by
+the rational univariate representation: P_i(x) = sum over the group of
+alpha_{s(i)} * m(x)/(x - theta_s) has integer coefficients, read off the
+certified balls by the same integer read-off as the resolvent, and root
+i is P_i(a) / m'(a).  Each group permutation becomes a field
+automorphism sending the generator to the matching conjugate.  An
+automorphism is stored as its power-basis matrix, integer rows over one
+denominator, derived once from the generator's image, and applied as a
+matrix-vector product; ``compose_mod`` (substitution by Horner) is kept
+for evaluating polynomial identities such as f(expr) = 0.  Exact linear
+algebra, inverses included, runs through one fraction-free Gauss-Jordan
+elimination, ``echelon``.  The uniform idiom: balls only ever pin down
+integers or narrow down which exact object was found, and every exact
+object is accepted only once an exact identity confirms it.
 """
 
 from __future__ import annotations
@@ -26,14 +29,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .arith import ComplexBall, ball_disjoint
-from .errors import CertificationError
+from .errors import CertificationError, InputError
 from .groups import Permutation
 from .poly import UniPoly
 from .resolvent import GaloisData, conjugate_balls
-from .roots import RootSystem, precisions, reconstruct_rational
+from .roots import RootSystem, precisions, read_integers
 
 
 def integer_vector(cs):
@@ -330,53 +333,7 @@ def in_span(red, pivots, vec):
     return not any(vec)
 
 
-# -- ball linear algebra ---------------------------------------------------
-
-def _solve_ball_system(matrix, rhs_columns, prec):
-    """Gaussian elimination over balls with widest-margin pivoting.
-
-    matrix: list of rows of ComplexBall; rhs_columns: list of columns,
-    each a list of ComplexBall.  Returns a list of solution columns, or
-    None if some pivot cannot exclude zero at this precision.
-    """
-    d = len(matrix)
-    rows = [list(r) + [col[i] for col in rhs_columns] for i, r in enumerate(matrix)]
-    width = len(rows[0])
-    for c in range(d):
-        pivot_row = None
-        pivot_margin = None
-        for r in range(c, d):
-            cell = rows[r][c]
-            margin = cell.center_abs_lower() - cell.rad
-            if margin.sign() > 0 and (pivot_margin is None or margin > pivot_margin):
-                pivot_row = r
-                pivot_margin = margin
-        if pivot_row is None:
-            return None
-        rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-        inv = rows[c][c].recip(prec)
-        rows[c] = [cell.mul(inv, prec) for cell in rows[c]]
-        for r in range(d):
-            if r == c:
-                continue
-            factor = rows[r][c]
-            if factor.contains_zero() and factor.rad.is_zero():
-                continue
-            rows[r] = [
-                rows[r][k].sub(factor.mul(rows[c][k], prec), prec)
-                for k in range(width)
-            ]
-    return [[rows[i][d + j] for i in range(d)] for j in range(len(rhs_columns))]
-
-
-def _reconstruct_fraction(ball: ComplexBall):
-    """The unique rational the ball can pin down, or None: a ball of
-    radius r separates denominators up to isqrt(1/(4r)); an exact ball
-    carries its own denominator."""
-    rad = ball.rad.to_fraction()
-    bound = isqrt(int(1 / (4 * rad))) if rad else ball.re.to_fraction().denominator
-    return reconstruct_rational(ball, bound) if bound >= 1 else None
-
+# -- root expressions from the balls ----------------------------------------
 
 def _unique_hit(value_ball, enclosures, index):
     """True if the value ball meets enclosure[index] and no other."""
@@ -387,48 +344,89 @@ def _unique_hit(value_ball, enclosures, index):
     return True
 
 
-def express_roots(gd: GaloisData, rs: RootSystem):
-    """Each root of the input polynomial as an element of the field.
+def _rur_numerators(gd: GaloisData, vals, enclosures, prec):
+    """Coefficient balls of P_i(x) = sum over s in G of alpha_{s(i)} *
+    m(x)/(x - theta_s), for each root index i, ascending order.
 
-    For every group permutation s, the generator's conjugate satisfies
-    root_expr(conjugate(s)) = root at s(i); stacking those equations over
-    the group gives a Vandermonde system solved in ball arithmetic, then
-    rationals are reconstructed and the identities f(expr) = 0 mod m and
-    expr(generator) in the i-th root ball are verified exactly.
+    Each quotient q_s = m(x)/(x - theta_s) comes from synthetic division
+    on m's integer coefficients; the sum is grouped by root, P_i = sum_j
+    alpha_j * (sum of q_s over s(i) = j), so the root balls enter in
+    n*n*d products rather than |G|*n*d."""
+    m = [int(c) for c in gd.min_poly.coeffs]
+    d = len(m) - 1
+    n = len(enclosures)
+    quotients = {}
+    for s in gd.group:
+        theta = vals[s]
+        q = [ComplexBall.from_int(1)]
+        for k in range(d - 1, 0, -1):
+            q.append(ComplexBall.from_int(m[k]).add(theta.mul(q[-1], prec), prec))
+        quotients[s] = q[::-1]
+    out = []
+    for i in range(n):
+        grouped = {}
+        for s, q in quotients.items():
+            j = s(i)
+            if j in grouped:
+                grouped[j] = [a.add(b, prec) for a, b in zip(grouped[j], q)]
+            else:
+                grouped[j] = q
+        coeffs = [ComplexBall.from_int(0)] * d
+        for j, q in grouped.items():
+            alpha = enclosures[j]
+            coeffs = [c.add(alpha.mul(b, prec), prec) for c, b in zip(coeffs, q)]
+        out.append(coeffs)
+    return out
+
+
+def express_roots(gd: GaloisData, rs: RootSystem):
+    """Each root of the input polynomial as an element of the field, by
+    the rational univariate representation (Rouillier, AAECC 9, 1999).
+
+    With theta_s the generator's conjugates, take P_i(x) = sum over s in
+    G of alpha_{s(i)} * m(x)/(x - theta_s).  G permutes the terms of this
+    sum, so its coefficients are rational; they are algebraic integers,
+    since f is monic and integral and the weights are integers; so they
+    are integers, read off the ball sums by ``read_integers`` like the
+    resolvent's.  At the generator only the identity term survives, so
+    root i is P_i(a) * m'(a)^-1, with one exact inverse per field.  Each
+    expression is then verified exactly, f(expr) = 0 mod m, and by its
+    value at the generator's ball meeting the i-th root ball and no
+    other.
     """
+    f = rs.poly
+    if not f.has_integer_coeffs():
+        raise InputError(
+            "integer coefficients required; scale the variable first"
+        )
     field = NumberField(gd.min_poly)
     d = field.degree
-    group = list(gd.group)
-    f = rs.poly
     n = f.degree
+    dm_inv = field.element(gd.min_poly.derivative().coeffs).inverse()
 
     for bits in precisions(rs.precision_bits):
         cur = rs.refine(bits)
         prec = bits + 32
         vals = conjugate_balls(gd.spec, cur)
-        matrix = []
-        for s in group:
-            row = [ComplexBall.from_int(1)]
-            for _ in range(d - 1):
-                row.append(row[-1].mul(vals[s], prec))
-            matrix.append(row)
-        rhs = [[cur.enclosures[s(i)] for s in group] for i in range(n)]
-        sol = _solve_ball_system(matrix, rhs, prec)
-        if sol is not None:
-            exprs = []
-            for i in range(n):
-                coeffs = [_reconstruct_fraction(b) for b in sol[i]]
-                if any(c is None for c in coeffs):
-                    break
-                cand = field.element(coeffs)
-                if not compose_mod(f, cand).is_zero():
-                    break
-                val = cand.eval_ball(vals[Permutation.identity(n)], prec)
-                if not _unique_hit(val, cur.enclosures, i):
-                    break
-                exprs.append(cand)
-            else:
-                return tuple(exprs)
+        numerators = _rur_numerators(gd, vals, cur.enclosures, prec)
+        ints = read_integers([c for p in numerators for c in p])
+        if ints is None:
+            continue
+        if ints is False:
+            raise CertificationError(
+                "root expression numerators read off the balls are not integers"
+            )
+        exprs = []
+        for i in range(n):
+            cand = NumberFieldElement(field, ints[i * d:(i + 1) * d]) * dm_inv
+            if not compose_mod(f, cand).is_zero():
+                break
+            val = cand.eval_ball(vals[Permutation.identity(n)], prec)
+            if not _unique_hit(val, cur.enclosures, i):
+                break
+            exprs.append(cand)
+        else:
+            return tuple(exprs)
     raise CertificationError(
         "root expressions could not be certified within the precision budget"
     )

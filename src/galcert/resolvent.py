@@ -33,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product
 
-from .arith import ComplexBall, Dyadic, pow2
+from .arith import ComplexBall, Dyadic
 from .errors import CertificationError, InputError
 from .groups import PermGroup, Permutation, all_subgroups, symmetric_group
 from .poly import MultiPoly, UniPoly, gcd
-from .roots import PREC_CAP, RootSystem, precisions, reconstruct_rational
+from .roots import PREC_CAP, RootSystem, precisions, read_integers
 from .sympoly import decompose, substitute_elementary
 
 
@@ -169,7 +169,6 @@ def _integer_products(spec, perms, rs):
     coefficient by up to about len(perms) * sum|w| * B * 2**-bits, so
     such attempts are not expected to narrow the balls enough.
     """
-    half = pow2(-1)
     vals = conjugate_balls(spec, rs)
     bound = Dyadic(2 * len(perms) * sum(map(abs, spec.weights)) + 1)
     for s in perms:
@@ -184,11 +183,11 @@ def _integer_products(spec, perms, rs):
             cur, vals = refined, conjugate_balls(spec, refined)
         prec = bits + 32
         balls = _ball_poly_product([vals[s] for s in perms], prec)[:-1]
-        ints = [reconstruct_rational(b, 1) for b in balls if b.rad < half]
-        if None in ints:
+        ints = read_integers(balls)
+        if ints is False:
             yield None, vals, prec
-        elif len(ints) == len(balls):
-            yield UniPoly([int(k) for k in ints] + [1]), vals, prec
+        elif ints is not None:
+            yield UniPoly(ints + [1]), vals, prec
 
 
 def read_resolvent(spec: ResolventSpec, rs: RootSystem) -> UniPoly:

@@ -24,7 +24,10 @@ working-precision loop with its own budget: it drives the
 approximation, not a certificate.
 
 ``reconstruct_rational`` is the one place where a ball is turned into the
-exact rational it pins down.
+exact rational it pins down, and ``read_integers`` the one place where a
+list of balls is read as the integers they pin down: the resolvent, the
+subgroup candidates and the root expressions' numerators all come
+through it.
 """
 
 from __future__ import annotations
@@ -294,3 +297,17 @@ def reconstruct_rational(x: ComplexBall, denominator_bound: int):
     if abs(center - cand) > rad:
         return None
     return cand
+
+
+def read_integers(balls):
+    """The integers pinned down by a list of balls.  A ball narrower than
+    1/2 holds at most one integer.  Returns the list of ints once every
+    ball is that narrow; False as soon as such a ball holds none, which
+    proves its value is not an integer; None while some ball is wider."""
+    half = pow2(-1)
+    ints = [reconstruct_rational(b, 1) for b in balls if b.rad < half]
+    if None in ints:
+        return False
+    if len(ints) < len(balls):
+        return None
+    return [int(k) for k in ints]

@@ -1,13 +1,15 @@
 """Shared independent oracles for the tests.
 
 These deliberately avoid the code paths they are used to check: root
-enclosures come from plain bisection over exact fractions, and complex
-rational arithmetic is spelled out directly over Fraction pairs.
+enclosures come from plain bisection over exact fractions, complex
+rational arithmetic is spelled out directly over Fraction pairs, and
+field inverses come from extended Euclid against the modulus.
 """
 
 from fractions import Fraction
 
 from galcert.arith import ComplexBall, Dyadic
+from galcert.poly import xgcd
 
 
 def bisect_root(f, lo, hi, steps=80):
@@ -66,3 +68,10 @@ def cplx_add(a, b):
 def cplx_div(a, b):
     q = b[0] * b[0] + b[1] * b[1]
     return ((a[0] * b[0] + a[1] * b[1]) / q, (a[1] * b[0] - a[0] * b[1]) / q)
+
+
+def xgcd_inverse(x):
+    """Reference inverse: extended Euclid against the modulus."""
+    g, s, _ = xgcd(x.to_unipoly(), x.field.modulus)
+    assert g.degree == 0
+    return x.field.element(s.scale(Fraction(1) / Fraction(g.coeffs[0])).coeffs)

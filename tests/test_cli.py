@@ -220,13 +220,18 @@ def test_analyze_cyclic_quartic():
 
 
 def test_analyze_s4_quartic():
-    # the full symmetric group: a degree-24 field and 30 subgroups
-    report = analyze("x^4 - x - 1")
-    assert report.group_order == 24
-    assert len(report.entries) == 30
-    assert report.all_passed()
-    digest = hashlib.sha256(render_json(report).encode()).hexdigest()
-    assert digest == "c4282b338256f00070d3a6aee2942df09a634e0b078dff2e83241ed496df129e"
+    # the full symmetric group: a degree-24 field and 30 subgroups; a
+    # 7-digit constant term gives larger roots and wider exact coordinates
+    for text, expected in (
+        ("x^4 - x - 1", "c4282b338256f00070d3a6aee2942df09a634e0b078dff2e83241ed496df129e"),
+        ("x^4 - x - 1000000", "86ff90650e28132ede17de03a782bdffc996bc690c5f49ffc5233f00ef54ba35"),
+    ):
+        report = analyze(text)
+        assert report.group_order == 24
+        assert len(report.entries) == 30
+        assert report.all_passed()
+        digest = hashlib.sha256(render_json(report).encode()).hexdigest()
+        assert digest == expected
 
 
 def test_module_entry_points():

@@ -10,6 +10,7 @@ from galcert.correspondence import (
     field_from_subgroup,
     fields_equal,
     fixed_field,
+    inverse_witness,
     minimal_polynomial,
     nullspace,
     primitive_independence_check,
@@ -20,7 +21,9 @@ from galcert.groups import all_subgroups, closure
 from galcert.numberfield import automorphism_table, compose_mod, express_roots
 from galcert.poly import UniPoly
 from galcert.resolvent import identify_galois, search_resolvent
-from galcert.selftest import corpus_pipeline
+from galcert.selftest import CORPUS, corpus_pipeline
+
+from helpers import xgcd_inverse
 
 
 def is_square(q: Fraction) -> bool:
@@ -210,3 +213,28 @@ def test_subfield_construction_rejects_non_closed_spans():
     K = data.sf.field
     with pytest.raises(TheoremError):
         Subfield.from_elements(K, [K.one(), K.gen()])
+
+
+def test_lattice_witnesses_agree_with_the_exact_references():
+    # the inverse witness read off each primitive's minimal polynomial is
+    # the echelon inverse and the extended-Euclid one; the fixpoint's
+    # basis is the verified subfield it spans
+    fallbacks = []
+    for text in CORPUS:
+        data = corpus_pipeline(text)
+        sf = data.sf
+        K = sf.field
+        for e in data.report.entries:
+            x, inv = inverse_witness(e.primitive, e.primitive_min_poly)
+            assert inv == x.inverse()
+            if e.primitive.is_zero():
+                assert x == K.one() and inv == K.one()
+                fallbacks.append((text, e.subgroup.order))
+            else:
+                assert x == e.primitive
+                assert inv == xgcd_inverse(x)
+            la = field_from_subgroup(e.subgroup, sf)
+            assert la == Subfield.from_elements(K, la.basis)
+            assert la == e.subfield
+    # the full group of x^2 - 2 fixes Q, whose primitive, the trace, is 0
+    assert ("x^2 - 2", 2) in fallbacks

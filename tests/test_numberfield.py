@@ -1,24 +1,27 @@
+import hashlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd as int_gcd
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from galcert.arith import ComplexBall
+from galcert.cli import render_json
+from galcert.correspondence import correspondence_lattice
 from galcert.groups import Permutation, symmetric_group
-from galcert.numberfield import NumberField, compose_mod
-from galcert.poly import UniPoly, xgcd
+from galcert.numberfield import NumberField, automorphism_table, compose_mod, express_roots
+from galcert.poly import UniPoly, gcd
+from galcert.resolvent import identify_galois, search_resolvent
+from galcert.roots import isolate_roots
 from galcert.selftest import CORPUS, corpus_pipeline
+
+from helpers import xgcd_inverse
 
 
 def sqrt2_field():
     return NumberField(UniPoly([-2, 0, 1]))
-
-
-def xgcd_inverse(x):
-    """Reference inverse: extended Euclid against the modulus."""
-    g, s, _ = xgcd(x.to_unipoly(), x.field.modulus)
-    assert g.degree == 0
-    return x.field.element(s.scale(Fraction(1) / Fraction(g.coeffs[0])).coeffs)
 
 
 def test_inverse_examples():
@@ -63,7 +66,7 @@ def test_field_arithmetic_and_powers():
     half = K.element([Fraction(3, 4), Fraction(-1, 6)])
     for x in (half, half * Fraction(4, 3), half - half, -half * 6, half * half, (a + 1) / 3):
         assert x.den > 0
-        assert gcd(x.den, *x.num) == 1
+        assert int_gcd(x.den, *x.num) == 1
         assert x.coeffs == tuple(Fraction(c, x.den) for c in x.num)
     assert (half.num, half.den) == ((9, -2), 12)
     assert (half - half).den == 1
@@ -101,6 +104,59 @@ def test_express_roots_cubic_exact_identities():
         prod = prod * r
     assert total == K.rational(-f[2])
     assert prod == K.rational((-1) ** 3 * f[0])
+
+
+def test_express_roots_reads_integers_not_a_ball_system(monkeypatch):
+    # the root numerators of x^4 - x - 1 take |G|*(d-1) ball products in
+    # synthetic division and n*n*d in the sums, about a thousand at one
+    # precision; the report stays the same
+    f = UniPoly([-1, -1, 0, 0, 1])
+    rs = isolate_roots(f)
+    gd = identify_galois(f, search_resolvent(rs), rs)
+    calls = []
+    mul = ComplexBall.mul
+
+    def counted_mul(self, other, prec):
+        calls.append(prec)
+        return mul(self, other, prec)
+
+    monkeypatch.setattr(ComplexBall, "mul", counted_mul)
+    roots = express_roots(gd, rs)
+    monkeypatch.undo()
+    assert len(calls) <= 2000
+    report = correspondence_lattice(automorphism_table(gd, roots, rs))
+    digest = hashlib.sha256(render_json(report).encode()).hexdigest()
+    assert digest == "c4282b338256f00070d3a6aee2942df09a634e0b078dff2e83241ed496df129e"
+
+
+_coeff = st.integers(-30, 30)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(_coeff, min_size=2, max_size=2), st.lists(_coeff, min_size=3, max_size=3)))
+@example([-1, 0])  # x^2 - 1 = (x - 1)(x + 1)
+@example([0, -1, 0])  # x^3 - x, three rational roots
+@example([6, -7, 0])  # x^3 - 7x + 6 = (x - 1)(x - 2)(x + 3)
+@example([-2, 0, 0])  # x^3 - 2, the full S3
+@example([0, -2, 0])  # x^3 - 2x = x (x^2 - 2)
+@example([-1, -3, 0])  # x^3 - 3x - 1, cyclic
+def test_root_expressions_satisfy_vieta(low):
+    # checked against the coefficients alone: the expressions sum to
+    # -f[n-1], multiply to (-1)^n f[0] and are pairwise distinct
+    f = UniPoly(low + [1])
+    assume(gcd(f, f.derivative()).degree == 0)
+    n = f.degree
+    rs = isolate_roots(f)
+    gd = identify_galois(f, search_resolvent(rs), rs)
+    roots = express_roots(gd, rs)
+    K = roots[0].field
+    total, prod = K.zero(), K.one()
+    for r in roots:
+        total = total + r
+        prod = prod * r
+    assert total == K.rational(-f[n - 1])
+    assert prod == K.rational((-1) ** n * f[0])
+    assert len(set(roots)) == n
 
 
 def test_automorphisms_quadratic():

@@ -8,6 +8,7 @@ from galcert import resolvent
 from galcert.arith import ball_disjoint
 from galcert.errors import InputError
 from galcert.groups import Permutation, symmetric_group
+from galcert.numberfield import express_roots
 from galcert.poly import UniPoly, gcd
 from galcert.resolvent import (
     ResolventSpec,
@@ -136,6 +137,14 @@ def test_identify_requires_integer_coefficients():
         identify_galois(f, ResolventSpec((0, 1)), rs)
     with pytest.raises(InputError, match="integer coefficients required"):
         certify_distinct_values((0, 1), rs)
+
+
+def test_express_roots_requires_integer_coefficients():
+    # the root numerators are integers only for a monic integral f
+    gd = identify_galois(rs2.poly, ResolventSpec((0, 1)), rs2)
+    rs = isolate_roots(UniPoly([Fraction(-1, 2), 0, 1]))
+    with pytest.raises(InputError, match="integer coefficients required"):
+        express_roots(gd, rs)
 
 
 _small = st.integers(-12, 12)
