@@ -21,7 +21,7 @@ from .groups import Arrangement, arrangement_array
 from .numberfield import automorphism_table, express_roots
 from .poly import UniPoly, gcd
 from .resolvent import ResolventSpec, certify_distinct_values, identify_galois, search_resolvent
-from .roots import isolate_roots
+from .roots import PREC_CAP, isolate_roots
 
 _LABELS = "abcdefgh"
 
@@ -207,6 +207,10 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.precision_bits < 64:
             raise InputError("precision must be at least 64 bits")
+        # the certification schedule stops doubling at PREC_CAP, and an
+        # isolation far above it runs for minutes
+        if self.precision_bits > PREC_CAP:
+            raise InputError(f"precision must be at most {PREC_CAP} bits")
         if self.resolvent_norm_bound < 1:
             raise InputError("the resolvent norm bound must be at least 1")
         if self.output_format not in ("text", "json"):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import ComplexBall, ball_disjoint
+from .arith import ComplexBall, ball_disjoint, fixed_mul
 from .errors import CertificationError, InputError
 from .groups import Permutation
 from .poly import UniPoly
@@ -344,6 +344,11 @@ def _unique_hit(value_ball, enclosures, index):
     return True
 
 
+def _plus(a, b):
+    """Sum of two balls given as (x, y, r) ints over one power of two."""
+    return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+
+
 def _rur_numerators(gd: GaloisData, vals, enclosures, prec):
     """Coefficient balls of P_i(x) = sum over s in G of alpha_{s(i)} *
     m(x)/(x - theta_s), for each root index i, ascending order.
@@ -351,31 +356,30 @@ def _rur_numerators(gd: GaloisData, vals, enclosures, prec):
     Each quotient q_s = m(x)/(x - theta_s) comes from synthetic division
     on m's integer coefficients; the sum is grouped by root, P_i = sum_j
     alpha_j * (sum of q_s over s(i) = j), so the root balls enter in
-    n*n*d products rather than |G|*n*d."""
+    n*n*d products rather than |G|*n*d.  Runs on (x, y, r) ints over
+    2**-prec, where sums are exact, and builds one ball per coefficient."""
     m = [int(c) for c in gd.min_poly.coeffs]
     d = len(m) - 1
     n = len(enclosures)
     quotients = {}
     for s in gd.group:
-        theta = vals[s]
-        q = [ComplexBall.from_int(1)]
+        theta = vals[s].fixed(prec)
+        q = [(1 << prec, 0, 0)]
         for k in range(d - 1, 0, -1):
-            q.append(ComplexBall.from_int(m[k]).add(theta.mul(q[-1], prec), prec))
+            x, y, r = fixed_mul(theta, q[-1], prec)
+            q.append((x + (m[k] << prec), y, r))
         quotients[s] = q[::-1]
+    alphas = [b.fixed(prec) for b in enclosures]
     out = []
     for i in range(n):
         grouped = {}
         for s, q in quotients.items():
             j = s(i)
-            if j in grouped:
-                grouped[j] = [a.add(b, prec) for a, b in zip(grouped[j], q)]
-            else:
-                grouped[j] = q
-        coeffs = [ComplexBall.from_int(0)] * d
+            grouped[j] = list(map(_plus, grouped[j], q)) if j in grouped else q
+        coeffs = [(0, 0, 0)] * d
         for j, q in grouped.items():
-            alpha = enclosures[j]
-            coeffs = [c.add(alpha.mul(b, prec), prec) for c, b in zip(coeffs, q)]
-        out.append(coeffs)
+            coeffs = [_plus(c, fixed_mul(alphas[j], b, prec)) for c, b in zip(coeffs, q)]
+        out.append([ComplexBall.from_ints(x, y, r, -prec) for x, y, r in coeffs])
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import ComplexBall
+from .arith import ComplexBall, fixed_mul, fixed_rational
 
 
 class UniPoly:
@@ -134,12 +134,15 @@ class UniPoly:
 
     def eval_ball(self, x: ComplexBall, prec: int) -> ComplexBall:
         """Horner evaluation with outward rounding: the result encloses
-        p(z) for every z in the input ball."""
-        acc = ComplexBall.from_int(0)
+        p(z) for every z in the input ball.  Runs on (x, y, r) ints over
+        2**-prec and builds one ball."""
+        xf = x.fixed(prec)
+        acc = (0, 0, 0)
         for c in reversed(self.coeffs):
-            cb = ComplexBall.from_rationals(Fraction(c), Fraction(0), prec)
-            acc = acc.mul(x, prec).add(cb, prec)
-        return acc
+            acc = fixed_mul(acc, xf, prec)
+            cv, inexact = fixed_rational(c, prec)
+            acc = (acc[0] + cv, acc[1], acc[2] + inexact)
+        return ComplexBall.from_ints(*acc, -prec)
 
     def substitute_scaled(self, lam):
         """Return lam**n * p(x / lam), the root-scaling substitution."""

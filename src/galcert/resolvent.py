@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product
 
-from .arith import ComplexBall, Dyadic
+from .arith import ComplexBall, Dyadic, fixed_mul, round_sig
 from .errors import CertificationError, InputError
 from .groups import PermGroup, Permutation, all_subgroups, symmetric_group
 from .poly import MultiPoly, UniPoly, gcd
@@ -61,18 +61,41 @@ class GaloisData:
     resolvent: UniPoly
 
 
+def _round_sig_at(v: int, prec: int):
+    """v rounded to prec significant bits (``arith.round_sig``), in v's
+    own units, and a bound on the error in those units."""
+    k, s = round_sig(v, 0, prec)
+    return k << s, (1 << s) >> 1
+
+
 def conjugate_balls(spec: ResolventSpec, rs: RootSystem):
     """Ball of the weighted root combination for every permutation,
-    keyed by permutation, at the root system's precision."""
+    keyed by permutation, at the root system's precision.  In ints over
+    the root balls' common exponent, each part of each term w * root and
+    of each partial sum is rounded to prec significant bits, the error
+    folded into the radius.  The rounding is relative, so a part whose
+    terms cancel below 2**-prec of their size prints as 0 in ``--array``."""
     n = len(spec.weights)
     prec = rs.precision_bits + 32
+    e = min(b.exp for b in rs.enclosures)
+    terms = [i for i, w in enumerate(spec.weights) if w]
+    scaled = {}
+    for j, b in enumerate(rs.enclosures):
+        rx, ry, rr = b.fixed(-e)
+        for i in terms:
+            w = spec.weights[i]
+            tx, ex = _round_sig_at(w * rx, prec)
+            ty, ey = _round_sig_at(w * ry, prec)
+            scaled[i, j] = tx, ty, abs(w) * rr + ex + ey
     out = {}
     for sigma in symmetric_group(n):
-        acc = ComplexBall.from_int(0)
-        for i, w in enumerate(spec.weights):
-            if w:
-                acc = acc.add(rs.enclosures[sigma(i)].scale_int(w, prec), prec)
-        out[sigma] = acc
+        x = y = r = 0
+        for i in terms:
+            tx, ty, tr = scaled[i, sigma(i)]
+            x, sx = _round_sig_at(x + tx, prec)
+            y, sy = _round_sig_at(y + ty, prec)
+            r += tr + sx + sy
+        out[sigma] = ComplexBall.from_ints(x, y, r, e)
     return out
 
 
@@ -144,15 +167,18 @@ def resolvent_poly(f: UniPoly, spec: ResolventSpec) -> UniPoly:
 
 def _ball_poly_product(balls, prec):
     """Coefficient balls of the monic product of (x - b) over the given
-    balls, ascending order."""
-    coeffs = [ComplexBall.from_int(1)]
-    for b in balls:
-        nxt = [ComplexBall.from_int(0) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i] = nxt[i].sub(c.mul(b, prec), prec)
-            nxt[i + 1] = nxt[i + 1].add(c, prec)
-        coeffs = nxt
-    return coeffs
+    balls, ascending order.  Runs on (x, y, r) ints over 2**-prec: each
+    step c(x) * (x - b) adds exactly and rounds only the products c_i * b."""
+    cs = [(1 << prec, 0, 0)]
+    for ball in balls:
+        b = ball.fixed(prec)
+        nxt = [(0, 0, 0)] + cs
+        for i, c in enumerate(cs):
+            px, py, pr = fixed_mul(c, b, prec)
+            x, y, r = nxt[i]
+            nxt[i] = (x - px, y - py, r + pr)
+        cs = nxt
+    return [ComplexBall.from_ints(x, y, r, -prec) for x, y, r in cs]
 
 
 def _integer_products(spec, perms, rs):

@@ -1,13 +1,24 @@
 """Certified complex root isolation, the precision schedule, and rational
 reconstruction.
 
-Approximation is cheap and sloppy (float simultaneous iteration, then
-dyadic polishing at growing precision); every claim that matters is
+Approximation is cheap and sloppy (float simultaneous iteration, then an
+Aberth polish at growing precision); every claim that matters is
 certified afterwards: for monic f of degree n and a point z, the nearest
 root is within |f(z)|^(1/n), so inflating each approximation to that
 radius and checking the n balls pairwise disjoint proves a bijection
-between balls and roots.  |f(z)| is bounded above in ball arithmetic, so
-the certificate is rigorous no matter how the points were found.
+between balls and roots.  |f(z)| is bounded above in ball arithmetic
+(the integer kernel of ``arith``), so the certificate is rigorous no
+matter how the points were found.
+
+The polish runs on Gaussian integers as well: each part of a point is
+an int pair (m, e), the value m * 2**e.  Sums are exact, and products
+and quotients keep prec significant bits (half away from zero, and
+rounded down for quotients), so a point carries the same number of bits
+at every scale.  That rule fixes each polished point bit for bit, and
+with it the order of the roots, which are sorted by real part, then
+imaginary part: the two roots of a conjugate pair have real parts equal
+or a rounding apart, so a different rounding rule would reorder some
+pairs and change the report.
 
 Every certificate that may need narrower balls follows one schedule,
 ``precisions(start)``: the first attempt always runs at ``start``, even
@@ -23,11 +34,11 @@ is decided exactly on the resolvent.  ``isolate_roots`` has a separate
 working-precision loop with its own budget: it drives the
 approximation, not a certificate.
 
-``reconstruct_rational`` is the one place where a ball is turned into the
-exact rational it pins down, and ``read_integers`` the one place where a
-list of balls is read as the integers they pin down: the resolvent, the
-subgroup candidates and the root expressions' numerators all come
-through it.
+``reconstruct_rational`` turns a ball into the exact rational it pins
+down (the selftest and the tests use it), and ``read_integers`` is the
+one place where a list of balls is read as the integers they pin down,
+on the balls' ints: the resolvent, the subgroup candidates and the root
+expressions' numerators all come through it.
 """
 
 from __future__ import annotations
@@ -40,10 +51,11 @@ from .arith import (
     ComplexBall,
     Dyadic,
     ball_disjoint,
-    dy_div,
+    div_sig,
     nth_root_upper,
     pairwise_disjoint,
     pow2,
+    round_sig,
 )
 from .errors import CertificationError, InputError
 from .poly import UniPoly, gcd
@@ -61,46 +73,6 @@ def precisions(start: int):
         bits *= 2
         if bits > PREC_CAP:
             return
-
-
-# -- plain (non-interval) dyadic complex helpers for the iteration --------
-
-def _c_from_complex(z: complex):
-    return (
-        Dyadic.from_fraction(Fraction(z.real), 64)[0],
-        Dyadic.from_fraction(Fraction(z.imag), 64)[0],
-    )
-
-
-def _c_sub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _c_mul(a, b, prec):
-    re = a[0] * b[0] - a[1] * b[1]
-    im = a[0] * b[1] + a[1] * b[0]
-    return (re.round_nearest(prec)[0], im.round_nearest(prec)[0])
-
-
-def _c_div(a, b, prec):
-    q = b[0] * b[0] + b[1] * b[1]
-    if q.is_zero():
-        raise ZeroDivisionError
-    re = a[0] * b[0] + a[1] * b[1]
-    im = a[1] * b[0] - a[0] * b[1]
-    return (dy_div(re, q, prec)[0], dy_div(im, q, prec)[0])
-
-
-def _c_abs2(a):
-    return a[0] * a[0] + a[1] * a[1]
-
-
-def _c_eval(coeffs, z, prec):
-    acc = (Dyadic(0), Dyadic(0))
-    for c in reversed(coeffs):
-        acc = _c_mul(acc, z, prec)
-        acc = (acc[0] + c, acc[1])
-    return acc
 
 
 def _float_aberth(f: UniPoly):
@@ -150,54 +122,126 @@ def _horner_float(cs, z):
     return acc
 
 
+def _float_point(z: complex) -> ComplexBall:
+    """The point ball at a float complex value, exactly."""
+    return ComplexBall(*(Dyadic.from_fraction(Fraction(t), 64)[0] for t in (z.real, z.imag)))
+
+
+# -- the Aberth polish on Gaussian integers (see the module docstring) ------
+#
+# A real is (m, e), the value m * 2**e; a complex is (re_m, re_e, im_m, im_e).
+
+
+def _sum(am, ae, bm, be):
+    """a + b, exact."""
+    if not am:
+        return bm, be
+    if not bm:
+        return am, ae
+    if ae <= be:
+        return am + (bm << (be - ae)), ae
+    return (am << (ae - be)) + bm, be
+
+
+def _canonical(m, e):
+    """The same value with an odd mantissa (or 0 * 2**0)."""
+    if not m:
+        return 0, 0
+    t = (m & -m).bit_length() - 1
+    return m >> t, e + t
+
+
+def _cmul(a, b, prec):
+    ar, are, ai, aie = a
+    br, bre, bi, bie = b
+    return round_sig(*_sum(ar * br, are + bre, -ai * bi, aie + bie), prec) + round_sig(
+        *_sum(ar * bi, are + bie, ai * br, aie + bre), prec
+    )
+
+
+def _cdiv(a, b, prec):
+    ar, are, ai, aie = a
+    br, bre, bi, bie = b
+    q = _sum(br * br, 2 * bre, bi * bi, 2 * bie)
+    return div_sig(*_sum(ar * br, are + bre, ai * bi, aie + bie), *q, prec) + div_sig(
+        *_sum(ai * br, aie + bre, -ar * bi, are + bie), *q, prec
+    )
+
+
+def _csub(a, b):
+    return _sum(a[0], a[1], -b[0], b[1]) + _sum(a[2], a[3], -b[2], b[3])
+
+
+def _ceval(cs, z, prec):
+    acc = (0, 0, 0, 0)
+    for cm, ce in reversed(cs):
+        acc = _cmul(acc, z, prec)
+        acc = _sum(acc[0], acc[1], cm, ce) + acc[2:]
+    return acc
+
+
 def _dyadic_aberth(f: UniPoly, zs, prec, max_iters):
+    """Aberth iteration on Gaussian integers with prec significant bits.
+
+    The points zs (balls; only their centers are used) become complex
+    pairs of ints (see ``_sum``).  Each sweep moves every point from the
+    previous sweep's points (Jacobi style) and rounds them to prec
+    significant bits; the iteration stops once every correction is at
+    most 2**-(prec - 8), or after max_iters sweeps.  The rounding rule
+    fixes the points bit for bit, and with them the order of the roots
+    (by real part, then imaginary part).  Nothing here is trusted: the
+    certificate checks the points afterwards.
+    """
     n = f.degree
     cs = [Dyadic.from_fraction(Fraction(c), prec)[0] for c in f.coeffs]
-    dcs = [Dyadic.from_fraction(Fraction(i * f.coeffs[i]), prec)[0] for i in range(1, n + 1)]
-    tiny = pow2(-(prec - 8))
-    one = (Dyadic(1), Dyadic(0))
+    dcs = [Dyadic.from_fraction(Fraction(i * c), prec)[0] for i, c in enumerate(f.coeffs)]
+    cs, dcs = [(c.man, c.exp) for c in cs], [(c.man, c.exp) for c in dcs[1:]]
+    one = (1, 0, 0, 0)
+    nudge = -(prec // 2)
+    pts = [_canonical(z.x, z.exp) + _canonical(z.y, z.exp) for z in zs]
     for _ in range(max_iters):
-        worst = Dyadic(0)
+        worst = (0, 0)
         new = []
-        for i, z in enumerate(zs):
-            fz = _c_eval(cs, z, prec)
-            dfz = _c_eval(dcs, z, prec)
-            if _c_abs2(dfz).is_zero():
-                new.append((z[0] + pow2(-(prec // 2)), z[1]))
-                worst = Dyadic(1)
+        for i, z in enumerate(pts):
+            fz = _ceval(cs, z, prec)
+            dfz = _ceval(dcs, z, prec)
+            if not (dfz[0] or dfz[2]):
+                new.append(_sum(z[0], z[1], 1, nudge) + z[2:])
+                worst = (1, 0)
                 continue
-            ratio = _c_div(fz, dfz, prec)
-            s = (Dyadic(0), Dyadic(0))
-            for j in range(n):
+            ratio = _cdiv(fz, dfz, prec)
+            s = (0, 0, 0, 0)
+            for j, zj in enumerate(pts):
                 if j == i:
                     continue
-                diff = _c_sub(z, zs[j])
-                if _c_abs2(diff).is_zero():
-                    diff = (diff[0] + pow2(-(prec // 2)), diff[1])
-                inv = _c_div(one, diff, prec)
-                s = (s[0] + inv[0], s[1] + inv[1])
-            den = _c_sub(one, _c_mul(ratio, s, prec))
-            if _c_abs2(den).is_zero():
-                w = ratio
-            else:
-                w = _c_div(ratio, den, prec)
-            new.append((z[0] - w[0], z[1] - w[1]))
-            mag = abs(w[0]) + abs(w[1])
-            if mag > worst:
+                diff = _csub(z, zj)
+                if not (diff[0] or diff[2]):
+                    diff = (1, nudge) + diff[2:]
+                inv = _cdiv(one, diff, prec)
+                s = _sum(s[0], s[1], inv[0], inv[1]) + _sum(s[2], s[3], inv[2], inv[3])
+            den = _csub(one, _cmul(ratio, s, prec))
+            w = _cdiv(ratio, den, prec) if den[0] or den[2] else ratio
+            new.append(_csub(z, w))
+            mag = _sum(abs(w[0]), w[1], abs(w[2]), w[3])
+            if _sum(mag[0], mag[1], -worst[0], worst[1])[0] > 0:
                 worst = mag
-        zs = [(zr.round_nearest(prec)[0], zi.round_nearest(prec)[0]) for zr, zi in new]
-        if worst <= tiny:
+        pts = [
+            _canonical(*round_sig(zr, zre, prec)) + _canonical(*round_sig(zi, zie, prec))
+            for zr, zre, zi, zie in new
+        ]
+        if _sum(worst[0], worst[1], -1, 8 - prec)[0] <= 0:
             break
-    return zs
+    return [ComplexBall(Dyadic(zr, zre), Dyadic(zi, zie)) for zr, zre, zi, zie in pts]
 
 
 def _certified_balls(f: UniPoly, zs, prec):
+    """Each point inflated to |f(z)|**(1/n), f(z) bounded in ball
+    arithmetic over 2**-prec, or finer when the point needs it."""
     n = f.degree
     balls = []
-    for zr, zi in zs:
-        val = f.eval_ball(ComplexBall.point(zr, zi), prec)
-        r = nth_root_upper(val.abs_upper(), n)
-        balls.append(ComplexBall(zr, zi, r))
+    for z in zs:
+        val = f.eval_ball(z, max(prec, -z.exp))
+        balls.append(ComplexBall(z.re, z.im, nth_root_upper(val.abs_upper(), n)))
     return balls
 
 
@@ -213,7 +257,7 @@ class RootSystem:
         """Shrink all enclosures; root order is preserved."""
         if precision_bits <= self.precision_bits:
             return self
-        seeds = [(b.re, b.im) for b in self.enclosures]
+        seeds = self.enclosures
         for bits in precisions(precision_bits):
             fresh = isolate_roots(self.poly, bits, _seeds=seeds).enclosures
             # each old ball must meet exactly one new ball, one-to-one
@@ -245,16 +289,14 @@ def isolate_roots(f: UniPoly, precision_bits: int = 128, *, _seeds=None) -> Root
     if _seeds is None:
         warm = _float_aberth(f)
         if warm is not None:
-            zs = [_c_from_complex(z) for z in warm]
+            zs = [_float_point(z) for z in warm]
         else:
             bound_bits = max(abs(Fraction(c).numerator).bit_length() for c in f.coeffs) + 1
             zs = [
-                _c_from_complex(
-                    cmath.exp(2j * cmath.pi * (k + 0.3545) / n) * 2.0
-                )
+                _float_point(cmath.exp(2j * cmath.pi * (k + 0.3545) / n) * 2.0)
                 for k in range(n)
             ]
-            zs = [(zr * (1 << bound_bits), zi * (1 << bound_bits)) for zr, zi in zs]
+            zs = [ComplexBall.from_ints(z.x, z.y, 0, z.exp + bound_bits) for z in zs]
     else:
         zs = list(_seeds)
 
@@ -301,13 +343,21 @@ def reconstruct_rational(x: ComplexBall, denominator_bound: int):
 
 def read_integers(balls):
     """The integers pinned down by a list of balls.  A ball narrower than
-    1/2 holds at most one integer.  Returns the list of ints once every
-    ball is that narrow; False as soon as such a ball holds none, which
-    proves its value is not an integer; None while some ball is wider."""
-    half = pow2(-1)
-    ints = [reconstruct_rational(b, 1) for b in balls if b.rad < half]
-    if None in ints:
-        return False
-    if len(ints) < len(balls):
-        return None
-    return [int(k) for k in ints]
+    1/2 holds at most one integer: the nearest integer k to its center,
+    which it holds when |im| <= rad and |re - k| <= rad, all decided on
+    the ball's ints.  Returns the list of ints once every ball is that
+    narrow; False as soon as such a ball holds none, which proves its
+    value is not an integer; None while some ball is wider."""
+    ints = []
+    for b in balls:
+        x, y, r, e = b.x, b.y, b.r, b.exp
+        if e > 0:
+            x, y, r, e = x << e, y << e, r << e, 0
+        one = 1 << -e
+        if 2 * r >= one:
+            continue
+        k = (x + (one >> 1)) >> -e
+        if abs(y) > r or abs(x - k * one) > r:
+            return False
+        ints.append(k)
+    return ints if len(ints) == len(balls) else None

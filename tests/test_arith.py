@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galcert.arith import (
     BallDivisionError,
@@ -9,11 +11,13 @@ from galcert.arith import (
     Dyadic,
     Rational,
     ball_disjoint,
-    dy_div,
+    div_sig,
     nth_root_upper,
-    sqrt_upper,
+    round_sig,
 )
 from galcert.poly import UniPoly
+from galcert.resolvent import _ball_poly_product
+from galcert.roots import read_integers
 
 from helpers import ball_contains_rational, bisect_root, cplx_add, cplx_div, cplx_mul, dyadic_ball, interval_ball
 
@@ -39,23 +43,25 @@ def test_rational_is_canonical_exact_field():
 def test_dyadic_roundtrip_and_rounding():
     d = Dyadic(12, -3)
     assert d.to_fraction() == Fraction(3, 2)
-    rounded, err = Dyadic(0b101101110111, 0).round_nearest(5)
-    exact = Dyadic(0b101101110111, 0)
-    assert abs(rounded - exact).to_fraction() <= err.to_fraction()
-    up = Dyadic(0b1011011, 0).round_up(3)
-    assert up.to_fraction() >= Fraction(0b1011011)
+    for m in (0b101101110111, -0b101101110111, 0b101101110000, 7):
+        rm, re = round_sig(m, 3, 5)
+        assert abs(rm).bit_length() <= 5
+        if re == 3:
+            assert rm == m
+        else:
+            assert abs(Dyadic(rm, re).to_fraction() - m * 8) <= Fraction(2) ** (re - 1)
 
 
 def test_dyadic_division_error_bound():
-    a, b = Dyadic(7), Dyadic(3)
-    q, err = dy_div(a, b, 64)
-    assert abs(q.to_fraction() - Fraction(7, 3)) <= err.to_fraction()
+    for a, b in ((7, 3), (-7, 3), (12, 40), (1, 1)):
+        qm, qe = div_sig(a, -2, b, 5, 64)
+        exact = Fraction(a, b) * Fraction(1, 2**7)
+        assert 0 <= exact - Dyadic(qm, qe).to_fraction() < Fraction(2) ** qe
 
 
 def test_sqrt_and_nth_root_upper_bounds():
+    # n = 2 is the square root
     for k in (2, 3, 5, 10, 1000, 12345):
-        u = sqrt_upper(Dyadic(k))
-        assert u.to_fraction() ** 2 >= k
         for n in (2, 3, 4, 6):
             r = nth_root_upper(Dyadic(k), n)
             assert r.to_fraction() ** n >= k
@@ -127,3 +133,112 @@ def test_scale_and_negate():
     s = b.scale_int(-3, 64)
     assert ball_contains_rational(s, Fraction(-9, 7))
     assert ball_contains_rational(-b, Fraction(-3, 7))
+
+
+# -- the integer ball kernel against exact rationals ------------------------
+
+_mans = st.integers(-(2**60), 2**60)
+# with these exponents the centers run from about 2**-260 to 2**200
+_exps = st.integers(-260, 140)
+_rads = st.one_of(st.just(0), st.integers(1, 2**8), st.integers(2**40, 2**62))
+_balls = st.builds(ComplexBall.from_ints, _mans, _mans, _rads, _exps)
+# a point of a ball: its center moved t * rad along a rational unit vector
+_moves = st.tuples(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+    st.sampled_from([(Fraction(3, 5), Fraction(4, 5)), (Fraction(-1), Fraction(0)),
+                     (Fraction(0), Fraction(-1)), (Fraction(-4, 5), Fraction(3, 5))]),
+)
+_precs = st.integers(1, 300)
+
+
+def _point(ball, move):
+    t, (ur, ui) = move
+    scale = Fraction(2) ** ball.exp
+    return ((ball.x + t * ur * ball.r) * scale, (ball.y + t * ui * ball.r) * scale)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_balls, _moves, _balls, _moves, _precs, st.integers(-(10**6), 10**6))
+def test_kernel_operations_contain_the_exact_results(a, ma, b, mb, prec, k):
+    pa, pb = _point(a, ma), _point(b, mb)
+    assert ball_contains_rational(a.add(b, prec), *cplx_add(pa, pb))
+    assert ball_contains_rational(a.sub(b, prec), pa[0] - pb[0], pa[1] - pb[1])
+    assert ball_contains_rational(a.mul(b, prec), *cplx_mul(pa, pb))
+    assert ball_contains_rational(a.scale_int(k, prec), k * pa[0], k * pa[1])
+    assert ball_contains_rational(-a, -pa[0], -pa[1])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(_balls, _moves), min_size=1, max_size=4),
+    st.lists(st.fractions(max_denominator=50).filter(lambda q: abs(q) < 10**6), min_size=1, max_size=5),
+    _precs,
+)
+def test_horner_and_ball_product_contain_the_exact_results(pairs, coeffs, prec):
+    balls = [b for b, _ in pairs]
+    points = [_point(b, m) for b, m in pairs]
+    # p(z) at every point, by plain Horner over Fraction pairs
+    p = UniPoly(coeffs)
+    for ball, z in zip(balls, points):
+        acc = (Fraction(0), Fraction(0))
+        for c in reversed(p.coeffs):
+            acc = cplx_add(cplx_mul(acc, z), (Fraction(c), Fraction(0)))
+        assert ball_contains_rational(p.eval_ball(ball, prec), *acc)
+    # the monic product of (x - z) over the points, ascending
+    exact = [(Fraction(1), Fraction(0))]
+    for z in points:
+        nxt = [(Fraction(0), Fraction(0))] * (len(exact) + 1)
+        for i, c in enumerate(exact):
+            prod = cplx_mul(c, z)
+            nxt[i] = (nxt[i][0] - prod[0], nxt[i][1] - prod[1])
+            nxt[i + 1] = cplx_add(nxt[i + 1], c)
+        exact = nxt
+    got = _ball_poly_product(balls, prec)
+    assert len(got) == len(exact)
+    for ball, value in zip(got, exact):
+        assert ball_contains_rational(ball, *value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(-(10**30), 10**30),
+    st.integers(2, 200),
+    st.data(),
+)
+def test_read_integers_decides_like_the_exact_disk(k, s, data):
+    """A ball narrower than 1/2 holding the integer k reads as k; False
+    comes only from a ball narrower than 1/2 that holds no integer; a
+    ball at least 1/2 wide reads as None."""
+    half = 1 << (s - 1)
+    r = data.draw(st.integers(0, half - 1))
+    dx = data.draw(st.integers(-(1 << s), 1 << s))
+    dy = data.draw(st.integers(-2 * r - 1, 2 * r + 1))
+    ball = ComplexBall.from_ints((k << s) + dx, dy, r, -s)
+    got = read_integers([ball])
+    # only the nearest integer can lie in a disk narrower than 1/2
+    nearest = round(Fraction((k << s) + dx, 1 << s))
+    if got is False:
+        assert not ball_contains_rational(ball, nearest)
+    else:
+        assert got == [nearest]
+    wide = ComplexBall.from_ints(k << s, 0, half, -s)
+    assert read_integers([wide]) is None
+    assert read_integers([ball, wide]) is (False if got is False else None)
+
+
+def test_read_integers_at_the_half_integer_edge():
+    s = 8  # balls over 2**-8
+    # edge on k + 1/2 from below: center k + 1/8, radius 3/8 holds k
+    assert read_integers([ComplexBall.from_ints((7 << s) + 32, 0, 96, -s)]) == [7]
+    # edge on k + 1/2 from above: center k + 5/8, radius 1/8 holds nothing
+    assert read_integers([ComplexBall.from_ints((7 << s) + 160, 0, 32, -s)]) is False
+    # a center exactly on k + 1/2 holds no integer when narrower than 1/2
+    assert read_integers([ComplexBall.from_ints((-3 << s) + 128, 0, 127, -s)]) is False
+    # an integer on the boundary is held: center k + 1/4, radius 1/4
+    assert read_integers([ComplexBall.from_ints((-3 << s) + 64, 0, 64, -s)]) == [-3]
+    # radius exactly 1/2 is not narrow enough
+    assert read_integers([ComplexBall.from_ints(7 << s, 0, 128, -s)]) is None
+    # an imaginary part beyond the radius proves the value non-real
+    assert read_integers([ComplexBall.from_ints(7 << s, 40, 32, -s)]) is False
+    # coarse exponents: exact integers with zero radius
+    assert read_integers([ComplexBall.from_ints(5, 0, 0, 3), ComplexBall.from_int(-2)]) == [40, -2]

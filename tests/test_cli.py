@@ -64,9 +64,15 @@ def test_normalize_monic_integer():
     assert g == UniPoly([-2, 0, 1]) and c == 1
 
 
-def test_config_validation():
+def test_config_validation(capsys):
     with pytest.raises(InputError):
         AnalysisConfig(precision_bits=32)
+    assert AnalysisConfig(precision_bits=65536).precision_bits == 65536
+    with pytest.raises(InputError, match="precision must be at most 65536 bits"):
+        AnalysisConfig(precision_bits=65537)
+    # rejected before any root is isolated (this input ran past 120 s)
+    assert main(["analyze", "x^3 - 2", "--precision", "100000"]) == 2
+    assert "precision must be at most 65536 bits" in capsys.readouterr().err
     with pytest.raises(InputError):
         AnalysisConfig(resolvent_norm_bound=0)
     with pytest.raises(InputError):
@@ -133,6 +139,15 @@ def test_arrangement_array_rendering():
     joined = "\n".join(report.arrangement_arrays)
     assert "a b" in joined and "b a" in joined
     assert "1.41421" in joined
+    # the values are the exact weighted sums of the polished root centers,
+    # so the polish's last bits show as a tiny imaginary part
+    row = "    -1.41421 + 7.57153e-270i   b a"
+    assert report.arrangement_arrays == [
+        "subgroup of order 1: id\n  block 1:\n                     1.41421   a b\n"
+        "  block 2:\n" + row,
+        "subgroup of order 2: id, (ab)\n  block 1:\n"
+        "                     1.41421   a b\n" + row,
+    ]
 
 
 def test_main_exit_codes(capsys):

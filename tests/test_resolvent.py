@@ -206,3 +206,27 @@ def test_search_pays_one_ball_product_per_candidate(monkeypatch):
     assert spec.weights == (0, 1, 2, 4)
     assert len(products) <= len(candidates) + 1
     assert identify_galois(f, spec, rs).group.order == 8
+
+
+@pytest.mark.parametrize(
+    "coeffs, order",
+    [([6, 0, -5, 0, 1], 4), ([1, 0, 0, 0, 1], 4), ([-2, 0, 0, 0, 1], 8)],
+)
+def test_search_decides_the_same_on_quartics(monkeypatch, coeffs, order):
+    # each injectivity decision is exact, so however the balls are
+    # computed the search stops at the same vector after the same 25
+    # decisions on each input
+    calls = []
+    certify = resolvent.certify_distinct_values
+
+    def counted_certify(weights, rs):
+        calls.append(weights)
+        return certify(weights, rs)
+
+    monkeypatch.setattr(resolvent, "certify_distinct_values", counted_certify)
+    f = UniPoly(coeffs)
+    rs = isolate_roots(f)
+    spec = search_resolvent(rs)
+    assert spec.weights == (0, 1, 2, 4)
+    assert len(calls) == 25
+    assert identify_galois(f, spec, rs).group.order == order
