@@ -418,7 +418,7 @@ def main(argv=None) -> int:
         return run_selftest()
     try:
         seed = None
-        if args.spec:
+        if args.spec is not None:
             try:
                 seed = tuple(int(w) for w in args.spec.split(","))
             except ValueError:

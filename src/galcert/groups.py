@@ -6,6 +6,10 @@ arrangements is (p . a)(i) = a(p^-1(i)), a left action, so acting by p
 then q equals acting by q * p ... by (q * p).  Blocks of the arrangement
 array record the coset representative used to build them, which is the
 conjugator relating the block's substitution group back to the subgroup.
+
+The subgroup lattice is enumerated on element indices: one
+multiplication table of the group, and each subgroup an int bitmask,
+turned into ``PermGroup`` objects only at the end.
 """
 
 from __future__ import annotations
@@ -197,7 +201,8 @@ _SUBGROUP_CACHE: dict = {}
 
 
 def all_subgroups(g: PermGroup):
-    """Every subgroup of g, each once, sorted by order then element list.
+    """Every subgroup of g, each once, sorted by order then element list,
+    in a new list on each call.
 
     Found by iterated joins: starting from the trivial group, every
     subgroup found is joined with one more element of g, carrying its
@@ -205,29 +210,59 @@ def all_subgroups(g: PermGroup):
     K = <k1, ..., km>, each link of the chain 1 <= <k1> <= <k1, k2> <= ...
     is the join of the one before with one element.  Since <H, x> equals
     <H, h * x> for every h in H, one element per coset H * x suffices.
+    The joins run on indices into g's elements: products come from one
+    |g| x |g| multiplication table and a subgroup is an int bitmask.
     """
     if g.order > 24:
         raise ValueError(f"group order {g.order} exceeds the cap of 24")
     key = g.elements
     cached = _SUBGROUP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    trivial = PermGroup([Permutation.identity(g.n)])
-    seen = {trivial.elements: trivial}
+    if cached is None:
+        cached = _SUBGROUP_CACHE[key] = _all_subgroups(g)
+    return list(cached)
+
+
+def _all_subgroups(g: PermGroup):
+    elems = g.elements
+    index = {p: i for i, p in enumerate(elems)}
+    table = [[index[p * q] for q in elems] for p in elems]
+    one = index[Permutation.identity(g.n)]
+
+    def closure_mask(gens):
+        # the product fixpoint of ``closure``, on indices
+        mask, frontier = 1 << one, [one]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                row = table[p]
+                for x in gens:
+                    q = row[x]
+                    if not mask >> q & 1:
+                        mask |= 1 << q
+                        nxt.append(q)
+            frontier = nxt
+        return mask
+
+    trivial = 1 << one
+    seen = {trivial}
     queue = [(trivial, ())]
     for h, gens in queue:
-        covered = set(h.elements)
-        for x in g.elements:
-            if x in covered:
+        members = [i for i in range(len(elems)) if h >> i & 1]
+        covered = h
+        for x in range(len(elems)):
+            if covered >> x & 1:
                 continue
-            covered.update(p * x for p in h)
-            sub = closure(gens + (x,))
-            if sub.elements not in seen:
-                seen[sub.elements] = sub
+            for p in members:
+                covered |= 1 << table[p][x]
+            sub = closure_mask(gens + (x,))
+            if sub not in seen:
+                seen.add(sub)
                 queue.append((sub, gens + (x,)))
-    result = sorted(seen.values(), key=PermGroup.sort_key)
-    _SUBGROUP_CACHE[key] = result
-    return result
+    subs = [
+        PermGroup._trusted([p for i, p in enumerate(elems) if h >> i & 1])
+        for h in seen
+    ]
+    return sorted(subs, key=PermGroup.sort_key)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ each ball's unique integer is the exact coefficient.
 Injectivity is then an exact decision: the n! values are pairwise
 distinct exactly when R is squarefree, i.e. gcd(R, R') is constant.  Any
 one value of an injective weight vector generates the splitting field.
+Permuting the weights only permutes the n! factors, so R and the decision
+depend on the multiset of weights alone, and the search decides each
+multiset once.
 ``resolvent_poly`` keeps the symbolic route (multiply the linear forms,
 decompose into elementary symmetric polynomials, evaluate at the input's
 coefficients) as the reference that the tests and the selftest compare
@@ -25,7 +28,8 @@ and each claimed root is certified via the cofactor (if the cofactor
 provably misses a value that the full product kills, the candidate must
 kill it).  Any subgroup passing all of that contains the Galois group, so
 the first hit is the group and its candidate is the minimal polynomial,
-irreducible by minimality.
+irreducible by minimality.  The conjugate balls are computed once per
+precision and shared by the resolvent and every subgroup test.
 """
 
 from __future__ import annotations
@@ -108,9 +112,15 @@ def certify_distinct_values(weights, rs: RootSystem) -> bool:
 
 def search_resolvent(rs: RootSystem, max_norm: int = 8, skip: int = 0) -> ResolventSpec:
     """Smallest weight vector (by max-norm, then lexicographically) whose
-    n! values are certified pairwise distinct.  skip returns later hits."""
+    n! values are certified pairwise distinct.  skip returns later hits.
+
+    The decision depends only on the multiset of weights, so each multiset
+    is decided once: with w'_i = w_pi(i), sum_i w'_i alpha_sigma(i) =
+    sum_j w_j alpha_(sigma pi^-1)(j), and sigma pi^-1 runs over S_n with
+    sigma, so w and w' have the same n! values and the same resolvent."""
     n = rs.poly.degree
     found = 0
+    decided = {}
     for norm in range(1, max_norm + 1):
         for weights in iter_product(range(norm + 1), repeat=n):
             if max(weights) != norm:
@@ -118,7 +128,10 @@ def search_resolvent(rs: RootSystem, max_norm: int = 8, skip: int = 0) -> Resolv
             # a repeated weight makes two permutations collide for sure
             if len(set(weights)) != n:
                 continue
-            if certify_distinct_values(weights, rs):
+            key = tuple(sorted(weights))
+            if key not in decided:
+                decided[key] = certify_distinct_values(weights, rs)
+            if decided[key]:
                 if found == skip:
                     return ResolventSpec(weights)
                 found += 1
@@ -181,7 +194,7 @@ def _ball_poly_product(balls, prec):
     return [ComplexBall.from_ints(x, y, r, -prec) for x, y, r in cs]
 
 
-def _integer_products(spec, perms, rs):
+def _integer_products(spec, perms, rs, balls):
     """The monic product of (x - value) over the conjugate values of
     ``perms``, read off its coefficient balls along the precision schedule.
 
@@ -189,42 +202,54 @@ def _integer_products(spec, perms, rs):
     narrower than 1/2, so holds at most one integer; poly is None as soon
     as some such ball holds none, which proves the product not integral.
 
+    ``balls`` maps precision bits to the conjugate balls of ``rs`` refined
+    to them, and gains each precision computed here, so callers that share
+    it compute them once per precision.
+
     Attempts below log2(2 * len(perms) * sum|w| * B) bits are skipped,
     except the schedule's last: every coefficient is at most
     B = prod(1 + |value|), and moving the roots by 2**-bits moves a
     coefficient by up to about len(perms) * sum|w| * B * 2**-bits, so
     such attempts are not expected to narrow the balls enough.
     """
-    vals = conjugate_balls(spec, rs)
+    vals = _balls_at(spec, rs, rs.precision_bits, balls)
     bound = Dyadic(2 * len(perms) * sum(map(abs, spec.weights)) + 1)
     for s in perms:
         bound = bound * (vals[s].abs_upper() + Dyadic(1))
     needed = bound.man.bit_length() + bound.exp
-    cur = rs
     for bits in precisions(rs.precision_bits):
         if bits < needed and 2 * bits <= PREC_CAP:
             continue
-        refined = cur.refine(bits)
-        if refined is not cur:
-            cur, vals = refined, conjugate_balls(spec, refined)
+        vals = _balls_at(spec, rs, bits, balls)
         prec = bits + 32
-        balls = _ball_poly_product([vals[s] for s in perms], prec)[:-1]
-        ints = read_integers(balls)
+        product = _ball_poly_product([vals[s] for s in perms], prec)[:-1]
+        ints = read_integers(product)
         if ints is False:
             yield None, vals, prec
         elif ints is not None:
             yield UniPoly(ints + [1]), vals, prec
 
 
+def _balls_at(spec, rs, bits, balls):
+    if bits not in balls:
+        balls[bits] = conjugate_balls(spec, rs.refine(bits))
+    return balls[bits]
+
+
 def read_resolvent(spec: ResolventSpec, rs: RootSystem) -> UniPoly:
     """The resolvent, the product of (x - value) over all n! conjugate
     values.  Its coefficients are symmetric in the roots, so for monic
     integral f they are integers, and the ball product pins each down."""
+    return _read_resolvent(spec, rs, {})
+
+
+def _read_resolvent(spec, rs, balls):
     if not rs.poly.has_integer_coeffs():
         raise InputError(
             "integer coefficients required; scale the variable first"
         )
-    for poly, _, _ in _integer_products(spec, symmetric_group(rs.poly.degree), rs):
+    perms = symmetric_group(rs.poly.degree)
+    for poly, _, _ in _integer_products(spec, perms, rs, balls):
         if poly is None:
             break
         return poly
@@ -240,11 +265,12 @@ def identify_galois(f: UniPoly, spec: ResolventSpec, rs: RootSystem) -> GaloisDa
     n = f.degree
     if n is None or n < 1 or n > 4:
         raise InputError("degree must be between 1 and 4")
-    resolvent = read_resolvent(spec, rs)
+    balls = {}  # conjugate balls by precision, shared by every read
+    resolvent = _read_resolvent(spec, rs, balls)
     identity = Permutation.identity(n)
 
     for sub in all_subgroups(symmetric_group(n)):
-        result = _test_subgroup(resolvent, sub, spec, rs)
+        result = _test_subgroup(resolvent, sub, spec, rs, balls)
         if result is None:
             continue
         min_poly, vals = result
@@ -261,9 +287,9 @@ def identify_galois(f: UniPoly, spec: ResolventSpec, rs: RootSystem) -> GaloisDa
     )
 
 
-def _test_subgroup(resolvent, sub, spec, rs):
+def _test_subgroup(resolvent, sub, spec, rs, balls):
     """None if the subgroup is rejected; else (min_poly, conjugate balls)."""
-    for candidate, vals, prec in _integer_products(spec, sub, rs):
+    for candidate, vals, prec in _integer_products(spec, sub, rs, balls):
         if candidate is None:
             return None
         quotient, remainder = divmod(resolvent, candidate)

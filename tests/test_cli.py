@@ -157,6 +157,9 @@ def test_main_exit_codes(capsys):
     assert main(["analyze", "x^2 - 2", "--spec", "0,1"]) == 0
     assert main(["analyze", "x^2 - 2", "--spec", "nope"]) == 2
     capsys.readouterr()
+    # an empty explicit list is a bad list, not a request to search
+    assert main(["analyze", "x^2 - 2", "--spec", ""]) == 2
+    assert "could not parse the weight list ''" in capsys.readouterr().err
 
 
 def test_main_rejects_overlong_number(capsys):

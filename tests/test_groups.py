@@ -73,6 +73,26 @@ def test_all_subgroups_counts():
     assert all(g.is_subgroup_of(d4) for g in subs_d4)
 
 
+def _pair_closures(g):
+    # every group of degree <= 4 is generated by two of its elements
+    subs = {closure([a, b]) for a in g for b in g}
+    return sorted(subs, key=PermGroup.sort_key)
+
+
+def test_all_subgroups_matches_the_closures_of_all_pairs():
+    s4 = symmetric_group(4)
+    for g in [symmetric_group(3), s4] + all_subgroups(s4):
+        assert all_subgroups(g) == _pair_closures(g)
+
+
+def test_all_subgroups_returns_a_fresh_list():
+    s3 = symmetric_group(3)
+    subs = all_subgroups(s3)
+    subs.pop()
+    assert len(all_subgroups(s3)) == 6
+    assert all_subgroups(s3) is not all_subgroups(s3)
+
+
 def test_all_subgroups_cap():
     with pytest.raises(ValueError, match="cap"):
         all_subgroups(symmetric_group(5))

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import islice
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from galcert import resolvent
 from galcert.arith import ball_disjoint
-from galcert.errors import InputError
+from galcert.errors import CertificationError, InputError
 from galcert.groups import Permutation, symmetric_group
 from galcert.numberfield import express_roots
 from galcert.poly import UniPoly, gcd
@@ -213,9 +215,9 @@ def test_search_pays_one_ball_product_per_candidate(monkeypatch):
     [([6, 0, -5, 0, 1], 4), ([1, 0, 0, 0, 1], 4), ([-2, 0, 0, 0, 1], 8)],
 )
 def test_search_decides_the_same_on_quartics(monkeypatch, coeffs, order):
-    # each injectivity decision is exact, so however the balls are
-    # computed the search stops at the same vector after the same 25
-    # decisions on each input
+    # each injectivity decision is exact and made once per weight
+    # multiset, so the search stops at the same vector after deciding
+    # {0, 1, 2, 3} (rejected) and {0, 1, 2, 4} on each input
     calls = []
     certify = resolvent.certify_distinct_values
 
@@ -228,5 +230,74 @@ def test_search_decides_the_same_on_quartics(monkeypatch, coeffs, order):
     rs = isolate_roots(f)
     spec = search_resolvent(rs)
     assert spec.weights == (0, 1, 2, 4)
-    assert len(calls) == 25
+    assert calls == [(0, 1, 2, 3), (0, 1, 2, 4)]
     assert identify_galois(f, spec, rs).group.order == order
+
+
+_squarefree = st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+).map(lambda low: UniPoly(low + [1])).filter(
+    lambda f: gcd(f, f.derivative()).degree == 0
+)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_squarefree, st.lists(st.integers(0, 4), min_size=4, max_size=4, unique=True))
+@example(UniPoly([-2, 0, 0, 0, 1]), [0, 1, 2, 4])
+@example(UniPoly([1, 0, 0, 0, 1]), [3, 0, 1, 2])
+@example(UniPoly([-2, 0, 0, 1]), [0, 1, 2, 4])
+@example(UniPoly([-1, -3, 0, 1]), [2, 0, 1, 3])
+@example(UniPoly([-2, 0, 0, 1]), [1, 1, 0, 0])
+def test_resolvent_depends_only_on_the_weight_multiset(f, weights):
+    weights = tuple(weights[:f.degree])
+    rs = isolate_roots(f)
+    expected = read_resolvent(ResolventSpec(weights), rs)
+    for pi in symmetric_group(f.degree):
+        permuted = tuple(weights[pi(i)] for i in range(f.degree))
+        assert read_resolvent(ResolventSpec(permuted), rs) == expected
+
+
+def _reference_search(rs, max_norm, skip):
+    # the search without its memo: every candidate decided on its own
+    n = rs.poly.degree
+    hits = (
+        weights
+        for norm in range(1, max_norm + 1)
+        for weights in iter_product(range(norm + 1), repeat=n)
+        if max(weights) == norm and len(set(weights)) == n
+        and certify_distinct_values(weights, rs)
+    )
+    return next(islice(hits, skip, None), None)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_squarefree)
+@example(UniPoly([-2, 0, 0, 0, 1]))
+@example(UniPoly([6, 0, -5, 0, 1]))
+def test_search_agrees_with_a_memo_free_reference(f):
+    rs = isolate_roots(f)
+    for skip in (0, 1):
+        expected = _reference_search(rs, 4, skip)
+        if expected is None:
+            with pytest.raises(CertificationError):
+                search_resolvent(rs, 4, skip)
+        else:
+            assert search_resolvent(rs, 4, skip).weights == expected
+
+
+def test_identify_reads_conjugate_balls_once_per_precision(monkeypatch):
+    # x^4 - 1000003's resolvent needs 256 bits; every subgroup test
+    # shares the balls read at 128 and 256 bits
+    precisions_read = []
+    balls = resolvent.conjugate_balls
+
+    def counted_balls(spec, rs):
+        precisions_read.append(rs.precision_bits)
+        return balls(spec, rs)
+
+    f = UniPoly([-1000003, 0, 0, 0, 1])
+    rs = isolate_roots(f)
+    spec = ResolventSpec((0, 1, 2, 4))
+    monkeypatch.setattr(resolvent, "conjugate_balls", counted_balls)
+    assert identify_galois(f, spec, rs).group.order == 8
+    assert sorted(precisions_read) == [128, 256]

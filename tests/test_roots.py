@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from galcert import roots
 from galcert.arith import ComplexBall, ball_disjoint
+from galcert.cli import analyze
 from galcert.errors import InputError
 from galcert.poly import UniPoly, gcd
 from galcert.roots import isolate_roots, reconstruct_rational
@@ -101,6 +103,24 @@ def test_refine_preserves_roots_and_order():
         for j, old in enumerate(rs.enclosures):
             if i != j:
                 assert ball_disjoint(new, old)
+
+
+def test_pipeline_refines_each_precision_once(monkeypatch):
+    # the search, identification, root expressions and automorphism
+    # check all ask for 256 bits on x^4 - 1000003; one refinement serves
+    refinements = []
+    isolate = roots.isolate_roots
+
+    def counted_isolate(f, bits=128, *, _seeds=None):
+        if _seeds is not None:
+            refinements.append(bits)
+        return isolate(f, bits, _seeds=_seeds)
+
+    monkeypatch.setattr(roots, "isolate_roots", counted_isolate)
+    assert analyze("x^4 - 1000003").all_passed()
+    assert refinements == [256]
+    rs = isolate_roots(UniPoly([-2, 0, 0, 1]), 64)
+    assert rs.refine(128) is rs.refine(128)
 
 
 def test_reconstruct_rational_examples():
