@@ -32,9 +32,7 @@ rejects the subgroup, and ``RootSystem.refine``, ``express_roots`` and
 CLI).  Injectivity of a weight vector needs no schedule of its own: it
 is decided exactly on the resolvent.  ``isolate_roots`` has a separate
 working-precision loop with its own budget: it drives the
-approximation, not a certificate.  A root system remembers each
-precision it was refined to, so the stages that ask for the same
-precision of the same system share one refinement.
+approximation, not a certificate.
 
 ``reconstruct_rational`` turns a ball into the exact rational it pins
 down (the selftest and the tests use it), and ``read_integers`` is the
@@ -46,7 +44,7 @@ expressions' numerators all come through it.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
@@ -254,17 +252,11 @@ class RootSystem:
     poly: UniPoly
     enclosures: tuple
     precision_bits: int
-    # refine's results on this system, by precision
-    _refined: dict = field(default_factory=dict, compare=False, repr=False)
 
     def refine(self, precision_bits: int) -> "RootSystem":
-        """Shrink all enclosures; root order is preserved.  Each precision
-        is refined to once: a repeated call returns the same system."""
+        """Shrink all enclosures; root order is preserved."""
         if precision_bits <= self.precision_bits:
             return self
-        done = self._refined.get(precision_bits)
-        if done is not None:
-            return done
         seeds = self.enclosures
         for bits in precisions(precision_bits):
             fresh = isolate_roots(self.poly, bits, _seeds=seeds).enclosures
@@ -275,9 +267,7 @@ class RootSystem:
             ]
             if sorted(hits) == [[j] for j in range(len(fresh))]:
                 ordered = tuple(fresh[j] for [j] in hits)
-                done = RootSystem(self.poly, ordered, precision_bits)
-                self._refined[precision_bits] = done
-                return done
+                return RootSystem(self.poly, ordered, precision_bits)
         raise CertificationError(
             "could not match refined enclosures to the original ones"
         )

