@@ -1,24 +1,39 @@
 """Subgroup/subfield correspondence, certified both ways.
 
 For a subgroup H two fields are built independently: one generated by the
-elementary symmetric values of the generator's H-conjugates (closing the
-span under multiplication), and one cut out by exact linear algebra as
-the simultaneous fixed space of H's automorphisms.  The lattice check
-verifies they coincide for every subgroup, that the map is a bijection
-onto the subfields, that dimensions match the group orders, and that the
-averaging witness expresses every fixed element as a symmetric value.
+elementary symmetric values of the generator's H-conjugates, and one cut
+out by exact linear algebra as the simultaneous fixed space of H's
+automorphisms.  The lattice check verifies they coincide for every
+subgroup, that the map is a bijection onto the subfields, that dimensions
+match the group orders, and that the averaging witness expresses every
+fixed element as a symmetric value.
+
+Each certificate is sized to its subfield, by four arguments:
+
+* Closure.  The span of 1 and the symmetric values is closed by a
+  worklist: each kept element x adds x * g for each generator g.  When
+  nothing new is kept, the span contains 1 and is stable under every
+  generator, so it is Q[generators], a field (``field_from_subgroup``).
+* Fixed space.  An element fixed by a generating set of H is fixed by
+  H, so the kernel stacks den * (M - I) only for the generators that
+  ``all_subgroups`` carries with H (``_fixed_space``).
+* Stabilizer.  A subfield L is Q(prim) for its primitive element prim,
+  which lies in L with a minimal polynomial of degree dim L.  So an
+  automorphism fixes L iff it fixes prim: one image per group element.
+* Minimal polynomial.  Powers of x are taken only until the first one
+  that depends on the lower ones; the relation is read off those.
 
 Subfields are canonicalized as reduced row echelon bases over Q, so field
 equality is a syntactic comparison.  The exact linear algebra runs on
 ints: a field element is one integer vector over one denominator (see
 ``numberfield``), so a basis row of the reduced echelon form is stored as
 its primitive integer vector over its pivot entry, and spans, kernels
-and minimal polynomials all come from the fraction-free ``echelon``.
-``rref`` and ``nullspace`` give the same forms over Q for callers that
-read rationals.  Automorphisms act through the integer matrices the
-splitting field stores (``sf.matrices``, ``sf.apply``); ``compose_mod``
-is kept for the polynomial identities that certify the isomorphism
-between two generators' fields.
+and minimal polynomials all come from the fraction-free ``echelon`` and
+its one-row step ``insert_row``.  ``rref`` and ``nullspace`` give the
+same forms over Q for callers that read rationals.  Automorphisms act
+through the integer matrices the splitting field stores (``sf.matrices``,
+``sf.apply``); ``compose_mod`` is kept for the polynomial identities that
+certify the isomorphism between two generators' fields.
 """
 
 from __future__ import annotations
@@ -37,6 +52,7 @@ from .numberfield import (
     compose_mod,
     echelon,
     in_span,
+    insert_row,
     integer_vector,
 )
 from .poly import UniPoly
@@ -95,7 +111,7 @@ def _elements(nf: NumberField, red, pivots):
 class Subfield:
     """Q-subspace of the splitting field in canonical echelon form,
     verified to contain 1 and be closed under products: by
-    ``from_elements``, or by the fixpoint in ``field_from_subgroup``.
+    ``from_elements``, or by the worklist in ``field_from_subgroup``.
     Each basis element's integer vector is its echelon row, so membership
     is decided on ints."""
 
@@ -154,38 +170,38 @@ def field_from_subgroup(h: PermGroup, sf: SplittingField) -> Subfield:
     generator's conjugates under h.
 
     Every symmetric value is a polynomial in the elementary symmetric
-    values of the conjugates, so those finitely many generators suffice;
-    their multiplicative span closure is the field.
+    values of the conjugates, so those finitely many generators suffice:
+    the field is Q[gens], built by a worklist.  The rows of 1 and the
+    generators go in first; G, the generators whose row was kept, span
+    all of them together with 1.  Every element x kept from then on,
+    starting with G, enqueues x * g for each g in G.  When the queue is
+    empty the span V contains 1 and V * g lies in V for each g in G,
+    hence for each generator by linearity, so V contains Q[gens]; and V
+    is made of products of generators, so V = Q[gens].  That is a domain
+    of finite dimension over Q, hence a field.
     """
-    conjugates = [sf.psi_for(s) for s in h]
-    gens = elementary_values(conjugates)
-    basis = _span(sf.field, [sf.field.one()] + list(gens))
-    while True:
-        products = [
-            basis[i] * basis[j]
-            for i in range(len(basis))
-            for j in range(i, len(basis))
-        ]
-        new_basis = _span(sf.field, basis + products)
-        if len(new_basis) == len(basis):
-            break
-        basis = new_basis
-    # the last round proved 1 in the span and the span closed under
-    # products, so the echelon basis is the subfield without re-checking
-    return Subfield(sf.field, tuple(basis), tuple(gens))
-
-
-def _span(nf: NumberField, elements):
-    return list(_elements(nf, *echelon([e.num for e in elements])))
+    nf = sf.field
+    gens = elementary_values([sf.psi_for(s) for s in h])
+    red, pivots = [], []
+    insert_row(red, pivots, nf.one().num)
+    queue = [g for g in gens if insert_row(red, pivots, g.num)]
+    mult = list(queue)
+    for x in queue:
+        for g in mult:
+            y = x * g
+            if insert_row(red, pivots, y.num):
+                queue.append(y)
+    return Subfield(nf, _elements(nf, red, pivots), tuple(gens))
 
 
 def _fixed_space(h: PermGroup, sf: SplittingField):
     """Echelon basis of the simultaneous fixed space of h's automorphisms,
-    by one exact kernel: the rows of den * (M - I) for each stored matrix
-    M = rows / den.  Not checked to be a field."""
+    by one exact kernel: the rows of den * (M - I) for the stored matrix
+    M = rows / den of each of h's generators.  An element fixed by a
+    generating set is fixed by all of h.  Not checked to be a field."""
     d = sf.field.degree
     stacked = []
-    for s in h:
+    for s in h.generators:
         rows, den = sf.matrices[s]
         for i, row in enumerate(rows):
             row = list(row)
@@ -277,16 +293,17 @@ class CorrespondenceReport:
 
 def minimal_polynomial(x: NumberFieldElement) -> UniPoly:
     """Minimal polynomial over Q by the first linear dependence among
-    powers of x: one echelon form of the matrix whose columns are the
-    integer vectors num_j of x^j = num_j / den_j, j = 0..d.  Its first
-    non-pivot column k gives num_k = sum c_i num_i over the pivot columns
-    i < k, that is x^k = sum c_i (den_i / den_k) x^i."""
-    d = x.field.degree
+    powers of x.  Powers x^j = num_j / den_j are taken until ``insert_row``
+    finds num_k in the span of num_0..num_(k-1).  One echelon form of the
+    matrix whose columns are num_0..num_k then has k pivot columns and the
+    relation in column k: num_k = sum c_i num_i, that is
+    x^k = sum c_i (den_i / den_k) x^i."""
     powers = [x.field.one()]
-    for _ in range(d):
+    lower, pivots = [], []
+    while insert_row(lower, pivots, powers[-1].num):
         powers.append(powers[-1] * x)
-    red, pivots = echelon(list(zip(*(p.num for p in powers))))
-    k = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
+    k = len(powers) - 1
+    red, _ = echelon(list(zip(*(p.num for p in powers))))
     dk = powers[k].den
     return UniPoly(
         [-Fraction(red[i][k] * powers[i].den, red[i][i] * dk) for i in range(k)] + [1]
@@ -349,7 +366,7 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
     for h in subgroups:
         la = field_from_subgroup(h, sf)
         # the fixed space needs no closure check of its own: equal to la,
-        # whose fixpoint proved closure, it is that field
+        # whose worklist proved closure, it is that field
         lb = _fixed_space(h, sf)
         eq = la.basis == lb
         constructed.append(la)
@@ -413,20 +430,17 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
                     )
     checks.append(("inclusion_reversal", True))
 
-    # surjectivity replay: the stabilizer of each subfield maps back to it
-    for h, la in zip(subgroups, constructed):
-        stab = PermGroup(
-            [
-                s
-                for s in sf.galois.group
-                if all(sf.apply(s, b) == b for b in la.basis)
-            ]
-        )
+    # surjectivity replay: the stabilizer of each subfield maps back to it.
+    # la = Q(prim), so an automorphism fixes la iff it fixes prim
+    for e in entries:
+        h, prim = e.subgroup, e.primitive
+        stab = tuple(s for s in sf.galois.group if sf.apply(s, prim) == prim)
         # once stab == h, its field is la by construction, so no rebuild
-        if stab.elements != h.elements:
+        if stab != h.elements:
             fail(
                 "stabilizer_recovers_subfield",
-                f"stabilizer of the subfield of {h!r} is {stab!r}, not the subgroup",
+                f"stabilizer of the subfield of {h!r} is "
+                f"{PermGroup._trusted(stab)!r}, not the subgroup",
             )
     checks.append(("stabilizer_recovers_subfield", True))
 

@@ -101,9 +101,15 @@ class Permutation:
 
 
 class PermGroup:
-    """Canonical sorted set of permutations; validated to be a group."""
+    """Canonical sorted set of permutations; validated to be a group.
 
-    __slots__ = ("elements",)
+    ``generators`` is a generating set carried along for certificates that
+    only need one (a fixed space is cut out by generators alone); it stays
+    outside ``==`` and ``hash``.  It is all the elements unless the group
+    was built from fewer, by ``closure`` or as a join in ``all_subgroups``.
+    """
+
+    __slots__ = ("elements", "generators")
 
     def __init__(self, elements):
         elems = sorted(set(elements))
@@ -121,14 +127,16 @@ class PermGroup:
             for q in elems:
                 if p * q not in eset:
                     raise ValueError(f"not closed: {p} * {q} outside the set")
-        self.elements = tuple(elems)
+        self.elements = self.generators = tuple(elems)
 
     @classmethod
-    def _trusted(cls, elements) -> "PermGroup":
+    def _trusted(cls, elements, generators=None) -> "PermGroup":
         """Unvalidated constructor for a set of permutations known to be a
-        group, such as a product fixpoint."""
+        group, such as a product fixpoint, and known to be generated by
+        ``generators`` (default: all of them)."""
         g = object.__new__(cls)
         g.elements = tuple(sorted(elements))
+        g.generators = g.elements if generators is None else tuple(generators)
         return g
 
     @property
@@ -189,7 +197,7 @@ def closure(generators, n=None) -> PermGroup:
                     nxt.append(q)
         frontier = nxt
     # a nonempty finite set closed under products is a group
-    return PermGroup._trusted(elems)
+    return PermGroup._trusted(elems, gens)
 
 
 @lru_cache(maxsize=None)
@@ -212,6 +220,7 @@ def all_subgroups(g: PermGroup):
     <H, h * x> for every h in H, one element per coset H * x suffices.
     The joins run on indices into g's elements: products come from one
     |g| x |g| multiplication table and a subgroup is an int bitmask.
+    Each subgroup carries the join's elements as its ``generators``.
     """
     if g.order > 24:
         raise ValueError(f"group order {g.order} exceeds the cap of 24")
@@ -259,8 +268,11 @@ def _all_subgroups(g: PermGroup):
                 seen.add(sub)
                 queue.append((sub, gens + (x,)))
     subs = [
-        PermGroup._trusted([p for i, p in enumerate(elems) if h >> i & 1])
-        for h in seen
+        PermGroup._trusted(
+            [p for i, p in enumerate(elems) if h >> i & 1],
+            [elems[x] for x in gens],
+        )
+        for h, gens in queue
     ]
     return sorted(subs, key=PermGroup.sort_key)
 

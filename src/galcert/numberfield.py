@@ -62,7 +62,9 @@ class NumberField:
         self._mod_coeffs = tuple(int(c) for c in modulus.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, NumberField) and self.modulus == other.modulus
+        return self is other or (
+            isinstance(other, NumberField) and self.modulus == other.modulus
+        )
 
     def __hash__(self):
         return hash(self.modulus)
@@ -139,6 +141,12 @@ class NumberFieldElement:
         return NotImplemented
 
     def _add(self, other, sign):
+        if isinstance(other, (int, Fraction)):
+            # num / den + p / q = (q * num + p * den * e_0) / (den * q)
+            q, den = other.denominator, self.den
+            num = [q * a for a in self.num] if q != 1 else list(self.num)
+            num[0] += sign * other.numerator * den
+            return NumberFieldElement(self.field, num, den * q)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -238,7 +246,12 @@ class NumberFieldElement:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
+            # a canonical rational element is (p, 0, ..., 0) over q
+            return (
+                self.num[0] == other.numerator
+                and self.den == other.denominator
+                and not any(self.num[1:])
+            )
         return (
             isinstance(other, NumberFieldElement)
             and self.num == other.num
@@ -247,7 +260,7 @@ class NumberFieldElement:
         )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def render(self, var="a"):
         if self.is_zero():
@@ -293,6 +306,37 @@ def _combine(a, p, b):
     return [v // g for v in row] if g > 1 else row
 
 
+def _reduce_row(red, pivots, row):
+    """The integer row with every pivot column of the echelon rows
+    eliminated: zero exactly when the row lies in their Q-span."""
+    for r, p in zip(red, pivots):
+        if row[p]:
+            row = _combine(r, p, row)
+    return row
+
+
+def insert_row(red, pivots, row):
+    """Add one integer row to echelon rows in place, keeping them in the
+    form ``echelon`` returns.  False, with nothing changed, if the row
+    already lies in their Q-span."""
+    row = _reduce_row(red, pivots, row)
+    lead = next((j for j, v in enumerate(row) if v), None)
+    if lead is None:
+        return False
+    g = gcd(*row)
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        row = [v // g for v in row]
+    for i, r in enumerate(red):
+        if r[lead]:
+            red[i] = _combine(row, lead, r)
+    k = bisect_left(pivots, lead)
+    red.insert(k, list(row))
+    pivots.insert(k, lead)
+    return True
+
+
 def echelon(rows):
     """Fraction-free Gauss-Jordan elimination of integer rows.
 
@@ -300,37 +344,19 @@ def echelon(rows):
     form, each scaled to a primitive integer vector with a positive pivot
     entry, and their pivot columns in increasing order.  Row i of the
     reduced echelon form over Q is rows[i] / rows[i][pivots[i]].  Rows are
-    taken one at a time and reduced against the rows kept so far; each
-    row operation divides out the content, so entries stay small.
+    taken one at a time by ``insert_row``, reduced against the rows kept
+    so far; each row operation divides out the content, so entries stay
+    small.
     """
     red, pivots = [], []
     for row in rows:
-        for r, p in zip(red, pivots):
-            if row[p]:
-                row = _combine(r, p, row)
-        lead = next((j for j, v in enumerate(row) if v), None)
-        if lead is None:
-            continue
-        g = gcd(*row)
-        if row[lead] < 0:
-            g = -g
-        if g != 1:
-            row = [v // g for v in row]
-        for i, r in enumerate(red):
-            if r[lead]:
-                red[i] = _combine(row, lead, r)
-        k = bisect_left(pivots, lead)
-        red.insert(k, list(row))
-        pivots.insert(k, lead)
+        insert_row(red, pivots, row)
     return red, pivots
 
 
 def in_span(red, pivots, vec):
     """Whether the integer vector lies in the Q-span of echelon rows."""
-    for r, p in zip(red, pivots):
-        if vec[p]:
-            vec = _combine(r, p, vec)
-    return not any(vec)
+    return not any(_reduce_row(red, pivots, vec))
 
 
 # -- root expressions from the balls ----------------------------------------

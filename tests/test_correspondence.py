@@ -4,8 +4,11 @@ from math import isqrt
 
 import pytest
 
+from galcert import correspondence
 from galcert.correspondence import (
     Subfield,
+    _elements,
+    _fixed_space,
     averaging_check,
     field_from_subgroup,
     fields_equal,
@@ -17,11 +20,12 @@ from galcert.correspondence import (
     rref,
 )
 from galcert.errors import TheoremError
-from galcert.groups import all_subgroups, closure
-from galcert.numberfield import automorphism_table, compose_mod, express_roots
+from galcert.groups import PermGroup, all_subgroups, closure
+from galcert.numberfield import automorphism_table, compose_mod, echelon, express_roots
 from galcert.poly import UniPoly
 from galcert.resolvent import identify_galois, search_resolvent
 from galcert.selftest import CORPUS, corpus_pipeline
+from galcert.sympoly import elementary_values
 
 from helpers import xgcd_inverse
 
@@ -238,3 +242,81 @@ def test_lattice_witnesses_agree_with_the_exact_references():
             assert la == e.subfield
     # the full group of x^2 - 2 fixes Q, whose primitive, the trace, is 0
     assert ("x^2 - 2", 2) in fallbacks
+
+
+# the corpus S3, D4 and A4 fields and a full S4 field
+SIZED_FIELDS = ("x^3 - 2", "x^4 - 2", "x^4 + 8x + 12", "x^4 - x - 1")
+
+
+def _all_pairs_field(h, sf):
+    """Reference closure: the span of 1 and the elementary symmetric values,
+    extended by all pairwise products of its basis until the dimension
+    stops growing."""
+    K = sf.field
+    gens = elementary_values([sf.psi_for(s) for s in h])
+    basis = list(_elements(K, *echelon([K.one().num] + [g.num for g in gens])))
+    while True:
+        products = [a * b for i, a in enumerate(basis) for b in basis[i:]]
+        grown = list(_elements(K, *echelon([e.num for e in basis + products])))
+        if len(grown) == len(basis):
+            return tuple(basis)
+        basis = grown
+
+
+def _full_power_minimal_polynomial(x):
+    """Reference: all powers x^0..x^d, then the first dependent column."""
+    powers = [x.field.one()]
+    for _ in range(x.field.degree):
+        powers.append(powers[-1] * x)
+    red, pivots = echelon(list(zip(*(p.num for p in powers))))
+    k = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
+    dk = powers[k].den
+    return UniPoly(
+        [-Fraction(red[i][k] * powers[i].den, red[i][i] * dk) for i in range(k)] + [1]
+    )
+
+
+@pytest.mark.parametrize("text", SIZED_FIELDS)
+def test_sized_certificates_match_their_full_references(text):
+    data = corpus_pipeline(text)
+    sf = data.sf
+    group = data.gd.group
+    for e in data.report.entries:
+        h = e.subgroup
+        # the worklist closure is the all-pairs fixpoint
+        assert field_from_subgroup(h, sf).basis == _all_pairs_field(h, sf)
+        # the fixed space of the generators is that of every element
+        assert _fixed_space(h, sf) == _fixed_space(PermGroup(h.elements), sf)
+        # the stabilizer of the primitive is that of the whole basis
+        by_primitive = [s for s in group if sf.apply(s, e.primitive) == e.primitive]
+        by_basis = [
+            s for s in group if all(sf.apply(s, b) == b for b in e.subfield.basis)
+        ]
+        assert by_primitive == by_basis == list(h.elements)
+
+
+@pytest.mark.parametrize("text", SIZED_FIELDS)
+def test_early_stopping_minimal_polynomial_matches_all_powers(text):
+    data = corpus_pipeline(text)
+    K = data.sf.field
+    rng = random.Random(text)
+    samples = [K.zero(), K.rational(Fraction(-7, 4)), K.gen()]
+    # a random element of each of a few subfields, so degrees vary
+    entries = data.report.entries
+    for e in rng.sample(entries, min(len(entries), 4)):
+        x = K.zero()
+        for b in e.subfield.basis:
+            x = x + b * Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        samples.append(x)
+    for x in samples:
+        assert minimal_polynomial(x) == _full_power_minimal_polynomial(x)
+
+
+def test_stabilizer_replay_rejects_a_primitive_of_another_field(monkeypatch):
+    # the generator a is fixed by the identity only, so every nontrivial
+    # subgroup's replay finds a smaller stabilizer
+    data = corpus_pipeline("x^3 - 2")
+    gen = (data.sf.field.gen(), data.gd.min_poly)
+    monkeypatch.setattr(correspondence, "_primitive_element", lambda sub, sf: gen)
+    with pytest.raises(TheoremError, match="stabilizer of the subfield"):
+        correspondence.correspondence_lattice(data.sf)

@@ -85,6 +85,31 @@ def test_all_subgroups_matches_the_closures_of_all_pairs():
         assert all_subgroups(g) == _pair_closures(g)
 
 
+def test_subgroups_carry_their_join_generators():
+    d4 = closure([perm(1, 2, 3, 0), perm(0, 3, 2, 1)])
+    for g in (symmetric_group(3), d4, alternating_four(), symmetric_group(4)):
+        for h in all_subgroups(g):
+            assert set(h.generators) <= set(h.elements)
+            # at most two joins reach any subgroup of degree <= 4
+            assert len(h.generators) <= 2
+            assert closure(h.generators, n=h.n) == h
+
+
+def test_constructed_groups_carry_a_generating_set():
+    klein = klein_four()
+    assert klein.generators == klein.elements
+    gens = [perm(1, 2, 0, 3), perm(0, 2, 3, 1)]
+    a4 = closure(gens)
+    assert list(a4.generators) == gens
+    assert closure(a4.generators) == a4
+    trivial = closure([], n=3)
+    assert closure(trivial.generators) == trivial
+    # the generating set is not part of the group's identity
+    same = PermGroup(a4.elements)
+    assert same.generators != a4.generators
+    assert same == a4 and hash(same) == hash(a4)
+
+
 def test_all_subgroups_returns_a_fresh_list():
     s3 = symmetric_group(3)
     subs = all_subgroups(s3)
