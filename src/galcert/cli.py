@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -196,25 +195,43 @@ def _check_digits(numbers):
 
 # -- pipeline ----------------------------------------------------------------
 
-@dataclass
 class AnalysisConfig:
-    precision_bits: int = 128
-    resolvent_norm_bound: int = 8
-    output_format: str = "text"
-    emit_array: bool = False
-    seed_spec: tuple | None = None
+    """The pipeline's settings, validated on construction."""
 
-    def __post_init__(self):
-        if self.precision_bits < 64:
+    __slots__ = ("precision_bits", "resolvent_norm_bound", "output_format",
+                 "emit_array", "seed_spec")
+
+    def __init__(self, precision_bits: int = 128, resolvent_norm_bound: int = 8,
+                 output_format: str = "text", emit_array: bool = False,
+                 seed_spec: tuple | None = None):
+        if precision_bits < 64:
             raise InputError("precision must be at least 64 bits")
         # the certification schedule stops doubling at PREC_CAP, and an
         # isolation far above it runs for minutes
-        if self.precision_bits > PREC_CAP:
+        if precision_bits > PREC_CAP:
             raise InputError(f"precision must be at most {PREC_CAP} bits")
-        if self.resolvent_norm_bound < 1:
+        if resolvent_norm_bound < 1:
             raise InputError("the resolvent norm bound must be at least 1")
-        if self.output_format not in ("text", "json"):
-            raise InputError(f"unknown output format {self.output_format!r}")
+        if output_format not in ("text", "json"):
+            raise InputError(f"unknown output format {output_format!r}")
+        self.precision_bits = precision_bits
+        self.resolvent_norm_bound = resolvent_norm_bound
+        self.output_format = output_format
+        self.emit_array = emit_array
+        self.seed_spec = seed_spec
+
+    def _key(self):
+        return (self.precision_bits, self.resolvent_norm_bound, self.output_format,
+                self.emit_array, self.seed_spec)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
+        return f"AnalysisConfig({fields})"
 
 
 def analyze(text: str, cfg: AnalysisConfig | None = None) -> CorrespondenceReport:
@@ -294,22 +311,20 @@ def _fmt_complex(z):
 
 # -- output ------------------------------------------------------------------
 
-def _rat_str(c):
-    return str(Fraction(c))
-
-
 def report_to_dict(report: CorrespondenceReport) -> dict:
+    """The report as JSON-ready data.  Every coefficient is an int or a
+    ``Fraction``, so ``str`` writes it exactly, as "p" or "p/q"."""
     data = {
         "polynomial": {
             "input": report.input_polynomial.render(),
             "analyzed": report.polynomial.render(),
-            "coefficients": [_rat_str(c) for c in report.polynomial.coeffs],
-            "root_scale": _rat_str(report.scale),
+            "coefficients": list(map(str, report.polynomial.coeffs)),
+            "root_scale": str(report.scale),
         },
         "resolvent": {
             "weights": list(report.weights),
             "degree": report.min_poly.degree,
-            "min_poly": [_rat_str(c) for c in report.min_poly.coeffs],
+            "min_poly": list(map(str, report.min_poly.coeffs)),
         },
         "group": {
             "order": report.group_order,
@@ -320,11 +335,9 @@ def report_to_dict(report: CorrespondenceReport) -> dict:
                 "order": e.subgroup.order,
                 "elements": [list(p.images) for p in e.subgroup],
                 "dim": e.dim,
-                "basis": [[_rat_str(c) for c in b.coeffs] for b in e.subfield.basis],
-                "primitive_element": [_rat_str(c) for c in e.primitive.coeffs],
-                "primitive_min_poly": [
-                    _rat_str(c) for c in e.primitive_min_poly.coeffs
-                ],
+                "basis": [list(map(str, b.coeffs)) for b in e.subfield.basis],
+                "primitive_element": list(map(str, e.primitive.coeffs)),
+                "primitive_min_poly": list(map(str, e.primitive_min_poly.coeffs)),
                 "fixed_field_equal": e.fixed_field_equal,
             }
             for e in report.entries

@@ -20,8 +20,9 @@ Each certificate is sized to its subfield, by four arguments:
 * Stabilizer.  A subfield L is Q(prim) for its primitive element prim,
   which lies in L with a minimal polynomial of degree dim L.  So an
   automorphism fixes L iff it fixes prim: one image per group element.
-* Minimal polynomial.  Powers of x are taken only until the first one
-  that depends on the lower ones; the relation is read off those.
+* Minimal polynomial.  The degree of x divides the field degree, so
+  powers of x are taken up to each divisor in turn, and the relation is
+  read off the one echelon form that first shows a dependent power.
 
 Subfields are canonicalized as reduced row echelon bases over Q, so field
 equality is a syntactic comparison.  The exact linear algebra runs on
@@ -38,7 +39,6 @@ certify the isomorphism between two generators' fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 from math import lcm
@@ -107,17 +107,34 @@ def _elements(nf: NumberField, red, pivots):
     return tuple(NumberFieldElement(nf, r, r[p]) for r, p in zip(red, pivots))
 
 
-@dataclass(frozen=True)
 class Subfield:
     """Q-subspace of the splitting field in canonical echelon form,
     verified to contain 1 and be closed under products: by
     ``from_elements``, or by the worklist in ``field_from_subgroup``.
     Each basis element's integer vector is its echelon row, so membership
-    is decided on ints."""
+    is decided on ints.  Immutable; equality and hashing read the ambient
+    field and the basis, not the ``generators`` it was built from."""
 
-    field: NumberField
-    basis: tuple
-    generators: tuple = field(default=(), compare=False)
+    __slots__ = ("field", "basis", "generators")
+
+    def __init__(self, field: NumberField, basis: tuple, generators: tuple = ()):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "generators", generators)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: Subfield is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Subfield is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.basis) == (other.field, other.basis)
+
+    def __hash__(self):
+        return hash((self.field, self.basis))
 
     @property
     def dim(self):
@@ -261,27 +278,62 @@ def primitive_independence_check(
 
 # -- the lattice -------------------------------------------------------------
 
-@dataclass
 class SubgroupEntry:
-    subgroup: PermGroup
-    dim: int
-    subfield: Subfield
-    primitive: NumberFieldElement
-    primitive_min_poly: UniPoly
-    fixed_field_equal: bool
+    """One row of the lattice: a subgroup, its subfield and the
+    subfield's primitive element."""
+
+    __slots__ = ("subgroup", "dim", "subfield", "primitive", "primitive_min_poly",
+                 "fixed_field_equal")
+
+    def __init__(self, subgroup: PermGroup, dim: int, subfield: Subfield,
+                 primitive: NumberFieldElement, primitive_min_poly: UniPoly,
+                 fixed_field_equal: bool):
+        self.subgroup = subgroup
+        self.dim = dim
+        self.subfield = subfield
+        self.primitive = primitive
+        self.primitive_min_poly = primitive_min_poly
+        self.fixed_field_equal = fixed_field_equal
+
+    def _key(self):
+        return (self.subgroup, self.dim, self.subfield, self.primitive,
+                self.primitive_min_poly, self.fixed_field_equal)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
 
-@dataclass
 class CorrespondenceReport:
-    polynomial: UniPoly
-    input_polynomial: UniPoly
-    scale: Fraction
-    weights: tuple
-    min_poly: UniPoly
-    group: PermGroup
-    entries: list
-    checks: list
-    arrangement_arrays: list | None = None
+    """Everything the CLI reports: the lattice entries and the named
+    checks, with the input as given and as analysed."""
+
+    __slots__ = ("polynomial", "input_polynomial", "scale", "weights", "min_poly",
+                 "group", "entries", "checks", "arrangement_arrays")
+
+    def __init__(self, polynomial: UniPoly, input_polynomial: UniPoly, scale: Fraction,
+                 weights: tuple, min_poly: UniPoly, group: PermGroup, entries: list,
+                 checks: list, arrangement_arrays: list | None = None):
+        self.polynomial = polynomial
+        self.input_polynomial = input_polynomial
+        self.scale = scale
+        self.weights = weights
+        self.min_poly = min_poly
+        self.group = group
+        self.entries = entries
+        self.checks = checks
+        self.arrangement_arrays = arrangement_arrays
+
+    def _key(self):
+        return (self.polynomial, self.input_polynomial, self.scale, self.weights,
+                self.min_poly, self.group, self.entries, self.checks,
+                self.arrangement_arrays)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
     @property
     def group_order(self):
@@ -293,21 +345,27 @@ class CorrespondenceReport:
 
 def minimal_polynomial(x: NumberFieldElement) -> UniPoly:
     """Minimal polynomial over Q by the first linear dependence among
-    powers of x.  Powers x^j = num_j / den_j are taken until ``insert_row``
-    finds num_k in the span of num_0..num_(k-1).  One echelon form of the
-    matrix whose columns are num_0..num_k then has k pivot columns and the
-    relation in column k: num_k = sum c_i num_i, that is
-    x^k = sum c_i (den_i / den_k) x^i."""
+    powers of x, read off the echelon form that finds it.  Powers x^j =
+    num_j / den_j are taken up to x^c for each divisor c of the field
+    degree d in turn, since the degree k of x divides d.  One echelon
+    form of the matrix whose columns are num_0..num_c has a non-pivot
+    column at or before c exactly when a power depends on the lower
+    ones; the first one is k, rows 0..k-1 pivot on columns 0..k-1, and
+    column k holds the relation: num_k = sum c_i num_i, that is
+    x^k = sum c_i (den_i / den_k) x^i.  The divisor d always finds it,
+    as d + 1 vectors in Q^d are dependent."""
+    d = x.field.degree
     powers = [x.field.one()]
-    lower, pivots = [], []
-    while insert_row(lower, pivots, powers[-1].num):
-        powers.append(powers[-1] * x)
-    k = len(powers) - 1
-    red, _ = echelon(list(zip(*(p.num for p in powers))))
-    dk = powers[k].den
-    return UniPoly(
-        [-Fraction(red[i][k] * powers[i].den, red[i][i] * dk) for i in range(k)] + [1]
-    )
+    for c in (c for c in range(1, d + 1) if d % c == 0):
+        while len(powers) <= c:
+            powers.append(powers[-1] * x)
+        red, pivots = echelon(list(zip(*(p.num for p in powers))))
+        k = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
+        if k <= c:
+            dk = powers[k].den
+            return UniPoly(
+                [-Fraction(red[i][k] * powers[i].den, red[i][i] * dk) for i in range(k)] + [1]
+            )
 
 
 def _primitive_element(sub: Subfield, sf: SplittingField):

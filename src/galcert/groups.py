@@ -14,7 +14,6 @@ turned into ``PermGroup`` objects only at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 
@@ -277,15 +276,32 @@ def _all_subgroups(g: PermGroup):
     return sorted(subs, key=PermGroup.sort_key)
 
 
-@dataclass(frozen=True)
 class Arrangement:
-    """One ordering of the n root indices (a row of the array)."""
+    """One ordering of the n root indices (a row of the array); immutable."""
 
-    order: tuple
+    __slots__ = ("order",)
 
-    def __post_init__(self):
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError(f"not an arrangement: {self.order}")
+    def __init__(self, order: tuple):
+        if sorted(order) != list(range(len(order))):
+            raise ValueError(f"not an arrangement: {order}")
+        object.__setattr__(self, "order", order)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: Arrangement is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Arrangement is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.order == other.order
+
+    def __hash__(self):
+        return hash((self.order,))
+
+    def __repr__(self):
+        return f"Arrangement(order={self.order!r})"
 
     @property
     def n(self):
@@ -309,16 +325,16 @@ def transition(a: Arrangement, b: Arrangement) -> Permutation:
     return Permutation(tuple(pos_b[a.order[j]] for j in range(a.n)))
 
 
-@dataclass(frozen=True)
 class ArrangementGroup:
-    """A set of arrangements closed under its own transition substitutions."""
+    """A set of arrangements closed under its own transition substitutions;
+    immutable.  ``rep``, the coset representative that built the block, is
+    left out of equality and hashing."""
 
-    rows: tuple
-    rep: Permutation | None = field(default=None, compare=False)
+    __slots__ = ("rows", "rep")
 
-    def __post_init__(self):
-        rows = tuple(sorted(self.rows))
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple, rep: Permutation | None = None):
+        object.__setattr__(self, "rows", tuple(sorted(rows)))
+        object.__setattr__(self, "rep", rep)
         witness = self._closure_witness()
         if witness is not None:
             a, b, c = witness
@@ -336,6 +352,20 @@ class ArrangementGroup:
                     if c.act(s) not in row_set:
                         return (a, b, c)
         return None
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: ArrangementGroup is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: ArrangementGroup is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.rows,))
 
     def __len__(self):
         return len(self.rows)

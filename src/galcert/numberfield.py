@@ -27,7 +27,6 @@ object is accepted only once an exact identity confirms it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -481,17 +480,40 @@ def _mat_vec(field: NumberField, mat, x: NumberFieldElement) -> NumberFieldEleme
     )
 
 
-@dataclass(frozen=True)
 class SplittingField:
-    """The certified field together with its automorphism action."""
+    """The certified field together with its automorphism action;
+    immutable.  ``automorphisms`` holds pairs (permutation, image of the
+    generator); ``matrices`` maps each permutation to its power-basis
+    matrix (integer rows, denominator) and is left out of equality and
+    hashing, since the pairs determine it."""
 
-    galois: GaloisData
-    field: NumberField
-    poly: UniPoly
-    root_exprs: tuple
-    automorphisms: tuple  # pairs (permutation, image of the generator)
-    # permutation -> power-basis matrix (integer rows, denominator)
-    matrices: dict = field(repr=False, compare=False)
+    __slots__ = ("galois", "field", "poly", "root_exprs", "automorphisms", "matrices")
+
+    def __init__(self, galois: GaloisData, field: NumberField, poly: UniPoly,
+                 root_exprs: tuple, automorphisms: tuple, matrices: dict):
+        object.__setattr__(self, "galois", galois)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "root_exprs", root_exprs)
+        object.__setattr__(self, "automorphisms", automorphisms)
+        object.__setattr__(self, "matrices", matrices)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: SplittingField is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: SplittingField is immutable")
+
+    def _key(self):
+        return (self.galois, self.field, self.poly, self.root_exprs, self.automorphisms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def psi_for(self, perm):
         for p, psi in self.automorphisms:

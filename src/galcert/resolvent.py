@@ -34,7 +34,6 @@ precision and shared by the resolvent and every subgroup test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .arith import ComplexBall, Dyadic, fixed_mul, round_sig
@@ -45,24 +44,63 @@ from .roots import PREC_CAP, RootSystem, precisions, read_integers
 from .sympoly import decompose, substitute_elementary
 
 
-@dataclass(frozen=True)
 class ResolventSpec:
     """Integer weights making the root combination injective over all
-    permutations (certified by the producer)."""
+    permutations (certified by the producer); immutable."""
 
-    weights: tuple
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+    def __init__(self, weights: tuple):
+        object.__setattr__(self, "weights", tuple(int(w) for w in weights))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: ResolventSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: ResolventSpec is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.weights == other.weights
+
+    def __hash__(self):
+        return hash((self.weights,))
+
+    def __repr__(self):
+        return f"ResolventSpec(weights={self.weights!r})"
 
 
-@dataclass(frozen=True)
 class GaloisData:
-    spec: ResolventSpec
-    min_poly: UniPoly
-    gen_ball: ComplexBall
-    group: PermGroup
-    resolvent: UniPoly
+    """The certified Galois group with the resolvent data that found it;
+    immutable."""
+
+    __slots__ = ("spec", "min_poly", "gen_ball", "group", "resolvent")
+
+    def __init__(self, spec: ResolventSpec, min_poly: UniPoly, gen_ball: ComplexBall,
+                 group: PermGroup, resolvent: UniPoly):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "min_poly", min_poly)
+        object.__setattr__(self, "gen_ball", gen_ball)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "resolvent", resolvent)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: GaloisData is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: GaloisData is immutable")
+
+    def _key(self):
+        return (self.spec, self.min_poly, self.gen_ball, self.group, self.resolvent)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _round_sig_at(v: int, prec: int):

@@ -44,7 +44,6 @@ expressions' numerators all come through it.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
@@ -245,13 +244,33 @@ def _certified_balls(f: UniPoly, zs, prec):
     return balls
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    """Pairwise-disjoint certified enclosures, one per root of poly."""
+    """Pairwise-disjoint certified enclosures, one per root of poly;
+    immutable."""
 
-    poly: UniPoly
-    enclosures: tuple
-    precision_bits: int
+    __slots__ = ("poly", "enclosures", "precision_bits")
+
+    def __init__(self, poly: UniPoly, enclosures: tuple, precision_bits: int):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "enclosures", enclosures)
+        object.__setattr__(self, "precision_bits", precision_bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: RootSystem is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: RootSystem is immutable")
+
+    def _key(self):
+        return (self.poly, self.enclosures, self.precision_bits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def refine(self, precision_bits: int) -> "RootSystem":
         """Shrink all enclosures; root order is preserved."""

@@ -270,3 +270,33 @@ def test_module_entry_points():
         assert run.stderr == ""
     assert runs[0].stdout == runs[1].stdout
     assert "PASS  averaging_witness" in runs[0].stdout
+
+
+def test_cli_import_leaves_code_generators_and_selftest_unloaded():
+    # dataclasses would pull in inspect, ast, dis and tokenize; the
+    # selftest is imported only by the selftest command
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    code = (
+        "import sys, galcert.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'galcert.selftest')"
+        " if m in sys.modules))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_rendered_coefficients_are_ints_or_fractions():
+    # report_to_dict writes coefficients with str, exact only for these
+    report = analyze("1/2 x^3 - 3/4 x + 5", AnalysisConfig(emit_array=True))
+    coeffs = [report.scale, *report.polynomial.coeffs, *report.min_poly.coeffs]
+    for e in report.entries:
+        coeffs += [*e.primitive.coeffs, *e.primitive_min_poly.coeffs]
+        for b in e.subfield.basis:
+            coeffs += b.coeffs
+    assert {type(c) for c in coeffs} <= {int, Fraction}
+    data = report_to_dict(report)
+    assert data["polynomial"]["coefficients"] == [str(Fraction(c)) for c in report.polynomial.coeffs]
