@@ -128,6 +128,9 @@ class Subfield:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: Subfield is immutable")
 
+    def __reduce__(self):
+        return Subfield, (self.field, self.basis, self.generators)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -292,6 +292,9 @@ class Arrangement:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: Arrangement is immutable")
 
+    def __reduce__(self):
+        return Arrangement, (self.order,)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -358,6 +361,9 @@ class ArrangementGroup:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: ArrangementGroup is immutable")
+
+    def __reduce__(self):
+        return ArrangementGroup, (self.rows, self.rep)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -504,6 +504,9 @@ class SplittingField:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: SplittingField is immutable")
 
+    def __reduce__(self):
+        return SplittingField, (*self._key(), self.matrices)
+
     def _key(self):
         return (self.galois, self.field, self.poly, self.root_exprs, self.automorphisms)
 

@@ -59,6 +59,9 @@ class ResolventSpec:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: ResolventSpec is immutable")
 
+    def __reduce__(self):
+        return ResolventSpec, (self.weights,)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -90,6 +93,9 @@ class GaloisData:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: GaloisData is immutable")
+
+    def __reduce__(self):
+        return GaloisData, self._key()
 
     def _key(self):
         return (self.spec, self.min_poly, self.gen_ball, self.group, self.resolvent)

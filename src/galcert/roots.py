@@ -261,6 +261,9 @@ class RootSystem:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: RootSystem is immutable")
 
+    def __reduce__(self):
+        return RootSystem, (self.poly, self.enclosures, self.precision_bits)
+
     def _key(self):
         return (self.poly, self.enclosures, self.precision_bits)
 

@@ -2,6 +2,9 @@
 validation, immutability of the frozen ones, and equality and hashing over
 the fields that identify a value."""
 
+import copy
+import pickle
+
 import pytest
 
 from galcert.cli import AnalysisConfig
@@ -140,3 +143,23 @@ def test_lattice_records_are_mutable_values(cubic):
     assert copy != report
     with pytest.raises(TypeError):
         hash(copy)
+
+
+def test_frozen_records_pickle_and_copy(cubic):
+    # they refuse attribute assignment, so they are rebuilt through their
+    # constructors, the fields outside equality included
+    block = ArrangementGroup((Arrangement((1, 0)), Arrangement((0, 1))), rep=Permutation((1, 0)))
+    sub = cubic.report.entries[0].subfield
+    for obj in (block, Arrangement((2, 0, 1)), cubic.spec, sub):
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj)):
+            assert twin == obj
+    assert pickle.loads(pickle.dumps(block)).rep == block.rep
+    assert pickle.loads(pickle.dumps(sub)).generators == sub.generators
+    # balls compare by identity, so records holding them are compared
+    # field by field
+    rs = pickle.loads(pickle.dumps(cubic.rs))
+    assert (rs.poly, rs.precision_bits) == (cubic.rs.poly, cubic.rs.precision_bits)
+    sf = pickle.loads(pickle.dumps(cubic.sf))
+    assert sf.galois.group == cubic.sf.galois.group and sf.matrices == cubic.sf.matrices
+    assert copy.copy(cubic.sf).matrices is cubic.sf.matrices
+    assert pickle.loads(pickle.dumps(cubic.report)) == cubic.report
