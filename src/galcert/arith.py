@@ -1,12 +1,12 @@
 """Exact scalars and certified complex ball arithmetic.
 
 Rationals are stdlib ``fractions.Fraction`` values: already canonical
-(reduced, positive denominator) and arbitrary precision.  Dyadic numbers
-(``Dyadic``: integer mantissa times a power of two) serve cold code: the
-conversion of rationals, n-th root bounds, sort keys and the selftest.
-``round_sig`` and ``div_sig`` are significant-bit rules on (mantissa,
-exponent) int pairs, for the root polish in ``roots`` and the conjugate
-values in ``resolvent``.
+(reduced, positive denominator) and arbitrary precision.  A binary
+rational is an int pair (m, e), the value m * 2**e: ``sig_rational``
+rounds a rational to one, ``round_sig`` and ``div_sig`` keep
+significant bits of one (for the root polish in ``roots`` and the
+conjugate values in ``resolvent``), and ``nth_root_upper`` bounds the
+n-th root of one from above (for the root certificate).
 
 Complex balls are midpoint-radius balls on one integer kernel
 (Johansson, "Arb: efficient arbitrary-precision midpoint-radius interval
@@ -32,8 +32,9 @@ any choice of points inside the operand balls.  Hot loops take their
 operands once as ints (``ComplexBall.fixed``), add exactly, multiply
 with ``fixed_mul``, and build one ball per output
 (``ComplexBall.from_ints``); the rounding rule lives only in ``_to_prec``
-and ``_product``.  Working precision is always an explicit argument;
-there is no global state.
+and ``_product``.  Root points and radii, which arrive as (m, e) pairs,
+become balls through ``ComplexBall.from_parts``.  Working precision is
+always an explicit argument; there is no global state.
 
 All values are immutable and safe to share between threads.
 """
@@ -44,14 +45,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import ldexp
 
-Rational = Fraction
-
-
-class BallDivisionError(ZeroDivisionError):
-    """Division by a ball whose enclosure cannot exclude zero."""
-
 
 def _normalize(man: int, exp: int) -> tuple[int, int]:
+    """The same value with an odd mantissa (or 0 * 2**0)."""
     if man == 0:
         return 0, 0
     shift = (man & -man).bit_length() - 1
@@ -61,114 +57,16 @@ def _normalize(man: int, exp: int) -> tuple[int, int]:
     return man, exp
 
 
-class Dyadic:
-    """Exact binary rational man * 2**exp, mantissa kept odd (or zero)."""
-
-    __slots__ = ("man", "exp")
-
-    def __init__(self, man: int, exp: int = 0):
-        self.man, self.exp = _normalize(man, exp)
-
-    @classmethod
-    def from_fraction(cls, q: Fraction, prec: int) -> tuple["Dyadic", "Dyadic"]:
-        """Dyadic approximation with ~prec significant bits plus an upper
-        bound on the absolute rounding error (zero when exact)."""
-        num, den = q.numerator, q.denominator
-        if den == 1:
-            return cls(num), _ZERO
-        shift = prec + den.bit_length() - abs(num).bit_length() + 2
-        if shift < 0:
-            shift = 0
-        scaled = num << shift
-        man, rem = divmod(scaled, den)
-        if rem == 0:
-            return cls(man, -shift), _ZERO
-        if 2 * rem >= den:
-            man += 1
-        return cls(man, -shift), cls(1, -shift - 1)
-
-    def to_fraction(self) -> Fraction:
-        if self.exp >= 0:
-            return Fraction(self.man << self.exp)
-        return Fraction(self.man, 1 << -self.exp)
-
-    def to_float(self) -> float:
-        man, exp = self.man, self.exp
-        bl = abs(man).bit_length()
-        if bl > 53:
-            drop = bl - 53
-            man >>= drop
-            exp += drop
-        try:
-            return ldexp(float(man), exp)
-        except OverflowError:
-            return float("inf") if man > 0 else float("-inf")
-
-    def is_zero(self) -> bool:
-        return self.man == 0
-
-    def sign(self) -> int:
-        return (self.man > 0) - (self.man < 0)
-
-    def __bool__(self):
-        return self.man != 0
-
-    def __neg__(self):
-        return Dyadic(-self.man, self.exp)
-
-    def __abs__(self):
-        return Dyadic(abs(self.man), self.exp)
-
-    def __add__(self, other):
-        if self.man == 0:
-            return other
-        if other.man == 0:
-            return self
-        e = min(self.exp, other.exp)
-        return Dyadic((self.man << (self.exp - e)) + (other.man << (other.exp - e)), e)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Dyadic(self.man * other, self.exp)
-        return Dyadic(self.man * other.man, self.exp + other.exp)
-
-    __rmul__ = __mul__
-
-    def _cmp(self, other) -> int:
-        d = self - other
-        return d.sign()
-
-    def __eq__(self, other):
-        return isinstance(other, Dyadic) and self.man == other.man and self.exp == other.exp
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __hash__(self):
-        return hash(self.to_fraction())
-
-    def __repr__(self):
-        return f"Dyadic({self.man}, {self.exp})"
-
-
-_ZERO = Dyadic(0)
-_ONE = Dyadic(1)
-
-
-def pow2(k: int) -> Dyadic:
-    return Dyadic(1, k)
+def sig_rational(q: Fraction, prec: int) -> tuple[int, int]:
+    """q rounded half up to about prec significant bits, but never to
+    fewer than its integer part, as a normalized (m, e); exact when q is
+    a binary rational that fits."""
+    num, den = q.numerator, q.denominator
+    if den == 1:
+        return _normalize(num, 0)
+    shift = max(0, prec + den.bit_length() - abs(num).bit_length() + 2)
+    man, rem = divmod(num << shift, den)
+    return _normalize(man + (2 * rem >= den), -shift)
 
 
 def _iroot(a: int, n: int) -> int:
@@ -185,11 +83,13 @@ def _iroot(a: int, n: int) -> int:
         x = y
 
 
-def nth_root_upper(d: Dyadic, n: int) -> Dyadic:
-    """Dyadic upper bound on d**(1/n), d >= 0."""
-    man, exp = d.man, d.exp
+def nth_root_upper(man: int, exp: int, n: int) -> tuple[int, int]:
+    """Upper bound on (man * 2**exp)**(1/n), man >= 0, as a normalized
+    (m, e); both the input and the output are normalized first, so the
+    bound is the same for every form of the input."""
+    man, exp = _normalize(man, exp)
     if man == 0:
-        return _ZERO
+        return 0, 0
     rem = exp % n
     if rem:
         man <<= rem
@@ -197,7 +97,7 @@ def nth_root_upper(d: Dyadic, n: int) -> Dyadic:
     r = _iroot(man, n)
     if r**n < man:
         r += 1
-    return Dyadic(r, exp // n)
+    return _normalize(r, exp // n)
 
 
 def round_sig(m: int, e: int, prec: int) -> tuple[int, int]:
@@ -280,20 +180,28 @@ def fixed_mul(a, b, prec: int):
     return _product(a, b, -2 * prec, prec)
 
 
+def _fraction(m: int, e: int) -> Fraction:
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def _float(m: int, e: int) -> float:
+    """m * 2**e with the mantissa truncated to 53 bits (rounded toward
+    minus infinity), infinite on overflow."""
+    drop = abs(m).bit_length() - 53
+    if drop > 0:
+        m, e = m >> drop, e + drop
+    try:
+        return ldexp(float(m), e)
+    except OverflowError:
+        return float("inf") if m > 0 else float("-inf")
+
+
 class ComplexBall:
     """Complex disk: center (x + i*y) * 2**exp and radius r * 2**exp,
     four Python ints with r >= 0.  ``re``, ``im`` and ``rad`` read the
-    parts as ``Dyadic`` values for cold code."""
+    parts as exact ``Fraction`` values for cold code."""
 
     __slots__ = ("x", "y", "r", "exp")
-
-    def __init__(self, re: Dyadic, im: Dyadic, rad: Dyadic = _ZERO):
-        if rad.man < 0:
-            raise ValueError("negative radius")
-        parts = (re, im, rad)
-        e = min((d.exp for d in parts if d.man), default=0)
-        self.x, self.y, self.r = (d.man << (d.exp - e) if d.man else 0 for d in parts)
-        self.exp = e
 
     @classmethod
     def from_ints(cls, x: int, y: int, r: int, exp: int) -> "ComplexBall":
@@ -303,44 +211,29 @@ class ComplexBall:
         return ball
 
     @classmethod
-    def rounded(cls, x: int, y: int, r: int, exp: int, prec: int) -> "ComplexBall":
-        """The ball (x + i*y, radius r) * 2**exp, given exactly in ints,
-        enclosed by one over 2**-prec."""
-        return cls.from_ints(*_to_prec(x, y, r, exp, prec), -prec)
-
-    @classmethod
-    def from_rationals(cls, re: Fraction, im: Fraction, prec: int) -> "ComplexBall":
-        x, ex = fixed_rational(re, prec)
-        y, ey = fixed_rational(im, prec)
-        return cls.from_ints(x, y, int(ex or ey), -prec)
-
-    @classmethod
-    def from_int(cls, k: int) -> "ComplexBall":
-        return cls.from_ints(k, 0, 0, 0)
-
-    @classmethod
-    def point(cls, re: Dyadic, im: Dyadic) -> "ComplexBall":
-        return cls(re, im)
+    def from_parts(cls, re, im, rad=(0, 0)) -> "ComplexBall":
+        """The ball with center re + i*im and radius rad, each an (m, e)
+        pair, over 2**exp for the least exponent among the parts'
+        normalized nonzero forms."""
+        parts = [_normalize(*p) for p in (re, im, rad)]
+        e = min((pe for pm, pe in parts if pm), default=0)
+        return cls.from_ints(*(pm << (pe - e) if pm else 0 for pm, pe in parts), e)
 
     def fixed(self, prec: int):
         """(x, y, r) ints over 2**-prec of a ball enclosing this one."""
         return _to_prec(self.x, self.y, self.r, self.exp, prec)
 
     @property
-    def re(self) -> Dyadic:
-        return Dyadic(self.x, self.exp)
+    def re(self) -> Fraction:
+        return _fraction(self.x, self.exp)
 
     @property
-    def im(self) -> Dyadic:
-        return Dyadic(self.y, self.exp)
+    def im(self) -> Fraction:
+        return _fraction(self.y, self.exp)
 
     @property
-    def rad(self) -> Dyadic:
-        return Dyadic(self.r, self.exp)
-
-    def abs_upper(self) -> Dyadic:
-        """Upper bound on |z| over the whole ball."""
-        return Dyadic(abs_bound(self.x, self.y) + self.r, self.exp)
+    def rad(self) -> Fraction:
+        return _fraction(self.r, self.exp)
 
     def contains_zero(self) -> bool:
         return self.x * self.x + self.y * self.y <= self.r * self.r
@@ -348,70 +241,28 @@ class ComplexBall:
     def __neg__(self):
         return ComplexBall.from_ints(-self.x, -self.y, self.r, self.exp)
 
-    def _aligned(self, other):
-        """Both balls' ints over 2**e, e the smaller exponent."""
-        e = min(self.exp, other.exp)
-        s, t = self.exp - e, other.exp - e
-        return (
-            (self.x << s, self.y << s, self.r << s),
-            (other.x << t, other.y << t, other.r << t),
-            e,
-        )
-
-    def add(self, other: "ComplexBall", prec: int) -> "ComplexBall":
-        (ax, ay, ar), (bx, by, br), e = self._aligned(other)
-        return ComplexBall.rounded(ax + bx, ay + by, ar + br, e, prec)
-
-    def sub(self, other: "ComplexBall", prec: int) -> "ComplexBall":
-        (ax, ay, ar), (bx, by, br), e = self._aligned(other)
-        return ComplexBall.rounded(ax - bx, ay - by, ar + br, e, prec)
-
     def mul(self, other: "ComplexBall", prec: int) -> "ComplexBall":
         a, b = (self.x, self.y, self.r), (other.x, other.y, other.r)
         return ComplexBall.from_ints(*_product(a, b, self.exp + other.exp, prec), -prec)
 
-    def scale_int(self, k: int, prec: int) -> "ComplexBall":
-        return ComplexBall.rounded(
-            self.x * k, self.y * k, self.r * abs(k), self.exp, prec
-        )
-
-    def recip(self, prec: int) -> "ComplexBall":
-        x, y, r = self.x, self.y, self.r
-        low = max(abs(x), abs(y))
-        if low <= r:
-            raise BallDivisionError("ball may contain zero; refine before dividing")
-        # 1/c = (x - iy) / (x^2 + y^2) * 2**-exp; over 2**-prec that is
-        # (x - iy) * 2**s / q, rounded down (under one ulp per part)
-        s = prec - self.exp
-        q = x * x + y * y
-        # |1/z - 1/c| <= r / ((|c| - r) * |c|) for |z - c| <= r < |c|
-        drift_num, drift_den = r, (low - r) * low
-        if s >= 0:
-            x, y, drift_num = x << s, y << s, drift_num << s
-        else:
-            q, drift_den = q << -s, drift_den << -s
-        drift = -(-drift_num // drift_den)
-        return ComplexBall.from_ints(x // q, -y // q, drift + 2, -prec)
-
-    def div(self, other: "ComplexBall", prec: int) -> "ComplexBall":
-        return self.mul(other.recip(prec), prec)
-
     def to_complex(self) -> complex:
-        return complex(self.re.to_float(), self.im.to_float())
+        return complex(_float(self.x, self.exp), _float(self.y, self.exp))
 
     def __repr__(self):
         return (
-            f"ComplexBall({self.re.to_float()!r}, {self.im.to_float()!r},"
-            f" rad={self.rad.to_float()!r})"
+            f"ComplexBall({_float(self.x, self.exp)!r}, {_float(self.y, self.exp)!r},"
+            f" rad={_float(self.r, self.exp)!r})"
         )
 
 
 def ball_disjoint(a: ComplexBall, b: ComplexBall) -> bool:
     """True only if the center distance strictly exceeds the radius sum,
     so the enclosed exact values are provably distinct.  Exact test."""
-    (ax, ay, ar), (bx, by, br), _ = a._aligned(b)
-    dx, dy, s = ax - bx, ay - by, ar + br
-    return dx * dx + dy * dy > s * s
+    e = min(a.exp, b.exp)
+    s, t = a.exp - e, b.exp - e
+    dx, dy = (a.x << s) - (b.x << t), (a.y << s) - (b.y << t)
+    reach = (a.r << s) + (b.r << t)
+    return dx * dx + dy * dy > reach * reach
 
 
 def pairwise_disjoint(balls) -> bool:

@@ -33,7 +33,7 @@ from math import gcd, lcm
 from .arith import ComplexBall, ball_disjoint, fixed_mul
 from .errors import CertificationError, InputError
 from .groups import Permutation
-from .poly import UniPoly
+from .poly import UniPoly, render_terms
 from .resolvent import GaloisData, conjugate_balls
 from .roots import RootSystem, precisions, read_integers
 
@@ -262,23 +262,7 @@ class NumberFieldElement:
         return hash((self.num, self.den))
 
     def render(self, var="a"):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                xs = var if k == 1 else f"{var}^{k}"
-                body = xs if mag == 1 else f"{mag}*{xs}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return render_terms(enumerate(self.coeffs), var)
 
     def __repr__(self):
         return f"NFE({self.render()})"

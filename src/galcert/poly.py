@@ -161,27 +161,30 @@ class UniPoly:
         return all(Fraction(c).denominator == 1 for c in self.coeffs)
 
     def render(self, var="x"):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(Fraction(c))
-            if k == 0:
-                body = str(mag)
-            else:
-                xs = var if k == 1 else f"{var}^{k}"
-                body = xs if mag == 1 else f"{mag}*{xs}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return render_terms(reversed(list(enumerate(self.coeffs))), var)
 
     def __repr__(self):
         return f"UniPoly({self.render()})"
+
+
+def render_terms(terms, var: str) -> str:
+    """The sum of c * var^k over (k, c) in the given order, as text: zero
+    terms skipped, signs between terms, unit magnitudes left out."""
+    parts = []
+    for k, c in terms:
+        if c == 0:
+            continue
+        mag = abs(Fraction(c))
+        if k == 0:
+            body = str(mag)
+        else:
+            xs = var if k == 1 else f"{var}^{k}"
+            body = xs if mag == 1 else f"{mag}*{xs}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
 
 
 def gcd(a: UniPoly, b: UniPoly) -> UniPoly:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
-from .arith import ComplexBall, Dyadic, fixed_mul, round_sig
+from .arith import ComplexBall, abs_bound, fixed_mul, round_sig
 from .errors import CertificationError, InputError
 from .groups import PermGroup, Permutation, all_subgroups, symmetric_group
 from .poly import MultiPoly, UniPoly, gcd
@@ -257,10 +257,15 @@ def _integer_products(spec, perms, rs, balls):
     such attempts are not expected to narrow the balls enough.
     """
     vals = _balls_at(spec, rs, rs.precision_bits, balls)
-    bound = Dyadic(2 * len(perms) * sum(map(abs, spec.weights)) + 1)
+    # the bound as an int over 2**(t * len(perms)): t is at most 0 and at
+    # most every ball's exponent, so each factor 1 + |value| is an int
+    # over 2**t
+    t = min([0] + [vals[s].exp for s in perms])
+    bound = 2 * len(perms) * sum(map(abs, spec.weights)) + 1
     for s in perms:
-        bound = bound * (vals[s].abs_upper() + Dyadic(1))
-    needed = bound.man.bit_length() + bound.exp
+        b = vals[s]
+        bound *= ((abs_bound(b.x, b.y) + b.r) << (b.exp - t)) + (1 << -t)
+    needed = bound.bit_length() + t * len(perms)
     for bits in precisions(rs.precision_bits):
         if bits < needed and 2 * bits <= PREC_CAP:
             continue

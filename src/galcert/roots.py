@@ -11,14 +11,16 @@ between balls and roots.  |f(z)| is bounded above in ball arithmetic
 matter how the points were found.
 
 The polish runs on Gaussian integers as well: each part of a point is
-an int pair (m, e), the value m * 2**e.  Sums are exact, and products
-and quotients keep prec significant bits (half away from zero, and
-rounded down for quotients), so a point carries the same number of bits
-at every scale.  That rule fixes each polished point bit for bit, and
-with it the order of the roots, which are sorted by real part, then
-imaginary part: the two roots of a conjugate pair have real parts equal
-or a rounding apart, so a different rounding rule would reorder some
-pairs and change the report.
+a binary rational (m, e), the value m * 2**e, the one form ``arith``
+uses for them.  The coefficients enter through ``sig_rational``, sums
+are exact, and products and quotients keep prec significant bits (half
+away from zero, and rounded down for quotients), so a point carries the
+same number of bits at every scale.  That rule fixes each polished point
+bit for bit, and with it the order of the roots, which are sorted by
+real part, then imaginary part: the two roots of a conjugate pair have
+real parts equal or a rounding apart, so a different rounding rule would
+reorder some pairs and change the report.  The polished points and
+their certified radii become balls through ``ComplexBall.from_parts``.
 
 Every certificate that may need narrower balls follows one schedule,
 ``precisions(start)``: the first attempt always runs at ``start``, even
@@ -38,7 +40,8 @@ approximation, not a certificate.
 down (the selftest and the tests use it), and ``read_integers`` is the
 one place where a list of balls is read as the integers they pin down,
 on the balls' ints: the resolvent, the subgroup candidates and the root
-expressions' numerators all come through it.
+expressions' numerators all come through it.  Both test the disk, not
+the box around it.
 """
 
 from __future__ import annotations
@@ -48,13 +51,15 @@ from fractions import Fraction
 
 from .arith import (
     ComplexBall,
-    Dyadic,
+    _float,
+    _normalize,
+    abs_bound,
     ball_disjoint,
     div_sig,
     nth_root_upper,
     pairwise_disjoint,
-    pow2,
     round_sig,
+    sig_rational,
 )
 from .errors import CertificationError, InputError
 from .poly import UniPoly, gcd
@@ -123,7 +128,7 @@ def _horner_float(cs, z):
 
 def _float_point(z: complex) -> ComplexBall:
     """The point ball at a float complex value, exactly."""
-    return ComplexBall(*(Dyadic.from_fraction(Fraction(t), 64)[0] for t in (z.real, z.imag)))
+    return ComplexBall.from_parts(*(sig_rational(Fraction(t), 64) for t in (z.real, z.imag)))
 
 
 # -- the Aberth polish on Gaussian integers (see the module docstring) ------
@@ -140,14 +145,6 @@ def _sum(am, ae, bm, be):
     if ae <= be:
         return am + (bm << (be - ae)), ae
     return (am << (ae - be)) + bm, be
-
-
-def _canonical(m, e):
-    """The same value with an odd mantissa (or 0 * 2**0)."""
-    if not m:
-        return 0, 0
-    t = (m & -m).bit_length() - 1
-    return m >> t, e + t
 
 
 def _cmul(a, b, prec):
@@ -192,12 +189,11 @@ def _dyadic_aberth(f: UniPoly, zs, prec, max_iters):
     certificate checks the points afterwards.
     """
     n = f.degree
-    cs = [Dyadic.from_fraction(Fraction(c), prec)[0] for c in f.coeffs]
-    dcs = [Dyadic.from_fraction(Fraction(i * c), prec)[0] for i, c in enumerate(f.coeffs)]
-    cs, dcs = [(c.man, c.exp) for c in cs], [(c.man, c.exp) for c in dcs[1:]]
+    cs = [sig_rational(Fraction(c), prec) for c in f.coeffs]
+    dcs = [sig_rational(Fraction(i * c), prec) for i, c in enumerate(f.coeffs)][1:]
     one = (1, 0, 0, 0)
     nudge = -(prec // 2)
-    pts = [_canonical(z.x, z.exp) + _canonical(z.y, z.exp) for z in zs]
+    pts = [_normalize(z.x, z.exp) + _normalize(z.y, z.exp) for z in zs]
     for _ in range(max_iters):
         worst = (0, 0)
         new = []
@@ -225,12 +221,12 @@ def _dyadic_aberth(f: UniPoly, zs, prec, max_iters):
             if _sum(mag[0], mag[1], -worst[0], worst[1])[0] > 0:
                 worst = mag
         pts = [
-            _canonical(*round_sig(zr, zre, prec)) + _canonical(*round_sig(zi, zie, prec))
+            _normalize(*round_sig(zr, zre, prec)) + _normalize(*round_sig(zi, zie, prec))
             for zr, zre, zi, zie in new
         ]
         if _sum(worst[0], worst[1], -1, 8 - prec)[0] <= 0:
             break
-    return [ComplexBall(Dyadic(zr, zre), Dyadic(zi, zie)) for zr, zre, zi, zie in pts]
+    return [ComplexBall.from_parts((zr, zre), (zi, zie)) for zr, zre, zi, zie in pts]
 
 
 def _certified_balls(f: UniPoly, zs, prec):
@@ -240,7 +236,8 @@ def _certified_balls(f: UniPoly, zs, prec):
     balls = []
     for z in zs:
         val = f.eval_ball(z, max(prec, -z.exp))
-        balls.append(ComplexBall(z.re, z.im, nth_root_upper(val.abs_upper(), n)))
+        rad = nth_root_upper(abs_bound(val.x, val.y) + val.r, val.exp, n)
+        balls.append(ComplexBall.from_parts((z.x, z.exp), (z.y, z.exp), rad))
     return balls
 
 
@@ -322,23 +319,22 @@ def isolate_roots(f: UniPoly, precision_bits: int = 128, *, _seeds=None) -> Root
     else:
         zs = list(_seeds)
 
-    target = pow2(-precision_bits)
+    target = Fraction(1, 1 << precision_bits)
     # the certificate radius is |f(z)|**(1/n), so hitting 2**-pb takes
     # roughly n*pb accurate bits in z
     prec = max(64, n * precision_bits + 64)
     work_cap = max(16 * prec, 1 << 21)
-    achieved = None
+    balls = []
     while prec <= work_cap:
         zs = _dyadic_aberth(f, zs, prec, max_iters=80)
         balls = _certified_balls(f, zs, prec + 32)
-        achieved = [b.rad for b in balls]
         if all(b.rad <= target for b in balls) and pairwise_disjoint(balls):
-            balls.sort(key=lambda b: (b.re.to_fraction(), b.im.to_fraction()))
+            balls.sort(key=lambda b: (b.re, b.im))
             return RootSystem(f, tuple(balls), precision_bits)
         prec *= 2
     raise CertificationError(
         "root certification failed within the precision budget; "
-        f"achieved radii {[r.to_float() for r in (achieved or [])]}"
+        f"achieved radii {[_float(b.r, b.exp) for b in balls]}"
     )
 
 
@@ -347,18 +343,14 @@ def reconstruct_rational(x: ComplexBall, denominator_bound: int):
     ball provably pins it down; None otherwise (absence is a value)."""
     if denominator_bound < 1:
         raise InputError("denominator bound must be at least 1")
-    # imaginary part must straddle zero
-    if abs(x.im) > x.rad:
-        return None
-    rad = x.rad.to_fraction()
-    center = x.re.to_fraction()
+    rad, center = x.rad, x.re
     cand = center.limit_denominator(denominator_bound)
     q = cand.denominator
     # candidates with denominator <= bound sit at least 1/(q*bound) apart;
     # the ball must be narrower than that gap to identify one uniquely
     if 2 * rad >= Fraction(1, q * denominator_bound):
         return None
-    if abs(center - cand) > rad:
+    if (center - cand) ** 2 + x.im ** 2 > rad * rad:
         return None
     return cand
 
@@ -366,8 +358,8 @@ def reconstruct_rational(x: ComplexBall, denominator_bound: int):
 def read_integers(balls):
     """The integers pinned down by a list of balls.  A ball narrower than
     1/2 holds at most one integer: the nearest integer k to its center,
-    which it holds when |im| <= rad and |re - k| <= rad, all decided on
-    the ball's ints.  Returns the list of ints once every ball is that
+    which it holds when (re - k)**2 + im**2 <= rad**2, decided on the
+    ball's ints.  Returns the list of ints once every ball is that
     narrow; False as soon as such a ball holds none, which proves its
     value is not an integer; None while some ball is wider."""
     ints = []
@@ -379,7 +371,8 @@ def read_integers(balls):
         if 2 * r >= one:
             continue
         k = (x + (one >> 1)) >> -e
-        if abs(y) > r or abs(x - k * one) > r:
+        dx = x - k * one
+        if dx * dx + y * y > r * r:
             return False
         ints.append(k)
     return ints if len(ints) == len(balls) else None

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import permutations
 from types import SimpleNamespace
 
-from .arith import ball_disjoint, nth_root_upper, pow2
+from .arith import ComplexBall, abs_bound, ball_disjoint, nth_root_upper
 from .cli import parse_poly
 from .correspondence import (
     averaging_check,
@@ -258,7 +258,7 @@ def criterion_8_root_certification():
     planted integer roots are recovered exactly."""
     rng = random.Random(97)
     bits = 64
-    target = pow2(-bits)
+    target = Fraction(1, 1 << bits)
     for trial in range(100):
         planted = trial >= 70
         f, known = _random_squarefree(rng, planted)
@@ -267,11 +267,12 @@ def criterion_8_root_certification():
         prec = n * bits + 96
         fresh = []
         for b in rs.enclosures:
-            val = f.eval_ball(type(b).point(b.re, b.im), prec)
-            r = nth_root_upper(val.abs_upper(), n)
-            if not r <= target:
+            val = f.eval_ball(ComplexBall.from_ints(b.x, b.y, 0, b.exp), prec)
+            r = nth_root_upper(abs_bound(val.x, val.y) + val.r, val.exp, n)
+            ball = ComplexBall.from_parts((b.x, b.exp), (b.y, b.exp), r)
+            if ball.rad > target:
                 return False, f"{f.render()}: recomputed bound exceeds target"
-            fresh.append(type(b)(b.re, b.im, r))
+            fresh.append(ball)
         for i in range(n):
             for j in range(i + 1, n):
                 if not ball_disjoint(fresh[i], fresh[j]):

@@ -7,8 +7,9 @@ field inverses come from extended Euclid against the modulus.
 """
 
 from fractions import Fraction
+from math import ceil
 
-from galcert.arith import ComplexBall, Dyadic
+from galcert.arith import ComplexBall, fixed_rational
 from galcert.poly import xgcd
 
 
@@ -32,29 +33,36 @@ def bisect_root(f, lo, hi, steps=80):
 
 
 def interval_ball(lo, hi):
-    """Ball of a real interval with dyadic endpoints."""
+    """Ball of a real interval with dyadic endpoints, exactly."""
     lo, hi = Fraction(lo), Fraction(hi)
-    center = (lo + hi) / 2
-    rad = (hi - lo) / 2
-    c, ce = Dyadic.from_fraction(center, 4096)
-    r, re = Dyadic.from_fraction(rad, 4096)
-    assert ce.is_zero() and re.is_zero(), "endpoints must be dyadic"
-    return ComplexBall(c, Dyadic(0), r)
+    c, ce = fixed_rational((lo + hi) / 2, 4096)
+    r, re = fixed_rational((hi - lo) / 2, 4096)
+    assert not (ce or re), "endpoints must be dyadic"
+    return ComplexBall.from_ints(c, 0, r, -4096)
 
 
 def dyadic_ball(re, im=0, rad=0, prec=64):
-    """Ball from rationals; radius gets an upper dyadic rounding."""
-    c_re, e_re = Dyadic.from_fraction(Fraction(re), prec)
-    c_im, e_im = Dyadic.from_fraction(Fraction(im), prec)
-    r = Dyadic.from_fraction(Fraction(rad), prec)[0] + e_re + e_im + Dyadic(1, -prec)
-    return ComplexBall(c_re, c_im, r)
+    """Ball from rationals over 2**-prec; the radius is rounded up and
+    covers the rounding of the center."""
+    x, ex = fixed_rational(Fraction(re), prec)
+    y, ey = fixed_rational(Fraction(im), prec)
+    return ComplexBall.from_ints(x, y, ceil(Fraction(rad) * 2**prec) + ex + ey, -prec)
+
+
+def ball_add(a, b):
+    """The exact sum of two balls: centers add, radii add."""
+    e = min(a.exp, b.exp)
+    s, t = a.exp - e, b.exp - e
+    return ComplexBall.from_ints(
+        (a.x << s) + (b.x << t), (a.y << s) + (b.y << t), (a.r << s) + (b.r << t), e
+    )
 
 
 def ball_contains_rational(ball, re, im=0):
     """Exact containment check of a rational point in a ball."""
-    dre = ball.re.to_fraction() - Fraction(re)
-    dim = ball.im.to_fraction() - Fraction(im)
-    return dre * dre + dim * dim <= ball.rad.to_fraction() ** 2
+    dre = ball.re - Fraction(re)
+    dim = ball.im - Fraction(im)
+    return dre * dre + dim * dim <= ball.rad**2
 
 
 def cplx_mul(a, b):
@@ -63,11 +71,6 @@ def cplx_mul(a, b):
 
 def cplx_add(a, b):
     return (a[0] + b[0], a[1] + b[1])
-
-
-def cplx_div(a, b):
-    q = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) / q, (a[1] * b[0] - a[0] * b[1]) / q)
 
 
 def xgcd_inverse(x):

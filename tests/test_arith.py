@@ -1,70 +1,65 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galcert.arith import (
-    BallDivisionError,
     ComplexBall,
-    Dyadic,
-    Rational,
     ball_disjoint,
     div_sig,
     nth_root_upper,
     round_sig,
+    sig_rational,
 )
 from galcert.poly import UniPoly
 from galcert.resolvent import _ball_poly_product
 from galcert.roots import read_integers
 
-from helpers import ball_contains_rational, bisect_root, cplx_add, cplx_div, cplx_mul, dyadic_ball, interval_ball
+from helpers import ball_contains_rational, bisect_root, cplx_add, cplx_mul, dyadic_ball, interval_ball
 
 
-def test_rational_is_canonical_exact_field():
-    rng = random.Random(1)
-    for _ in range(200):
-        a = Fraction(rng.randint(-99, 99), rng.randint(1, 40))
-        b = Fraction(rng.randint(-99, 99), rng.randint(1, 40))
-        c = Fraction(rng.randint(-99, 99), rng.randint(1, 40))
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        if a != 0:
-            assert a * (1 / a) == 1
-        for v in (a + b, a * b, a - c):
-            assert v.denominator > 0
-            from math import gcd as igcd
-
-            assert igcd(abs(v.numerator), v.denominator) == 1
-    assert Rational is Fraction
+def _value(m, e):
+    return Fraction(m) * Fraction(2) ** e
 
 
 def test_dyadic_roundtrip_and_rounding():
-    d = Dyadic(12, -3)
-    assert d.to_fraction() == Fraction(3, 2)
+    assert sig_rational(Fraction(3, 2), 64) == (3, -1)
+    assert sig_rational(Fraction(-12), 64) == (-3, 2)
+    assert sig_rational(Fraction(0), 64) == (0, 0)
+    for q in (Fraction(1, 3), Fraction(-22, 7), Fraction(10**20 + 1, 3**30), Fraction(2, 3**50)):
+        for prec in (1, 10, 64):
+            m, e = sig_rational(q, prec)
+            assert m % 2 == 1 and abs(m).bit_length() <= max(prec, int(abs(q)).bit_length()) + 3
+            assert abs(q - _value(m, e)) <= Fraction(2) ** (e - 1)
     for m in (0b101101110111, -0b101101110111, 0b101101110000, 7):
         rm, re = round_sig(m, 3, 5)
         assert abs(rm).bit_length() <= 5
         if re == 3:
             assert rm == m
         else:
-            assert abs(Dyadic(rm, re).to_fraction() - m * 8) <= Fraction(2) ** (re - 1)
+            assert abs(_value(rm, re) - m * 8) <= Fraction(2) ** (re - 1)
 
 
 def test_dyadic_division_error_bound():
     for a, b in ((7, 3), (-7, 3), (12, 40), (1, 1)):
         qm, qe = div_sig(a, -2, b, 5, 64)
         exact = Fraction(a, b) * Fraction(1, 2**7)
-        assert 0 <= exact - Dyadic(qm, qe).to_fraction() < Fraction(2) ** qe
+        assert 0 <= exact - _value(qm, qe) < Fraction(2) ** qe
 
 
 def test_sqrt_and_nth_root_upper_bounds():
-    # n = 2 is the square root
+    # n = 2 is the square root; the bound is the same for every form of
+    # its input, and is normalized
     for k in (2, 3, 5, 10, 1000, 12345):
         for n in (2, 3, 4, 6):
-            r = nth_root_upper(Dyadic(k), n)
-            assert r.to_fraction() ** n >= k
+            for e in (-7, 0, 5):
+                m, re = nth_root_upper(k, e, n)
+                assert m % 2 == 1
+                assert _value(m, re) ** n >= _value(k, e)
+                assert nth_root_upper(k << 3, e - 3, n) == (m, re)
+    assert nth_root_upper(0, 5, 3) == (0, 0)
+    assert nth_root_upper(27, 0, 3) == (3, 0)
 
 
 def test_ball_disjoint_basic():
@@ -94,25 +89,10 @@ def test_ball_arithmetic_contains_exact_values():
         ai = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
         br = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
         bi = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-        a = ComplexBall.from_rationals(ar, ai, 64)
-        b = ComplexBall.from_rationals(br, bi, 64)
-        s = cplx_add((ar, ai), (br, bi))
-        p = cplx_mul((ar, ai), (br, bi))
-        assert ball_contains_rational(a.add(b, 64), *s)
-        assert ball_contains_rational(a.mul(b, 64), *p)
-        if br != 0 or bi != 0:
-            q = cplx_div((ar, ai), (br, bi))
-            try:
-                assert ball_contains_rational(a.div(b, 64), *q)
-            except BallDivisionError:
-                pass  # a fat ball near zero may legitimately refuse
-
-
-def test_ball_division_by_zero_ball_is_an_error():
-    z = dyadic_ball(0, rad=Fraction(1, 100))
-    one = ComplexBall.from_int(1)
-    with pytest.raises(ZeroDivisionError):
-        one.div(z, 64)
+        a = dyadic_ball(ar, ai)
+        b = dyadic_ball(br, bi)
+        assert ball_contains_rational(a.mul(b, 64), *cplx_mul((ar, ai), (br, bi)))
+        assert ball_contains_rational(-a, -ar, -ai)
 
 
 def test_disjoint_balls_have_distinct_values():
@@ -126,13 +106,6 @@ def test_disjoint_balls_have_distinct_values():
             assert x != y
         if x == y:
             assert not ball_disjoint(bx, by)
-
-
-def test_scale_and_negate():
-    b = dyadic_ball(Fraction(3, 7), rad=Fraction(1, 1000))
-    s = b.scale_int(-3, 64)
-    assert ball_contains_rational(s, Fraction(-9, 7))
-    assert ball_contains_rational(-b, Fraction(-3, 7))
 
 
 # -- the integer ball kernel against exact rationals ------------------------
@@ -158,13 +131,10 @@ def _point(ball, move):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_balls, _moves, _balls, _moves, _precs, st.integers(-(10**6), 10**6))
-def test_kernel_operations_contain_the_exact_results(a, ma, b, mb, prec, k):
+@given(_balls, _moves, _balls, _moves, _precs)
+def test_kernel_operations_contain_the_exact_results(a, ma, b, mb, prec):
     pa, pb = _point(a, ma), _point(b, mb)
-    assert ball_contains_rational(a.add(b, prec), *cplx_add(pa, pb))
-    assert ball_contains_rational(a.sub(b, prec), pa[0] - pb[0], pa[1] - pb[1])
     assert ball_contains_rational(a.mul(b, prec), *cplx_mul(pa, pb))
-    assert ball_contains_rational(a.scale_int(k, prec), k * pa[0], k * pa[1])
     assert ball_contains_rational(-a, -pa[0], -pa[1])
 
 
@@ -221,6 +191,7 @@ def test_read_integers_decides_like_the_exact_disk(k, s, data):
         assert not ball_contains_rational(ball, nearest)
     else:
         assert got == [nearest]
+        assert ball_contains_rational(ball, nearest)
     wide = ComplexBall.from_ints(k << s, 0, half, -s)
     assert read_integers([wide]) is None
     assert read_integers([ball, wide]) is (False if got is False else None)
@@ -240,5 +211,7 @@ def test_read_integers_at_the_half_integer_edge():
     assert read_integers([ComplexBall.from_ints(7 << s, 0, 128, -s)]) is None
     # an imaginary part beyond the radius proves the value non-real
     assert read_integers([ComplexBall.from_ints(7 << s, 40, 32, -s)]) is False
+    # the box around the disk holds 7, the disk does not: 77^2 + 77^2 > 90^2
+    assert read_integers([ComplexBall.from_ints((7 << s) + 77, 77, 90, -s)]) is False
     # coarse exponents: exact integers with zero radius
-    assert read_integers([ComplexBall.from_ints(5, 0, 0, 3), ComplexBall.from_int(-2)]) == [40, -2]
+    assert read_integers([ComplexBall.from_ints(5, 0, 0, 3), ComplexBall.from_ints(-2, 0, 0, 0)]) == [40, -2]
