@@ -18,7 +18,8 @@ from .correspondence import CorrespondenceReport, correspondence_lattice
 from .errors import CertificationError, InputError, TheoremError
 from .groups import Arrangement, arrangement_array
 from .numberfield import automorphism_table, express_roots
-from .poly import UniPoly, gcd
+from .poly import UniPoly
+from .record import Record
 from .resolvent import ResolventSpec, certify_distinct_values, identify_galois, search_resolvent
 from .roots import PREC_CAP, isolate_roots
 
@@ -195,7 +196,7 @@ def _check_digits(numbers):
 
 # -- pipeline ----------------------------------------------------------------
 
-class AnalysisConfig:
+class AnalysisConfig(Record):
     """The pipeline's settings, validated on construction."""
 
     __slots__ = ("precision_bits", "resolvent_norm_bound", "output_format",
@@ -214,24 +215,8 @@ class AnalysisConfig:
             raise InputError("the resolvent norm bound must be at least 1")
         if output_format not in ("text", "json"):
             raise InputError(f"unknown output format {output_format!r}")
-        self.precision_bits = precision_bits
-        self.resolvent_norm_bound = resolvent_norm_bound
-        self.output_format = output_format
-        self.emit_array = emit_array
-        self.seed_spec = seed_spec
-
-    def _key(self):
-        return (self.precision_bits, self.resolvent_norm_bound, self.output_format,
-                self.emit_array, self.seed_spec)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
-        return f"AnalysisConfig({fields})"
+        Record.__init__(self, precision_bits, resolvent_norm_bound, output_format,
+                        emit_array, seed_spec)
 
 
 def analyze(text: str, cfg: AnalysisConfig | None = None) -> CorrespondenceReport:
@@ -243,10 +228,6 @@ def analyze(text: str, cfg: AnalysisConfig | None = None) -> CorrespondenceRepor
         raise InputError("the degree must be between 2 and 4")
     f, scale = normalize_monic_integer(parsed)
     _check_digits(parsed.coeffs + f.coeffs + (scale,))
-    g = gcd(f, f.derivative())
-    if g.degree != 0:
-        raise InputError(f"not squarefree, gcd with derivative is {g.render()}")
-
     rs = isolate_roots(f, cfg.precision_bits)
     if cfg.seed_spec is not None:
         if len(cfg.seed_spec) != f.degree:

@@ -56,6 +56,7 @@ from .numberfield import (
     integer_vector,
 )
 from .poly import UniPoly
+from .record import Frozen, Record
 from .sympoly import elementary_values
 
 
@@ -107,7 +108,7 @@ def _elements(nf: NumberField, red, pivots):
     return tuple(NumberFieldElement(nf, r, r[p]) for r, p in zip(red, pivots))
 
 
-class Subfield:
+class Subfield(Frozen):
     """Q-subspace of the splitting field in canonical echelon form,
     verified to contain 1 and be closed under products: by
     ``from_elements``, or by the worklist in ``field_from_subgroup``.
@@ -116,28 +117,10 @@ class Subfield:
     field and the basis, not the ``generators`` it was built from."""
 
     __slots__ = ("field", "basis", "generators")
+    _compared = ("field", "basis")
 
     def __init__(self, field: NumberField, basis: tuple, generators: tuple = ()):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "generators", generators)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: Subfield is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: Subfield is immutable")
-
-    def __reduce__(self):
-        return Subfield, (self.field, self.basis, self.generators)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.basis) == (other.field, other.basis)
-
-    def __hash__(self):
-        return hash((self.field, self.basis))
+        Record.__init__(self, field, basis, generators)
 
     @property
     def dim(self):
@@ -281,7 +264,7 @@ def primitive_independence_check(
 
 # -- the lattice -------------------------------------------------------------
 
-class SubgroupEntry:
+class SubgroupEntry(Record):
     """One row of the lattice: a subgroup, its subfield and the
     subfield's primitive element."""
 
@@ -291,24 +274,11 @@ class SubgroupEntry:
     def __init__(self, subgroup: PermGroup, dim: int, subfield: Subfield,
                  primitive: NumberFieldElement, primitive_min_poly: UniPoly,
                  fixed_field_equal: bool):
-        self.subgroup = subgroup
-        self.dim = dim
-        self.subfield = subfield
-        self.primitive = primitive
-        self.primitive_min_poly = primitive_min_poly
-        self.fixed_field_equal = fixed_field_equal
-
-    def _key(self):
-        return (self.subgroup, self.dim, self.subfield, self.primitive,
-                self.primitive_min_poly, self.fixed_field_equal)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+        Record.__init__(self, subgroup, dim, subfield, primitive, primitive_min_poly,
+                        fixed_field_equal)
 
 
-class CorrespondenceReport:
+class CorrespondenceReport(Record):
     """Everything the CLI reports: the lattice entries and the named
     checks, with the input as given and as analysed."""
 
@@ -318,25 +288,8 @@ class CorrespondenceReport:
     def __init__(self, polynomial: UniPoly, input_polynomial: UniPoly, scale: Fraction,
                  weights: tuple, min_poly: UniPoly, group: PermGroup, entries: list,
                  checks: list, arrangement_arrays: list | None = None):
-        self.polynomial = polynomial
-        self.input_polynomial = input_polynomial
-        self.scale = scale
-        self.weights = weights
-        self.min_poly = min_poly
-        self.group = group
-        self.entries = entries
-        self.checks = checks
-        self.arrangement_arrays = arrangement_arrays
-
-    def _key(self):
-        return (self.polynomial, self.input_polynomial, self.scale, self.weights,
-                self.min_poly, self.group, self.entries, self.checks,
-                self.arrangement_arrays)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+        Record.__init__(self, polynomial, input_polynomial, scale, weights, min_poly,
+                        group, entries, checks, arrangement_arrays)
 
     @property
     def group_order(self):
@@ -444,18 +397,11 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
             )
         )
 
-    def fail(name, message):
-        checks.append((name, False))
-        raise TheoremError(message, report=None)
-
     # the two constructions agree
     bad = [i for i, e in enumerate(entries) if not e.fixed_field_equal]
     if bad:
         h = entries[bad[0]].subgroup
-        fail(
-            "symmetric_field_equals_fixed_field",
-            f"constructed field differs from the fixed field for subgroup {h!r}",
-        )
+        raise TheoremError(f"constructed field differs from the fixed field for subgroup {h!r}")
     checks.append(("symmetric_field_equals_fixed_field", True))
 
     # injectivity: distinct subgroups give distinct subfields
@@ -463,10 +409,8 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
     for i, la in enumerate(constructed):
         key = la.basis
         if key in seen:
-            fail(
-                "subgroup_to_subfield_injective",
-                "subgroups "
-                f"{subgroups[seen[key]]!r} and {subgroups[i]!r} map to the same subfield",
+            raise TheoremError(
+                f"subgroups {subgroups[seen[key]]!r} and {subgroups[i]!r} map to the same subfield"
             )
         seen[key] = i
     checks.append(("subgroup_to_subfield_injective", True))
@@ -474,10 +418,7 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
     # degree: dim * |H| equals the field degree for every subgroup
     for h, la in zip(subgroups, constructed):
         if la.dim * h.order != d:
-            fail(
-                "degree_matches_subgroup_order",
-                f"dim {la.dim} times order {h.order} is not {d} for {h!r}",
-            )
+            raise TheoremError(f"dim {la.dim} times order {h.order} is not {d} for {h!r}")
     checks.append(("degree_matches_subgroup_order", True))
 
     # inclusion reversal on every comparable pair
@@ -485,10 +426,7 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
         for j, hj in enumerate(subgroups):
             if i != j and hi.is_subgroup_of(hj):
                 if not constructed[i].contains_subfield(constructed[j]):
-                    fail(
-                        "inclusion_reversal",
-                        f"inclusion {hi!r} <= {hj!r} is not reversed by the fields",
-                    )
+                    raise TheoremError(f"inclusion {hi!r} <= {hj!r} is not reversed by the fields")
     checks.append(("inclusion_reversal", True))
 
     # surjectivity replay: the stabilizer of each subfield maps back to it.
@@ -498,10 +436,9 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
         stab = tuple(s for s in sf.galois.group if sf.apply(s, prim) == prim)
         # once stab == h, its field is la by construction, so no rebuild
         if stab != h.elements:
-            fail(
-                "stabilizer_recovers_subfield",
+            raise TheoremError(
                 f"stabilizer of the subfield of {h!r} is "
-                f"{PermGroup._trusted(stab)!r}, not the subgroup",
+                f"{PermGroup._trusted(stab)!r}, not the subgroup"
             )
     checks.append(("stabilizer_recovers_subfield", True))
 
@@ -509,17 +446,14 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
     for e in entries:
         x, inv = inverse_witness(e.primitive, e.primitive_min_poly)
         if x * inv != 1 or not e.subfield.contains(inv):
-            fail("inverse_closure", "a sampled inverse escapes its subfield")
+            raise TheoremError("a sampled inverse escapes its subfield")
     checks.append(("inverse_closure", True))
 
     # averaging witness on a spanning set of every fixed field
     for h, lb in zip(subgroups, fixed):
         for b in lb:
             if not averaging_check(b, h, sf):
-                fail(
-                    "averaging_witness",
-                    f"averaging witness failed for subgroup {h!r}",
-                )
+                raise TheoremError(f"averaging witness failed for subgroup {h!r}")
     checks.append(("averaging_witness", True))
 
     return CorrespondenceReport(

@@ -16,7 +16,3 @@ class CertificationError(RuntimeError):
 
 class TheoremError(RuntimeError):
     """An exact mathematical check that should always hold has failed."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report

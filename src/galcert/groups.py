@@ -17,6 +17,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
+from .record import Frozen, Record
+
 
 class Permutation:
     __slots__ = ("images",)
@@ -276,7 +278,7 @@ def _all_subgroups(g: PermGroup):
     return sorted(subs, key=PermGroup.sort_key)
 
 
-class Arrangement:
+class Arrangement(Frozen):
     """One ordering of the n root indices (a row of the array); immutable."""
 
     __slots__ = ("order",)
@@ -284,27 +286,7 @@ class Arrangement:
     def __init__(self, order: tuple):
         if sorted(order) != list(range(len(order))):
             raise ValueError(f"not an arrangement: {order}")
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: Arrangement is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: Arrangement is immutable")
-
-    def __reduce__(self):
-        return Arrangement, (self.order,)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.order == other.order
-
-    def __hash__(self):
-        return hash((self.order,))
-
-    def __repr__(self):
-        return f"Arrangement(order={self.order!r})"
+        Record.__init__(self, order)
 
     @property
     def n(self):
@@ -328,16 +310,16 @@ def transition(a: Arrangement, b: Arrangement) -> Permutation:
     return Permutation(tuple(pos_b[a.order[j]] for j in range(a.n)))
 
 
-class ArrangementGroup:
+class ArrangementGroup(Frozen):
     """A set of arrangements closed under its own transition substitutions;
     immutable.  ``rep``, the coset representative that built the block, is
     left out of equality and hashing."""
 
     __slots__ = ("rows", "rep")
+    _compared = ("rows",)
 
     def __init__(self, rows: tuple, rep: Permutation | None = None):
-        object.__setattr__(self, "rows", tuple(sorted(rows)))
-        object.__setattr__(self, "rep", rep)
+        Record.__init__(self, tuple(sorted(rows)), rep)
         witness = self._closure_witness()
         if witness is not None:
             a, b, c = witness
@@ -355,23 +337,6 @@ class ArrangementGroup:
                     if c.act(s) not in row_set:
                         return (a, b, c)
         return None
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: ArrangementGroup is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: ArrangementGroup is immutable")
-
-    def __reduce__(self):
-        return ArrangementGroup, (self.rows, self.rep)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.rows,))
 
     def __len__(self):
         return len(self.rows)

@@ -34,6 +34,7 @@ from .arith import ComplexBall, ball_disjoint, fixed_mul
 from .errors import CertificationError, InputError
 from .groups import Permutation
 from .poly import UniPoly, render_terms
+from .record import Frozen, Record
 from .resolvent import GaloisData, conjugate_balls
 from .roots import RootSystem, precisions, read_integers
 
@@ -464,7 +465,7 @@ def _mat_vec(field: NumberField, mat, x: NumberFieldElement) -> NumberFieldEleme
     )
 
 
-class SplittingField:
+class SplittingField(Frozen):
     """The certified field together with its automorphism action;
     immutable.  ``automorphisms`` holds pairs (permutation, image of the
     generator); ``matrices`` maps each permutation to its power-basis
@@ -472,35 +473,11 @@ class SplittingField:
     hashing, since the pairs determine it."""
 
     __slots__ = ("galois", "field", "poly", "root_exprs", "automorphisms", "matrices")
+    _compared = ("galois", "field", "poly", "root_exprs", "automorphisms")
 
     def __init__(self, galois: GaloisData, field: NumberField, poly: UniPoly,
                  root_exprs: tuple, automorphisms: tuple, matrices: dict):
-        object.__setattr__(self, "galois", galois)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "root_exprs", root_exprs)
-        object.__setattr__(self, "automorphisms", automorphisms)
-        object.__setattr__(self, "matrices", matrices)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: SplittingField is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: SplittingField is immutable")
-
-    def __reduce__(self):
-        return SplittingField, (*self._key(), self.matrices)
-
-    def _key(self):
-        return (self.galois, self.field, self.poly, self.root_exprs, self.automorphisms)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        Record.__init__(self, galois, field, poly, root_exprs, automorphisms, matrices)
 
     def psi_for(self, perm):
         for p, psi in self.automorphisms:

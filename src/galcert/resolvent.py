@@ -40,41 +40,22 @@ from .arith import ComplexBall, abs_bound, fixed_mul, round_sig
 from .errors import CertificationError, InputError
 from .groups import PermGroup, Permutation, all_subgroups, symmetric_group
 from .poly import MultiPoly, UniPoly, gcd
+from .record import Frozen, Record
 from .roots import PREC_CAP, RootSystem, precisions, read_integers
 from .sympoly import decompose, substitute_elementary
 
 
-class ResolventSpec:
+class ResolventSpec(Frozen):
     """Integer weights making the root combination injective over all
     permutations (certified by the producer); immutable."""
 
     __slots__ = ("weights",)
 
     def __init__(self, weights: tuple):
-        object.__setattr__(self, "weights", tuple(int(w) for w in weights))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: ResolventSpec is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: ResolventSpec is immutable")
-
-    def __reduce__(self):
-        return ResolventSpec, (self.weights,)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.weights == other.weights
-
-    def __hash__(self):
-        return hash((self.weights,))
-
-    def __repr__(self):
-        return f"ResolventSpec(weights={self.weights!r})"
+        Record.__init__(self, tuple(int(w) for w in weights))
 
 
-class GaloisData:
+class GaloisData(Frozen):
     """The certified Galois group with the resolvent data that found it;
     immutable."""
 
@@ -82,31 +63,7 @@ class GaloisData:
 
     def __init__(self, spec: ResolventSpec, min_poly: UniPoly, gen_ball: ComplexBall,
                  group: PermGroup, resolvent: UniPoly):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "min_poly", min_poly)
-        object.__setattr__(self, "gen_ball", gen_ball)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "resolvent", resolvent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: GaloisData is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: GaloisData is immutable")
-
-    def __reduce__(self):
-        return GaloisData, self._key()
-
-    def _key(self):
-        return (self.spec, self.min_poly, self.gen_ball, self.group, self.resolvent)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        Record.__init__(self, spec, min_poly, gen_ball, group, resolvent)
 
 
 def _round_sig_at(v: int, prec: int):

@@ -1,5 +1,5 @@
-"""Certified complex root isolation, the precision schedule, and rational
-reconstruction.
+"""Certified complex root isolation, the precision schedule, and integer
+read-off.
 
 Approximation is cheap and sloppy (float simultaneous iteration, then an
 Aberth polish at growing precision); every claim that matters is
@@ -36,12 +36,10 @@ is decided exactly on the resolvent.  ``isolate_roots`` has a separate
 working-precision loop with its own budget: it drives the
 approximation, not a certificate.
 
-``reconstruct_rational`` turns a ball into the exact rational it pins
-down (the selftest and the tests use it), and ``read_integers`` is the
-one place where a list of balls is read as the integers they pin down,
-on the balls' ints: the resolvent, the subgroup candidates and the root
-expressions' numerators all come through it.  Both test the disk, not
-the box around it.
+``read_integers`` is the one place where a list of balls is read as the
+integers they pin down, on the balls' ints: the resolvent, the subgroup
+candidates and the root expressions' numerators all come through it.  It
+tests the disk, not the box around it.
 """
 
 from __future__ import annotations
@@ -63,6 +61,7 @@ from .arith import (
 )
 from .errors import CertificationError, InputError
 from .poly import UniPoly, gcd
+from .record import Frozen, Record
 
 PREC_CAP = 1 << 16
 
@@ -241,36 +240,14 @@ def _certified_balls(f: UniPoly, zs, prec):
     return balls
 
 
-class RootSystem:
+class RootSystem(Frozen):
     """Pairwise-disjoint certified enclosures, one per root of poly;
     immutable."""
 
     __slots__ = ("poly", "enclosures", "precision_bits")
 
     def __init__(self, poly: UniPoly, enclosures: tuple, precision_bits: int):
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "enclosures", enclosures)
-        object.__setattr__(self, "precision_bits", precision_bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: RootSystem is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: RootSystem is immutable")
-
-    def __reduce__(self):
-        return RootSystem, (self.poly, self.enclosures, self.precision_bits)
-
-    def _key(self):
-        return (self.poly, self.enclosures, self.precision_bits)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        Record.__init__(self, poly, enclosures, precision_bits)
 
     def refine(self, precision_bits: int) -> "RootSystem":
         """Shrink all enclosures; root order is preserved."""
@@ -303,7 +280,7 @@ def isolate_roots(f: UniPoly, precision_bits: int = 128, *, _seeds=None) -> Root
     if n >= 2:
         g = gcd(f, f.derivative())
         if g.degree != 0:
-            raise InputError(f"polynomial is not squarefree, gcd with derivative is {g.render()}")
+            raise InputError(f"not squarefree, gcd with derivative is {g.render()}")
 
     if _seeds is None:
         warm = _float_aberth(f)
@@ -336,23 +313,6 @@ def isolate_roots(f: UniPoly, precision_bits: int = 128, *, _seeds=None) -> Root
         "root certification failed within the precision budget; "
         f"achieved radii {[_float(b.r, b.exp) for b in balls]}"
     )
-
-
-def reconstruct_rational(x: ComplexBall, denominator_bound: int):
-    """The unique rational p/q with q <= bound inside the ball, if the
-    ball provably pins it down; None otherwise (absence is a value)."""
-    if denominator_bound < 1:
-        raise InputError("denominator bound must be at least 1")
-    rad, center = x.rad, x.re
-    cand = center.limit_denominator(denominator_bound)
-    q = cand.denominator
-    # candidates with denominator <= bound sit at least 1/(q*bound) apart;
-    # the ball must be narrower than that gap to identify one uniquely
-    if 2 * rad >= Fraction(1, q * denominator_bound):
-        return None
-    if (center - cand) ** 2 + x.im ** 2 > rad * rad:
-        return None
-    return cand
 
 
 def read_integers(balls):

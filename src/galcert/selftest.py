@@ -25,7 +25,7 @@ from .groups import Arrangement, PermGroup, Permutation, arrangement_array, clos
 from .numberfield import automorphism_table, express_roots
 from .poly import MultiPoly, UniPoly, gcd
 from .resolvent import identify_galois, resolvent_poly, search_resolvent
-from .roots import isolate_roots, reconstruct_rational
+from .roots import isolate_roots, read_integers
 from .sympoly import decompose, expand_elementary, substitute_elementary
 
 CORPUS = (
@@ -278,12 +278,9 @@ def criterion_8_root_certification():
                 if not ball_disjoint(fresh[i], fresh[j]):
                     return False, f"{f.render()}: recomputed balls overlap"
         if known is not None:
-            got = sorted(
-                reconstruct_rational(b, 1)
-                for b in rs.enclosures
-                if reconstruct_rational(b, 1) is not None
-            )
-            if got != [Fraction(k) for k in known]:
+            hits = [read_integers([b]) for b in rs.enclosures]
+            got = sorted(h[0] for h in hits if h)
+            if got != known:
                 return False, f"{f.render()}: recovered {got}, expected {known}"
     return True, "100 polynomials certified, 30 with planted roots recovered"
 

@@ -88,7 +88,7 @@ def test_analyze_quadratic_report():
 
 
 def test_analyze_rejects_bad_inputs():
-    with pytest.raises(InputError, match="squarefree"):
+    with pytest.raises(InputError, match=r"^not squarefree, gcd with derivative is x - 1$"):
         analyze("x^2 - 2x + 1")
     with pytest.raises(InputError, match="degree"):
         analyze("x - 1")

@@ -163,3 +163,31 @@ def test_frozen_records_pickle_and_copy(cubic):
     assert sf.galois.group == cubic.sf.galois.group and sf.matrices == cubic.sf.matrices
     assert copy.copy(cubic.sf).matrices is cubic.sf.matrices
     assert pickle.loads(pickle.dumps(cubic.report)) == cubic.report
+
+    gd = cubic.gd
+    assert copy.copy(gd) == gd
+    twin = pickle.loads(pickle.dumps(gd))
+    assert (twin.spec, twin.min_poly, twin.group, twin.resolvent) == (
+        gd.spec, gd.min_poly, gd.group, gd.resolvent)
+    ball, twin_ball = gd.gen_ball, twin.gen_ball
+    assert (twin_ball.x, twin_ball.y, twin_ball.r, twin_ball.exp) == (
+        ball.x, ball.y, ball.r, ball.exp)
+    # the mutable records too, the config through its validation
+    for obj in (AnalysisConfig(256, 4, "json", True, (0, 1)), cubic.report.entries[0]):
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj)):
+            assert twin == obj and twin is not obj
+
+
+def test_records_repr_every_field(cubic):
+    records = (
+        AnalysisConfig(), Arrangement((2, 0, 1)),
+        ArrangementGroup((Arrangement((1, 0)), Arrangement((0, 1))), rep=Permutation((1, 0))),
+        cubic.spec, cubic.gd, cubic.rs, cubic.sf, cubic.report.entries[0].subfield,
+        cubic.report.entries[0], cubic.report,
+    )
+    assert len({type(obj) for obj in records}) == 10
+    for obj in records:
+        text = repr(obj)
+        assert text.startswith(f"{type(obj).__name__}(")
+        for name in type(obj).__slots__:
+            assert f"{name}={getattr(obj, name)!r}" in text

@@ -9,9 +9,9 @@ from galcert.arith import ComplexBall, ball_disjoint
 from galcert.cli import analyze, parse_poly
 from galcert.errors import InputError
 from galcert.poly import UniPoly, gcd
-from galcert.roots import isolate_roots, reconstruct_rational
+from galcert.roots import isolate_roots, read_integers
 
-from helpers import ball_add, ball_contains_rational, bisect_root, dyadic_ball
+from helpers import ball_add, ball_contains_rational, bisect_root
 
 
 def test_isolate_sqrt2():
@@ -88,8 +88,8 @@ def test_rational_roots_recovered():
     for r in roots:
         f = f * UniPoly([-r, 1])
     rs = isolate_roots(f, 96)
-    got = {reconstruct_rational(b, 6) for b in rs.enclosures}
-    assert got == set(roots)
+    for ball, root in zip(rs.enclosures, sorted(roots)):
+        assert ball_contains_rational(ball, root)
 
 
 def test_refine_preserves_roots_and_order():
@@ -123,14 +123,8 @@ def test_pipeline_refines_once_per_resolvent_read(monkeypatch):
     assert refinements == [256, 256, 256]
 
 
-def test_reconstruct_rational_examples():
-    near_half = dyadic_ball(Fraction(4999999999, 10**10), rad=Fraction(1, 10**8))
-    assert reconstruct_rational(near_half, 10) == Fraction(1, 2)
-
-    wide = dyadic_ball(Fraction(3333, 10**4), rad=Fraction(1, 10))
-    assert reconstruct_rational(wide, 10) is None
-
-    # numeric discriminant of x^3 - 2, reconstructed at denominator bound 1
+def test_discriminant_reads_as_an_integer():
+    # numeric discriminant of x^3 - 2
     rs = isolate_roots(UniPoly([-2, 0, 0, 1]), 96)
     prec = 400
     disc = ComplexBall.from_ints(1, 0, 0, 0)
@@ -139,20 +133,7 @@ def test_reconstruct_rational_examples():
         for j in range(i + 1, 3):
             d = ball_add(balls[i], -balls[j])
             disc = disc.mul(d, prec).mul(d, prec)
-    assert reconstruct_rational(disc, 1) == -108
-
-    # the box around the disk holds 7, the disk does not: 77^2 + 77^2 > 90^2
-    assert reconstruct_rational(ComplexBall.from_ints((7 << 8) + 77, 77, 90, -8), 1) is None
-
-
-def test_reconstruct_needs_imaginary_straddling_zero():
-    off_axis = dyadic_ball(Fraction(1, 2), im=Fraction(1, 4), rad=Fraction(1, 100))
-    assert reconstruct_rational(off_axis, 10) is None
-
-
-def test_reconstruct_bound_validation():
-    with pytest.raises(InputError):
-        reconstruct_rational(dyadic_ball(0, rad=Fraction(1, 100)), 0)
+    assert read_integers([disc]) == [-108]
 
 
 def test_isolation_survives_float_overflow():
