@@ -240,25 +240,25 @@ def analyze(text: str, cfg: AnalysisConfig | None = None) -> CorrespondenceRepor
     else:
         spec = search_resolvent(rs, cfg.resolvent_norm_bound)
     gd = identify_galois(f, spec, rs)
-    roots = express_roots(gd, rs)
-    sf = automorphism_table(gd, roots, rs)
+    roots = express_roots(gd)
+    sf = automorphism_table(gd, roots)
     report = correspondence_lattice(sf)
     report.input_polynomial = parsed
     report.scale = Fraction(scale)
     if cfg.emit_array:
-        report.arrangement_arrays = render_arrangement_arrays(sf, rs)
+        report.arrangement_arrays = render_arrangement_arrays(sf)
     return report
 
 
-def render_arrangement_arrays(sf, rs):
+def render_arrangement_arrays(sf):
     """Figure-style blocks for each subgroup: rows are arrangements of
-    the root letters, annotated with the conjugate value on the left."""
+    the root letters, annotated with the conjugate value on the left,
+    read off the unrefined rung of the ladder."""
     from .groups import all_subgroups
-    from .resolvent import conjugate_balls
 
     n = sf.poly.degree
     base = Arrangement(tuple(range(n)))
-    vals = conjugate_balls(sf.galois.spec, rs)
+    _, vals, _ = sf.galois.ladder.base
     out = []
     for h in all_subgroups(sf.galois.group):
         lines = [f"subgroup of order {h.order}: "

@@ -11,9 +11,11 @@ turns the pair back into rationals for callers that read them.
 Each root of the input polynomial is expressed as such an element by
 the rational univariate representation: P_i(x) = sum over the group of
 alpha_{s(i)} * m(x)/(x - theta_s) has integer coefficients, read off the
-certified balls by the same integer read-off as the resolvent, and root
-i is P_i(a) / m'(a).  Each group permutation becomes a field
-automorphism sending the generator to the matching conjugate.  An
+certified balls by the same integer read-off as the resolvent, on the
+ladder of conjugate balls that identified the group, and root i is
+P_i(a) / m'(a).  Each group permutation becomes a field automorphism
+sending the generator to the matching conjugate, checked by exact
+identities alone, since the root expressions already fix its value.  An
 automorphism is stored as its power-basis matrix, integer rows over one
 denominator, derived once from the generator's image, and applied as a
 matrix-vector product; ``compose_mod`` (substitution by Horner) is kept
@@ -31,12 +33,12 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .arith import ComplexBall, ball_disjoint, fixed_mul
-from .errors import CertificationError, InputError
+from .errors import CertificationError
 from .groups import Permutation
 from .poly import UniPoly, render_terms
 from .record import Frozen, Record
-from .resolvent import GaloisData, conjugate_balls
-from .roots import RootSystem, precisions, read_integers
+from .resolvent import GaloisData
+from .roots import read_integers
 
 
 def integer_vector(cs):
@@ -393,35 +395,29 @@ def _rur_numerators(gd: GaloisData, vals, enclosures, prec):
     return out
 
 
-def express_roots(gd: GaloisData, rs: RootSystem):
+def express_roots(gd: GaloisData):
     """Each root of the input polynomial as an element of the field, by
     the rational univariate representation (Rouillier, AAECC 9, 1999).
 
     With theta_s the generator's conjugates, take P_i(x) = sum over s in
     G of alpha_{s(i)} * m(x)/(x - theta_s).  G permutes the terms of this
     sum, so its coefficients are rational; they are algebraic integers,
-    since f is monic and integral and the weights are integers; so they
-    are integers, read off the ball sums by ``read_integers`` like the
-    resolvent's.  At the generator only the identity term survives, so
-    root i is P_i(a) * m'(a)^-1, with one exact inverse per field.  Each
-    expression is then verified exactly, f(expr) = 0 mod m, and by its
-    value at the generator's ball meeting the i-th root ball and no
-    other.
+    since f is monic and integral (``identify_galois`` accepts no other)
+    and the weights are integers; so they are integers, read off the ball
+    sums by ``read_integers`` like the resolvent's, up the ladder of
+    conjugate balls that identified the group.  At the generator only the
+    identity term survives, so root i is P_i(a) * m'(a)^-1, with one exact
+    inverse per field.  Each expression is then verified exactly,
+    f(expr) = 0 mod m, and by its value at the generator's ball meeting
+    the i-th root ball and no other.
     """
-    f = rs.poly
-    if not f.has_integer_coeffs():
-        raise InputError(
-            "integer coefficients required; scale the variable first"
-        )
+    f = gd.ladder.rs.poly
     field = NumberField(gd.min_poly)
     d = field.degree
     n = f.degree
     dm_inv = field.element(gd.min_poly.derivative().coeffs).inverse()
 
-    for bits in precisions(rs.precision_bits):
-        cur = rs.refine(bits)
-        prec = bits + 32
-        vals = conjugate_balls(gd.spec, cur)
+    for cur, vals, prec in gd.ladder:
         numerators = _rur_numerators(gd, vals, cur.enclosures, prec)
         ints = read_integers([c for p in numerators for c in p])
         if ints is None:
@@ -500,16 +496,19 @@ class SplittingField(Frozen):
         return self.field.degree
 
 
-def automorphism_table(gd: GaloisData, roots, rs: RootSystem) -> SplittingField:
+def automorphism_table(gd: GaloisData, roots) -> SplittingField:
     """One automorphism per group element: the generator maps to the
-    matching conjugate, built exactly from the root expressions and then
-    verified both exactly (m(image) = 0 mod m) and by ball containment.
-    m(psi) = psi^(d-1) * psi + sum_j m_j psi^j is read off the powers
-    of psi that also make up the automorphism's matrix.
+    matching conjugate, built exactly from the root expressions.  Each
+    root expression takes the value alpha_i at the generator (certified
+    by ``express_roots``), so psi_s = sum w_i roots[s(i)] takes the value
+    theta_s there by construction; what stays to verify is exact:
+    m(psi) = 0 mod m, and that the automorphism permutes the root
+    expressions as s does.  m(psi) = psi^(d-1) * psi + sum_j m_j psi^j
+    is read off the powers of psi that also make up the automorphism's
+    matrix.
     """
     field = roots[0].field
     weights = gd.spec.weights
-    n = rs.poly.degree
     group = list(gd.group)
     low = field.element(gd.min_poly.coeffs[:-1])
 
@@ -528,25 +527,10 @@ def automorphism_table(gd: GaloisData, roots, rs: RootSystem) -> SplittingField:
         autos.append((s, psi))
         matrices[s] = mat
 
-    # ball check: each image value lands in its own conjugate's ball
-    for bits in precisions(rs.precision_bits):
-        cur = rs.refine(bits)
-        prec = bits + 32
-        vals = conjugate_balls(gd.spec, cur)
-        gen_ball = vals[Permutation.identity(n)]
-        targets = [vals[s] for s in group]
-        if all(
-            _unique_hit(psi.eval_ball(gen_ball, prec), targets, k)
-            for k, (_, psi) in enumerate(autos)
-        ):
-            break
-    else:
-        raise CertificationError("automorphism balls could not be separated")
-
     sf = SplittingField(
         galois=gd,
         field=field,
-        poly=rs.poly,
+        poly=gd.ladder.rs.poly,
         root_exprs=tuple(roots),
         automorphisms=tuple(autos),
         matrices=matrices,

@@ -292,10 +292,6 @@ class MultiPoly:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def grlex_leading(self):
-        e = max(self.terms, key=lambda t: (sum(t), t))
-        return e, self.terms[e]
-
     def permute_vars(self, images):
         """Apply the variable substitution x_i -> x_images[i]."""
         out = {}

@@ -28,8 +28,9 @@ and each claimed root is certified via the cofactor (if the cofactor
 provably misses a value that the full product kills, the candidate must
 kill it).  Any subgroup passing all of that contains the Galois group, so
 the first hit is the group and its candidate is the minimal polynomial,
-irreducible by minimality.  The conjugate balls are computed once per
-precision and shared by the resolvent and every subgroup test.
+irreducible by minimality.  The conjugate balls climb one ``Ladder``
+per weight vector, which refines each precision once for the resolvent,
+every subgroup test, the root expressions and the automorphisms.
 """
 
 from __future__ import annotations
@@ -57,13 +58,15 @@ class ResolventSpec(Frozen):
 
 class GaloisData(Frozen):
     """The certified Galois group with the resolvent data that found it;
-    immutable."""
+    immutable.  ``ladder`` carries the conjugate balls on to the later
+    stages and is left out of equality and hashing."""
 
-    __slots__ = ("spec", "min_poly", "gen_ball", "group", "resolvent")
+    __slots__ = ("spec", "min_poly", "ladder", "group", "resolvent")
+    _compared = ("spec", "min_poly", "group", "resolvent")
 
-    def __init__(self, spec: ResolventSpec, min_poly: UniPoly, gen_ball: ComplexBall,
+    def __init__(self, spec: ResolventSpec, min_poly: UniPoly, ladder: Ladder,
                  group: PermGroup, resolvent: UniPoly):
-        Record.__init__(self, spec, min_poly, gen_ball, group, resolvent)
+        Record.__init__(self, spec, min_poly, ladder, group, resolvent)
 
 
 def _round_sig_at(v: int, prec: int):
@@ -104,10 +107,41 @@ def conjugate_balls(spec: ResolventSpec, rs: RootSystem):
     return out
 
 
+class Ladder:
+    """The conjugate balls of one weight vector along the precision
+    schedule of one root system.  Rung ``bits`` is (the system refined to
+    bits, its conjugate balls, the working precision bits + 32), built on
+    first use and kept, so every stage that climbs the ladder refines
+    each precision once.  Each rung refines the original system, so it
+    depends only on the weights, the system and the bits."""
+
+    __slots__ = ("spec", "rs", "_rungs")
+
+    def __init__(self, spec: ResolventSpec, rs: RootSystem):
+        self.spec = spec
+        self.rs = rs
+        self._rungs = {}
+
+    def rung(self, bits: int):
+        if bits not in self._rungs:
+            cur = self.rs.refine(bits)
+            self._rungs[bits] = cur, conjugate_balls(self.spec, cur), bits + 32
+        return self._rungs[bits]
+
+    @property
+    def base(self):
+        """The rung of the unrefined system."""
+        return self.rung(self.rs.precision_bits)
+
+    def __iter__(self):
+        """The rungs along ``precisions(rs.precision_bits)``."""
+        return map(self.rung, precisions(self.rs.precision_bits))
+
+
 def certify_distinct_values(weights, rs: RootSystem) -> bool:
     """True if all n! weighted root combinations are pairwise distinct,
     decided exactly: the resolvent read off the balls is squarefree."""
-    r = read_resolvent(ResolventSpec(weights), rs)
+    r = read_resolvent(Ladder(ResolventSpec(weights), rs))
     return gcd(r, r.derivative()).degree == 0
 
 
@@ -195,39 +229,34 @@ def _ball_poly_product(balls, prec):
     return [ComplexBall.from_ints(x, y, r, -prec) for x, y, r in cs]
 
 
-def _integer_products(spec, perms, rs, balls):
+def _integer_products(ladder: Ladder, perms):
     """The monic product of (x - value) over the conjugate values of
-    ``perms``, read off its coefficient balls along the precision schedule.
+    ``perms``, read off its coefficient balls up the ladder.
 
-    Yields (poly, vals, prec) at each precision where every ball is
-    narrower than 1/2, so holds at most one integer; poly is None as soon
-    as some such ball holds none, which proves the product not integral.
+    Yields (poly, vals, prec) at each rung where every ball is narrower
+    than 1/2, so holds at most one integer; poly is None as soon as some
+    such ball holds none, which proves the product not integral.
 
-    ``balls`` maps precision bits to the conjugate balls of ``rs`` refined
-    to them, and gains each precision computed here, so callers that share
-    it compute them once per precision.
-
-    Attempts below log2(2 * len(perms) * sum|w| * B) bits are skipped,
-    except the schedule's last: every coefficient is at most
+    Rungs below log2(2 * len(perms) * sum|w| * B) bits are skipped, and
+    not built, except the schedule's last: every coefficient is at most
     B = prod(1 + |value|), and moving the roots by 2**-bits moves a
     coefficient by up to about len(perms) * sum|w| * B * 2**-bits, so
-    such attempts are not expected to narrow the balls enough.
+    such rungs are not expected to narrow the balls enough.
     """
-    vals = _balls_at(spec, rs, rs.precision_bits, balls)
+    _, vals, _ = ladder.base
     # the bound as an int over 2**(t * len(perms)): t is at most 0 and at
     # most every ball's exponent, so each factor 1 + |value| is an int
     # over 2**t
     t = min([0] + [vals[s].exp for s in perms])
-    bound = 2 * len(perms) * sum(map(abs, spec.weights)) + 1
+    bound = 2 * len(perms) * sum(map(abs, ladder.spec.weights)) + 1
     for s in perms:
         b = vals[s]
         bound *= ((abs_bound(b.x, b.y) + b.r) << (b.exp - t)) + (1 << -t)
     needed = bound.bit_length() + t * len(perms)
-    for bits in precisions(rs.precision_bits):
+    for bits in precisions(ladder.rs.precision_bits):
         if bits < needed and 2 * bits <= PREC_CAP:
             continue
-        vals = _balls_at(spec, rs, bits, balls)
-        prec = bits + 32
+        _, vals, prec = ladder.rung(bits)
         product = _ball_poly_product([vals[s] for s in perms], prec)[:-1]
         ints = read_integers(product)
         if ints is False:
@@ -236,29 +265,19 @@ def _integer_products(spec, perms, rs, balls):
             yield UniPoly(ints + [1]), vals, prec
 
 
-def _balls_at(spec, rs, bits, balls):
-    if bits not in balls:
-        balls[bits] = conjugate_balls(spec, rs.refine(bits))
-    return balls[bits]
-
-
-def read_resolvent(spec: ResolventSpec, rs: RootSystem) -> UniPoly:
+def read_resolvent(ladder: Ladder) -> UniPoly:
     """The resolvent, the product of (x - value) over all n! conjugate
     values.  Its coefficients are symmetric in the roots, so for monic
     integral f they are integers, and the ball product pins each down."""
-    return _read_resolvent(spec, rs, {})
-
-
-def _read_resolvent(spec, rs, balls):
-    if not rs.poly.has_integer_coeffs():
+    poly = ladder.rs.poly
+    if not poly.has_integer_coeffs():
         raise InputError(
             "integer coefficients required; scale the variable first"
         )
-    perms = symmetric_group(rs.poly.degree)
-    for poly, _, _ in _integer_products(spec, perms, rs, balls):
-        if poly is None:
+    for r, _, _ in _integer_products(ladder, symmetric_group(poly.degree)):
+        if r is None:
             break
-        return poly
+        return r
     raise CertificationError(
         "the resolvent coefficients could not be read off as integers"
     )
@@ -267,35 +286,26 @@ def _read_resolvent(spec, rs, balls):
 def identify_galois(f: UniPoly, spec: ResolventSpec, rs: RootSystem) -> GaloisData:
     """Minimal-subgroup search for the Galois group with exact division
     and cofactor certificates; returns group, minimal polynomial and the
-    ball of the distinguished generator value."""
+    ladder of conjugate balls that the resolvent and every subgroup test
+    climbed, for the later stages to climb on."""
     n = f.degree
     if n is None or n < 1 or n > 4:
         raise InputError("degree must be between 1 and 4")
-    balls = {}  # conjugate balls by precision, shared by every read
-    resolvent = _read_resolvent(spec, rs, balls)
-    identity = Permutation.identity(n)
-
+    ladder = Ladder(spec, rs)
+    resolvent = read_resolvent(ladder)
     for sub in all_subgroups(symmetric_group(n)):
-        result = _test_subgroup(resolvent, sub, spec, rs, balls)
-        if result is None:
-            continue
-        min_poly, vals = result
-        return GaloisData(
-            spec=spec,
-            min_poly=min_poly,
-            gen_ball=vals[identity],
-            group=sub,
-            resolvent=resolvent,
-        )
+        min_poly = _test_subgroup(resolvent, sub, ladder)
+        if min_poly is not None:
+            return GaloisData(spec, min_poly, ladder, sub, resolvent)
     raise CertificationError(
         "no subgroup produced a certified rational factor; "
         "this indicates a bug or insufficient precision"
     )
 
 
-def _test_subgroup(resolvent, sub, spec, rs, balls):
-    """None if the subgroup is rejected; else (min_poly, conjugate balls)."""
-    for candidate, vals, prec in _integer_products(spec, sub, rs, balls):
+def _test_subgroup(resolvent, sub, ladder):
+    """The subgroup's minimal polynomial, or None if it is rejected."""
+    for candidate, vals, prec in _integer_products(ladder, sub):
         if candidate is None:
             return None
         quotient, remainder = divmod(resolvent, candidate)
@@ -304,5 +314,5 @@ def _test_subgroup(resolvent, sub, spec, rs, balls):
         # cofactor certificate: resolvent kills each claimed value and
         # the cofactor provably does not, so the candidate must
         if not any(quotient.eval_ball(vals[s], prec).contains_zero() for s in sub):
-            return candidate, vals
+            return candidate
     return None

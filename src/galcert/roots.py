@@ -25,16 +25,17 @@ their certified radii become balls through ``ComplexBall.from_parts``.
 Every certificate that may need narrower balls follows one schedule,
 ``precisions(start)``: the first attempt always runs at ``start``, even
 above the cap, then the precision doubles while it stays at or below
-``PREC_CAP`` = 2**16 bits.  No caller picks another cap.  Each caller
-decides what running out of the schedule means: reading an integer
-polynomial off a ball product (the resolvent, or a subgroup's candidate
-factor in ``identify_galois``) gives up with ``CertificationError`` or
-rejects the subgroup, and ``RootSystem.refine``, ``express_roots`` and
-``automorphism_table`` raise ``CertificationError`` (exit code 3 in the
-CLI).  Injectivity of a weight vector needs no schedule of its own: it
-is decided exactly on the resolvent.  ``isolate_roots`` has a separate
-working-precision loop with its own budget: it drives the
-approximation, not a certificate.
+``PREC_CAP`` = 2**16 bits.  No caller picks another cap.  After the
+isolation the stages climb it on one ``resolvent.Ladder`` per weight
+vector, which refines each precision once.  Each climber decides what
+running out of the schedule means: reading an integer polynomial off a
+ball product (the resolvent, or a subgroup's candidate factor in
+``identify_galois``) gives up with ``CertificationError`` or rejects the
+subgroup, and ``RootSystem.refine`` and ``express_roots`` raise
+``CertificationError`` (exit code 3 in the CLI).  Injectivity of a
+weight vector needs no schedule of its own: it is decided exactly on the
+resolvent.  ``isolate_roots`` has a separate working-precision loop with
+its own budget: it drives the approximation, not a certificate.
 
 ``read_integers`` is the one place where a list of balls is read as the
 integers they pin down, on the balls' ints: the resolvent, the subgroup
@@ -277,12 +278,13 @@ def isolate_roots(f: UniPoly, precision_bits: int = 128, *, _seeds=None) -> Root
     if not f.is_monic():
         raise InputError("polynomial must be monic")
     n = f.degree
-    if n >= 2:
-        g = gcd(f, f.derivative())
-        if g.degree != 0:
-            raise InputError(f"not squarefree, gcd with derivative is {g.render()}")
-
     if _seeds is None:
+        # a refinement (seeded by ``RootSystem.refine``) re-isolates a
+        # polynomial its first isolation already checked
+        if n >= 2:
+            g = gcd(f, f.derivative())
+            if g.degree != 0:
+                raise InputError(f"not squarefree, gcd with derivative is {g.render()}")
         warm = _float_aberth(f)
         if warm is not None:
             zs = [_float_point(z) for z in warm]

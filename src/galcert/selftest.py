@@ -53,8 +53,8 @@ def corpus_pipeline(text: str) -> SimpleNamespace:
     rs = isolate_roots(f)
     spec = search_resolvent(rs)
     gd = identify_galois(f, spec, rs)
-    roots = express_roots(gd, rs)
-    sf = automorphism_table(gd, roots, rs)
+    roots = express_roots(gd)
+    sf = automorphism_table(gd, roots)
     report = correspondence_lattice(sf)
     return SimpleNamespace(f=f, rs=rs, spec=spec, gd=gd, roots=roots, sf=sf, report=report)
 
@@ -132,8 +132,8 @@ def criterion_4_generator_independence():
         gd2 = identify_galois(data.f, spec2, data.rs)
         if gd2.group != data.gd.group:
             return False, f"{text}: the group changed with the weights"
-        roots2 = express_roots(gd2, data.rs)
-        sf2 = automorphism_table(gd2, roots2, data.rs)
+        roots2 = express_roots(gd2)
+        sf2 = automorphism_table(gd2, roots2)
         from .groups import all_subgroups
 
         for h in all_subgroups(data.gd.group):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from galcert import roots
 from galcert.cli import (
     AnalysisConfig,
     analyze,
@@ -237,14 +238,29 @@ def test_analyze_cyclic_quartic():
     assert rep.all_passed()
 
 
-def test_analyze_s4_quartic():
+def test_analyze_s4_quartic(monkeypatch):
     # the full symmetric group: a degree-24 field and 30 subgroups; a
-    # 7-digit constant term gives larger roots and wider exact coordinates
-    for text, expected in (
-        ("x^4 - x - 1", "c4282b338256f00070d3a6aee2942df09a634e0b078dff2e83241ed496df129e"),
-        ("x^4 - x - 1000000", "86ff90650e28132ede17de03a782bdffc996bc690c5f49ffc5233f00ef54ba35"),
+    # 7-digit constant term gives larger roots and wider exact coordinates.
+    # Its resolvent needs 256 bits: the search refines once for the
+    # accepted weights, and identify_galois once for the ladder that the
+    # root expressions and automorphisms climb on
+    refinements = []
+    isolate = roots.isolate_roots
+
+    def counted_isolate(f, bits=128, *, _seeds=None):
+        if _seeds is not None:
+            refinements.append(bits)
+        return isolate(f, bits, _seeds=_seeds)
+
+    monkeypatch.setattr(roots, "isolate_roots", counted_isolate)
+    for text, expected, refined in (
+        ("x^4 - x - 1", "c4282b338256f00070d3a6aee2942df09a634e0b078dff2e83241ed496df129e", []),
+        ("x^4 - x - 1000000", "86ff90650e28132ede17de03a782bdffc996bc690c5f49ffc5233f00ef54ba35",
+         [256, 256]),
     ):
+        refinements.clear()
         report = analyze(text)
+        assert refinements == refined
         assert report.group_order == 24
         assert len(report.entries) == 30
         assert report.all_passed()

@@ -169,8 +169,8 @@ def test_primitive_independence_quadratic():
     data = corpus_pipeline("x^2 - 2")
     spec2 = search_resolvent(data.rs, skip=1)
     gd2 = identify_galois(data.f, spec2, data.rs)
-    roots2 = express_roots(gd2, data.rs)
-    sf2 = automorphism_table(gd2, roots2, data.rs)
+    roots2 = express_roots(gd2)
+    sf2 = automorphism_table(gd2, roots2)
     for h in all_subgroups(data.gd.group):
         assert primitive_independence_check(h, data.sf, sf2)
 

@@ -121,10 +121,10 @@ def test_express_roots_reads_integers_not_a_ball_system(monkeypatch):
         return mul(self, other, prec)
 
     monkeypatch.setattr(ComplexBall, "mul", counted_mul)
-    roots = express_roots(gd, rs)
+    roots = express_roots(gd)
     monkeypatch.undo()
     assert len(calls) <= 2000
-    report = correspondence_lattice(automorphism_table(gd, roots, rs))
+    report = correspondence_lattice(automorphism_table(gd, roots))
     digest = hashlib.sha256(render_json(report).encode()).hexdigest()
     assert digest == "c4282b338256f00070d3a6aee2942df09a634e0b078dff2e83241ed496df129e"
 
@@ -148,7 +148,7 @@ def test_root_expressions_satisfy_vieta(low):
     n = f.degree
     rs = isolate_roots(f)
     gd = identify_galois(f, search_resolvent(rs), rs)
-    roots = express_roots(gd, rs)
+    roots = express_roots(gd)
     K = roots[0].field
     total, prod = K.zero(), K.one()
     for r in roots:

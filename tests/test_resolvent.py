@@ -10,9 +10,10 @@ from galcert import resolvent
 from galcert.arith import ball_disjoint
 from galcert.errors import CertificationError, InputError
 from galcert.groups import Permutation, symmetric_group
-from galcert.numberfield import express_roots
+from galcert.numberfield import automorphism_table, express_roots
 from galcert.poly import UniPoly, gcd
 from galcert.resolvent import (
+    Ladder,
     ResolventSpec,
     certify_distinct_values,
     conjugate_balls,
@@ -22,6 +23,7 @@ from galcert.resolvent import (
     search_resolvent,
 )
 from galcert.roots import PREC_CAP, RootSystem, isolate_roots, precisions
+from galcert.selftest import CORPUS, corpus_pipeline
 
 
 def setup_module(module):
@@ -141,14 +143,6 @@ def test_identify_requires_integer_coefficients():
         certify_distinct_values((0, 1), rs)
 
 
-def test_express_roots_requires_integer_coefficients():
-    # the root numerators are integers only for a monic integral f
-    gd = identify_galois(rs2.poly, ResolventSpec((0, 1)), rs2)
-    rs = isolate_roots(UniPoly([Fraction(-1, 2), 0, 1]))
-    with pytest.raises(InputError, match="integer coefficients required"):
-        express_roots(gd, rs)
-
-
 _small = st.integers(-12, 12)
 _inputs = st.one_of(
     st.tuples(st.tuples(_small, _small), st.tuples(*[st.integers(0, 3)] * 2)),
@@ -167,7 +161,7 @@ def test_resolvent_read_off_the_balls_is_the_symbolic_one(case):
     assume(gcd(f, f.derivative()).degree == 0)
     rs = isolate_roots(f)
     expected = resolvent_poly(f, ResolventSpec(weights))
-    assert read_resolvent(ResolventSpec(weights), rs) == expected
+    assert read_resolvent(Ladder(ResolventSpec(weights), rs)) == expected
     squarefree = gcd(expected, expected.derivative()).degree == 0
     assert certify_distinct_values(weights, rs) == squarefree
 
@@ -251,10 +245,10 @@ _squarefree = st.integers(2, 4).flatmap(
 def test_resolvent_depends_only_on_the_weight_multiset(f, weights):
     weights = tuple(weights[:f.degree])
     rs = isolate_roots(f)
-    expected = read_resolvent(ResolventSpec(weights), rs)
+    expected = read_resolvent(Ladder(ResolventSpec(weights), rs))
     for pi in symmetric_group(f.degree):
         permuted = tuple(weights[pi(i)] for i in range(f.degree))
-        assert read_resolvent(ResolventSpec(permuted), rs) == expected
+        assert read_resolvent(Ladder(ResolventSpec(permuted), rs)) == expected
 
 
 def _reference_search(rs, max_norm, skip):
@@ -286,8 +280,9 @@ def test_search_agrees_with_a_memo_free_reference(f):
 
 
 def test_identify_reads_conjugate_balls_once_per_precision(monkeypatch):
-    # x^4 - 1000003's resolvent needs 256 bits; every subgroup test
-    # shares the balls read at 128 and 256 bits
+    # x^4 - 1000003's resolvent needs 256 bits; every subgroup test, the
+    # root expressions and the automorphisms share one ladder of balls,
+    # read at 128 and 256 bits
     precisions_read = []
     balls = resolvent.conjugate_balls
 
@@ -299,5 +294,23 @@ def test_identify_reads_conjugate_balls_once_per_precision(monkeypatch):
     rs = isolate_roots(f)
     spec = ResolventSpec((0, 1, 2, 4))
     monkeypatch.setattr(resolvent, "conjugate_balls", counted_balls)
-    assert identify_galois(f, spec, rs).group.order == 8
+    gd = identify_galois(f, spec, rs)
+    assert gd.group.order == 8
+    automorphism_table(gd, express_roots(gd))
     assert sorted(precisions_read) == [128, 256]
+
+
+@pytest.mark.parametrize("text", CORPUS)
+def test_misordered_root_expressions_rejected_exactly(monkeypatch, text):
+    # each root expression is certified to take its own root's value at
+    # the generator, so the automorphisms need no ball check: any other
+    # order of the expressions fails an exact identity, with no refinement
+    data = corpus_pipeline(text)
+    refined = []
+    monkeypatch.setattr(RootSystem, "refine", lambda rs, bits: refined.append(bits))
+    n = data.f.degree
+    for tau in symmetric_group(n):
+        if not tau.is_identity():
+            with pytest.raises(CertificationError):
+                automorphism_table(data.gd, [data.roots[tau(i)] for i in range(n)])
+    assert refined == []
