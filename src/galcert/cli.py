@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .correspondence import CorrespondenceReport, correspondence_lattice
 from .errors import CertificationError, InputError, TheoremError
@@ -20,7 +20,13 @@ from .groups import Arrangement, arrangement_array
 from .numberfield import automorphism_table, express_roots
 from .poly import UniPoly
 from .record import Record
-from .resolvent import ResolventSpec, certify_distinct_values, identify_galois, search_resolvent
+from .resolvent import (
+    Ladder,
+    ResolventSpec,
+    certify_distinct_values,
+    identify_galois,
+    search_resolvent,
+)
 from .roots import PREC_CAP, isolate_roots
 
 _LABELS = "abcdefgh"
@@ -232,14 +238,14 @@ def analyze(text: str, cfg: AnalysisConfig | None = None) -> CorrespondenceRepor
     if cfg.seed_spec is not None:
         if len(cfg.seed_spec) != f.degree:
             raise InputError("the explicit weight list must match the degree")
-        if not certify_distinct_values(tuple(cfg.seed_spec), rs):
+        ladder = Ladder(ResolventSpec(cfg.seed_spec), rs)
+        if not certify_distinct_values(ladder):
             raise CertificationError(
                 "the explicit weight vector could not be certified injective"
             )
-        spec = ResolventSpec(tuple(cfg.seed_spec))
     else:
-        spec = search_resolvent(rs, cfg.resolvent_norm_bound)
-    gd = identify_galois(f, spec, rs)
+        ladder = search_resolvent(rs, cfg.resolvent_norm_bound)
+    gd = identify_galois(ladder)
     roots = express_roots(gd)
     sf = automorphism_table(gd, roots)
     report = correspondence_lattice(sf)
@@ -292,9 +298,22 @@ def _fmt_complex(z):
 
 # -- output ------------------------------------------------------------------
 
+def _coordinates(x) -> list:
+    """A field element's coordinates num / den as "p" or "p/q" in lowest
+    terms, as ``str`` writes a ``Fraction``, with one gcd each."""
+    den = x.den
+    out = []
+    for c in x.num:
+        g = gcd(c, den)
+        q = den // g
+        out.append(str(c // g) if q == 1 else f"{c // g}/{q}")
+    return out
+
+
 def report_to_dict(report: CorrespondenceReport) -> dict:
     """The report as JSON-ready data.  Every coefficient is an int or a
-    ``Fraction``, so ``str`` writes it exactly, as "p" or "p/q"."""
+    ``Fraction``, so ``str`` writes it exactly, as "p" or "p/q"; field
+    elements are written from their integer vectors the same way."""
     data = {
         "polynomial": {
             "input": report.input_polynomial.render(),
@@ -316,8 +335,8 @@ def report_to_dict(report: CorrespondenceReport) -> dict:
                 "order": e.subgroup.order,
                 "elements": [list(p.images) for p in e.subgroup],
                 "dim": e.dim,
-                "basis": [list(map(str, b.coeffs)) for b in e.subfield.basis],
-                "primitive_element": list(map(str, e.primitive.coeffs)),
+                "basis": [_coordinates(b) for b in e.subfield.basis],
+                "primitive_element": _coordinates(e.primitive),
                 "primitive_min_poly": list(map(str, e.primitive_min_poly.coeffs)),
                 "fixed_field_equal": e.fixed_field_equal,
             }

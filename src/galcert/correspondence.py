@@ -20,9 +20,10 @@ Each certificate is sized to its subfield, by four arguments:
 * Stabilizer.  A subfield L is Q(prim) for its primitive element prim,
   which lies in L with a minimal polynomial of degree dim L.  So an
   automorphism fixes L iff it fixes prim: one image per group element.
-* Minimal polynomial.  The degree of x divides the field degree, so
-  powers of x are taken up to each divisor in turn, and the relation is
-  read off the one echelon form that first shows a dependent power.
+* Minimal polynomial.  The degree of x divides the dimension of any
+  field that holds it, so for a candidate primitive element powers are
+  taken up to the subfield's dimension, and the relation is read off one
+  echelon form.
 
 Subfields are canonicalized as reduced row echelon bases over Q, so field
 equality is a syntactic comparison.  The exact linear algebra runs on
@@ -33,7 +34,8 @@ and minimal polynomials all come from the fraction-free ``echelon`` and
 its one-row step ``insert_row``.  ``rref`` and ``nullspace`` give the
 same forms over Q for callers that read rationals.  Automorphisms act
 through the integer matrices the splitting field stores (``sf.matrices``,
-``sf.apply``); ``compose_mod`` is kept for the polynomial identities that
+``sf.apply``), and a fixed point is the integer identity ``sf.sends(s,
+x, x)``; ``compose_mod`` is kept for the polynomial identities that
 certify the isomorphism between two generators' fields.
 """
 
@@ -221,14 +223,11 @@ def fixed_field(h: PermGroup, sf: SplittingField) -> Subfield:
 
 def averaging_check(x: NumberFieldElement, h: PermGroup, sf: SplittingField) -> bool:
     """Verify the explicit symmetric witness: x equals the average of its
-    h-orbit images (all equal to x when x is fixed by h)."""
-    images = [sf.apply(s, x) for s in h]
-    if any(image != x for image in images):
+    h-orbit images.  Each image is tested to equal x, an exact identity
+    per element of h; their sum is then |h| * x, whose average is x."""
+    if not all(sf.sends(s, x, x) for s in h):
         raise ValueError("element is not fixed by the subgroup")
-    total = sf.field.zero()
-    for image in images:
-        total = total + image
-    return total * Fraction(1, len(h)) == x
+    return True
 
 
 def _isomorphism_to(sf: SplittingField, sf2: SplittingField) -> NumberFieldElement:
@@ -299,29 +298,28 @@ class CorrespondenceReport(Record):
         return all(ok for _, ok in self.checks)
 
 
-def minimal_polynomial(x: NumberFieldElement) -> UniPoly:
+def minimal_polynomial(x: NumberFieldElement, dim: int | None = None) -> UniPoly:
     """Minimal polynomial over Q by the first linear dependence among
-    powers of x, read off the echelon form that finds it.  Powers x^j =
-    num_j / den_j are taken up to x^c for each divisor c of the field
-    degree d in turn, since the degree k of x divides d.  One echelon
-    form of the matrix whose columns are num_0..num_c has a non-pivot
-    column at or before c exactly when a power depends on the lower
-    ones; the first one is k, rows 0..k-1 pivot on columns 0..k-1, and
-    column k holds the relation: num_k = sum c_i num_i, that is
-    x^k = sum c_i (den_i / den_k) x^i.  The divisor d always finds it,
-    as d + 1 vectors in Q^d are dependent."""
-    d = x.field.degree
-    powers = [x.field.one()]
-    for c in (c for c in range(1, d + 1) if d % c == 0):
-        while len(powers) <= c:
-            powers.append(powers[-1] * x)
-        red, pivots = echelon(list(zip(*(p.num for p in powers))))
-        k = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
-        if k <= c:
-            dk = powers[k].den
-            return UniPoly(
-                [-Fraction(red[i][k] * powers[i].den, red[i][i] * dk) for i in range(k)] + [1]
-            )
+    powers of x, read off one echelon form.  x lies in a field of
+    dimension dim (the whole field by default), so its degree k divides
+    dim, and the powers x^j = num_j / den_j up to x^dim are dependent.
+    The echelon form of the matrix whose columns are num_0..num_dim has
+    its first non-pivot column at k: rows 0..k-1 pivot on columns
+    0..k-1, and column k holds the relation num_k = sum c_i num_i, that
+    is x^k = sum c_i (den_i / den_k) x^i."""
+    if dim is None:
+        dim = x.field.degree
+    powers = [x.field.one(), x]
+    while len(powers) <= dim:
+        powers.append(powers[-1] * x)
+    red, pivots = echelon(list(zip(*(p.num for p in powers))))
+    k = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
+    if k > dim:
+        raise ValueError(f"the element lies in no field of dimension {dim}")
+    dk = powers[k].den
+    return UniPoly(
+        [-Fraction(red[i][k] * powers[i].den, red[i][i] * dk) for i in range(k)] + [1]
+    )
 
 
 def _primitive_element(sub: Subfield, sf: SplittingField):
@@ -344,7 +342,7 @@ def _primitive_element(sub: Subfield, sf: SplittingField):
             yield cand
 
     for cand in candidates():
-        mp = minimal_polynomial(cand)
+        mp = minimal_polynomial(cand, sub.dim)
         if mp.degree == sub.dim:
             return cand, mp
     raise TheoremError("no primitive element found in the search range")
@@ -433,7 +431,7 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
     # la = Q(prim), so an automorphism fixes la iff it fixes prim
     for e in entries:
         h, prim = e.subgroup, e.primitive
-        stab = tuple(s for s in sf.galois.group if sf.apply(s, prim) == prim)
+        stab = tuple(s for s in sf.galois.group if sf.sends(s, prim, prim))
         # once stab == h, its field is la by construction, so no rebuild
         if stab != h.elements:
             raise TheoremError(

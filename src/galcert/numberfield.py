@@ -18,12 +18,14 @@ sending the generator to the matching conjugate, checked by exact
 identities alone, since the root expressions already fix its value.  An
 automorphism is stored as its power-basis matrix, integer rows over one
 denominator, derived once from the generator's image, and applied as a
-matrix-vector product; ``compose_mod`` (substitution by Horner) is kept
-for evaluating polynomial identities such as f(expr) = 0.  Exact linear
-algebra, inverses included, runs through one fraction-free Gauss-Jordan
-elimination, ``echelon``.  The uniform idiom: balls only ever pin down
-integers or narrow down which exact object was found, and every exact
-object is accepted only once an exact identity confirms it.
+matrix-vector product; whether it sends x to y is that product's integer
+identity, cross-multiplied by the denominators.  ``compose_mod``
+(substitution by Horner) is kept for evaluating polynomial identities
+such as f(expr) = 0.  Exact linear algebra, inverses included, runs
+through one fraction-free Gauss-Jordan elimination, ``echelon``.  The
+uniform idiom: balls only ever pin down integers or narrow down which
+exact object was found, and every exact object is accepted only once an
+exact identity confirms it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .arith import ComplexBall, ball_disjoint, fixed_mul
 from .errors import CertificationError
@@ -91,10 +94,10 @@ class NumberField:
         return cs
 
     def zero(self):
-        return self.element([])
+        return NumberFieldElement(self, [0] * self.degree)
 
     def one(self):
-        return self.element([1])
+        return NumberFieldElement(self, [1] + [0] * (self.degree - 1))
 
     def gen(self):
         return self.element([0, 1])
@@ -186,13 +189,12 @@ class NumberFieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.num, other.num
-        conv = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
+        b = other.num
+        conv = [0] * (2 * len(b) - 1)
+        for i, ca in enumerate(self.num):
             if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        conv[i + j] += ca * cb
+                for j, cb in enumerate(b, i):
+                    conv[j] += ca * cb
         return NumberFieldElement(self.field, conv, self.den * other.den)
 
     __rmul__ = __mul__
@@ -445,8 +447,9 @@ def express_roots(gd: GaloisData):
 def _power_matrix(psi: NumberFieldElement):
     """(rows, den): the integer matrix over one denominator whose column
     j holds the coordinates of psi^j, j < d.  Returns it with psi^(d-1)."""
-    cols = [psi.field.one()]
-    for _ in range(psi.field.degree - 1):
+    d = psi.field.degree
+    cols = [psi.field.one(), psi][:d]
+    while len(cols) < d:
         cols.append(cols[-1] * psi)
     den = lcm(*(c.den for c in cols))
     rows = tuple(zip(*([v * (den // c.den) for v in c.num] for c in cols)))
@@ -456,9 +459,7 @@ def _power_matrix(psi: NumberFieldElement):
 def _mat_vec(field: NumberField, mat, x: NumberFieldElement) -> NumberFieldElement:
     rows, den = mat
     xs = x.num
-    return NumberFieldElement(
-        field, [sum(a * c for a, c in zip(row, xs) if c) for row in rows], den * x.den
-    )
+    return NumberFieldElement(field, [sum(map(mul, row, xs)) for row in rows], den * x.den)
 
 
 class SplittingField(Frozen):
@@ -484,6 +485,16 @@ class SplittingField(Frozen):
     def apply(self, perm, x: NumberFieldElement) -> NumberFieldElement:
         """The automorphism attached to perm: its matrix times x."""
         return _mat_vec(self.field, self.matrices[perm], x)
+
+    def sends(self, perm, x: NumberFieldElement, y: NumberFieldElement) -> bool:
+        """Whether the automorphism attached to perm maps x to y, as the
+        integer identity rows * x.num * y.den == den * x.den * y.num on
+        its matrix rows / den; no element is built or normalized."""
+        rows, den = self.matrices[perm]
+        xs, left, right = x.num, y.den, den * x.den
+        return all(
+            sum(map(mul, row, xs)) * left == right * c for row, c in zip(rows, y.num)
+        )
 
     def matrix(self, perm):
         """Power-basis matrix of the automorphism over Q: column j holds
@@ -539,7 +550,7 @@ def automorphism_table(gd: GaloisData, roots) -> SplittingField:
     # the induced root permutation must be the group element itself
     for s in group:
         for i, expr in enumerate(roots):
-            if sf.apply(s, expr) != roots[s(i)]:
+            if not sf.sends(s, expr, roots[s(i)]):
                 raise CertificationError(
                     "automorphism does not permute the root expressions "
                     f"as expected for {s.cycle_string()}"

@@ -158,7 +158,7 @@ class UniPoly:
         return UniPoly(out)
 
     def has_integer_coeffs(self):
-        return all(Fraction(c).denominator == 1 for c in self.coeffs)
+        return all(c.denominator == 1 for c in self.coeffs)
 
     def render(self, var="x"):
         return render_terms(reversed(list(enumerate(self.coeffs))), var)
@@ -194,6 +194,51 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
+
+
+# the Mersenne prime 2**61 - 1, for squarefree decisions mod p
+SQUAREFREE_PRIME = (1 << 61) - 1
+
+
+def _gcd_degree_mod(a, b, p):
+    """Degree of gcd(a, b) over GF(p) by Euclid, for ascending lists of
+    residues with no trailing zeros, a nonzero."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        a = list(a)
+        for i in range(len(a) - 1, db - 1, -1):
+            q = a[i] * inv % p
+            if q:
+                for j in range(db):
+                    a[i - db + j] = (a[i - db + j] - q * b[j]) % p
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def is_squarefree(f: UniPoly) -> bool:
+    """Whether gcd(f, f') is constant.
+
+    A monic integral f is first decided mod the prime p = 2**61 - 1
+    (Brown, J. ACM 18, 1971).  Over Q, g = gcd(f, f') is monic and
+    divides f, so by Gauss's lemma it is integral, and it divides f and
+    f' over Z; reduced mod p it keeps its degree and divides both
+    reductions.  So a constant gcd mod p proves g constant.  The test
+    mod p only ever accepts: any other input, or a gcd mod p that is not
+    constant, goes to the rational ``gcd``.
+    """
+    df = f.derivative()
+    if f.is_monic() and f.has_integer_coeffs():
+        p = SQUAREFREE_PRIME
+        b = [int(c) % p for c in df.coeffs]
+        while b and not b[-1]:
+            b.pop()
+        if _gcd_degree_mod([int(c) % p for c in f.coeffs], b, p) == 0:
+            return True
+    return gcd(f, df).degree == 0
 
 
 def xgcd(a: UniPoly, b: UniPoly):

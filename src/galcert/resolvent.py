@@ -11,11 +11,12 @@ its coefficients, until every coefficient ball is narrower than 1/2, and
 each ball's unique integer is the exact coefficient.
 
 Injectivity is then an exact decision: the n! values are pairwise
-distinct exactly when R is squarefree, i.e. gcd(R, R') is constant.  Any
-one value of an injective weight vector generates the splitting field.
-Permuting the weights only permutes the n! factors, so R and the decision
-depend on the multiset of weights alone, and the search decides each
-multiset once.
+distinct exactly when R is squarefree, i.e. gcd(R, R') is constant,
+decided mod a prime when it is (``poly.is_squarefree``).  Any one value
+of an injective weight vector generates the splitting field.  Permuting
+the weights only permutes the n! factors, so R and the decision depend
+on the multiset of weights alone, and the search decides each multiset
+once.
 ``resolvent_poly`` keeps the symbolic route (multiply the linear forms,
 decompose into elementary symmetric polynomials, evaluate at the input's
 coefficients) as the reference that the tests and the selftest compare
@@ -29,8 +30,10 @@ provably misses a value that the full product kills, the candidate must
 kill it).  Any subgroup passing all of that contains the Galois group, so
 the first hit is the group and its candidate is the minimal polynomial,
 irreducible by minimality.  The conjugate balls climb one ``Ladder``
-per weight vector, which refines each precision once for the resolvent,
-every subgroup test, the root expressions and the automorphisms.
+per weight vector, which refines each precision once and reads the
+resolvent once: the search hands its winning ladder to
+``identify_galois``, where every subgroup test climbs it, and on to the
+root expressions and the automorphisms.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from itertools import product as iter_product
 from .arith import ComplexBall, abs_bound, fixed_mul, round_sig
 from .errors import CertificationError, InputError
 from .groups import PermGroup, Permutation, all_subgroups, symmetric_group
-from .poly import MultiPoly, UniPoly, gcd
+from .poly import MultiPoly, UniPoly, is_squarefree
 from .record import Frozen, Record
 from .roots import PREC_CAP, RootSystem, precisions, read_integers
 from .sympoly import decompose, substitute_elementary
@@ -113,14 +116,23 @@ class Ladder:
     bits, its conjugate balls, the working precision bits + 32), built on
     first use and kept, so every stage that climbs the ladder refines
     each precision once.  Each rung refines the original system, so it
-    depends only on the weights, the system and the bits."""
+    depends only on the weights, the system and the bits.  The resolvent
+    read off the ladder is kept on it too."""
 
-    __slots__ = ("spec", "rs", "_rungs")
+    __slots__ = ("spec", "rs", "_rungs", "_resolvent")
 
     def __init__(self, spec: ResolventSpec, rs: RootSystem):
         self.spec = spec
         self.rs = rs
         self._rungs = {}
+        self._resolvent = None
+
+    @property
+    def resolvent(self) -> UniPoly:
+        """``read_resolvent`` of this ladder, read on first use."""
+        if self._resolvent is None:
+            self._resolvent = read_resolvent(self)
+        return self._resolvent
 
     def rung(self, bits: int):
         if bits not in self._rungs:
@@ -138,21 +150,24 @@ class Ladder:
         return map(self.rung, precisions(self.rs.precision_bits))
 
 
-def certify_distinct_values(weights, rs: RootSystem) -> bool:
-    """True if all n! weighted root combinations are pairwise distinct,
-    decided exactly: the resolvent read off the balls is squarefree."""
-    r = read_resolvent(Ladder(ResolventSpec(weights), rs))
-    return gcd(r, r.derivative()).degree == 0
+def certify_distinct_values(ladder: Ladder) -> bool:
+    """True if all n! weighted root combinations of the ladder's weights
+    are pairwise distinct, decided exactly: the resolvent read off the
+    balls is squarefree."""
+    return is_squarefree(ladder.resolvent)
 
 
-def search_resolvent(rs: RootSystem, max_norm: int = 8, skip: int = 0) -> ResolventSpec:
-    """Smallest weight vector (by max-norm, then lexicographically) whose
-    n! values are certified pairwise distinct.  skip returns later hits.
+def search_resolvent(rs: RootSystem, max_norm: int = 8, skip: int = 0) -> Ladder:
+    """The ladder of the smallest weight vector (by max-norm, then
+    lexicographically) whose n! values are certified pairwise distinct,
+    with the resolvent that decided it.  skip returns later hits.
 
     The decision depends only on the multiset of weights, so each multiset
     is decided once: with w'_i = w_pi(i), sum_i w'_i alpha_sigma(i) =
     sum_j w_j alpha_(sigma pi^-1)(j), and sigma pi^-1 runs over S_n with
-    sigma, so w and w' have the same n! values and the same resolvent."""
+    sigma, so w and w' have the same n! values and the same resolvent.
+    A later hit in another order of a decided multiset gets a ladder of
+    its own, which keeps that resolvent."""
     n = rs.poly.degree
     found = 0
     decided = {}
@@ -165,10 +180,16 @@ def search_resolvent(rs: RootSystem, max_norm: int = 8, skip: int = 0) -> Resolv
                 continue
             key = tuple(sorted(weights))
             if key not in decided:
-                decided[key] = certify_distinct_values(weights, rs)
-            if decided[key]:
+                ladder = Ladder(ResolventSpec(weights), rs)
+                decided[key] = ladder if certify_distinct_values(ladder) else None
+            ladder = decided[key]
+            if ladder is not None:
                 if found == skip:
-                    return ResolventSpec(weights)
+                    if ladder.spec.weights != weights:
+                        hit = Ladder(ResolventSpec(weights), rs)
+                        hit._resolvent = ladder.resolvent
+                        return hit
+                    return ladder
                 found += 1
     raise CertificationError(
         f"no injective weight vector with max-norm <= {max_norm}"
@@ -283,20 +304,20 @@ def read_resolvent(ladder: Ladder) -> UniPoly:
     )
 
 
-def identify_galois(f: UniPoly, spec: ResolventSpec, rs: RootSystem) -> GaloisData:
+def identify_galois(ladder: Ladder) -> GaloisData:
     """Minimal-subgroup search for the Galois group with exact division
-    and cofactor certificates; returns group, minimal polynomial and the
-    ladder of conjugate balls that the resolvent and every subgroup test
-    climbed, for the later stages to climb on."""
-    n = f.degree
+    and cofactor certificates, on the ladder of an injective weight
+    vector and its resolvent; returns group, minimal polynomial and the
+    ladder, which every subgroup test climbed, for the later stages to
+    climb on."""
+    n = ladder.rs.poly.degree
     if n is None or n < 1 or n > 4:
         raise InputError("degree must be between 1 and 4")
-    ladder = Ladder(spec, rs)
-    resolvent = read_resolvent(ladder)
+    resolvent = ladder.resolvent
     for sub in all_subgroups(symmetric_group(n)):
         min_poly = _test_subgroup(resolvent, sub, ladder)
         if min_poly is not None:
-            return GaloisData(spec, min_poly, ladder, sub, resolvent)
+            return GaloisData(ladder.spec, min_poly, ladder, sub, resolvent)
     raise CertificationError(
         "no subgroup produced a certified rational factor; "
         "this indicates a bug or insufficient precision"

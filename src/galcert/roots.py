@@ -61,7 +61,7 @@ from .arith import (
     sig_rational,
 )
 from .errors import CertificationError, InputError
-from .poly import UniPoly, gcd
+from .poly import UniPoly, gcd, is_squarefree
 from .record import Frozen, Record
 
 PREC_CAP = 1 << 16
@@ -281,10 +281,9 @@ def isolate_roots(f: UniPoly, precision_bits: int = 128, *, _seeds=None) -> Root
     if _seeds is None:
         # a refinement (seeded by ``RootSystem.refine``) re-isolates a
         # polynomial its first isolation already checked
-        if n >= 2:
+        if not is_squarefree(f):
             g = gcd(f, f.derivative())
-            if g.degree != 0:
-                raise InputError(f"not squarefree, gcd with derivative is {g.render()}")
+            raise InputError(f"not squarefree, gcd with derivative is {g.render()}")
         warm = _float_aberth(f)
         if warm is not None:
             zs = [_float_point(z) for z in warm]

@@ -51,12 +51,11 @@ EXPECTED_SUBGROUP_COUNTS = {
 def corpus_pipeline(text: str) -> SimpleNamespace:
     f = parse_poly(text)
     rs = isolate_roots(f)
-    spec = search_resolvent(rs)
-    gd = identify_galois(f, spec, rs)
+    gd = identify_galois(search_resolvent(rs))
     roots = express_roots(gd)
     sf = automorphism_table(gd, roots)
     report = correspondence_lattice(sf)
-    return SimpleNamespace(f=f, rs=rs, spec=spec, gd=gd, roots=roots, sf=sf, report=report)
+    return SimpleNamespace(f=f, rs=rs, spec=gd.spec, gd=gd, roots=roots, sf=sf, report=report)
 
 
 def criterion_1_quartic_arrangement():
@@ -126,10 +125,10 @@ def criterion_4_generator_independence():
     after transport along the verified isomorphism."""
     for text in ("x^2 - 2", "x^3 - 2"):
         data = corpus_pipeline(text)
-        spec2 = search_resolvent(data.rs, skip=1)
-        if spec2 == data.spec:
+        ladder2 = search_resolvent(data.rs, skip=1)
+        if ladder2.spec == data.spec:
             return False, f"{text}: second search returned the same weights"
-        gd2 = identify_galois(data.f, spec2, data.rs)
+        gd2 = identify_galois(ladder2)
         if gd2.group != data.gd.group:
             return False, f"{text}: the group changed with the weights"
         roots2 = express_roots(gd2)

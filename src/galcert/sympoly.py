@@ -137,19 +137,18 @@ def expand_elementary(q: ElementarySymmetricExpression) -> MultiPoly:
 
 
 def elementary_values(values):
-    """All of e1..em evaluated at the given scalars, via the product
-    expansion of (t - v1)...(t - vm).  Works over any exact ring whose
-    elements support + and * with ints."""
-    coeffs = [1]
+    """All of e1..em evaluated at the given scalars, by the recurrence of
+    the product expansion of (t + v1)...(t + vm): one more value v takes
+    e_j to e_j + v * e_(j-1), with e_0 = 1 and e_(k+1) = 0 left out, so
+    no product by 1 or sum with 0 is formed.  Works over any exact ring
+    whose elements support + and *."""
+    es = []
     for v in values:
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] = nxt[i] + c * v
-            nxt[i + 1] = nxt[i + 1] + c
-        coeffs = nxt
-    m = len(values)
-    # coeffs[m-k] of prod(t + v_i) is e_k of the values
-    return [coeffs[m - k] for k in range(1, m + 1)]
+        if es:
+            es = [es[0] + v] + [a + v * b for a, b in zip(es[1:], es)] + [v * es[-1]]
+        else:
+            es = [v]
+    return es
 
 
 def eval_elementary(values, k: int):

@@ -242,8 +242,8 @@ def test_analyze_s4_quartic(monkeypatch):
     # the full symmetric group: a degree-24 field and 30 subgroups; a
     # 7-digit constant term gives larger roots and wider exact coordinates.
     # Its resolvent needs 256 bits: the search refines once for the
-    # accepted weights, and identify_galois once for the ladder that the
-    # root expressions and automorphisms climb on
+    # accepted weights, and hands that ladder, resolvent and all, to
+    # identify_galois, the root expressions and the automorphisms
     refinements = []
     isolate = roots.isolate_roots
 
@@ -256,7 +256,7 @@ def test_analyze_s4_quartic(monkeypatch):
     for text, expected, refined in (
         ("x^4 - x - 1", "c4282b338256f00070d3a6aee2942df09a634e0b078dff2e83241ed496df129e", []),
         ("x^4 - x - 1000000", "86ff90650e28132ede17de03a782bdffc996bc690c5f49ffc5233f00ef54ba35",
-         [256, 256]),
+         [256]),
     ):
         refinements.clear()
         report = analyze(text)

@@ -21,7 +21,13 @@ from galcert.correspondence import (
 )
 from galcert.errors import TheoremError
 from galcert.groups import PermGroup, all_subgroups, closure
-from galcert.numberfield import automorphism_table, compose_mod, echelon, express_roots
+from galcert.numberfield import (
+    SplittingField,
+    automorphism_table,
+    compose_mod,
+    echelon,
+    express_roots,
+)
 from galcert.poly import UniPoly
 from galcert.resolvent import identify_galois, search_resolvent
 from galcert.selftest import CORPUS, corpus_pipeline
@@ -163,12 +169,44 @@ def test_averaging_requires_a_fixed_element():
     data = corpus_pipeline("x^3 - 2")
     with pytest.raises(ValueError, match="not fixed"):
         averaging_check(data.sf.field.gen(), data.gd.group, data.sf)
+    # the primitive of a subgroup's field is fixed by that subgroup and
+    # moved by every other group element, so it passes for each subgroup
+    # inside that one and fails for each other subgroup
+    for text in ("x^3 - 2", "x^4 - 2"):
+        data = corpus_pipeline(text)
+        for e in data.report.entries:
+            for h in all_subgroups(data.gd.group):
+                if h.is_subgroup_of(e.subgroup):
+                    assert averaging_check(e.primitive, h, data.sf)
+                else:
+                    with pytest.raises(ValueError, match="not fixed"):
+                        averaging_check(e.primitive, h, data.sf)
+
+
+def test_fixed_point_checks_test_every_element(monkeypatch):
+    # the stabilizer replay tests each primitive against every element of
+    # G, and the averaging witness each fixed basis element against every
+    # element of its subgroup, not only the generators
+    data = corpus_pipeline("x^4 - 2")
+    tested = []
+    sends = SplittingField.sends
+
+    def recorded(sf, perm, x, y):
+        tested.append((perm, x))
+        return sends(sf, perm, x, y)
+
+    monkeypatch.setattr(SplittingField, "sends", recorded)
+    report = correspondence.correspondence_lattice(data.sf)
+    group, d = list(data.gd.group), data.sf.degree
+    for e in report.entries:
+        assert [p for p, x in tested if x is e.primitive] == group
+    # |G| per primitive, and dim * |H| = d per subgroup's fixed basis
+    assert len(tested) == 2 * len(report.entries) * d
 
 
 def test_primitive_independence_quadratic():
     data = corpus_pipeline("x^2 - 2")
-    spec2 = search_resolvent(data.rs, skip=1)
-    gd2 = identify_galois(data.f, spec2, data.rs)
+    gd2 = identify_galois(search_resolvent(data.rs, skip=1))
     roots2 = express_roots(gd2)
     sf2 = automorphism_table(gd2, roots2)
     for h in all_subgroups(data.gd.group):
@@ -310,6 +348,30 @@ def test_early_stopping_minimal_polynomial_matches_all_powers(text):
         samples.append(x)
     for x in samples:
         assert minimal_polynomial(x) == _full_power_minimal_polynomial(x)
+
+
+@pytest.mark.parametrize("text", ("x^4 - 2", "x^4 + 8x + 12"))
+def test_subfield_sized_minimal_polynomial_matches_all_powers(monkeypatch, text):
+    # every candidate the lattice tries is read off the powers up to its
+    # subfield's dimension; the full powers up to the field degree agree
+    data = corpus_pipeline(text)
+    calls = []
+    sized = correspondence.minimal_polynomial
+
+    def recorded(x, dim=None):
+        mp = sized(x, dim)
+        calls.append((x, dim, mp))
+        return mp
+
+    monkeypatch.setattr(correspondence, "minimal_polynomial", recorded)
+    correspondence.correspondence_lattice(data.sf)
+    assert len(calls) >= len(data.report.entries)
+    for x, dim, mp in calls:
+        assert dim is not None
+        assert mp == _full_power_minimal_polynomial(x)
+    # an element outside every field of the given dimension is refused
+    with pytest.raises(ValueError, match="dimension 1"):
+        minimal_polynomial(data.sf.field.gen(), 1)
 
 
 def test_stabilizer_replay_rejects_a_primitive_of_another_field(monkeypatch):

@@ -112,7 +112,7 @@ def test_express_roots_reads_integers_not_a_ball_system(monkeypatch):
     # precision; the report stays the same
     f = UniPoly([-1, -1, 0, 0, 1])
     rs = isolate_roots(f)
-    gd = identify_galois(f, search_resolvent(rs), rs)
+    gd = identify_galois(search_resolvent(rs))
     calls = []
     mul = ComplexBall.mul
 
@@ -147,7 +147,7 @@ def test_root_expressions_satisfy_vieta(low):
     assume(gcd(f, f.derivative()).degree == 0)
     n = f.degree
     rs = isolate_roots(f)
-    gd = identify_galois(f, search_resolvent(rs), rs)
+    gd = identify_galois(search_resolvent(rs))
     roots = express_roots(gd)
     K = roots[0].field
     total, prod = K.zero(), K.one()
@@ -215,6 +215,27 @@ def test_generator_identity_element():
     sf = data.sf
     ident = Permutation.identity(3)
     assert sf.psi_for(ident) == sf.field.gen()
+
+
+def test_sends_is_apply_then_compare():
+    # sends is the integer identity behind apply(s, x) == y, on the root
+    # expressions and seeded elements of the six selftest fields, for
+    # every automorphism and every target among them
+    rng = random.Random(29)
+    for text in CORPUS:
+        data = corpus_pipeline(text)
+        sf = data.sf
+        K = sf.field
+        elems = list(data.roots) + [K.rational(Fraction(-3, 5))] + [
+            K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(K.degree)])
+            for _ in range(3)
+        ]
+        for p, _ in sf.automorphisms:
+            for x in elems:
+                image = sf.apply(p, x)
+                assert sf.sends(p, x, image)
+                for y in elems:
+                    assert sf.sends(p, x, y) == (image == y)
 
 
 def test_matrix_agrees_with_apply():

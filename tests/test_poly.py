@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from galcert import poly
 from galcert.arith import ComplexBall
-from galcert.poly import MultiPoly, UniPoly, gcd, xgcd
+from galcert.poly import SQUAREFREE_PRIME, MultiPoly, UniPoly, gcd, is_squarefree, xgcd
 from galcert.resolvent import ResolventSpec, resolvent_poly
 
 from helpers import ball_contains_rational, bisect_root, interval_ball
@@ -73,6 +76,55 @@ def test_gcd_divides_both():
 def test_gcd_of_two_zeros_is_an_error():
     with pytest.raises(ValueError):
         gcd(P(), P())
+
+
+def _monic(low, high):
+    """Monic integer polynomials of degree low..high."""
+    return st.lists(st.integers(-1000, 1000), min_size=low, max_size=high).map(
+        lambda cs: UniPoly(cs + [1])
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        _monic(1, 24),
+        # f * g^2 with g nonconstant, of degree 2..24: never squarefree
+        st.tuples(_monic(0, 10), _monic(1, 7)).map(lambda fg: fg[0] * fg[1] * fg[1]),
+    )
+)
+@example(P(-2, 0, 1))
+@example(P(1, -2, 1))
+@example(UniPoly([-1] + [0] * 23 + [1]))  # x^24 - 1
+@example(UniPoly([1] + [0] * 11 + [-2] + [0] * 11 + [1]))  # (x^12 - 1)^2
+@example(P(0, -SQUAREFREE_PRIME, 1))
+@example(P(SQUAREFREE_PRIME**2, -2 * SQUAREFREE_PRIME, 1))
+def test_squarefree_decision_matches_the_rational_gcd(f):
+    assert is_squarefree(f) == (gcd(f, f.derivative()).degree == 0)
+
+
+def test_squarefree_falls_back_when_the_prime_splits_a_root_pair(monkeypatch):
+    # x^2 - p x = x (x - p) has distinct roots over Q, but mod p it is
+    # x^2, so the gcd mod p is x and the rational gcd decides
+    f = P(0, -SQUAREFREE_PRIME, 1)
+    # f and f' = 2x - p reduce to x^2 and 2x
+    assert poly._gcd_degree_mod([0, 0, 1], [0, 2], SQUAREFREE_PRIME) == 1
+    calls = []
+    rational_gcd = poly.gcd
+
+    def counted_gcd(a, b):
+        calls.append(a)
+        return rational_gcd(a, b)
+
+    monkeypatch.setattr(poly, "gcd", counted_gcd)
+    assert is_squarefree(f)
+    assert calls == [f]
+    calls.clear()
+    # a constant gcd mod p accepts without the rational gcd
+    assert is_squarefree(P(-2, 0, 1)) and calls == []
+    # rational or non-monic input goes to the rational gcd at once
+    assert is_squarefree(P(Fraction(-1, 2), 0, 1)) and len(calls) == 1
+    assert not is_squarefree(P(2, 4, 2)) and len(calls) == 2
 
 
 def test_xgcd_bezout():

@@ -31,13 +31,37 @@ def setup_module(module):
     module.rs3 = isolate_roots(UniPoly([-2, 0, 0, 1]))
 
 
+def decide(weights, rs):
+    return certify_distinct_values(Ladder(ResolventSpec(weights), rs))
+
+
+def test_pipeline_reads_each_resolvent_once(monkeypatch):
+    # the search reads one resolvent per weight multiset, and
+    # identify_galois takes the winning ladder with its resolvent, also
+    # for a later hit that reorders a decided multiset
+    reads = []
+    read = resolvent.read_resolvent
+
+    def counted_read(ladder):
+        reads.append(ladder.spec.weights)
+        return read(ladder)
+
+    monkeypatch.setattr(resolvent, "read_resolvent", counted_read)
+    for rs, skip, weights in ((rs2, 0, (0, 1)), (rs2, 1, (1, 0)), (rs3, 1, None)):
+        reads.clear()
+        gd = identify_galois(search_resolvent(rs, skip=skip))
+        assert weights is None or gd.spec.weights == weights
+        assert len(reads) == len({tuple(sorted(w)) for w in reads})
+        assert sorted(gd.spec.weights) in [sorted(w) for w in reads]
+
+
 def test_search_quadratic_accepts_0_1():
-    assert search_resolvent(rs2).weights == (0, 1)
-    assert search_resolvent(rs2, skip=1).weights == (1, 0)
+    assert search_resolvent(rs2).spec.weights == (0, 1)
+    assert search_resolvent(rs2, skip=1).spec.weights == (1, 0)
 
 
 def test_single_root_weight_rejected_for_cubic():
-    assert not certify_distinct_values((1, 0, 0), rs3)
+    assert not decide((1, 0, 0), rs3)
     vals = list(conjugate_balls(ResolventSpec((1, 0, 0)), rs3).values())
     overlapping = sum(
         1
@@ -56,13 +80,13 @@ def test_first_attempt_runs_even_above_the_cap():
 def test_schedule_needs_a_positive_start():
     rs = isolate_roots(UniPoly([-2, 0, 1]), 0)
     with pytest.raises(InputError, match="at least 1 bit"):
-        certify_distinct_values((0, 1), rs)
+        decide((0, 1), rs)
 
 
 def test_search_cubic_within_norm_two():
-    spec = search_resolvent(rs3)
+    spec = search_resolvent(rs3).spec
     assert max(spec.weights) <= 2
-    assert certify_distinct_values(spec.weights, rs3)
+    assert decide(spec.weights, rs3)
 
 
 def test_resolvent_poly_quadratics():
@@ -89,16 +113,14 @@ def test_resolvent_guards():
 
 
 def test_identify_quadratic():
-    spec = search_resolvent(rs2)
-    gd = identify_galois(UniPoly([-2, 0, 1]), spec, rs2)
+    gd = identify_galois(search_resolvent(rs2))
     assert gd.group.order == 2
     assert Permutation((1, 0)) in gd.group
     assert gd.min_poly == UniPoly([-2, 0, 1])
 
 
 def test_identify_cubic_full_s3():
-    spec = search_resolvent(rs3)
-    gd = identify_galois(UniPoly([-2, 0, 0, 1]), spec, rs3)
+    gd = identify_galois(search_resolvent(rs3))
     assert gd.group == symmetric_group(3)
     assert gd.min_poly.degree == 6
     assert gd.min_poly == gd.resolvent
@@ -107,8 +129,7 @@ def test_identify_cubic_full_s3():
 def test_identify_cyclotomic_quartic():
     f = UniPoly([1, 0, 0, 0, 1])
     rs = isolate_roots(f)
-    spec = search_resolvent(rs)
-    gd = identify_galois(f, spec, rs)
+    gd = identify_galois(search_resolvent(rs))
     assert gd.group.order == 4
     assert gd.min_poly.degree == 4
     assert all(p.is_identity() or (p * p).is_identity() for p in gd.group)
@@ -117,9 +138,9 @@ def test_identify_cyclotomic_quartic():
 
 
 def test_identify_invariants_and_determinism():
-    spec = search_resolvent(rs3)
-    gd1 = identify_galois(UniPoly([-2, 0, 0, 1]), spec, rs3)
-    gd2 = identify_galois(UniPoly([-2, 0, 0, 1]), spec, rs3)
+    spec = search_resolvent(rs3).spec
+    gd1 = identify_galois(Ladder(spec, rs3))
+    gd2 = identify_galois(Ladder(spec, rs3))
     assert gd1.spec == gd2.spec
     assert gd1.group == gd2.group
     assert gd1.min_poly == gd2.min_poly
@@ -138,9 +159,9 @@ def test_identify_requires_integer_coefficients():
     f = UniPoly([Fraction(-1, 2), 0, 1])
     rs = isolate_roots(f)
     with pytest.raises(InputError, match="integer"):
-        identify_galois(f, ResolventSpec((0, 1)), rs)
+        identify_galois(Ladder(ResolventSpec((0, 1)), rs))
     with pytest.raises(InputError, match="integer coefficients required"):
-        certify_distinct_values((0, 1), rs)
+        decide((0, 1), rs)
 
 
 _small = st.integers(-12, 12)
@@ -163,7 +184,7 @@ def test_resolvent_read_off_the_balls_is_the_symbolic_one(case):
     expected = resolvent_poly(f, ResolventSpec(weights))
     assert read_resolvent(Ladder(ResolventSpec(weights), rs)) == expected
     squarefree = gcd(expected, expected.derivative()).degree == 0
-    assert certify_distinct_values(weights, rs) == squarefree
+    assert decide(weights, rs) == squarefree
 
 
 def test_colliding_quartic_rejected_without_refining(monkeypatch):
@@ -176,7 +197,7 @@ def test_colliding_quartic_rejected_without_refining(monkeypatch):
 
     monkeypatch.setattr(RootSystem, "refine", refine)
     rs = isolate_roots(UniPoly([1, 0, 0, 0, 1]), 128)
-    assert not certify_distinct_values((0, 1, 2, 3), rs)
+    assert not decide((0, 1, 2, 3), rs)
     assert requested and max(requested) <= 128
 
 
@@ -190,18 +211,18 @@ def test_search_pays_one_ball_product_per_candidate(monkeypatch):
         products.append(prec)
         return product(balls, prec)
 
-    def counted_certify(weights, rs):
-        candidates.append(weights)
-        return certify(weights, rs)
+    def counted_certify(ladder):
+        candidates.append(ladder.spec.weights)
+        return certify(ladder)
 
     monkeypatch.setattr(resolvent, "_ball_poly_product", counted_product)
     monkeypatch.setattr(resolvent, "certify_distinct_values", counted_certify)
     f = UniPoly([-1000003, 0, 0, 0, 1])
     rs = isolate_roots(f)
-    spec = search_resolvent(rs)
-    assert spec.weights == (0, 1, 2, 4)
+    ladder = search_resolvent(rs)
+    assert ladder.spec.weights == (0, 1, 2, 4)
     assert len(products) <= len(candidates) + 1
-    assert identify_galois(f, spec, rs).group.order == 8
+    assert identify_galois(ladder).group.order == 8
 
 
 @pytest.mark.parametrize(
@@ -215,17 +236,17 @@ def test_search_decides_the_same_on_quartics(monkeypatch, coeffs, order):
     calls = []
     certify = resolvent.certify_distinct_values
 
-    def counted_certify(weights, rs):
-        calls.append(weights)
-        return certify(weights, rs)
+    def counted_certify(ladder):
+        calls.append(ladder.spec.weights)
+        return certify(ladder)
 
     monkeypatch.setattr(resolvent, "certify_distinct_values", counted_certify)
     f = UniPoly(coeffs)
     rs = isolate_roots(f)
-    spec = search_resolvent(rs)
-    assert spec.weights == (0, 1, 2, 4)
+    ladder = search_resolvent(rs)
+    assert ladder.spec.weights == (0, 1, 2, 4)
     assert calls == [(0, 1, 2, 3), (0, 1, 2, 4)]
-    assert identify_galois(f, spec, rs).group.order == order
+    assert identify_galois(ladder).group.order == order
 
 
 _squarefree = st.integers(2, 4).flatmap(
@@ -259,7 +280,7 @@ def _reference_search(rs, max_norm, skip):
         for norm in range(1, max_norm + 1)
         for weights in iter_product(range(norm + 1), repeat=n)
         if max(weights) == norm and len(set(weights)) == n
-        and certify_distinct_values(weights, rs)
+        and decide(weights, rs)
     )
     return next(islice(hits, skip, None), None)
 
@@ -276,7 +297,7 @@ def test_search_agrees_with_a_memo_free_reference(f):
             with pytest.raises(CertificationError):
                 search_resolvent(rs, 4, skip)
         else:
-            assert search_resolvent(rs, 4, skip).weights == expected
+            assert search_resolvent(rs, 4, skip).spec.weights == expected
 
 
 def test_identify_reads_conjugate_balls_once_per_precision(monkeypatch):
@@ -294,7 +315,7 @@ def test_identify_reads_conjugate_balls_once_per_precision(monkeypatch):
     rs = isolate_roots(f)
     spec = ResolventSpec((0, 1, 2, 4))
     monkeypatch.setattr(resolvent, "conjugate_balls", counted_balls)
-    gd = identify_galois(f, spec, rs)
+    gd = identify_galois(Ladder(spec, rs))
     assert gd.group.order == 8
     automorphism_table(gd, express_roots(gd))
     assert sorted(precisions_read) == [128, 256]

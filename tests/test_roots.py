@@ -108,26 +108,27 @@ def test_refine_preserves_roots_and_order():
 
 def test_pipeline_refines_once_per_resolvent_read(monkeypatch):
     # x^4 - 1000003's resolvents need 256 bits: the search reads two
-    # weight multisets and identify_galois one more resolvent, each
-    # refining once, and the 128-bit system serves everything else.
-    # Only the first isolation checks that f is squarefree
-    refinements, gcds = [], []
-    isolate, squarefree_gcd = roots.isolate_roots, roots.gcd
+    # weight multisets, each refining once, and identify_galois takes the
+    # winning ladder with its resolvent from the search; the 128-bit
+    # system serves everything else.  Only the first isolation decides
+    # that f is squarefree
+    refinements, decisions = [], []
+    isolate, squarefree = roots.isolate_roots, roots.is_squarefree
 
     def counted_isolate(f, bits=128, *, _seeds=None):
         if _seeds is not None:
             refinements.append(bits)
         return isolate(f, bits, _seeds=_seeds)
 
-    def counted_gcd(a, b):
-        gcds.append(a)
-        return squarefree_gcd(a, b)
+    def counted_squarefree(f):
+        decisions.append(f)
+        return squarefree(f)
 
     monkeypatch.setattr(roots, "isolate_roots", counted_isolate)
-    monkeypatch.setattr(roots, "gcd", counted_gcd)
+    monkeypatch.setattr(roots, "is_squarefree", counted_squarefree)
     assert analyze("x^4 - 1000003").all_passed()
-    assert refinements == [256, 256, 256]
-    assert len(gcds) == 1
+    assert refinements == [256, 256]
+    assert len(decisions) == 1
 
 
 def test_discriminant_reads_as_an_integer():
