@@ -16,13 +16,12 @@ from math import gcd, lcm
 
 from .correspondence import CorrespondenceReport, correspondence_lattice
 from .errors import CertificationError, InputError, TheoremError
-from .groups import Arrangement, arrangement_array
+from .groups import Arrangement, Permutation, arrangement_array
 from .numberfield import automorphism_table, express_roots
 from .poly import UniPoly
 from .record import Record
 from .resolvent import (
     Ladder,
-    ResolventSpec,
     certify_distinct_values,
     identify_galois,
     search_resolvent,
@@ -44,9 +43,10 @@ class _Tokens:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            # isdecimal, not isdigit: int() reads only decimal digits
+            if ch.isdecimal():
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
                 try:
                     value = int(text[i:j])
@@ -205,24 +205,21 @@ def _check_digits(numbers):
 class AnalysisConfig(Record):
     """The pipeline's settings, validated on construction."""
 
-    __slots__ = ("precision_bits", "resolvent_norm_bound", "output_format",
-                 "emit_array", "seed_spec")
+    __slots__ = ("precision_bits", "output_format", "emit_array", "seed_spec")
 
-    def __init__(self, precision_bits: int = 128, resolvent_norm_bound: int = 8,
-                 output_format: str = "text", emit_array: bool = False,
-                 seed_spec: tuple | None = None):
+    def __init__(self, precision_bits: int = 128, output_format: str = "text",
+                 emit_array: bool = False, seed_spec: tuple | None = None):
         if precision_bits < 64:
             raise InputError("precision must be at least 64 bits")
         # the certification schedule stops doubling at PREC_CAP, and an
         # isolation far above it runs for minutes
         if precision_bits > PREC_CAP:
             raise InputError(f"precision must be at most {PREC_CAP} bits")
-        if resolvent_norm_bound < 1:
-            raise InputError("the resolvent norm bound must be at least 1")
         if output_format not in ("text", "json"):
             raise InputError(f"unknown output format {output_format!r}")
-        Record.__init__(self, precision_bits, resolvent_norm_bound, output_format,
-                        emit_array, seed_spec)
+        if seed_spec is not None:
+            seed_spec = tuple(int(w) for w in seed_spec)
+        Record.__init__(self, precision_bits, output_format, emit_array, seed_spec)
 
 
 def analyze(text: str, cfg: AnalysisConfig | None = None) -> CorrespondenceReport:
@@ -238,13 +235,13 @@ def analyze(text: str, cfg: AnalysisConfig | None = None) -> CorrespondenceRepor
     if cfg.seed_spec is not None:
         if len(cfg.seed_spec) != f.degree:
             raise InputError("the explicit weight list must match the degree")
-        ladder = Ladder(ResolventSpec(cfg.seed_spec), rs)
+        ladder = Ladder(cfg.seed_spec, rs)
         if not certify_distinct_values(ladder):
             raise CertificationError(
                 "the explicit weight vector could not be certified injective"
             )
     else:
-        ladder = search_resolvent(rs, cfg.resolvent_norm_bound)
+        ladder = search_resolvent(rs)
     gd = identify_galois(ladder)
     roots = express_roots(gd)
     sf = automorphism_table(gd, roots)
@@ -262,8 +259,7 @@ def render_arrangement_arrays(sf):
     read off the unrefined rung of the ladder."""
     from .groups import all_subgroups
 
-    n = sf.poly.degree
-    base = Arrangement(tuple(range(n)))
+    base = Arrangement(tuple(range(sf.poly.degree)))
     _, vals, _ = sf.galois.ladder.base
     out = []
     for h in all_subgroups(sf.galois.group):
@@ -273,20 +269,14 @@ def render_arrangement_arrays(sf):
         for bi, block in enumerate(blocks):
             lines.append(f"  block {bi + 1}:")
             for row in block.rows:
-                perm = _perm_for_row(sf.galois.group, base, row)
-                z = vals[perm].to_complex()
+                # row is base.act(p) for the identity base, so row.order
+                # lists the images of p's inverse
+                z = vals[Permutation(row.order).inverse()].to_complex()
                 lines.append(
                     f"    {_fmt_complex(z):>24}   {' '.join(row.labels(_LABELS))}"
                 )
         out.append("\n".join(lines))
     return out
-
-
-def _perm_for_row(group, base, row):
-    for p in group:
-        if base.act(p) == row:
-            return p
-    raise CertificationError("arrangement row outside the group orbit")
 
 
 def _fmt_complex(z):
@@ -411,8 +401,6 @@ def _build_parser():
     pa.add_argument("poly", help="polynomial expression, e.g. 'x^3 - 2'")
     pa.add_argument("--precision", type=int, default=128, metavar="N",
                     help="initial ball precision in bits (default 128)")
-    pa.add_argument("--norm-bound", type=int, default=8, metavar="K",
-                    help="max-norm bound for the weight search (default 8)")
     pa.add_argument("--format", choices=("text", "json"), default="text")
     pa.add_argument("--array", action="store_true",
                     help="render the arrangement arrays per subgroup")
@@ -438,7 +426,6 @@ def main(argv=None) -> int:
                 raise InputError(f"could not parse the weight list {args.spec!r}")
         cfg = AnalysisConfig(
             precision_bits=args.precision,
-            resolvent_norm_bound=args.norm_bound,
             output_format=args.format,
             emit_array=args.array,
             seed_spec=seed,

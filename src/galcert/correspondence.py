@@ -238,7 +238,7 @@ def _isomorphism_to(sf: SplittingField, sf2: SplittingField) -> NumberFieldEleme
     expressions; the map is verified by the modular identity m2(t) = 0.
     """
     t = sf.field.zero()
-    for i, w in enumerate(sf2.galois.spec.weights):
+    for i, w in enumerate(sf2.galois.weights):
         if w:
             t = t + sf.root_exprs[i] * w
     if not compose_mod(sf2.galois.min_poly, t).is_zero():
@@ -458,7 +458,7 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
         polynomial=sf.poly,
         input_polynomial=sf.poly,
         scale=Fraction(1),
-        weights=sf.galois.spec.weights,
+        weights=sf.galois.weights,
         min_poly=sf.galois.min_poly,
         group=sf.galois.group,
         entries=entries,

@@ -519,7 +519,6 @@ def automorphism_table(gd: GaloisData, roots) -> SplittingField:
     matrix.
     """
     field = roots[0].field
-    weights = gd.spec.weights
     group = list(gd.group)
     low = field.element(gd.min_poly.coeffs[:-1])
 
@@ -527,7 +526,7 @@ def automorphism_table(gd: GaloisData, roots) -> SplittingField:
     matrices = {}
     for s in group:
         psi = field.zero()
-        for i, w in enumerate(weights):
+        for i, w in enumerate(gd.weights):
             if w:
                 psi = psi + roots[s(i)] * w
         mat, top = _power_matrix(psi)

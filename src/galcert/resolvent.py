@@ -13,10 +13,18 @@ each ball's unique integer is the exact coefficient.
 Injectivity is then an exact decision: the n! values are pairwise
 distinct exactly when R is squarefree, i.e. gcd(R, R') is constant,
 decided mod a prime when it is (``poly.is_squarefree``).  Any one value
-of an injective weight vector generates the splitting field.  Permuting
-the weights only permutes the n! factors, so R and the decision depend
-on the multiset of weights alone, and the search decides each multiset
-once.
+of an injective weight vector generates the splitting field.
+
+The search needs no bound (Galois's Lemma II: suitable integer weights
+always exist).  Permuting the weights only permutes the n! values, and
+adding c to every weight moves every value by c * (alpha_1 + ... +
+alpha_n), so neither changes which values coincide: the search tries
+only sorted vectors whose least weight is 0, in order of their largest
+weight, the norm.  It ends: for sigma != tau the weights (0, 1, t, ..., t^(n-2))
+give equal values only when t is a root of the nonzero polynomial
+sum_(i>=1) t^(i-1) (alpha_sigma(i) - alpha_tau(i)) of degree at most
+n - 2, so some t <= 2 + (n - 2) * C(n!, 2) is injective, and its vector
+has norm t^(n-2).  That needs n distinct roots, which the search checks.
 ``resolvent_poly`` keeps the symbolic route (multiply the linear forms,
 decompose into elementary symmetric polynomials, evaluate at the input's
 coefficients) as the reference that the tests and the selftest compare
@@ -30,15 +38,16 @@ provably misses a value that the full product kills, the candidate must
 kill it).  Any subgroup passing all of that contains the Galois group, so
 the first hit is the group and its candidate is the minimal polynomial,
 irreducible by minimality.  The conjugate balls climb one ``Ladder``
-per weight vector, which refines each precision once and reads the
-resolvent once: the search hands its winning ladder to
-``identify_galois``, where every subgroup test climbs it, and on to the
-root expressions and the automorphisms.
+per weight vector, which reads the resolvent once; the search's ladders
+share their refined root systems, so each precision is refined once.
+The search hands its winning ladder to ``identify_galois``, where every
+subgroup test climbs it, and on to the root expressions and the
+automorphisms.
 """
 
 from __future__ import annotations
 
-from itertools import product as iter_product
+from itertools import combinations, count
 
 from .arith import ComplexBall, abs_bound, fixed_mul, round_sig
 from .errors import CertificationError, InputError
@@ -49,27 +58,17 @@ from .roots import PREC_CAP, RootSystem, precisions, read_integers
 from .sympoly import decompose, substitute_elementary
 
 
-class ResolventSpec(Frozen):
-    """Integer weights making the root combination injective over all
-    permutations (certified by the producer); immutable."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights: tuple):
-        Record.__init__(self, tuple(int(w) for w in weights))
-
-
 class GaloisData(Frozen):
     """The certified Galois group with the resolvent data that found it;
     immutable.  ``ladder`` carries the conjugate balls on to the later
     stages and is left out of equality and hashing."""
 
-    __slots__ = ("spec", "min_poly", "ladder", "group", "resolvent")
-    _compared = ("spec", "min_poly", "group", "resolvent")
+    __slots__ = ("weights", "min_poly", "ladder", "group", "resolvent")
+    _compared = ("weights", "min_poly", "group", "resolvent")
 
-    def __init__(self, spec: ResolventSpec, min_poly: UniPoly, ladder: Ladder,
+    def __init__(self, weights: tuple, min_poly: UniPoly, ladder: Ladder,
                  group: PermGroup, resolvent: UniPoly):
-        Record.__init__(self, spec, min_poly, ladder, group, resolvent)
+        Record.__init__(self, weights, min_poly, ladder, group, resolvent)
 
 
 def _round_sig_at(v: int, prec: int):
@@ -79,22 +78,22 @@ def _round_sig_at(v: int, prec: int):
     return k << s, (1 << s) >> 1
 
 
-def conjugate_balls(spec: ResolventSpec, rs: RootSystem):
+def conjugate_balls(weights: tuple, rs: RootSystem):
     """Ball of the weighted root combination for every permutation,
     keyed by permutation, at the root system's precision.  In ints over
     the root balls' common exponent, each part of each term w * root and
     of each partial sum is rounded to prec significant bits, the error
     folded into the radius.  The rounding is relative, so a part whose
     terms cancel below 2**-prec of their size prints as 0 in ``--array``."""
-    n = len(spec.weights)
+    n = len(weights)
     prec = rs.precision_bits + 32
     e = min(b.exp for b in rs.enclosures)
-    terms = [i for i, w in enumerate(spec.weights) if w]
+    terms = [i for i, w in enumerate(weights) if w]
     scaled = {}
     for j, b in enumerate(rs.enclosures):
         rx, ry, rr = b.fixed(-e)
         for i in terms:
-            w = spec.weights[i]
+            w = weights[i]
             tx, ex = _round_sig_at(w * rx, prec)
             ty, ey = _round_sig_at(w * ry, prec)
             scaled[i, j] = tx, ty, abs(w) * rr + ex + ey
@@ -111,19 +110,21 @@ def conjugate_balls(spec: ResolventSpec, rs: RootSystem):
 
 
 class Ladder:
-    """The conjugate balls of one weight vector along the precision
-    schedule of one root system.  Rung ``bits`` is (the system refined to
-    bits, its conjugate balls, the working precision bits + 32), built on
-    first use and kept, so every stage that climbs the ladder refines
-    each precision once.  Each rung refines the original system, so it
-    depends only on the weights, the system and the bits.  The resolvent
-    read off the ladder is kept on it too."""
+    """The conjugate balls of one weight vector, a tuple of ints, along
+    the precision schedule of one root system.  Rung ``bits`` is (the
+    system refined to bits, its conjugate balls, the working precision
+    bits + 32), built on first use and kept, so every stage that climbs
+    the ladder refines each precision once.  Each rung refines the
+    original system, so the refined system depends only on the bits:
+    ladders of one system may share them through ``systems``, a dict by
+    bits.  The resolvent read off the ladder is kept on it too."""
 
-    __slots__ = ("spec", "rs", "_rungs", "_resolvent")
+    __slots__ = ("weights", "rs", "_systems", "_rungs", "_resolvent")
 
-    def __init__(self, spec: ResolventSpec, rs: RootSystem):
-        self.spec = spec
+    def __init__(self, weights: tuple, rs: RootSystem, systems: dict | None = None):
+        self.weights = weights
         self.rs = rs
+        self._systems = {} if systems is None else systems
         self._rungs = {}
         self._resolvent = None
 
@@ -136,8 +137,10 @@ class Ladder:
 
     def rung(self, bits: int):
         if bits not in self._rungs:
-            cur = self.rs.refine(bits)
-            self._rungs[bits] = cur, conjugate_balls(self.spec, cur), bits + 32
+            cur = self._systems.get(bits)
+            if cur is None:
+                cur = self._systems[bits] = self.rs.refine(bits)
+            self._rungs[bits] = cur, conjugate_balls(self.weights, cur), bits + 32
         return self._rungs[bits]
 
     @property
@@ -157,46 +160,28 @@ def certify_distinct_values(ladder: Ladder) -> bool:
     return is_squarefree(ladder.resolvent)
 
 
-def search_resolvent(rs: RootSystem, max_norm: int = 8, skip: int = 0) -> Ladder:
-    """The ladder of the smallest weight vector (by max-norm, then
-    lexicographically) whose n! values are certified pairwise distinct,
-    with the resolvent that decided it.  skip returns later hits.
-
-    The decision depends only on the multiset of weights, so each multiset
-    is decided once: with w'_i = w_pi(i), sum_i w'_i alpha_sigma(i) =
-    sum_j w_j alpha_(sigma pi^-1)(j), and sigma pi^-1 runs over S_n with
-    sigma, so w and w' have the same n! values and the same resolvent.
-    A later hit in another order of a decided multiset gets a ladder of
-    its own, which keeps that resolvent."""
+def search_resolvent(rs: RootSystem, skip: int = 0) -> Ladder:
+    """The ladder of the first weight vector (0, *rest, norm), by norm,
+    then lexicographically, whose n! values are certified pairwise
+    distinct, with the resolvent that decided it; skip returns later
+    hits.  The module docstring shows why these vectors suffice and why
+    the search ends; every candidate's ladder shares one dict of refined
+    root systems."""
     n = rs.poly.degree
-    found = 0
-    decided = {}
-    for norm in range(1, max_norm + 1):
-        for weights in iter_product(range(norm + 1), repeat=n):
-            if max(weights) != norm:
-                continue
-            # a repeated weight makes two permutations collide for sure
-            if len(set(weights)) != n:
-                continue
-            key = tuple(sorted(weights))
-            if key not in decided:
-                ladder = Ladder(ResolventSpec(weights), rs)
-                decided[key] = ladder if certify_distinct_values(ladder) else None
-            ladder = decided[key]
-            if ladder is not None:
-                if found == skip:
-                    if ladder.spec.weights != weights:
-                        hit = Ladder(ResolventSpec(weights), rs)
-                        hit._resolvent = ladder.resolvent
-                        return hit
+    if n is None or n < 2 or not is_squarefree(rs.poly):
+        raise InputError("the weight search needs a squarefree polynomial "
+                         "of degree at least 2")
+    systems = {}
+    for norm in count(1):
+        for rest in combinations(range(1, norm), n - 2):
+            ladder = Ladder((0, *rest, norm), rs, systems)
+            if certify_distinct_values(ladder):
+                if not skip:
                     return ladder
-                found += 1
-    raise CertificationError(
-        f"no injective weight vector with max-norm <= {max_norm}"
-    )
+                skip -= 1
 
 
-def resolvent_poly(f: UniPoly, spec: ResolventSpec) -> UniPoly:
+def resolvent_poly(f: UniPoly, weights: tuple) -> UniPoly:
     """The exact degree-n! product of (x - weighted root combination)
     over all permutations, with the roots eliminated symbolically."""
     n = f.degree
@@ -204,7 +189,7 @@ def resolvent_poly(f: UniPoly, spec: ResolventSpec) -> UniPoly:
         raise InputError("degree must be at least 1")
     if n > 4:
         raise InputError("resolvent construction is limited to degree <= 4")
-    if len(spec.weights) != n:
+    if len(weights) != n:
         raise InputError("weight count must match the degree")
     if not f.is_monic():
         raise InputError("polynomial must be monic")
@@ -214,7 +199,7 @@ def resolvent_poly(f: UniPoly, spec: ResolventSpec) -> UniPoly:
     x0 = (1,) + (0,) * n
     for sigma in symmetric_group(n):
         terms = {x0: 1}
-        for i, w in enumerate(spec.weights):
+        for i, w in enumerate(weights):
             if w:
                 e = [0] * nv
                 e[sigma(i) + 1] = 1
@@ -269,7 +254,7 @@ def _integer_products(ladder: Ladder, perms):
     # most every ball's exponent, so each factor 1 + |value| is an int
     # over 2**t
     t = min([0] + [vals[s].exp for s in perms])
-    bound = 2 * len(perms) * sum(map(abs, ladder.spec.weights)) + 1
+    bound = 2 * len(perms) * sum(map(abs, ladder.weights)) + 1
     for s in perms:
         b = vals[s]
         bound *= ((abs_bound(b.x, b.y) + b.r) << (b.exp - t)) + (1 << -t)
@@ -317,7 +302,7 @@ def identify_galois(ladder: Ladder) -> GaloisData:
     for sub in all_subgroups(symmetric_group(n)):
         min_poly = _test_subgroup(resolvent, sub, ladder)
         if min_poly is not None:
-            return GaloisData(ladder.spec, min_poly, ladder, sub, resolvent)
+            return GaloisData(ladder.weights, min_poly, ladder, sub, resolvent)
     raise CertificationError(
         "no subgroup produced a certified rational factor; "
         "this indicates a bug or insufficient precision"

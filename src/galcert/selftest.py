@@ -55,7 +55,7 @@ def corpus_pipeline(text: str) -> SimpleNamespace:
     roots = express_roots(gd)
     sf = automorphism_table(gd, roots)
     report = correspondence_lattice(sf)
-    return SimpleNamespace(f=f, rs=rs, spec=gd.spec, gd=gd, roots=roots, sf=sf, report=report)
+    return SimpleNamespace(f=f, rs=rs, gd=gd, roots=roots, sf=sf, report=report)
 
 
 def criterion_1_quartic_arrangement():
@@ -126,7 +126,7 @@ def criterion_4_generator_independence():
     for text in ("x^2 - 2", "x^3 - 2"):
         data = corpus_pipeline(text)
         ladder2 = search_resolvent(data.rs, skip=1)
-        if ladder2.spec == data.spec:
+        if ladder2.weights == data.gd.weights:
             return False, f"{text}: second search returned the same weights"
         gd2 = identify_galois(ladder2)
         if gd2.group != data.gd.group:
@@ -172,12 +172,12 @@ def criterion_5_distinctness_certificates():
     for text in CORPUS:
         data = corpus_pipeline(text)
         resolvent = data.gd.resolvent
-        if resolvent != resolvent_poly(data.f, data.spec):
+        if resolvent != resolvent_poly(data.f, data.gd.weights):
             return False, f"{text}: resolvent differs from the symbolic one"
         if gcd(resolvent, resolvent.derivative()).degree != 0:
             return False, f"{text}: resolvent is not squarefree"
         if data.f.degree <= 3:
-            value = _exact_distinctness_value(data.spec.weights, data.f)
+            value = _exact_distinctness_value(data.gd.weights, data.f)
             if value == 0:
                 return False, f"{text}: exact certificate vanishes"
     return True, "ball and exact certificates agree on the corpus"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from galcert import roots
+from galcert import resolvent, roots
 from galcert.cli import (
     AnalysisConfig,
     analyze,
@@ -46,6 +47,9 @@ def test_parse_poly_syntax_errors():
         parse_poly("x + + 2")
     with pytest.raises(InputError, match="character"):
         parse_poly("x^2 # 3")
+    # a digit that is not decimal is not a number token
+    with pytest.raises(InputError, match="unexpected character '²' at position 6"):
+        parse_poly("x^2 - ²")
     with pytest.raises(InputError):
         parse_poly("")
 
@@ -74,8 +78,6 @@ def test_config_validation(capsys):
     # rejected before any root is isolated (this input ran past 120 s)
     assert main(["analyze", "x^3 - 2", "--precision", "100000"]) == 2
     assert "precision must be at most 65536 bits" in capsys.readouterr().err
-    with pytest.raises(InputError):
-        AnalysisConfig(resolvent_norm_bound=0)
     with pytest.raises(InputError):
         AnalysisConfig(output_format="xml")
 
@@ -161,6 +163,11 @@ def test_main_exit_codes(capsys):
     # an empty explicit list is a bad list, not a request to search
     assert main(["analyze", "x^2 - 2", "--spec", ""]) == 2
     assert "could not parse the weight list ''" in capsys.readouterr().err
+    # the weight search has no bound to set: the flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "x^2 - 2", "--norm-bound", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --norm-bound 8" in capsys.readouterr().err
 
 
 def test_main_rejects_overlong_number(capsys):
@@ -266,6 +273,77 @@ def test_analyze_s4_quartic(monkeypatch):
         assert report.all_passed()
         digest = hashlib.sha256(render_json(report).encode()).hexdigest()
         assert digest == expected
+
+
+@pytest.mark.parametrize("text, weights, order", [
+    ("x^4 - 5x^2 + 4", (0, 1, 2, 9), 1),
+    ("x^4 + 5x^2 + 4", (0, 1, 2, 9), 2),
+    ("x^4 - 10x^2 + 9", (0, 1, 4, 14), 1),
+    ("x^4 - 6x^3 + 11x^2 - 6x", (0, 1, 4, 14), 1),
+])
+def test_analyze_quartics_that_need_large_weights(monkeypatch, text, weights, order):
+    # no weight vector of max-norm <= 8 is injective on these, and the
+    # search has no bound; the arithmetic progressions 0, 1, 2, 3 and
+    # -3, -1, 1, 3 reach norm 14 after 289 decisions
+    decisions = []
+    certify = resolvent.certify_distinct_values
+
+    def counted_certify(ladder):
+        decisions.append(ladder.weights)
+        return certify(ladder)
+
+    monkeypatch.setattr(resolvent, "certify_distinct_values", counted_certify)
+    report = analyze(text)
+    assert report.weights == weights == decisions[-1]
+    assert report.group_order == order
+    assert report.all_passed()
+    assert len(decisions) <= 289
+
+
+# sha256 of the standard output of each invocation: any change to the
+# weight order, the pipeline or the rendering shows here
+PINNED_OUTPUTS = [
+    (["x^2 - 2"], "3a52afa073924b231580372ccd7ef23139d3868ab032ed815219e5c30bfd36dd"),
+    (["x^2 - 2", "--format", "json"], "13c4fcec771f154a153c855fcd8407e7eedc9d6bbfe7431a3bd227cd50db9402"),
+    (["x^2 + 1"], "34908439c00be1457b87c2f5b2e8279c60ec7149b3e5d09a67fb266a8bea03d9"),
+    (["x^2 + 1", "--format", "json"], "4d7f4db8d45ef5c5bfafb8295522e3907f4ec7c811bc0ba615f4423ff01c5c00"),
+    (["x^3 - 2"], "d624c86690f286c6f9e9e8d175f5262a3621d6011f966cc72e9e254be86040cb"),
+    (["x^3 - 2", "--format", "json"], "69e41d35e03dfef0393decb1b0c88fe215e5f07ef26ae9c3153c8b880f89673d"),
+    (["x^3 - 3x - 1"], "6220327828c5c517e01a0c7b91876dc7bd05770e785df6ade80cae062ac2d2be"),
+    (["x^3 - 3x - 1", "--format", "json"], "efcd2f5919795d1516e8b6b8e72fd93be24d32b341808759914e8ffd767596f4"),
+    (["x^4 + 1"], "6c606d15e2218b10836bf5c3f07d54f56ecc6f89cb0e993332993c92e231c999"),
+    (["x^4 + 1", "--format", "json"], "55e1215637185f8b8ca39242c64db45c545b295d0bd0328e3b2132b8af672148"),
+    (["x^4 - 2"], "19d00a8389bdee7d31c2dd271539fbf680d1b5456884fd1e98791f626d2b0a06"),
+    (["x^4 - 2", "--format", "json"], "efb3b154ad4d11f626a0c47f68bf487547d40c2461023b7bdaffba4ccf7c79b9"),
+    (["1/2 x^3 - 3/4 x + 5"], "102320cf10513c3d3d0e87ddb9d4d637f93b9a0c31b45e8eff817685814e713b"),
+    (["1/2 x^3 - 3/4 x + 5", "--format", "json"],
+     "b5078d637ce91818e31b005c3f539a8c991ce348ffeb516e46c9c5dafceebeef"),
+    (["x^3 - 2", "--array"], "5b25c920331730b4932b8fdd724b5a3ff399380695825d96b884bc774ee527ea"),
+    (["x^4 - 2", "--array"], "2f342c4232a147fa670c4662c97419851292b5e4e6fe06a5ddbf80570f2084c0"),
+    (["x^2 - 2", "--spec", "1,0"], "4e5bd3b796250c67c7ef50e189110067e980fb6518af1dd85ff1be731dd0da32"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_OUTPUTS,
+                         ids=[" ".join(args) for args, _ in PINNED_OUTPUTS])
+def test_output_is_pinned(capsys, args, digest):
+    assert main(["analyze", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines()
+            if line.startswith("galcert analyze")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_run(capsys, line):
+    # every documented invocation still parses and passes its checks
+    args = shlex.split(line)[1:]
+    assert main(args) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_module_entry_points():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from galcert import poly
 from galcert.arith import ComplexBall
 from galcert.poly import SQUAREFREE_PRIME, MultiPoly, UniPoly, gcd, is_squarefree, xgcd
-from galcert.resolvent import ResolventSpec, resolvent_poly
+from galcert.resolvent import resolvent_poly
 
 from helpers import ball_contains_rational, bisect_root, interval_ball
 
@@ -30,7 +30,7 @@ def test_divmod_examples():
 
 def test_divmod_resolvent_by_its_min_poly():
     f = P(-2, 0, 1)
-    resolvent = resolvent_poly(f, ResolventSpec((1, 0)))
+    resolvent = resolvent_poly(f, (1, 0))
     assert resolvent == f
     q, r = divmod(resolvent, f)
     assert q == P(1) and r.is_zero()

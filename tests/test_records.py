@@ -12,7 +12,7 @@ from galcert.correspondence import CorrespondenceReport, Subfield, SubgroupEntry
 from galcert.errors import InputError
 from galcert.groups import Arrangement, ArrangementGroup, Permutation
 from galcert.numberfield import SplittingField
-from galcert.resolvent import GaloisData, ResolventSpec
+from galcert.resolvent import GaloisData
 from galcert.roots import RootSystem
 from galcert.selftest import corpus_pipeline
 
@@ -35,15 +35,17 @@ def _assert_frozen(obj, name):
 
 def test_analysis_config_defaults_and_validation():
     cfg = AnalysisConfig()
-    assert (cfg.precision_bits, cfg.resolvent_norm_bound, cfg.output_format,
-            cfg.emit_array, cfg.seed_spec) == (128, 8, "text", False, None)
-    assert AnalysisConfig(256, 4, "json", True, (0, 1)) == AnalysisConfig(
-        precision_bits=256, resolvent_norm_bound=4, output_format="json",
-        emit_array=True, seed_spec=(0, 1))
+    assert (cfg.precision_bits, cfg.output_format, cfg.emit_array,
+            cfg.seed_spec) == (128, "text", False, None)
+    assert AnalysisConfig(256, "json", True, (0, 1)) == AnalysisConfig(
+        precision_bits=256, output_format="json", emit_array=True, seed_spec=(0, 1))
+    # explicit weights are kept as a tuple of ints
+    seed = AnalysisConfig(seed_spec=[True, 1.0, 2]).seed_spec
+    assert seed == (1, 1, 2) and all(type(w) is int for w in seed)
     assert AnalysisConfig() != AnalysisConfig(emit_array=True)
     assert "seed_spec=None" in repr(cfg)
     for bad in ({"precision_bits": 63}, {"precision_bits": 65537},
-                {"resolvent_norm_bound": 0}, {"output_format": "xml"}):
+                {"output_format": "xml"}):
         with pytest.raises(InputError):
             AnalysisConfig(**bad)
     # a mutable record: assignment works, so it has no hash
@@ -77,17 +79,12 @@ def test_arrangement_records():
 
 
 def test_resolvent_records(cubic):
-    spec = ResolventSpec([True, 1.0, 2])
-    assert spec.weights == (1, 1, 2) and all(type(w) is int for w in spec.weights)
-    assert spec == ResolventSpec(weights=(1, 1, 2)) and hash(spec) == hash(ResolventSpec((1, 1, 2)))
-    assert repr(spec) == "ResolventSpec(weights=(1, 1, 2))"
-    _assert_frozen(spec, "weights")
-
     gd = cubic.gd
+    assert gd.weights == gd.ladder.weights == (0, 1, 2)
     # the ladder of conjugate balls is outside equality and hashing
-    same = GaloisData(gd.spec, gd.min_poly, None, gd.group, gd.resolvent)
+    same = GaloisData(gd.weights, gd.min_poly, None, gd.group, gd.resolvent)
     assert same == gd and hash(same) == hash(gd)
-    assert GaloisData(spec=gd.spec, min_poly=gd.min_poly, ladder=gd.ladder,
+    assert GaloisData(weights=gd.weights, min_poly=gd.min_poly, ladder=gd.ladder,
                       group=gd.group, resolvent=gd.min_poly * gd.min_poly) != gd
     _assert_frozen(gd, "group")
 
@@ -151,7 +148,7 @@ def test_frozen_records_pickle_and_copy(cubic):
     # constructors, the fields outside equality included
     block = ArrangementGroup((Arrangement((1, 0)), Arrangement((0, 1))), rep=Permutation((1, 0)))
     sub = cubic.report.entries[0].subfield
-    for obj in (block, Arrangement((2, 0, 1)), cubic.spec, sub):
+    for obj in (block, Arrangement((2, 0, 1)), sub):
         for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj)):
             assert twin == obj
     assert pickle.loads(pickle.dumps(block)).rep == block.rep
@@ -168,14 +165,14 @@ def test_frozen_records_pickle_and_copy(cubic):
     gd = cubic.gd
     assert copy.copy(gd) == gd
     twin = pickle.loads(pickle.dumps(gd))
-    assert (twin.spec, twin.min_poly, twin.group, twin.resolvent) == (
-        gd.spec, gd.min_poly, gd.group, gd.resolvent)
+    assert (twin.weights, twin.min_poly, twin.group, twin.resolvent) == (
+        gd.weights, gd.min_poly, gd.group, gd.resolvent)
     identity = Permutation.identity(3)
     ball, twin_ball = gd.ladder.base[1][identity], twin.ladder.base[1][identity]
     assert (twin_ball.x, twin_ball.y, twin_ball.r, twin_ball.exp) == (
         ball.x, ball.y, ball.r, ball.exp)
     # the mutable records too, the config through its validation
-    for obj in (AnalysisConfig(256, 4, "json", True, (0, 1)), cubic.report.entries[0]):
+    for obj in (AnalysisConfig(256, "json", True, (0, 1)), cubic.report.entries[0]):
         for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj)):
             assert twin == obj and twin is not obj
 
@@ -184,10 +181,10 @@ def test_records_repr_every_field(cubic):
     records = (
         AnalysisConfig(), Arrangement((2, 0, 1)),
         ArrangementGroup((Arrangement((1, 0)), Arrangement((0, 1))), rep=Permutation((1, 0))),
-        cubic.spec, cubic.gd, cubic.rs, cubic.sf, cubic.report.entries[0].subfield,
+        cubic.gd, cubic.rs, cubic.sf, cubic.report.entries[0].subfield,
         cubic.report.entries[0], cubic.report,
     )
-    assert len({type(obj) for obj in records}) == 10
+    assert len({type(obj) for obj in records}) == 9
     for obj in records:
         text = repr(obj)
         assert text.startswith(f"{type(obj).__name__}(")

@@ -14,7 +14,6 @@ from galcert.numberfield import automorphism_table, express_roots
 from galcert.poly import UniPoly, gcd
 from galcert.resolvent import (
     Ladder,
-    ResolventSpec,
     certify_distinct_values,
     conjugate_balls,
     identify_galois,
@@ -32,37 +31,36 @@ def setup_module(module):
 
 
 def decide(weights, rs):
-    return certify_distinct_values(Ladder(ResolventSpec(weights), rs))
+    return certify_distinct_values(Ladder(weights, rs))
 
 
 def test_pipeline_reads_each_resolvent_once(monkeypatch):
-    # the search reads one resolvent per weight multiset, and
-    # identify_galois takes the winning ladder with its resolvent, also
-    # for a later hit that reorders a decided multiset
+    # the search reads one resolvent per candidate, each a different
+    # multiset, and identify_galois takes the winning ladder with its
+    # resolvent, also for a later hit
     reads = []
     read = resolvent.read_resolvent
 
     def counted_read(ladder):
-        reads.append(ladder.spec.weights)
+        reads.append(ladder.weights)
         return read(ladder)
 
     monkeypatch.setattr(resolvent, "read_resolvent", counted_read)
-    for rs, skip, weights in ((rs2, 0, (0, 1)), (rs2, 1, (1, 0)), (rs3, 1, None)):
+    for rs, skip, weights in ((rs2, 0, (0, 1)), (rs2, 1, (0, 2)), (rs3, 1, (0, 1, 3))):
         reads.clear()
         gd = identify_galois(search_resolvent(rs, skip=skip))
-        assert weights is None or gd.spec.weights == weights
+        assert gd.weights == weights == reads[-1]
         assert len(reads) == len({tuple(sorted(w)) for w in reads})
-        assert sorted(gd.spec.weights) in [sorted(w) for w in reads]
 
 
 def test_search_quadratic_accepts_0_1():
-    assert search_resolvent(rs2).spec.weights == (0, 1)
-    assert search_resolvent(rs2, skip=1).spec.weights == (1, 0)
+    assert search_resolvent(rs2).weights == (0, 1)
+    assert search_resolvent(rs2, skip=1).weights == (0, 2)
 
 
 def test_single_root_weight_rejected_for_cubic():
     assert not decide((1, 0, 0), rs3)
-    vals = list(conjugate_balls(ResolventSpec((1, 0, 0)), rs3).values())
+    vals = list(conjugate_balls((1, 0, 0), rs3).values())
     overlapping = sum(
         1
         for i in range(len(vals))
@@ -84,32 +82,32 @@ def test_schedule_needs_a_positive_start():
 
 
 def test_search_cubic_within_norm_two():
-    spec = search_resolvent(rs3).spec
-    assert max(spec.weights) <= 2
-    assert decide(spec.weights, rs3)
+    weights = search_resolvent(rs3).weights
+    assert max(weights) <= 2
+    assert decide(weights, rs3)
 
 
 def test_resolvent_poly_quadratics():
     f = UniPoly([-2, 0, 1])
-    assert resolvent_poly(f, ResolventSpec((1, 0))) == f
+    assert resolvent_poly(f, (1, 0)) == f
     g = UniPoly([1, 0, 1])
-    assert resolvent_poly(g, ResolventSpec((1, 0))) == g
+    assert resolvent_poly(g, (1, 0)) == g
 
 
 def test_resolvent_degrees_are_factorials():
     f3 = UniPoly([-2, 0, 0, 1])
-    assert resolvent_poly(f3, ResolventSpec((0, 1, 2))).degree == 6
+    assert resolvent_poly(f3, (0, 1, 2)).degree == 6
     f4 = UniPoly([-2, 0, 0, 0, 1])
-    assert resolvent_poly(f4, ResolventSpec((0, 1, 2, 4))).degree == 24
+    assert resolvent_poly(f4, (0, 1, 2, 4)).degree == 24
 
 
 def test_resolvent_guards():
     with pytest.raises(InputError, match="degree"):
-        resolvent_poly(UniPoly([-1, 0, 0, 0, 0, 1]), ResolventSpec((0, 1, 2, 3, 4)))
+        resolvent_poly(UniPoly([-1, 0, 0, 0, 0, 1]), (0, 1, 2, 3, 4))
     with pytest.raises(InputError, match="weight"):
-        resolvent_poly(UniPoly([-2, 0, 1]), ResolventSpec((1, 0, 0)))
+        resolvent_poly(UniPoly([-2, 0, 1]), (1, 0, 0))
     with pytest.raises(InputError, match="monic"):
-        resolvent_poly(UniPoly([-2, 0, 2]), ResolventSpec((1, 0)))
+        resolvent_poly(UniPoly([-2, 0, 2]), (1, 0))
 
 
 def test_identify_quadratic():
@@ -138,10 +136,10 @@ def test_identify_cyclotomic_quartic():
 
 
 def test_identify_invariants_and_determinism():
-    spec = search_resolvent(rs3).spec
-    gd1 = identify_galois(Ladder(spec, rs3))
-    gd2 = identify_galois(Ladder(spec, rs3))
-    assert gd1.spec == gd2.spec
+    weights = search_resolvent(rs3).weights
+    gd1 = identify_galois(Ladder(weights, rs3))
+    gd2 = identify_galois(Ladder(weights, rs3))
+    assert gd1.weights == gd2.weights
     assert gd1.group == gd2.group
     assert gd1.min_poly == gd2.min_poly
 
@@ -149,7 +147,7 @@ def test_identify_invariants_and_determinism():
     # polynomial: ball evaluation of m at each contains zero, and the
     # remaining values provably miss
     refined = rs3.refine(256)
-    vals = conjugate_balls(gd1.spec, refined)
+    vals = conjugate_balls(gd1.weights, refined)
     for sigma in symmetric_group(3):
         v = gd1.min_poly.eval_ball(vals[sigma], 288)
         assert v.contains_zero() == (sigma in gd1.group)
@@ -159,7 +157,7 @@ def test_identify_requires_integer_coefficients():
     f = UniPoly([Fraction(-1, 2), 0, 1])
     rs = isolate_roots(f)
     with pytest.raises(InputError, match="integer"):
-        identify_galois(Ladder(ResolventSpec((0, 1)), rs))
+        identify_galois(Ladder((0, 1), rs))
     with pytest.raises(InputError, match="integer coefficients required"):
         decide((0, 1), rs)
 
@@ -181,8 +179,8 @@ def test_resolvent_read_off_the_balls_is_the_symbolic_one(case):
     f = UniPoly(list(coeffs) + [1])
     assume(gcd(f, f.derivative()).degree == 0)
     rs = isolate_roots(f)
-    expected = resolvent_poly(f, ResolventSpec(weights))
-    assert read_resolvent(Ladder(ResolventSpec(weights), rs)) == expected
+    expected = resolvent_poly(f, weights)
+    assert read_resolvent(Ladder(weights, rs)) == expected
     squarefree = gcd(expected, expected.derivative()).degree == 0
     assert decide(weights, rs) == squarefree
 
@@ -212,7 +210,7 @@ def test_search_pays_one_ball_product_per_candidate(monkeypatch):
         return product(balls, prec)
 
     def counted_certify(ladder):
-        candidates.append(ladder.spec.weights)
+        candidates.append(ladder.weights)
         return certify(ladder)
 
     monkeypatch.setattr(resolvent, "_ball_poly_product", counted_product)
@@ -220,7 +218,7 @@ def test_search_pays_one_ball_product_per_candidate(monkeypatch):
     f = UniPoly([-1000003, 0, 0, 0, 1])
     rs = isolate_roots(f)
     ladder = search_resolvent(rs)
-    assert ladder.spec.weights == (0, 1, 2, 4)
+    assert ladder.weights == (0, 1, 2, 4)
     assert len(products) <= len(candidates) + 1
     assert identify_galois(ladder).group.order == 8
 
@@ -230,21 +228,21 @@ def test_search_pays_one_ball_product_per_candidate(monkeypatch):
     [([6, 0, -5, 0, 1], 4), ([1, 0, 0, 0, 1], 4), ([-2, 0, 0, 0, 1], 8)],
 )
 def test_search_decides_the_same_on_quartics(monkeypatch, coeffs, order):
-    # each injectivity decision is exact and made once per weight
-    # multiset, so the search stops at the same vector after deciding
-    # {0, 1, 2, 3} (rejected) and {0, 1, 2, 4} on each input
+    # each injectivity decision is exact and the search tries only
+    # sorted vectors from 0, so it stops at the same vector after
+    # deciding {0, 1, 2, 3} (rejected) and {0, 1, 2, 4} on each input
     calls = []
     certify = resolvent.certify_distinct_values
 
     def counted_certify(ladder):
-        calls.append(ladder.spec.weights)
+        calls.append(ladder.weights)
         return certify(ladder)
 
     monkeypatch.setattr(resolvent, "certify_distinct_values", counted_certify)
     f = UniPoly(coeffs)
     rs = isolate_roots(f)
     ladder = search_resolvent(rs)
-    assert ladder.spec.weights == (0, 1, 2, 4)
+    assert ladder.weights == (0, 1, 2, 4)
     assert calls == [(0, 1, 2, 3), (0, 1, 2, 4)]
     assert identify_galois(ladder).group.order == order
 
@@ -266,20 +264,23 @@ _squarefree = st.integers(2, 4).flatmap(
 def test_resolvent_depends_only_on_the_weight_multiset(f, weights):
     weights = tuple(weights[:f.degree])
     rs = isolate_roots(f)
-    expected = read_resolvent(Ladder(ResolventSpec(weights), rs))
+    expected = read_resolvent(Ladder(weights, rs))
     for pi in symmetric_group(f.degree):
         permuted = tuple(weights[pi(i)] for i in range(f.degree))
-        assert read_resolvent(Ladder(ResolventSpec(permuted), rs)) == expected
+        assert read_resolvent(Ladder(permuted, rs)) == expected
 
 
-def _reference_search(rs, max_norm, skip):
-    # the search without its memo: every candidate decided on its own
+def _reference_search(rs, max_norm, skip, normalized=False):
+    # the bounded search of every weight vector, by max-norm, then
+    # lexicographically, each decided on its own; normalized keeps only
+    # the sorted vectors from 0
     n = rs.poly.degree
     hits = (
         weights
         for norm in range(1, max_norm + 1)
         for weights in iter_product(range(norm + 1), repeat=n)
         if max(weights) == norm and len(set(weights)) == n
+        and (not normalized or (weights[0] == 0 and list(weights) == sorted(weights)))
         and decide(weights, rs)
     )
     return next(islice(hits, skip, None), None)
@@ -289,15 +290,43 @@ def _reference_search(rs, max_norm, skip):
 @given(_squarefree)
 @example(UniPoly([-2, 0, 0, 0, 1]))
 @example(UniPoly([6, 0, -5, 0, 1]))
-def test_search_agrees_with_a_memo_free_reference(f):
+@example(UniPoly([4, 0, -5, 0, 1]))
+def test_search_agrees_with_the_bounded_reference(f):
+    # the first hit of the bounded search is the unbounded one's; the
+    # second is the normalized order's.  Where the bound is too small,
+    # the unbounded search finds a hit of larger norm
     rs = isolate_roots(f)
-    for skip in (0, 1):
-        expected = _reference_search(rs, 4, skip)
+    for skip, normalized in ((0, False), (1, True)):
+        expected = _reference_search(rs, 4, skip, normalized)
+        weights = search_resolvent(rs, skip).weights
         if expected is None:
-            with pytest.raises(CertificationError):
-                search_resolvent(rs, 4, skip)
+            assert max(weights) > 4
         else:
-            assert search_resolvent(rs, 4, skip).spec.weights == expected
+            assert weights == expected
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_squarefree, st.lists(st.integers(0, 4), min_size=4, max_size=4),
+       st.integers(-3, 5))
+@example(UniPoly([-2, 0, 0, 1]), [0, 1, 2, 0], 1)
+@example(UniPoly([4, 0, -5, 0, 1]), [0, 1, 2, 9], -1)
+def test_shifting_every_weight_keeps_the_decision(f, weights, c):
+    # every value moves by c * (alpha_1 + ... + alpha_n), so the values
+    # that coincide stay the same
+    weights = tuple(weights[:f.degree])
+    rs = isolate_roots(f)
+    assert decide(tuple(w + c for w in weights), rs) == decide(weights, rs)
+
+
+@pytest.mark.parametrize("coeffs", [[1, 1], [1, -2, 1], [0, 0, 1]])
+def test_search_rejects_a_root_system_it_cannot_finish(coeffs):
+    # a hand-built system of degree < 2 leaves nothing to search, and
+    # one with a repeated root has no injective weight vector, so the
+    # search would never end
+    f = UniPoly(coeffs)
+    rs = RootSystem(f, rs2.enclosures[:f.degree], 128)
+    with pytest.raises(InputError, match="squarefree polynomial of degree at least 2"):
+        search_resolvent(rs)
 
 
 def test_identify_reads_conjugate_balls_once_per_precision(monkeypatch):
@@ -307,15 +336,14 @@ def test_identify_reads_conjugate_balls_once_per_precision(monkeypatch):
     precisions_read = []
     balls = resolvent.conjugate_balls
 
-    def counted_balls(spec, rs):
+    def counted_balls(weights, rs):
         precisions_read.append(rs.precision_bits)
-        return balls(spec, rs)
+        return balls(weights, rs)
 
     f = UniPoly([-1000003, 0, 0, 0, 1])
     rs = isolate_roots(f)
-    spec = ResolventSpec((0, 1, 2, 4))
     monkeypatch.setattr(resolvent, "conjugate_balls", counted_balls)
-    gd = identify_galois(Ladder(spec, rs))
+    gd = identify_galois(Ladder((0, 1, 2, 4), rs))
     assert gd.group.order == 8
     automorphism_table(gd, express_roots(gd))
     assert sorted(precisions_read) == [128, 256]

@@ -108,10 +108,10 @@ def test_refine_preserves_roots_and_order():
 
 def test_pipeline_refines_once_per_resolvent_read(monkeypatch):
     # x^4 - 1000003's resolvents need 256 bits: the search reads two
-    # weight multisets, each refining once, and identify_galois takes the
-    # winning ladder with its resolvent from the search; the 128-bit
-    # system serves everything else.  Only the first isolation decides
-    # that f is squarefree
+    # weight multisets, whose ladders share one refinement, and
+    # identify_galois takes the winning ladder with its resolvent from the
+    # search; the 128-bit system serves everything else.  Only the first
+    # isolation decides that f is squarefree
     refinements, decisions = [], []
     isolate, squarefree = roots.isolate_roots, roots.is_squarefree
 
@@ -127,7 +127,7 @@ def test_pipeline_refines_once_per_resolvent_read(monkeypatch):
     monkeypatch.setattr(roots, "isolate_roots", counted_isolate)
     monkeypatch.setattr(roots, "is_squarefree", counted_squarefree)
     assert analyze("x^4 - 1000003").all_passed()
-    assert refinements == [256, 256]
+    assert refinements == [256]
     assert len(decisions) == 1
 
 
