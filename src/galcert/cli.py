@@ -205,21 +205,19 @@ def _check_digits(numbers):
 class AnalysisConfig(Record):
     """The pipeline's settings, validated on construction."""
 
-    __slots__ = ("precision_bits", "output_format", "emit_array", "seed_spec")
+    __slots__ = ("precision_bits", "emit_array", "seed_spec")
 
-    def __init__(self, precision_bits: int = 128, output_format: str = "text",
-                 emit_array: bool = False, seed_spec: tuple | None = None):
+    def __init__(self, precision_bits: int = 128, emit_array: bool = False,
+                 seed_spec: tuple | None = None):
         if precision_bits < 64:
             raise InputError("precision must be at least 64 bits")
         # the certification schedule stops doubling at PREC_CAP, and an
         # isolation far above it runs for minutes
         if precision_bits > PREC_CAP:
             raise InputError(f"precision must be at most {PREC_CAP} bits")
-        if output_format not in ("text", "json"):
-            raise InputError(f"unknown output format {output_format!r}")
         if seed_spec is not None:
             seed_spec = tuple(int(w) for w in seed_spec)
-        Record.__init__(self, precision_bits, output_format, emit_array, seed_spec)
+        Record.__init__(self, precision_bits, emit_array, seed_spec)
 
 
 def analyze(text: str, cfg: AnalysisConfig | None = None) -> CorrespondenceReport:
@@ -426,7 +424,6 @@ def main(argv=None) -> int:
                 raise InputError(f"could not parse the weight list {args.spec!r}")
         cfg = AnalysisConfig(
             precision_bits=args.precision,
-            output_format=args.format,
             emit_array=args.array,
             seed_spec=seed,
         )
@@ -440,7 +437,7 @@ def main(argv=None) -> int:
     except TheoremError as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return 4
-    out = render_json(report) if cfg.output_format == "json" else render_text(report)
+    out = render_json(report) if args.format == "json" else render_text(report)
     sys.stdout.write(out)
     return 0 if report.all_passed() else 4
 

@@ -10,10 +10,10 @@ fixed element as a symmetric value.
 
 Each certificate is sized to its subfield, by four arguments:
 
-* Closure.  The span of 1 and the symmetric values is closed by a
-  worklist: each kept element x adds x * g for each generator g.  When
-  nothing new is kept, the span contains 1 and is stable under every
-  generator, so it is Q[generators], a field (``field_from_subgroup``).
+* Closure.  The span of 1 and the symmetric values is closed by one
+  worklist, ``_closure``: each kept element x adds x * g for each
+  generator g.  When nothing new is kept, the span contains 1 and is
+  stable under every generator, so it is Q[generators], a field.
 * Fixed space.  An element fixed by a generating set of H is fixed by
   H, so the kernel stacks den * (M - I) only for the generators that
   ``all_subgroups`` carries with H (``_fixed_space``).
@@ -25,18 +25,20 @@ Each certificate is sized to its subfield, by four arguments:
   taken up to the subfield's dimension, and the relation is read off one
   echelon form.
 
-Subfields are canonicalized as reduced row echelon bases over Q, so field
-equality is a syntactic comparison.  The exact linear algebra runs on
-ints: a field element is one integer vector over one denominator (see
-``numberfield``), so a basis row of the reduced echelon form is stored as
-its primitive integer vector over its pivot entry, and spans, kernels
-and minimal polynomials all come from the fraction-free ``echelon`` and
-its one-row step ``insert_row``.  ``rref`` and ``nullspace`` give the
-same forms over Q for callers that read rationals.  Automorphisms act
-through the integer matrices the splitting field stores (``sf.matrices``,
-``sf.apply``), and a fixed point is the integer identity ``sf.sends(s,
-x, x)``; ``compose_mod`` is kept for the polynomial identities that
-certify the isomorphism between two generators' fields.
+A subfield is its echelon rows: the primitive integer rows with positive
+pivot entries that ``echelon`` returns, so subfield equality is equality
+of rows, and ``Subfield.basis``, each row over its pivot entry, is a
+view for the renderers.  Closure has one proof: ``field_from_subgroup``
+builds Q[gens] with ``_closure``, and ``Subfield.from_elements`` accepts
+a span only if ``_closure`` adds no row to it.  Spans, kernels and
+minimal polynomials all come from the fraction-free ``echelon`` and its
+one-row step ``insert_row``.  Automorphisms act through the integer
+matrices the splitting field stores (``sf.matrices``), and a fixed point
+is the integer identity ``sf.sends(s, x, x)``; ``compose_mod`` is kept
+for the polynomial identities that certify the isomorphism between two
+generators' fields.  The pipeline does not call ``rref``, ``nullspace``
+or ``fixed_field``: they give the same forms over Q, and the fixed space
+as a checked subfield, for the tests and perfbench's tracer.
 """
 
 from __future__ import annotations
@@ -105,88 +107,19 @@ def nullspace(rows):
 
 # -- subfields ---------------------------------------------------------------
 
-def _elements(nf: NumberField, red, pivots):
-    """Echelon rows as field elements: row / pivot entry."""
-    return tuple(NumberFieldElement(nf, r, r[p]) for r, p in zip(red, pivots))
+def _rows(red):
+    return tuple(map(tuple, red))
 
 
-class Subfield(Frozen):
-    """Q-subspace of the splitting field in canonical echelon form,
-    verified to contain 1 and be closed under products: by
-    ``from_elements``, or by the worklist in ``field_from_subgroup``.
-    Each basis element's integer vector is its echelon row, so membership
-    is decided on ints.  Immutable; equality and hashing read the ambient
-    field and the basis, not the ``generators`` it was built from."""
-
-    __slots__ = ("field", "basis", "generators")
-    _compared = ("field", "basis")
-
-    def __init__(self, field: NumberField, basis: tuple, generators: tuple = ()):
-        Record.__init__(self, field, basis, generators)
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    @classmethod
-    def from_elements(cls, nf: NumberField, elements, generators=()):
-        red, pivots = echelon([e.num for e in elements])
-        sub = cls(nf, _elements(nf, red, pivots), tuple(generators))
-        sub._verify()
-        return sub
-
-    def _verify(self):
-        if not self.contains(self.field.one()):
-            raise TheoremError("span does not contain 1")
-        red, pivots = self._rref_data()
-        for i in range(len(self.basis)):
-            for j in range(i, len(self.basis)):
-                prod = self.basis[i] * self.basis[j]
-                if not in_span(red, pivots, prod.num):
-                    raise TheoremError(
-                        "span is not closed under multiplication"
-                    )
-
-    def _rref_data(self):
-        red = [b.num for b in self.basis]
-        pivots = [next(i for i, v in enumerate(row) if v) for row in red]
-        return red, pivots
-
-    def contains(self, x: NumberFieldElement) -> bool:
-        return in_span(*self._rref_data(), x.num)
-
-    def contains_subfield(self, other: "Subfield") -> bool:
-        red, pivots = self._rref_data()
-        return all(in_span(red, pivots, b.num) for b in other.basis)
-
-    def coordinate_matrix(self):
-        return tuple(b.coeffs for b in self.basis)
-
-
-def fields_equal(a: Subfield, b: Subfield) -> bool:
-    """Equality of canonical echelon bases (same ambient field required)."""
-    if a.field != b.field:
-        raise ValueError("subfields of different ambient fields")
-    return a.basis == b.basis
-
-
-def field_from_subgroup(h: PermGroup, sf: SplittingField) -> Subfield:
-    """The field generated by symmetric polynomial values of the
-    generator's conjugates under h.
-
-    Every symmetric value is a polynomial in the elementary symmetric
-    values of the conjugates, so those finitely many generators suffice:
-    the field is Q[gens], built by a worklist.  The rows of 1 and the
+def _closure(nf: NumberField, gens):
+    """Echelon rows of Q[gens], by a worklist.  The rows of 1 and the
     generators go in first; G, the generators whose row was kept, span
     all of them together with 1.  Every element x kept from then on,
     starting with G, enqueues x * g for each g in G.  When the queue is
     empty the span V contains 1 and V * g lies in V for each g in G,
     hence for each generator by linearity, so V contains Q[gens]; and V
     is made of products of generators, so V = Q[gens].  That is a domain
-    of finite dimension over Q, hence a field.
-    """
-    nf = sf.field
-    gens = elementary_values([sf.psi_for(s) for s in h])
+    of finite dimension over Q, hence a field."""
     red, pivots = [], []
     insert_row(red, pivots, nf.one().num)
     queue = [g for g in gens if insert_row(red, pivots, g.num)]
@@ -196,7 +129,62 @@ def field_from_subgroup(h: PermGroup, sf: SplittingField) -> Subfield:
             y = x * g
             if insert_row(red, pivots, y.num):
                 queue.append(y)
-    return Subfield(nf, _elements(nf, red, pivots), tuple(gens))
+    return _rows(red)
+
+
+class Subfield(Frozen):
+    """A subfield of the splitting field as its echelon rows: the form
+    ``echelon`` returns, primitive integer rows with positive pivot
+    entries, so equal subfields have equal rows.  Built by
+    ``field_from_subgroup`` or ``from_elements``, both of which prove
+    closure with ``_closure``.  Immutable; equality and hashing read the
+    ambient field and the rows, not the ``generators`` it was built from."""
+
+    __slots__ = ("field", "rows", "generators")
+    _compared = ("field", "rows")
+
+    def __init__(self, field: NumberField, rows: tuple, generators: tuple = ()):
+        Record.__init__(self, field, rows, generators)
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    @property
+    def pivots(self):
+        return [next(j for j, v in enumerate(r) if v) for r in self.rows]
+
+    @property
+    def basis(self):
+        """The reduced echelon basis over Q: each row over its pivot entry."""
+        return tuple(NumberFieldElement(self.field, r, r[p])
+                     for r, p in zip(self.rows, self.pivots))
+
+    @classmethod
+    def from_elements(cls, nf: NumberField, elements, generators=()):
+        """The span of the elements, accepted only if it is a field:
+        closing it under products, with 1, adds no row."""
+        elements = list(elements)
+        rows = _closure(nf, elements)
+        if len(rows) != len(echelon([e.num for e in elements])[0]):
+            raise TheoremError("span does not contain 1 or is not closed under products")
+        return cls(nf, rows, tuple(generators))
+
+    def contains(self, x: NumberFieldElement) -> bool:
+        return in_span(self.rows, self.pivots, x.num)
+
+    def contains_subfield(self, other: "Subfield") -> bool:
+        pivots = self.pivots
+        return all(in_span(self.rows, pivots, r) for r in other.rows)
+
+
+def field_from_subgroup(h: PermGroup, sf: SplittingField) -> Subfield:
+    """The field generated by symmetric polynomial values of the
+    generator's conjugates under h.  Every symmetric value is a
+    polynomial in the elementary symmetric values of the conjugates, so
+    those finitely many generators suffice: the field is Q[gens]."""
+    gens = elementary_values([sf.psi_for(s) for s in h])
+    return Subfield(sf.field, _closure(sf.field, gens), tuple(gens))
 
 
 def _fixed_space(h: PermGroup, sf: SplittingField):
@@ -212,13 +200,14 @@ def _fixed_space(h: PermGroup, sf: SplittingField):
             row = list(row)
             row[i] -= den
             stacked.append(row)
-    return _elements(sf.field, *_kernel(stacked, d))
+    return _rows(_kernel(stacked, d)[0])
 
 
 def fixed_field(h: PermGroup, sf: SplittingField) -> Subfield:
     """Simultaneous fixed space of h's automorphisms, verified to be a
     subfield (contains 1, closed under products)."""
-    return Subfield.from_elements(sf.field, _fixed_space(h, sf))
+    nf = sf.field
+    return Subfield.from_elements(nf, [NumberFieldElement(nf, r) for r in _fixed_space(h, sf)])
 
 
 def averaging_check(x: NumberFieldElement, h: PermGroup, sf: SplittingField) -> bool:
@@ -253,12 +242,12 @@ def primitive_independence_check(
     h: PermGroup, sf: SplittingField, sf2: SplittingField
 ) -> bool:
     """The subgroup's field does not depend on which certified generator
-    was used: transport along the verified isomorphism and compare."""
+    was used: transport along the verified isomorphism and compare rows.
+    The image of a field under an isomorphism is a field, so the
+    transported span needs no closure proof of its own."""
     t = _isomorphism_to(sf, sf2)
-    other = field_from_subgroup(h, sf2)
-    mapped = [compose_mod(b.to_unipoly(), t) for b in other.basis]
-    transported = Subfield.from_elements(sf.field, mapped)
-    return fields_equal(transported, field_from_subgroup(h, sf))
+    mapped = [compose_mod(b.to_unipoly(), t).num for b in field_from_subgroup(h, sf2).basis]
+    return _rows(echelon(mapped)[0]) == field_from_subgroup(h, sf).rows
 
 
 # -- the lattice -------------------------------------------------------------
@@ -374,15 +363,12 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
     entries = []
     checks = []
     constructed = []
-    fixed = []
     for h in subgroups:
         la = field_from_subgroup(h, sf)
         # the fixed space needs no closure check of its own: equal to la,
         # whose worklist proved closure, it is that field
-        lb = _fixed_space(h, sf)
-        eq = la.basis == lb
+        eq = la.rows == _fixed_space(h, sf)
         constructed.append(la)
-        fixed.append(lb)
         prim, prim_mp = _primitive_element(la, sf)
         entries.append(
             SubgroupEntry(
@@ -405,7 +391,7 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
     # injectivity: distinct subgroups give distinct subfields
     seen = {}
     for i, la in enumerate(constructed):
-        key = la.basis
+        key = la.rows
         if key in seen:
             raise TheoremError(
                 f"subgroups {subgroups[seen[key]]!r} and {subgroups[i]!r} map to the same subfield"
@@ -447,9 +433,10 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
             raise TheoremError("a sampled inverse escapes its subfield")
     checks.append(("inverse_closure", True))
 
-    # averaging witness on a spanning set of every fixed field
-    for h, lb in zip(subgroups, fixed):
-        for b in lb:
+    # averaging witness on a spanning set of every fixed field, which by
+    # the first check has the rows of the constructed field
+    for h, la in zip(subgroups, constructed):
+        for b in la.basis:
             if not averaging_check(b, h, sf):
                 raise TheoremError(f"averaging witness failed for subgroup {h!r}")
     checks.append(("averaging_witness", True))

@@ -167,6 +167,8 @@ def search_resolvent(rs: RootSystem, skip: int = 0) -> Ladder:
     hits.  The module docstring shows why these vectors suffice and why
     the search ends; every candidate's ladder shares one dict of refined
     root systems."""
+    if skip < 0:
+        raise InputError("skip must be at least 0")
     n = rs.poly.degree
     if n is None or n < 2 or not is_squarefree(rs.poly):
         raise InputError("the weight search needs a squarefree polynomial "

@@ -277,6 +277,8 @@ def isolate_roots(f: UniPoly, precision_bits: int = 128, *, _seeds=None) -> Root
         raise InputError("degree must be at least 1")
     if not f.is_monic():
         raise InputError("polynomial must be monic")
+    if precision_bits < 1:
+        raise InputError("the precision must be at least 1 bit")
     n = f.degree
     if _seeds is None:
         # a refinement (seeded by ``RootSystem.refine``) re-isolates a

@@ -106,7 +106,7 @@ def criterion_3_bijection_and_degree():
         expected = EXPECTED_SUBGROUP_COUNTS[text]
         if len(entries) != expected:
             return False, f"{text}: {len(entries)} subgroups, expected {expected}"
-        seen = {e.subfield.coordinate_matrix() for e in entries}
+        seen = {e.subfield.rows for e in entries}
         if len(seen) != len(entries):
             return False, f"{text}: subfields are not pairwise distinct"
         d = data.gd.min_poly.degree

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import galcert
 from galcert import resolvent, roots
 from galcert.cli import (
     AnalysisConfig,
@@ -22,6 +25,7 @@ from galcert.cli import (
     report_to_dict,
 )
 from galcert.errors import InputError
+from galcert.numberfield import compose_mod
 from galcert.poly import UniPoly
 
 
@@ -78,8 +82,12 @@ def test_config_validation(capsys):
     # rejected before any root is isolated (this input ran past 120 s)
     assert main(["analyze", "x^3 - 2", "--precision", "100000"]) == 2
     assert "precision must be at most 65536 bits" in capsys.readouterr().err
-    with pytest.raises(InputError):
-        AnalysisConfig(output_format="xml")
+    with pytest.raises(TypeError):
+        AnalysisConfig(output_format="json")
+    # the CLI picks the renderer, and argparse checks --format's choices
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "x^2 - 2", "--format", "xml"])
+    assert exc.value.code == 2
 
 
 def test_analyze_quadratic_report():
@@ -331,11 +339,34 @@ def test_output_is_pinned(capsys, args, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _readme_block(section, lang):
+    return README.split(f"## {section}", 1)[1].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def _readme_cli_lines():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [line.split("#", 1)[0].strip() for line in block.splitlines()
+    return [line.split("#", 1)[0].strip() for line in _readme_block("CLI", "sh").splitlines()
             if line.startswith("galcert analyze")]
+
+
+def test_readme_library_example_runs():
+    # the Library block runs as written, and each commented value holds
+    block = _readme_block("Library", "python")
+    namespace = {}
+    exec(block, namespace)
+    commented = [line.split("#", 1) for line in block.splitlines() if "#" in line]
+    assert len(commented) == 2
+    for expr, value in commented:
+        assert eval(expr, namespace) == ast.literal_eval(value.strip())
+    # the stage chain it documents runs on the exported names
+    chain = re.search(r"`(express_roots\(.*\))`", README).group(1)
+    f = UniPoly([-2, 0, 0, 1])
+    exprs = eval(chain, {**vars(galcert), "f": f})
+    assert len(exprs) == 3 and all(compose_mod(f, x).is_zero() for x in exprs)
+    for name in galcert.__all__:
+        assert getattr(galcert, name) is not None
 
 
 @pytest.mark.parametrize("line", _readme_cli_lines())

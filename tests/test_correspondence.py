@@ -7,11 +7,9 @@ import pytest
 from galcert import correspondence
 from galcert.correspondence import (
     Subfield,
-    _elements,
     _fixed_space,
     averaging_check,
     field_from_subgroup,
-    fields_equal,
     fixed_field,
     inverse_witness,
     minimal_polynomial,
@@ -136,20 +134,21 @@ def test_fields_equal_semantics():
     data = corpus_pipeline("x^3 - 2")
     whole = field_from_subgroup(closure([], n=3), data.sf)
     rationals = field_from_subgroup(data.gd.group, data.sf)
-    assert fields_equal(whole, whole)
-    assert not fields_equal(whole, rationals)
+    assert whole == field_from_subgroup(closure([], n=3), data.sf)
+    assert whole != rationals
     for h in all_subgroups(data.gd.group):
-        assert fields_equal(field_from_subgroup(h, data.sf), fixed_field(h, data.sf))
+        assert field_from_subgroup(h, data.sf) == fixed_field(h, data.sf)
 
 
 def test_fields_equal_requires_same_ambient():
+    # Q has the same rows in both quadratic fields, but they are
+    # subfields of different fields
     a = corpus_pipeline("x^2 - 2")
     b = corpus_pipeline("x^2 + 1")
-    with pytest.raises(ValueError, match="ambient"):
-        fields_equal(
-            field_from_subgroup(a.gd.group, a.sf),
-            field_from_subgroup(b.gd.group, b.sf),
-        )
+    qa = field_from_subgroup(a.gd.group, a.sf)
+    qb = field_from_subgroup(b.gd.group, b.sf)
+    assert qa.rows == qb.rows == ((1, 0),)
+    assert qa != qb and qa == Subfield(a.sf.field, ((1, 0),))
 
 
 def test_averaging_witness_examples():
@@ -253,8 +252,18 @@ def test_primitive_elements_generate_their_subfields():
 def test_subfield_construction_rejects_non_closed_spans():
     data = corpus_pipeline("x^3 - 2")
     K = data.sf.field
-    with pytest.raises(TheoremError):
-        Subfield.from_elements(K, [K.one(), K.gen()])
+    # a span without 1, and a span with 1 that products leave
+    for elements in ([K.gen()], [K.one(), K.gen()], []):
+        with pytest.raises(TheoremError, match="closed under products"):
+            Subfield.from_elements(K, elements)
+    # every subgroup's field is accepted, from its basis or a spanning
+    # set with repeats, and its rows are echelon's
+    for h in all_subgroups(data.gd.group):
+        la = field_from_subgroup(h, data.sf)
+        assert Subfield.from_elements(K, la.basis) == la
+        assert Subfield.from_elements(K, la.basis[::-1] + la.basis) == la
+        assert la.rows == tuple(map(tuple, echelon([b.num for b in la.basis])[0]))
+        assert la.basis[0] == K.one()
 
 
 def test_lattice_witnesses_agree_with_the_exact_references():
@@ -292,13 +301,14 @@ def _all_pairs_field(h, sf):
     stops growing."""
     K = sf.field
     gens = elementary_values([sf.psi_for(s) for s in h])
-    basis = list(_elements(K, *echelon([K.one().num] + [g.num for g in gens])))
+    rows, _ = echelon([K.one().num] + [g.num for g in gens])
     while True:
+        basis = Subfield(K, tuple(map(tuple, rows))).basis
         products = [a * b for i, a in enumerate(basis) for b in basis[i:]]
-        grown = list(_elements(K, *echelon([e.num for e in basis + products])))
-        if len(grown) == len(basis):
-            return tuple(basis)
-        basis = grown
+        grown, _ = echelon(rows + [e.num for e in products])
+        if len(grown) == len(rows):
+            return tuple(map(tuple, rows))
+        rows = grown
 
 
 def _full_power_minimal_polynomial(x):
@@ -322,7 +332,7 @@ def test_sized_certificates_match_their_full_references(text):
     for e in data.report.entries:
         h = e.subgroup
         # the worklist closure is the all-pairs fixpoint
-        assert field_from_subgroup(h, sf).basis == _all_pairs_field(h, sf)
+        assert field_from_subgroup(h, sf).rows == _all_pairs_field(h, sf)
         # the fixed space of the generators is that of every element
         assert _fixed_space(h, sf) == _fixed_space(PermGroup(h.elements), sf)
         # the stabilizer of the primitive is that of the whole basis

@@ -35,19 +35,20 @@ def _assert_frozen(obj, name):
 
 def test_analysis_config_defaults_and_validation():
     cfg = AnalysisConfig()
-    assert (cfg.precision_bits, cfg.output_format, cfg.emit_array,
-            cfg.seed_spec) == (128, "text", False, None)
-    assert AnalysisConfig(256, "json", True, (0, 1)) == AnalysisConfig(
-        precision_bits=256, output_format="json", emit_array=True, seed_spec=(0, 1))
+    assert (cfg.precision_bits, cfg.emit_array, cfg.seed_spec) == (128, False, None)
+    assert AnalysisConfig(256, True, (0, 1)) == AnalysisConfig(
+        precision_bits=256, emit_array=True, seed_spec=(0, 1))
     # explicit weights are kept as a tuple of ints
     seed = AnalysisConfig(seed_spec=[True, 1.0, 2]).seed_spec
     assert seed == (1, 1, 2) and all(type(w) is int for w in seed)
     assert AnalysisConfig() != AnalysisConfig(emit_array=True)
     assert "seed_spec=None" in repr(cfg)
-    for bad in ({"precision_bits": 63}, {"precision_bits": 65537},
-                {"output_format": "xml"}):
+    for bad in ({"precision_bits": 63}, {"precision_bits": 65537}):
         with pytest.raises(InputError):
             AnalysisConfig(**bad)
+    # the renderer is the CLI's choice (--format), not the pipeline's
+    with pytest.raises(TypeError):
+        AnalysisConfig(output_format="json")
     # a mutable record: assignment works, so it has no hash
     cfg.emit_array = True
     assert cfg == AnalysisConfig(emit_array=True)
@@ -114,11 +115,12 @@ def test_splitting_field_equality_ignores_the_matrices(cubic):
 def test_subfield_equality_ignores_the_generators(cubic):
     sub = cubic.report.entries[0].subfield
     assert sub.generators and sub.dim == 6
-    bare = Subfield(sub.field, sub.basis)
+    assert sub.rows == tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+    bare = Subfield(sub.field, sub.rows)
     assert bare.generators == ()
     assert bare == sub and hash(bare) == hash(sub)
-    assert Subfield(field=sub.field, basis=sub.basis[:1], generators=sub.generators) != sub
-    _assert_frozen(sub, "basis")
+    assert Subfield(field=sub.field, rows=sub.rows[:1], generators=sub.generators) != sub
+    _assert_frozen(sub, "rows")
 
 
 def test_lattice_records_are_mutable_values(cubic):
@@ -172,7 +174,7 @@ def test_frozen_records_pickle_and_copy(cubic):
     assert (twin_ball.x, twin_ball.y, twin_ball.r, twin_ball.exp) == (
         ball.x, ball.y, ball.r, ball.exp)
     # the mutable records too, the config through its validation
-    for obj in (AnalysisConfig(256, "json", True, (0, 1)), cubic.report.entries[0]):
+    for obj in (AnalysisConfig(256, True, (0, 1)), cubic.report.entries[0]):
         for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj)):
             assert twin == obj and twin is not obj
 

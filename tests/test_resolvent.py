@@ -76,7 +76,8 @@ def test_first_attempt_runs_even_above_the_cap():
 
 
 def test_schedule_needs_a_positive_start():
-    rs = isolate_roots(UniPoly([-2, 0, 1]), 0)
+    # isolate_roots refuses 0 bits, so the system is built by hand
+    rs = RootSystem(rs2.poly, rs2.enclosures, 0)
     with pytest.raises(InputError, match="at least 1 bit"):
         decide((0, 1), rs)
 
@@ -327,6 +328,15 @@ def test_search_rejects_a_root_system_it_cannot_finish(coeffs):
     rs = RootSystem(f, rs2.enclosures[:f.degree], 128)
     with pytest.raises(InputError, match="squarefree polynomial of degree at least 2"):
         search_resolvent(rs)
+
+
+def test_search_rejects_a_negative_skip():
+    # a negative skip never counts down to a hit, so the search would not
+    # end
+    rs = isolate_roots(UniPoly([-2, 0, 1]))
+    with pytest.raises(InputError, match="skip must be at least 0"):
+        search_resolvent(rs, skip=-1)
+    assert search_resolvent(rs, skip=0).weights == (0, 1)
 
 
 def test_identify_reads_conjugate_balls_once_per_precision(monkeypatch):

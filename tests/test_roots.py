@@ -57,6 +57,11 @@ def test_isolation_rejects_bad_input():
         isolate_roots(UniPoly([-2, 0, 2]))
     with pytest.raises(InputError, match="degree"):
         isolate_roots(UniPoly([5]))
+    # refused at entry, before a shift by a negative count or a system
+    # that the certification schedule rejects
+    for bits in (0, -5):
+        with pytest.raises(InputError, match="at least 1 bit"):
+            isolate_roots(UniPoly([-2, 0, 1]), bits)
 
 
 def test_enclosures_pairwise_disjoint_and_vieta():
