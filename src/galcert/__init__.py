@@ -16,7 +16,6 @@ from .roots import isolate_roots
 from .sympoly import decompose, eval_elementary, expand_elementary, substitute_elementary
 
 __all__ = [
-    "AnalysisConfig",
     "CertificationError",
     "InputError",
     "TheoremError",
@@ -39,7 +38,7 @@ __all__ = [
 
 
 def __getattr__(name):
-    if name in ("AnalysisConfig", "analyze"):
+    if name == "analyze":
         from . import cli
 
         return getattr(cli, name)

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .correspondence import CorrespondenceReport, correspondence_lattice
@@ -19,14 +20,13 @@ from .errors import CertificationError, InputError, TheoremError
 from .groups import Arrangement, Permutation, arrangement_array
 from .numberfield import automorphism_table, express_roots
 from .poly import UniPoly
-from .record import Record
 from .resolvent import (
     Ladder,
     certify_distinct_values,
     identify_galois,
     search_resolvent,
 )
-from .roots import PREC_CAP, isolate_roots
+from .roots import isolate_roots
 
 _LABELS = "abcdefgh"
 
@@ -187,53 +187,51 @@ def normalize_monic_integer(f: UniPoly):
 
 
 def _check_digits(numbers):
-    """InputError for a numerator or denominator longer than the
-    interpreter's int digit limit, which number tokens obey too: products
-    of shorter tokens or the x -> x/c scaling can build one, and it could
-    not be rendered."""
+    """InputError for a numerator or denominator over the int digit limit,
+    which short number tokens reach through products, scaling or weights."""
     limit = sys.get_int_max_str_digits()
     if not limit:
         return
-    bound = 10**limit
-    for c in map(Fraction, numbers):
+    bound = _power_of_ten(limit)
+    for c in numbers:
         if abs(c.numerator) >= bound or c.denominator >= bound:
             raise InputError(f"coefficient too long (more than {limit} digits)")
 
 
+@cache
+def _power_of_ten(k):
+    return 10**k
+
+
+def _printed_numbers(report):
+    """The numbers a report prints, or that bound its printed coordinates."""
+    yield from report.weights
+    yield from report.min_poly.coeffs
+    for e in report.entries:
+        yield from e.primitive.num
+        yield e.primitive.den
+        yield from e.primitive_min_poly.coeffs
+        for row in e.subfield.rows:
+            yield from row
+
+
 # -- pipeline ----------------------------------------------------------------
 
-class AnalysisConfig(Record):
-    """The pipeline's settings, validated on construction."""
-
-    __slots__ = ("precision_bits", "emit_array", "seed_spec")
-
-    def __init__(self, precision_bits: int = 128, emit_array: bool = False,
-                 seed_spec: tuple | None = None):
-        if precision_bits < 64:
-            raise InputError("precision must be at least 64 bits")
-        # the certification schedule stops doubling at PREC_CAP, and an
-        # isolation far above it runs for minutes
-        if precision_bits > PREC_CAP:
-            raise InputError(f"precision must be at most {PREC_CAP} bits")
-        if seed_spec is not None:
-            seed_spec = tuple(int(w) for w in seed_spec)
-        Record.__init__(self, precision_bits, emit_array, seed_spec)
-
-
-def analyze(text: str, cfg: AnalysisConfig | None = None) -> CorrespondenceReport:
-    """Full pipeline: isolate roots, certify a resolvent, identify the
-    Galois group, build the splitting field, certify the correspondence."""
-    cfg = cfg or AnalysisConfig()
+def analyze(text: str, weights=None, array: bool = False) -> CorrespondenceReport:
+    """Full pipeline: isolate roots, certify a resolvent (from ``weights``
+    if given), identify the Galois group, build the splitting field,
+    certify the correspondence; ``array`` adds the arrangement arrays."""
     parsed = parse_poly(text)
     if parsed.degree is None or not 2 <= parsed.degree <= 4:
         raise InputError("the degree must be between 2 and 4")
     f, scale = normalize_monic_integer(parsed)
     _check_digits(parsed.coeffs + f.coeffs + (scale,))
-    rs = isolate_roots(f, cfg.precision_bits)
-    if cfg.seed_spec is not None:
-        if len(cfg.seed_spec) != f.degree:
+    rs = isolate_roots(f)
+    if weights is not None:
+        weights = tuple(int(w) for w in weights)
+        if len(weights) != f.degree:
             raise InputError("the explicit weight list must match the degree")
-        ladder = Ladder(cfg.seed_spec, rs)
+        ladder = Ladder(weights, rs)
         if not certify_distinct_values(ladder):
             raise CertificationError(
                 "the explicit weight vector could not be certified injective"
@@ -244,9 +242,10 @@ def analyze(text: str, cfg: AnalysisConfig | None = None) -> CorrespondenceRepor
     roots = express_roots(gd)
     sf = automorphism_table(gd, roots)
     report = correspondence_lattice(sf)
+    _check_digits(_printed_numbers(report))
     report.input_polynomial = parsed
     report.scale = Fraction(scale)
-    if cfg.emit_array:
+    if array:
         report.arrangement_arrays = render_arrangement_arrays(sf)
     return report
 
@@ -397,8 +396,6 @@ def _build_parser():
 
     pa = sub.add_parser("analyze", help="run the full certified pipeline")
     pa.add_argument("poly", help="polynomial expression, e.g. 'x^3 - 2'")
-    pa.add_argument("--precision", type=int, default=128, metavar="N",
-                    help="initial ball precision in bits (default 128)")
     pa.add_argument("--format", choices=("text", "json"), default="text")
     pa.add_argument("--array", action="store_true",
                     help="render the arrangement arrays per subgroup")
@@ -416,18 +413,13 @@ def main(argv=None) -> int:
 
         return run_selftest()
     try:
-        seed = None
+        weights = None
         if args.spec is not None:
             try:
-                seed = tuple(int(w) for w in args.spec.split(","))
+                weights = [int(w) for w in args.spec.split(",")]
             except ValueError:
                 raise InputError(f"could not parse the weight list {args.spec!r}")
-        cfg = AnalysisConfig(
-            precision_bits=args.precision,
-            emit_array=args.array,
-            seed_spec=seed,
-        )
-        report = analyze(args.poly, cfg)
+        report = analyze(args.poly, weights, args.array)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

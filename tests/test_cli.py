@@ -15,7 +15,6 @@ import pytest
 import galcert
 from galcert import resolvent, roots
 from galcert.cli import (
-    AnalysisConfig,
     analyze,
     main,
     normalize_monic_integer,
@@ -73,21 +72,41 @@ def test_normalize_monic_integer():
     assert g == UniPoly([-2, 0, 1]) and c == 1
 
 
-def test_config_validation(capsys):
-    with pytest.raises(InputError):
-        AnalysisConfig(precision_bits=32)
-    assert AnalysisConfig(precision_bits=65536).precision_bits == 65536
-    with pytest.raises(InputError, match="precision must be at most 65536 bits"):
-        AnalysisConfig(precision_bits=65537)
-    # rejected before any root is isolated (this input ran past 120 s)
-    assert main(["analyze", "x^3 - 2", "--precision", "100000"]) == 2
-    assert "precision must be at most 65536 bits" in capsys.readouterr().err
+def test_precision_is_not_an_option(capsys):
+    # isolation starts at isolate_roots' default and every certificate
+    # climbs the precision schedule from there, so there is no start knob
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "x^3 - 2", "--precision", "256"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision 256" in capsys.readouterr().err
     with pytest.raises(TypeError):
-        AnalysisConfig(output_format="json")
+        analyze("x^3 - 2", precision_bits=256)
     # the CLI picks the renderer, and argparse checks --format's choices
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "x^2 - 2", "--format", "xml"])
     assert exc.value.code == 2
+
+
+def test_analyze_keeps_explicit_weights_as_ints():
+    report = analyze("x^2 - 2", [True, 0.0])
+    assert report.weights == (1, 0) and all(type(w) is int for w in report.weights)
+    with pytest.raises(InputError, match="must match the degree"):
+        analyze("x^2 - 2", [0, 1, 2])
+
+
+def test_report_numbers_past_the_digit_limit_exit_2(capsys):
+    # a weight of 121 digits gives resolvent coefficients of about 720,
+    # over a limit of 640: the report could not be printed, so analyze
+    # refuses it instead of the renderer raising ValueError
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert main(["analyze", "x^3 - 2", "--spec", f"0,1,{10**120}"]) == 2
+        assert capsys.readouterr().err == "error: coefficient too long (more than 640 digits)\n"
+        with pytest.raises(InputError, match="more than 640 digits"):
+            analyze("x^3 - 2", [0, 1, 10**120])
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_analyze_quadratic_report():
@@ -134,18 +153,16 @@ def test_rationals_serialize_as_fraction_strings():
 
 
 def test_deterministic_output():
-    cfg = AnalysisConfig(emit_array=True)
-    one = render_text(analyze("x^3 - 2", cfg))
-    two = render_text(analyze("x^3 - 2", cfg))
+    one = render_text(analyze("x^3 - 2", array=True))
+    two = render_text(analyze("x^3 - 2", array=True))
     assert one == two
-    j1 = render_json(analyze("x^3 - 2", cfg))
-    j2 = render_json(analyze("x^3 - 2", cfg))
+    j1 = render_json(analyze("x^3 - 2", array=True))
+    j2 = render_json(analyze("x^3 - 2", array=True))
     assert j1 == j2
 
 
 def test_arrangement_array_rendering():
-    cfg = AnalysisConfig(emit_array=True)
-    report = analyze("x^2 - 2", cfg)
+    report = analyze("x^2 - 2", array=True)
     assert report.arrangement_arrays is not None
     joined = "\n".join(report.arrangement_arrays)
     assert "a b" in joined and "b a" in joined
@@ -329,6 +346,10 @@ PINNED_OUTPUTS = [
     (["x^3 - 2", "--array"], "5b25c920331730b4932b8fdd724b5a3ff399380695825d96b884bc774ee527ea"),
     (["x^4 - 2", "--array"], "2f342c4232a147fa670c4662c97419851292b5e4e6fe06a5ddbf80570f2084c0"),
     (["x^2 - 2", "--spec", "1,0"], "4e5bd3b796250c67c7ef50e189110067e980fb6518af1dd85ff1be731dd0da32"),
+    (["x^3 - 2", "--array", "--format", "json"],
+     "13c24c9fbae3f6d3143657c1a60718b3e4e727378a761997222cc67eef40efee"),
+    (["x^2 - 2", "--spec", "1,0", "--format", "json"],
+     "02d298cdd2bacd7e98b93214b2e5d6327804d7761d3c584762421e20ab88b8f5"),
 ]
 
 
@@ -365,8 +386,11 @@ def test_readme_library_example_runs():
     f = UniPoly([-2, 0, 0, 1])
     exprs = eval(chain, {**vars(galcert), "f": f})
     assert len(exprs) == 3 and all(compose_mod(f, x).is_zero() for x in exprs)
+    # every exported name resolves and is documented in the section
+    section = README.split("## Library", 1)[1].split("\n## ", 1)[0]
     for name in galcert.__all__:
         assert getattr(galcert, name) is not None
+        assert re.search(rf"\b{name}\b", section), name
 
 
 @pytest.mark.parametrize("line", _readme_cli_lines())
@@ -416,7 +440,7 @@ def test_cli_import_leaves_code_generators_and_selftest_unloaded():
 
 def test_rendered_coefficients_are_ints_or_fractions():
     # report_to_dict writes coefficients with str, exact only for these
-    report = analyze("1/2 x^3 - 3/4 x + 5", AnalysisConfig(emit_array=True))
+    report = analyze("1/2 x^3 - 3/4 x + 5", array=True)
     coeffs = [report.scale, *report.polynomial.coeffs, *report.min_poly.coeffs]
     for e in report.entries:
         coeffs += [*e.primitive.coeffs, *e.primitive_min_poly.coeffs]

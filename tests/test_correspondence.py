@@ -5,10 +5,12 @@ from math import isqrt
 import pytest
 
 from galcert import correspondence
+from galcert.cli import main
 from galcert.correspondence import (
     Subfield,
     _fixed_space,
     averaging_check,
+    correspondence_lattice,
     field_from_subgroup,
     fixed_field,
     inverse_witness,
@@ -166,8 +168,7 @@ def test_averaging_witness_examples():
 
 def test_averaging_requires_a_fixed_element():
     data = corpus_pipeline("x^3 - 2")
-    with pytest.raises(ValueError, match="not fixed"):
-        averaging_check(data.sf.field.gen(), data.gd.group, data.sf)
+    assert averaging_check(data.sf.field.gen(), data.gd.group, data.sf) is False
     # the primitive of a subgroup's field is fixed by that subgroup and
     # moved by every other group element, so it passes for each subgroup
     # inside that one and fails for each other subgroup
@@ -178,8 +179,18 @@ def test_averaging_requires_a_fixed_element():
                 if h.is_subgroup_of(e.subgroup):
                     assert averaging_check(e.primitive, h, data.sf)
                 else:
-                    with pytest.raises(ValueError, match="not fixed"):
-                        averaging_check(e.primitive, h, data.sf)
+                    assert not averaging_check(e.primitive, h, data.sf)
+
+
+def test_failed_averaging_witness_is_a_theorem_error(monkeypatch, capsys):
+    # the lattice turns a failed witness into TheoremError, and the CLI
+    # into exit 4, not a traceback
+    data = corpus_pipeline("x^2 - 2")
+    monkeypatch.setattr(correspondence, "averaging_check", lambda x, h, sf: False)
+    with pytest.raises(TheoremError, match="averaging witness failed"):
+        correspondence_lattice(data.sf)
+    assert main(["analyze", "x^2 - 2"]) == 4
+    assert "assertion failure: averaging witness failed" in capsys.readouterr().err
 
 
 def test_fixed_point_checks_test_every_element(monkeypatch):

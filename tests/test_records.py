@@ -7,9 +7,7 @@ import pickle
 
 import pytest
 
-from galcert.cli import AnalysisConfig
 from galcert.correspondence import CorrespondenceReport, Subfield, SubgroupEntry
-from galcert.errors import InputError
 from galcert.groups import Arrangement, ArrangementGroup, Permutation
 from galcert.numberfield import SplittingField
 from galcert.resolvent import GaloisData
@@ -31,29 +29,6 @@ def _assert_frozen(obj, name):
     with pytest.raises(AttributeError):
         obj.unknown_field = 1
     assert getattr(obj, name) is before
-
-
-def test_analysis_config_defaults_and_validation():
-    cfg = AnalysisConfig()
-    assert (cfg.precision_bits, cfg.emit_array, cfg.seed_spec) == (128, False, None)
-    assert AnalysisConfig(256, True, (0, 1)) == AnalysisConfig(
-        precision_bits=256, emit_array=True, seed_spec=(0, 1))
-    # explicit weights are kept as a tuple of ints
-    seed = AnalysisConfig(seed_spec=[True, 1.0, 2]).seed_spec
-    assert seed == (1, 1, 2) and all(type(w) is int for w in seed)
-    assert AnalysisConfig() != AnalysisConfig(emit_array=True)
-    assert "seed_spec=None" in repr(cfg)
-    for bad in ({"precision_bits": 63}, {"precision_bits": 65537}):
-        with pytest.raises(InputError):
-            AnalysisConfig(**bad)
-    # the renderer is the CLI's choice (--format), not the pipeline's
-    with pytest.raises(TypeError):
-        AnalysisConfig(output_format="json")
-    # a mutable record: assignment works, so it has no hash
-    cfg.emit_array = True
-    assert cfg == AnalysisConfig(emit_array=True)
-    with pytest.raises(TypeError):
-        hash(cfg)
 
 
 def test_arrangement_records():
@@ -173,20 +148,20 @@ def test_frozen_records_pickle_and_copy(cubic):
     ball, twin_ball = gd.ladder.base[1][identity], twin.ladder.base[1][identity]
     assert (twin_ball.x, twin_ball.y, twin_ball.r, twin_ball.exp) == (
         ball.x, ball.y, ball.r, ball.exp)
-    # the mutable records too, the config through its validation
-    for obj in (AnalysisConfig(256, True, (0, 1)), cubic.report.entries[0]):
-        for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj)):
-            assert twin == obj and twin is not obj
+    # the mutable records too
+    entry = cubic.report.entries[0]
+    for twin in (pickle.loads(pickle.dumps(entry)), copy.copy(entry)):
+        assert twin == entry and twin is not entry
 
 
 def test_records_repr_every_field(cubic):
     records = (
-        AnalysisConfig(), Arrangement((2, 0, 1)),
+        Arrangement((2, 0, 1)),
         ArrangementGroup((Arrangement((1, 0)), Arrangement((0, 1))), rep=Permutation((1, 0))),
         cubic.gd, cubic.rs, cubic.sf, cubic.report.entries[0].subfield,
         cubic.report.entries[0], cubic.report,
     )
-    assert len({type(obj) for obj in records}) == 9
+    assert len({type(obj) for obj in records}) == 8
     for obj in records:
         text = repr(obj)
         assert text.startswith(f"{type(obj).__name__}(")
