@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import MAX_EMAX, Context, Decimal
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, isinf, lcm
 
 from .correspondence import CorrespondenceReport, correspondence_lattice
 from .errors import CertificationError, InputError, TheoremError
-from .groups import Arrangement, Permutation, arrangement_array
+from .groups import Arrangement, Permutation, all_subgroups, arrangement_array
 from .numberfield import automorphism_table, express_roots
 from .poly import UniPoly
 from .resolvent import (
@@ -254,8 +255,6 @@ def render_arrangement_arrays(sf):
     """Figure-style blocks for each subgroup: rows are arrangements of
     the root letters, annotated with the conjugate value on the left,
     read off the unrefined rung of the ladder."""
-    from .groups import all_subgroups
-
     base = Arrangement(tuple(range(sf.poly.degree)))
     _, vals, _ = sf.galois.ladder.base
     out = []
@@ -268,19 +267,32 @@ def render_arrangement_arrays(sf):
             for row in block.rows:
                 # row is base.act(p) for the identity base, so row.order
                 # lists the images of p's inverse
-                z = vals[Permutation(row.order).inverse()].to_complex()
+                ball = vals[Permutation(row.order).inverse()]
                 lines.append(
-                    f"    {_fmt_complex(z):>24}   {' '.join(row.labels(_LABELS))}"
+                    f"    {_fmt_complex(ball):>24}   {' '.join(row.labels(_LABELS))}"
                 )
         out.append("\n".join(lines))
     return out
 
 
-def _fmt_complex(z):
+def _fmt_complex(ball):
+    """The ball's center to 6 significant digits, from its floats."""
+    z = ball.to_complex()
+    re = _fmt_part(z.real, ball.x, ball.exp)
     if z.imag == 0:
-        return f"{z.real:.6g}"
+        return re
     sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real:.6g} {sign} {abs(z.imag):.6g}i"
+    return f"{re} {sign} {_fmt_part(abs(z.imag), abs(ball.y), ball.exp)}i"
+
+
+def _fmt_part(v: float, m: int, e: int) -> str:
+    """v, the float of m * 2**e; past the float range, m * 2**e rounded
+    once from exact ints, its trailing zeros dropped as ``.6g`` drops them."""
+    if not isinf(v):
+        return f"{v:.6g}"
+    six = Context(prec=6, Emax=MAX_EMAX)
+    exact = six.divide(Decimal(m << max(e, 0)), Decimal(1 << max(-e, 0)))
+    return format(six.normalize(exact), "g")
 
 
 # -- output ------------------------------------------------------------------

@@ -161,14 +161,14 @@ class Subfield(Frozen):
                      for r, p in zip(self.rows, self.pivots))
 
     @classmethod
-    def from_elements(cls, nf: NumberField, elements, generators=()):
+    def from_elements(cls, nf: NumberField, elements):
         """The span of the elements, accepted only if it is a field:
         closing it under products, with 1, adds no row."""
         elements = list(elements)
         rows = _closure(nf, elements)
         if len(rows) != len(echelon([e.num for e in elements])[0]):
             raise TheoremError("span does not contain 1 or is not closed under products")
-        return cls(nf, rows, tuple(generators))
+        return cls(nf, rows)
 
     def contains(self, x: NumberFieldElement) -> bool:
         return in_span(self.rows, self.pivots, x.num)
@@ -312,9 +312,9 @@ def minimal_polynomial(x: NumberFieldElement, dim: int | None = None) -> UniPoly
 
 def _primitive_element(sub: Subfield, sf: SplittingField):
     """A generator of the subfield with its minimal polynomial: try the
-    symmetric generators one by one, then small integer combinations
-    (|c| <= 3), lazily and in a fixed order."""
-    gens = list(sub.generators) or list(sub.basis)
+    elementary values it was built from one by one, then small integer
+    combinations (|c| <= 3), lazily and in a fixed order."""
+    gens = sub.generators
     m = len(gens)
 
     def candidates():

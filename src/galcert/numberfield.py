@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from operator import mul
 
@@ -41,7 +42,6 @@ from .groups import Permutation
 from .poly import UniPoly, render_terms
 from .record import Frozen, Record
 from .resolvent import GaloisData
-from .roots import read_integers
 
 
 def integer_vector(cs):
@@ -363,9 +363,10 @@ def _plus(a, b):
     return a[0] + b[0], a[1] + b[1], a[2] + b[2]
 
 
-def _rur_numerators(gd: GaloisData, vals, enclosures, prec):
+def _rur_numerators(gd: GaloisData, cur, vals, prec):
     """Coefficient balls of P_i(x) = sum over s in G of alpha_{s(i)} *
-    m(x)/(x - theta_s), for each root index i, ascending order.
+    m(x)/(x - theta_s), ascending, for i = 0, 1, ... in turn, on the
+    rung (cur, vals, prec) of ``gd.ladder``.
 
     Each quotient q_s = m(x)/(x - theta_s) comes from synthetic division
     on m's integer coefficients; the sum is grouped by root, P_i = sum_j
@@ -374,7 +375,7 @@ def _rur_numerators(gd: GaloisData, vals, enclosures, prec):
     2**-prec, where sums are exact, and builds one ball per coefficient."""
     m = [int(c) for c in gd.min_poly.coeffs]
     d = len(m) - 1
-    n = len(enclosures)
+    n = len(cur.enclosures)
     quotients = {}
     for s in gd.group:
         theta = vals[s].fixed(prec)
@@ -383,7 +384,7 @@ def _rur_numerators(gd: GaloisData, vals, enclosures, prec):
             x, y, r = fixed_mul(theta, q[-1], prec)
             q.append((x + (m[k] << prec), y, r))
         quotients[s] = q[::-1]
-    alphas = [b.fixed(prec) for b in enclosures]
+    alphas = [b.fixed(prec) for b in cur.enclosures]
     out = []
     for i in range(n):
         grouped = {}
@@ -393,7 +394,7 @@ def _rur_numerators(gd: GaloisData, vals, enclosures, prec):
         coeffs = [(0, 0, 0)] * d
         for j, q in grouped.items():
             coeffs = [_plus(c, fixed_mul(alphas[j], b, prec)) for c, b in zip(coeffs, q)]
-        out.append([ComplexBall.from_ints(x, y, r, -prec) for x, y, r in coeffs])
+        out += [ComplexBall.from_ints(x, y, r, -prec) for x, y, r in coeffs]
     return out
 
 
@@ -406,7 +407,7 @@ def express_roots(gd: GaloisData):
     sum, so its coefficients are rational; they are algebraic integers,
     since f is monic and integral (``identify_galois`` accepts no other)
     and the weights are integers; so they are integers, read off the ball
-    sums by ``read_integers`` like the resolvent's, up the ladder of
+    sums like the resolvent's, by ``Ladder.read`` on the ladder of
     conjugate balls that identified the group.  At the generator only the
     identity term survives, so root i is P_i(a) * m'(a)^-1, with one exact
     inverse per field.  Each expression is then verified exactly,
@@ -419,11 +420,7 @@ def express_roots(gd: GaloisData):
     n = f.degree
     dm_inv = field.element(gd.min_poly.derivative().coeffs).inverse()
 
-    for cur, vals, prec in gd.ladder:
-        numerators = _rur_numerators(gd, vals, cur.enclosures, prec)
-        ints = read_integers([c for p in numerators for c in p])
-        if ints is None:
-            continue
+    for ints, (cur, vals, prec) in gd.ladder.read(partial(_rur_numerators, gd)):
         if ints is False:
             raise CertificationError(
                 "root expression numerators read off the balls are not integers"

@@ -6,9 +6,8 @@ permutation.  The resolvent R is the product of x minus each value.  Its
 coefficients are symmetric in the roots, so by the main theorem of
 symmetric polynomials they are integers when f is monic and integral.
 The pipeline reads R off the certified root balls (Stauduhar's approach):
-the ball product is refined, skipping precisions too low for the size of
-its coefficients, until every coefficient ball is narrower than 1/2, and
-each ball's unique integer is the exact coefficient.
+the ball product is refined until every coefficient ball is narrower
+than 1/2, and each ball's unique integer is the exact coefficient.
 
 Injectivity is then an exact decision: the n! values are pairwise
 distinct exactly when R is squarefree, i.e. gcd(R, R') is constant,
@@ -37,24 +36,25 @@ and each claimed root is certified via the cofactor (if the cofactor
 provably misses a value that the full product kills, the candidate must
 kill it).  Any subgroup passing all of that contains the Galois group, so
 the first hit is the group and its candidate is the minimal polynomial,
-irreducible by minimality.  The conjugate balls climb one ``Ladder``
-per weight vector, which reads the resolvent once; the search's ladders
-share their refined root systems, so each precision is refined once.
-The search hands its winning ladder to ``identify_galois``, where every
-subgroup test climbs it, and on to the root expressions and the
-automorphisms.
+irreducible by minimality.  Each weight vector's conjugate balls climb
+one ``Ladder``, which reads the resolvent once; the winning ladder goes
+on to ``identify_galois``, the root expressions and the automorphisms.
+``Ladder.read`` starts every read at the finest root system built, so
+each precision is refined once and no read goes back to a coarser one.
+That changes no decision: each read feeds an exact one, a finer system
+only narrows the balls, and the root order is the first isolation's.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, count
 
-from .arith import ComplexBall, abs_bound, fixed_mul, round_sig
+from .arith import ComplexBall, fixed_mul, round_sig
 from .errors import CertificationError, InputError
 from .groups import PermGroup, Permutation, all_subgroups, symmetric_group
 from .poly import MultiPoly, UniPoly, is_squarefree
 from .record import Frozen, Record
-from .roots import PREC_CAP, RootSystem, precisions, read_integers
+from .roots import RootSystem, precisions, read_integers
 from .sympoly import decompose, substitute_elementary
 
 
@@ -113,11 +113,11 @@ class Ladder:
     """The conjugate balls of one weight vector, a tuple of ints, along
     the precision schedule of one root system.  Rung ``bits`` is (the
     system refined to bits, its conjugate balls, the working precision
-    bits + 32), built on first use and kept, so every stage that climbs
-    the ladder refines each precision once.  Each rung refines the
-    original system, so the refined system depends only on the bits:
-    ladders of one system may share them through ``systems``, a dict by
-    bits.  The resolvent read off the ladder is kept on it too."""
+    bits + 32), built on first use and kept.  Each rung refines the
+    original system, so ladders of one system share the refined systems
+    through ``systems``, a dict by bits.  ``read`` starts at the finest:
+    a finer system only narrows the balls, and every read feeds an exact
+    decision, so none changes.  The resolvent read is kept here too."""
 
     __slots__ = ("weights", "rs", "_systems", "_rungs", "_resolvent")
 
@@ -148,9 +148,25 @@ class Ladder:
         """The rung of the unrefined system."""
         return self.rung(self.rs.precision_bits)
 
-    def __iter__(self):
-        """The rungs along ``precisions(rs.precision_bits)``."""
-        return map(self.rung, precisions(self.rs.precision_bits))
+    def read(self, balls_at):
+        """(ints, rung) at each rung where ``read_integers(balls_at(*rung))``
+        is not None, from the finest system built up ``precisions``.  After
+        a rung whose widest ball has radius below 2**k, the climb goes on
+        at the first rung of at least bits + k + 2 bits, where the radius,
+        about halved per bit, should be below 1/4; the last rung is always
+        tried."""
+        schedule = list(precisions(self.rs.precision_bits))
+        need = max(self._systems, default=0)
+        for bits in schedule:
+            if bits < need and bits != schedule[-1]:
+                continue
+            rung = self.rung(bits)
+            balls = balls_at(*rung)
+            ints = read_integers(balls)
+            if ints is None:
+                need = bits + 2 + max(b.r.bit_length() + b.exp for b in balls)
+            else:
+                yield ints, rung
 
 
 def certify_distinct_values(ladder: Ladder) -> bool:
@@ -239,38 +255,17 @@ def _ball_poly_product(balls, prec):
 
 def _integer_products(ladder: Ladder, perms):
     """The monic product of (x - value) over the conjugate values of
-    ``perms``, read off its coefficient balls up the ladder.
+    ``perms``, read off its coefficient balls by ``ladder.read``.
 
     Yields (poly, vals, prec) at each rung where every ball is narrower
     than 1/2, so holds at most one integer; poly is None as soon as some
     such ball holds none, which proves the product not integral.
-
-    Rungs below log2(2 * len(perms) * sum|w| * B) bits are skipped, and
-    not built, except the schedule's last: every coefficient is at most
-    B = prod(1 + |value|), and moving the roots by 2**-bits moves a
-    coefficient by up to about len(perms) * sum|w| * B * 2**-bits, so
-    such rungs are not expected to narrow the balls enough.
     """
-    _, vals, _ = ladder.base
-    # the bound as an int over 2**(t * len(perms)): t is at most 0 and at
-    # most every ball's exponent, so each factor 1 + |value| is an int
-    # over 2**t
-    t = min([0] + [vals[s].exp for s in perms])
-    bound = 2 * len(perms) * sum(map(abs, ladder.weights)) + 1
-    for s in perms:
-        b = vals[s]
-        bound *= ((abs_bound(b.x, b.y) + b.r) << (b.exp - t)) + (1 << -t)
-    needed = bound.bit_length() + t * len(perms)
-    for bits in precisions(ladder.rs.precision_bits):
-        if bits < needed and 2 * bits <= PREC_CAP:
-            continue
-        _, vals, prec = ladder.rung(bits)
-        product = _ball_poly_product([vals[s] for s in perms], prec)[:-1]
-        ints = read_integers(product)
-        if ints is False:
-            yield None, vals, prec
-        elif ints is not None:
-            yield UniPoly(ints + [1]), vals, prec
+    def coefficients(cur, vals, prec):
+        return _ball_poly_product([vals[s] for s in perms], prec)[:-1]
+
+    for ints, (_, vals, prec) in ladder.read(coefficients):
+        yield (None if ints is False else UniPoly(ints + [1])), vals, prec
 
 
 def read_resolvent(ladder: Ladder) -> UniPoly:
@@ -279,16 +274,11 @@ def read_resolvent(ladder: Ladder) -> UniPoly:
     integral f they are integers, and the ball product pins each down."""
     poly = ladder.rs.poly
     if not poly.has_integer_coeffs():
-        raise InputError(
-            "integer coefficients required; scale the variable first"
-        )
-    for r, _, _ in _integer_products(ladder, symmetric_group(poly.degree)):
-        if r is None:
-            break
-        return r
-    raise CertificationError(
-        "the resolvent coefficients could not be read off as integers"
-    )
+        raise InputError("integer coefficients required; scale the variable first")
+    r = next(_integer_products(ladder, symmetric_group(poly.degree)), (None,))[0]
+    if r is None:
+        raise CertificationError("the resolvent coefficients could not be read off as integers")
+    return r
 
 
 def identify_galois(ladder: Ladder) -> GaloisData:

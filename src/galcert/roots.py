@@ -26,13 +26,13 @@ Every certificate that may need narrower balls follows one schedule,
 ``precisions(start)``: the first attempt always runs at ``start``, even
 above the cap, then the precision doubles while it stays at or below
 ``PREC_CAP`` = 2**16 bits.  No caller picks another cap.  After the
-isolation the stages climb it on one ``resolvent.Ladder`` per weight
-vector, which refines each precision once.  Each climber decides what
-running out of the schedule means: reading an integer polynomial off a
-ball product (the resolvent, or a subgroup's candidate factor in
-``identify_galois``) gives up with ``CertificationError`` or rejects the
-subgroup, and ``RootSystem.refine`` and ``express_roots`` raise
-``CertificationError`` (exit code 3 in the CLI).  Injectivity of a
+isolation the stages climb it by ``resolvent.Ladder.read`` from the
+finest system built, which refines each precision once.  Each climber
+decides what running out of the schedule means: reading an integer
+polynomial off a ball product (the resolvent, or a subgroup's candidate
+factor in ``identify_galois``) gives up with ``CertificationError`` or
+rejects the subgroup, and ``RootSystem.refine`` and ``express_roots``
+raise ``CertificationError`` (exit code 3 in the CLI).  Injectivity of a
 weight vector needs no schedule of its own: it is decided exactly on the
 resolvent.  ``isolate_roots`` has a separate working-precision loop with
 its own budget: it drives the approximation, not a certificate.

@@ -178,6 +178,16 @@ def test_arrangement_array_rendering():
     ]
 
 
+def test_arrangement_array_prints_values_past_the_float_range():
+    # a weight of 10**400 puts the real parts past the float range; they
+    # are formatted from the balls' exact centers, not printed as inf
+    report = analyze("x^2 - 2", [0, 10**400], array=True)
+    rows = "\n".join(report.arrangement_arrays).splitlines()
+    assert "                1.41421e+400   a b" in rows
+    assert "    -1.41421e+400 + 7.57153e+130i   b a" in rows
+    assert not any("inf" in row for row in rows)
+
+
 def test_main_exit_codes(capsys):
     assert main(["analyze", "x^2 - 2"]) == 0
     assert main(["analyze", "x^2 - 2x + 1"]) == 2
@@ -309,20 +319,29 @@ def test_analyze_s4_quartic(monkeypatch):
 def test_analyze_quartics_that_need_large_weights(monkeypatch, text, weights, order):
     # no weight vector of max-norm <= 8 is injective on these, and the
     # search has no bound; the arithmetic progressions 0, 1, 2, 3 and
-    # -3, -1, 1, 3 reach norm 14 after 289 decisions
-    decisions = []
+    # -3, -1, 1, 3 reach norm 14 after 289 decisions.  Every resolvent
+    # reads at the isolation's 128 bits, so nothing is refined
+    decisions, refinements = [], []
     certify = resolvent.certify_distinct_values
+    isolate = roots.isolate_roots
 
     def counted_certify(ladder):
         decisions.append(ladder.weights)
         return certify(ladder)
 
+    def counted_isolate(f, bits=128, *, _seeds=None):
+        if _seeds is not None:
+            refinements.append(bits)
+        return isolate(f, bits, _seeds=_seeds)
+
     monkeypatch.setattr(resolvent, "certify_distinct_values", counted_certify)
+    monkeypatch.setattr(roots, "isolate_roots", counted_isolate)
     report = analyze(text)
     assert report.weights == weights == decisions[-1]
     assert report.group_order == order
     assert report.all_passed()
     assert len(decisions) <= 289
+    assert refinements == []
 
 
 # sha256 of the standard output of each invocation: any change to the

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from galcert import resolvent
 from galcert.arith import ball_disjoint
+from galcert.cli import normalize_monic_integer, parse_poly
 from galcert.errors import CertificationError, InputError
 from galcert.groups import Permutation, symmetric_group
 from galcert.numberfield import automorphism_table, express_roots
@@ -222,6 +223,26 @@ def test_search_pays_one_ball_product_per_candidate(monkeypatch):
     assert ladder.weights == (0, 1, 2, 4)
     assert len(products) <= len(candidates) + 1
     assert identify_galois(ladder).group.order == 8
+
+
+def test_stages_read_from_the_finest_system_built(monkeypatch):
+    # the search needs 512 bits on x^4 + 1/1000x + 1; every later read,
+    # by the subgroup tests and the root expressions, starts there too,
+    # so nothing climbs back to 256 bits
+    refined = []
+    original = RootSystem.refine
+
+    def refine(self, bits):
+        if bits > self.precision_bits:
+            refined.append(bits)
+        return original(self, bits)
+
+    monkeypatch.setattr(RootSystem, "refine", refine)
+    f, _ = normalize_monic_integer(parse_poly("x^4 + 1/1000x + 1"))
+    gd = identify_galois(search_resolvent(isolate_roots(f)))
+    assert gd.group.order == 24
+    assert len(express_roots(gd)) == 4
+    assert refined == [512]
 
 
 @pytest.mark.parametrize(
