@@ -1,44 +1,39 @@
 """Subgroup/subfield correspondence, certified both ways.
 
-For a subgroup H two fields are built independently: one generated by the
-elementary symmetric values of the generator's H-conjugates, and one cut
-out by exact linear algebra as the simultaneous fixed space of H's
-automorphisms.  The lattice check verifies they coincide for every
-subgroup, that the map is a bijection onto the subfields, that dimensions
-match the group orders, and that the averaging witness expresses every
-fixed element as a symmetric value.
+For a subgroup H, the field generated by the elementary symmetric values
+of the generator's H-conjugates is Fix(H), the fixed field of H's
+automorphisms.  The lattice certifies that for every subgroup, that the
+map is a bijection onto the subfields, that dimensions match the group
+orders, and that the averaging witness expresses every fixed element as
+a symmetric value.
 
 Each certificate is sized to its subfield, by four arguments:
 
-* Closure.  The span of 1 and the symmetric values is closed by one
-  worklist, ``_closure``: each kept element x adds x * g for each
-  generator g.  When nothing new is kept, the span contains 1 and is
-  stable under every generator, so it is Q[generators], a field.
-* Fixed space.  An element fixed by a generating set of H is fixed by
-  H, so the kernel stacks den * (M - I) only for the generators that
-  ``all_subgroups`` carries with H (``_fixed_space``).
+* Rank bound.  Fix(H) is the kernel of the rows den * (M - I) of the
+  generators that ``all_subgroups`` carries with H (``_fixed_rows``), and
+  their rank mod p is at most their rank over Q, so d - rank_p is at
+  least dim Fix(H) (``_rank_mod_p``).
+* Power sequence.  If the powers 1, ..., x^(k-1) of a value x fixed by
+  those generators are independent, k the bound, then Q[x] <= Q[values]
+  <= Fix(H) (H permutes the conjugates) all have dimension k and are
+  equal: a third construction, whose closure proof is x's minimal
+  relation, read off the same powers (``_power_subfield``).  The closure
+  worklist ``_closure`` and the exact kernel ``_fixed_space`` settle a
+  subgroup whose values leave the bound open.
 * Stabilizer.  A subfield L is Q(prim) for its primitive element prim,
-  which lies in L with a minimal polynomial of degree dim L.  So an
-  automorphism fixes L iff it fixes prim: one image per group element.
-* Minimal polynomial.  The degree of x divides the dimension of any
-  field that holds it, so for a candidate primitive element powers are
-  taken up to the subfield's dimension, and the relation is read off one
-  echelon form.
+  so an automorphism fixes L iff it fixes prim: one image per element.
+* Inverse.  prim^-1 is one integer combination of prim's powers, read off
+  its minimal polynomial.
 
 A subfield is its echelon rows: the primitive integer rows with positive
 pivot entries that ``echelon`` returns, so subfield equality is equality
-of rows, and ``Subfield.basis``, each row over its pivot entry, is a
-view for the renderers.  Closure has one proof: ``field_from_subgroup``
-builds Q[gens] with ``_closure``, and ``Subfield.from_elements`` accepts
-a span only if ``_closure`` adds no row to it.  Spans, kernels and
-minimal polynomials all come from the fraction-free ``echelon`` and its
-one-row step ``insert_row``.  Automorphisms act through the integer
-matrices the splitting field stores (``sf.matrices``), and a fixed point
-is the integer identity ``sf.sends(s, x, x)``; ``compose_mod`` is kept
-for the polynomial identities that certify the isomorphism between two
-generators' fields.  The pipeline does not call ``rref``, ``nullspace``
-or ``fixed_field``: they give the same forms over Q, and the fixed space
-as a checked subfield, for the tests and perfbench's tracer.
+of rows, and ``Subfield.basis`` is a view for the renderers.  Spans,
+kernels and relations all come from the fraction-free ``echelon`` and
+its one-row step ``insert_row``.  A fixed point is the integer identity
+``sf.sends(s, x, x)`` on the matrices the splitting field stores.  The
+pipeline does not call ``rref``, ``nullspace``, ``fixed_field`` or
+``minimal_polynomial``: they serve the selftest, the tests and
+perfbench's tracer.
 """
 
 from __future__ import annotations
@@ -59,7 +54,7 @@ from .numberfield import (
     insert_row,
     integer_vector,
 )
-from .poly import UniPoly
+from .poly import SQUAREFREE_PRIME, UniPoly
 from .record import Frozen, Record
 from .sympoly import elementary_values
 
@@ -134,11 +129,11 @@ def _closure(nf: NumberField, gens):
 
 class Subfield(Frozen):
     """A subfield of the splitting field as its echelon rows: the form
-    ``echelon`` returns, primitive integer rows with positive pivot
-    entries, so equal subfields have equal rows.  Built by
-    ``field_from_subgroup`` or ``from_elements``, both of which prove
-    closure with ``_closure``.  Immutable; equality and hashing read the
-    ambient field and the rows, not the ``generators`` it was built from."""
+    ``echelon`` returns, so equal subfields have equal rows.  Built from a
+    primitive's powers by the lattice, or by ``field_from_subgroup`` or
+    ``from_elements``, which prove closure with ``_closure``.  Immutable;
+    equality and hashing read the ambient field and the rows, not the
+    ``generators`` it was built from."""
 
     __slots__ = ("field", "rows", "generators")
     _compared = ("field", "rows")
@@ -187,12 +182,10 @@ def field_from_subgroup(h: PermGroup, sf: SplittingField) -> Subfield:
     return Subfield(sf.field, _closure(sf.field, gens), tuple(gens))
 
 
-def _fixed_space(h: PermGroup, sf: SplittingField):
-    """Echelon basis of the simultaneous fixed space of h's automorphisms,
-    by one exact kernel: the rows of den * (M - I) for the stored matrix
-    M = rows / den of each of h's generators.  An element fixed by a
-    generating set is fixed by all of h.  Not checked to be a field."""
-    d = sf.field.degree
+def _fixed_rows(h: PermGroup, sf: SplittingField):
+    """The rows of den * (M - I) for the stored matrix M = rows / den of
+    each of h's generators.  An element fixed by a generating set is
+    fixed by all of h, so their common kernel is the fixed space."""
     stacked = []
     for s in h.generators:
         rows, den = sf.matrices[s]
@@ -200,12 +193,39 @@ def _fixed_space(h: PermGroup, sf: SplittingField):
             row = list(row)
             row[i] -= den
             stacked.append(row)
-    return _rows(_kernel(stacked, d)[0])
+    return stacked
+
+
+def _rank_mod_p(rows, p=SQUAREFREE_PRIME):
+    """Rank of integer rows mod p, by Gaussian elimination on residues,
+    column by column.  A minor that vanishes over Q vanishes mod p, so
+    this is at most the rank over Q (Dixon, Numer. Math. 40, 1982)."""
+    rows = [[v % p for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is not None:
+            top, rows[piv] = rows[piv], rows[rank]
+            rank += 1
+            inv = pow(top[c], -1, p)
+            for row in rows[rank:]:
+                f = row[c] * inv % p
+                if f:
+                    row[c:] = [(a - f * b) % p for a, b in zip(row[c:], top[c:])]
+    return rank
+
+
+def _fixed_space(h: PermGroup, sf: SplittingField):
+    """Echelon rows of the fixed space of h's automorphisms, the exact
+    kernel of ``_fixed_rows``, not checked to be a field: for the lattice
+    when its values leave the rank bound open, and for ``fixed_field``."""
+    return _rows(_kernel(_fixed_rows(h, sf), sf.field.degree)[0])
 
 
 def fixed_field(h: PermGroup, sf: SplittingField) -> Subfield:
     """Simultaneous fixed space of h's automorphisms, verified to be a
-    subfield (contains 1, closed under products)."""
+    subfield (contains 1, closed under products): the independent
+    construction that the selftest compares with ``field_from_subgroup``."""
     nf = sf.field
     return Subfield.from_elements(nf, [NumberFieldElement(nf, r) for r in _fixed_space(h, sf)])
 
@@ -286,105 +306,125 @@ class CorrespondenceReport(Record):
         return all(ok for _, ok in self.checks)
 
 
+def _relation(powers, coords):
+    """x's minimal polynomial from powers = [1, x, x^2, ...], or None if
+    they are independent.  The first non-pivot column k of the echelon
+    form of the columns num_j, on the coordinates coords, holds the
+    relation num_k = sum c_i num_i, so x^k = sum c_i (den_i / den_k) x^i;
+    coordinates that keep 1, ..., x^(k-1) independent suffice."""
+    red, pivots = echelon([[p.num[i] for p in powers] for i in coords])
+    k = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
+    if k == len(powers):
+        return None
+    dk = powers[k].den
+    return UniPoly([-Fraction(red[i][k] * powers[i].den, red[i][i] * dk) for i in range(k)] + [1])
+
+
 def minimal_polynomial(x: NumberFieldElement, dim: int | None = None) -> UniPoly:
-    """Minimal polynomial over Q by the first linear dependence among
-    powers of x, read off one echelon form.  x lies in a field of
-    dimension dim (the whole field by default), so its degree k divides
-    dim, and the powers x^j = num_j / den_j up to x^dim are dependent.
-    The echelon form of the matrix whose columns are num_0..num_dim has
-    its first non-pivot column at k: rows 0..k-1 pivot on columns
-    0..k-1, and column k holds the relation num_k = sum c_i num_i, that
-    is x^k = sum c_i (den_i / den_k) x^i."""
+    """Minimal polynomial over Q of x, which lies in a field of dimension
+    dim (the whole field by default): its powers up to x^dim depend."""
     if dim is None:
         dim = x.field.degree
     powers = [x.field.one(), x]
     while len(powers) <= dim:
         powers.append(powers[-1] * x)
-    red, pivots = echelon(list(zip(*(p.num for p in powers))))
-    k = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
-    if k > dim:
+    mp = _relation(powers, range(x.field.degree))
+    if mp is None:
         raise ValueError(f"the element lies in no field of dimension {dim}")
-    dk = powers[k].den
-    return UniPoly(
-        [-Fraction(red[i][k] * powers[i].den, red[i][i] * dk) for i in range(k)] + [1]
-    )
+    return mp
 
 
-def _primitive_element(sub: Subfield, sf: SplittingField):
-    """A generator of the subfield with its minimal polynomial: try the
-    elementary values it was built from one by one, then small integer
-    combinations (|c| <= 3), lazily and in a fixed order."""
-    gens = sub.generators
-    m = len(gens)
-
-    def candidates():
-        for g in gens:
-            yield g
-        for combo in iter_product(range(-3, 4), repeat=m):
-            if all(c == 0 for c in combo):
-                continue
-            cand = sf.field.zero()
-            for c, g in zip(combo, gens):
-                if c:
-                    cand = cand + g * c
-            yield cand
-
-    for cand in candidates():
-        mp = minimal_polynomial(cand, sub.dim)
-        if mp.degree == sub.dim:
-            return cand, mp
-    raise TheoremError("no primitive element found in the search range")
+def _candidates(values):
+    """Primitive-element candidates, lazily: the values one by one, then
+    their integer combinations with coefficients in [-3, 3]."""
+    gens = []
+    for g in values:
+        gens.append(g)
+        yield g
+    for combo in iter_product(range(-3, 4), repeat=len(gens)):
+        if any(combo):
+            yield sum((g * c for c, g in zip(combo, gens) if c), gens[0].field.zero())
 
 
-def inverse_witness(x: NumberFieldElement, mp: UniPoly):
+def _symmetric_values(h: PermGroup, sf: SplittingField):
+    """e1, ..., e_|h| of h's conjugates of the generator, lazily: e1, their
+    sum, by additions alone, and the others only when asked for."""
+    conj = [sf.psi_for(s) for s in h]
+    yield sum(conj[1:], conj[0])
+    yield from elementary_values(conj)[1:]
+
+
+def _power_subfield(h: PermGroup, sf: SplittingField, candidates, k: int):
+    """(Q[x], x, its minimal polynomial, [1, ..., x^(k-1)]) for the first
+    candidate x that h's generators fix and whose powers 1, ..., x^(k-1)
+    are independent, or None.  For k >= dim Fix(h) and x in Q[values],
+    Q[x] = Q[values] = Fix(h) by the power-sequence argument above; its
+    rows are the powers' echelon rows, its closure proof the relation."""
+    nf = sf.field
+    for x in candidates:
+        if not all(sf.sends(s, x, x) for s in h.generators):
+            continue
+        red, pivots, powers = [], [], [nf.one(), x]
+        while insert_row(red, pivots, powers[-2].num):
+            if len(powers) > k:
+                return Subfield(nf, _rows(red), (x,)), x, _relation(powers, pivots), powers[:-1]
+            powers.append(powers[-1] * x)
+    return None
+
+
+def inverse_witness(x: NumberFieldElement, mp: UniPoly, powers=None):
     """(x, x^-1) read off x's minimal polynomial x^k + c_(k-1) x^(k-1) +
-    ... + c_0: x^-1 = -(x^(k-1) + c_(k-1) x^(k-2) + ... + c_1) / c_0, by
-    Horner in k - 1 products.  Zero, the primitive of a rational subfield
-    with trace 0, has no inverse; 1 stands in for it."""
+    ... + c_0: x^-1 = -(x^(k-1) + c_(k-1) x^(k-2) + ... + c_1) / c_0, one
+    integer combination of the powers 1, ..., x^(k-1) (built unless given).
+    Zero, a rational subfield's primitive of trace 0, has no inverse; 1
+    stands in for it."""
     if x.is_zero():
-        x, mp = x.field.one(), UniPoly([-1, 1])
+        x, mp, powers = x.field.one(), UniPoly([-1, 1]), None
     cs = mp.coeffs
-    acc = x.field.one()
-    for c in reversed(cs[1:-1]):
-        acc = acc * x + c
-    return x, acc * (-1 / Fraction(cs[0]))
+    if powers is None:
+        powers = [x.field.one()]
+        while len(powers) < mp.degree:
+            powers.append(powers[-1] * x)
+    qs = [-Fraction(c) / cs[0] for c in cs[1:]]
+    den = lcm(*(q.denominator * p.den for q, p in zip(qs, powers)))
+    num = [0] * x.field.degree
+    for q, p in zip(qs, powers):
+        f = q.numerator * (den // (q.denominator * p.den))
+        num = [a + f * b for a, b in zip(num, p.num)]
+    return x, NumberFieldElement(x.field, num, den)
 
 
 def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
-    """Build both fields for every subgroup and certify the lattice.
+    """Certify, for every subgroup, its symmetric field as its fixed field,
+    and then the lattice.
 
     Raises TheoremError (with the offending subgroup pair in the message)
-    as soon as an exact assertion fails.
-    """
+    as soon as an exact assertion fails."""
     subgroups = all_subgroups(sf.galois.group)
     d = sf.field.degree
 
     entries = []
     checks = []
     constructed = []
+    witnesses = []
     for h in subgroups:
-        la = field_from_subgroup(h, sf)
-        # the fixed space needs no closure check of its own: equal to la,
-        # whose worklist proved closure, it is that field
-        eq = la.rows == _fixed_space(h, sf)
+        # the rank bound, closed by the first value whose powers reach it
+        bound = d - _rank_mod_p(_fixed_rows(h, sf))
+        found = _power_subfield(h, sf, _symmetric_values(h, sf), bound)
+        if found is None:
+            # an unlucky prime, a primitive that combines values, or a real
+            # mismatch: the exact fixed space settles the dimension first
+            la = field_from_subgroup(h, sf)
+            if la.rows != _fixed_space(h, sf):
+                raise TheoremError(f"constructed field differs from the fixed field "
+                                   f"for subgroup {h!r}")
+            found = _power_subfield(h, sf, _candidates(la.generators), la.dim)
+            if found is None:
+                raise TheoremError("no primitive element found in the search range")
+        la, prim, prim_mp, powers = found
         constructed.append(la)
-        prim, prim_mp = _primitive_element(la, sf)
-        entries.append(
-            SubgroupEntry(
-                subgroup=h,
-                dim=la.dim,
-                subfield=la,
-                primitive=prim,
-                primitive_min_poly=prim_mp,
-                fixed_field_equal=eq,
-            )
-        )
-
-    # the two constructions agree
-    bad = [i for i, e in enumerate(entries) if not e.fixed_field_equal]
-    if bad:
-        h = entries[bad[0]].subgroup
-        raise TheoremError(f"constructed field differs from the fixed field for subgroup {h!r}")
+        witnesses.append(powers)
+        entries.append(SubgroupEntry(h, la.dim, la, prim, prim_mp, fixed_field_equal=True))
     checks.append(("symmetric_field_equals_fixed_field", True))
 
     # injectivity: distinct subgroups give distinct subfields
@@ -426,8 +466,8 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
     checks.append(("stabilizer_recovers_subfield", True))
 
     # closure under inverses, spot-checked on each subfield's primitive
-    for e in entries:
-        x, inv = inverse_witness(e.primitive, e.primitive_min_poly)
+    for e, powers in zip(entries, witnesses):
+        x, inv = inverse_witness(e.primitive, e.primitive_min_poly, powers)
         if x * inv != 1 or not e.subfield.contains(inv):
             raise TheoremError("a sampled inverse escapes its subfield")
     checks.append(("inverse_closure", True))

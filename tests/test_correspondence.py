@@ -8,7 +8,11 @@ from galcert import correspondence
 from galcert.cli import main
 from galcert.correspondence import (
     Subfield,
+    _fixed_rows,
     _fixed_space,
+    _power_subfield,
+    _rank_mod_p,
+    _symmetric_values,
     averaging_check,
     correspondence_lattice,
     field_from_subgroup,
@@ -194,24 +198,34 @@ def test_failed_averaging_witness_is_a_theorem_error(monkeypatch, capsys):
 
 
 def test_fixed_point_checks_test_every_element(monkeypatch):
-    # the stabilizer replay tests each primitive against every element of
-    # G, and the averaging witness each fixed basis element against every
-    # element of its subgroup, not only the generators
+    # the power sequence tests each primitive against its subgroup's
+    # generators, and the stabilizer replay then against every element of
+    # G; the averaging witness tests each fixed basis element against
+    # every element of its subgroup, not only the generators
     data = corpus_pipeline("x^4 - 2")
-    tested = []
-    sends = SplittingField.sends
+    tested, averaged = [], []
+    sends, averaging = SplittingField.sends, correspondence.averaging_check
 
     def recorded(sf, perm, x, y):
         tested.append((perm, x))
         return sends(sf, perm, x, y)
 
+    def recorded_averaging(x, h, sf):
+        start = len(tested)
+        ok = averaging(x, h, sf)
+        averaged.append((h, [p for p, _ in tested[start:]]))
+        return ok
+
     monkeypatch.setattr(SplittingField, "sends", recorded)
+    monkeypatch.setattr(correspondence, "averaging_check", recorded_averaging)
     report = correspondence.correspondence_lattice(data.sf)
     group, d = list(data.gd.group), data.sf.degree
     for e in report.entries:
-        assert [p for p, x in tested if x is e.primitive] == group
-    # |G| per primitive, and dim * |H| = d per subgroup's fixed basis
-    assert len(tested) == 2 * len(report.entries) * d
+        h = e.subgroup
+        assert [p for p, x in tested if x is e.primitive] == list(h.generators) + group
+        # dim * |H| = d tests per subgroup's fixed basis
+        assert [perms for k, perms in averaged if k is h] == [list(h.elements)] * e.dim
+    assert sum(len(perms) for _, perms in averaged) == len(report.entries) * d
 
 
 def test_primitive_independence_quadratic():
@@ -373,23 +387,28 @@ def test_early_stopping_minimal_polynomial_matches_all_powers(text):
 
 @pytest.mark.parametrize("text", ("x^4 - 2", "x^4 + 8x + 12"))
 def test_subfield_sized_minimal_polynomial_matches_all_powers(monkeypatch, text):
-    # every candidate the lattice tries is read off the powers up to its
-    # subfield's dimension; the full powers up to the field degree agree
+    # every primitive's minimal polynomial is read off its powers up to
+    # its subfield's dimension, on the pivot coordinates of their span;
+    # the full powers up to the field degree agree
     data = corpus_pipeline(text)
     calls = []
-    sized = correspondence.minimal_polynomial
+    sized = correspondence._relation
 
-    def recorded(x, dim=None):
-        mp = sized(x, dim)
-        calls.append((x, dim, mp))
+    def recorded(powers, coords):
+        mp = sized(powers, coords)
+        calls.append((powers, list(coords), mp))
         return mp
 
-    monkeypatch.setattr(correspondence, "minimal_polynomial", recorded)
-    correspondence.correspondence_lattice(data.sf)
-    assert len(calls) >= len(data.report.entries)
-    for x, dim, mp in calls:
-        assert dim is not None
-        assert mp == _full_power_minimal_polynomial(x)
+    monkeypatch.setattr(correspondence, "_relation", recorded)
+    report = correspondence.correspondence_lattice(data.sf)
+    assert len(calls) >= len(report.entries)
+    for powers, coords, mp in calls:
+        assert mp == _full_power_minimal_polynomial(powers[1])
+    for e in report.entries:
+        assert any(
+            powers[1] is e.primitive and len(powers) == len(coords) + 1 == e.dim + 1
+            for powers, coords, _ in calls
+        )
     # an element outside every field of the given dimension is refused
     with pytest.raises(ValueError, match="dimension 1"):
         minimal_polynomial(data.sf.field.gen(), 1)
@@ -399,7 +418,60 @@ def test_stabilizer_replay_rejects_a_primitive_of_another_field(monkeypatch):
     # the generator a is fixed by the identity only, so every nontrivial
     # subgroup's replay finds a smaller stabilizer
     data = corpus_pipeline("x^3 - 2")
-    gen = (data.sf.field.gen(), data.gd.min_poly)
-    monkeypatch.setattr(correspondence, "_primitive_element", lambda sub, sf: gen)
+    gen, mp = data.sf.field.gen(), data.gd.min_poly
+    power_subfield = correspondence._power_subfield
+
+    def with_generator(h, sf, candidates, k):
+        return power_subfield(h, sf, candidates, k)[0], gen, mp, None
+
+    monkeypatch.setattr(correspondence, "_power_subfield", with_generator)
     with pytest.raises(TheoremError, match="stabilizer of the subfield"):
+        correspondence.correspondence_lattice(data.sf)
+
+
+@pytest.mark.parametrize("text", SIZED_FIELDS)
+def test_rank_bound_and_power_sequence_match_the_exact_kernel(text):
+    # d - rank mod p is the exact kernel's dimension on every subgroup,
+    # and the power sequence's rows are the closure's and the kernel's;
+    # it gives up only where no elementary value is primitive
+    data = corpus_pipeline(text)
+    sf, d = data.sf, data.sf.degree
+    for h in all_subgroups(data.gd.group):
+        kernel = _fixed_space(h, sf)
+        assert d - _rank_mod_p(_fixed_rows(h, sf)) == len(kernel)
+        values = elementary_values([sf.psi_for(s) for s in h])
+        assert list(_symmetric_values(h, sf)) == values
+        found = _power_subfield(h, sf, values, len(kernel))
+        if found is None:
+            assert all(minimal_polynomial(v).degree < len(kernel) for v in values)
+        else:
+            assert found[0].rows == field_from_subgroup(h, sf).rows == kernel
+
+
+@pytest.mark.parametrize("text", ("x^3 - 2", "x^4 - 2"))
+def test_unlucky_rank_bound_takes_the_exact_fallback(monkeypatch, capsys, text):
+    # a rank that under-reports by one leaves a bound no value closes; the
+    # exact fixed space then settles every subgroup, with the same output
+    assert main(["analyze", text, "--format", "json"]) == 0
+    expected = capsys.readouterr().out
+    rank, kernels = correspondence._rank_mod_p, []
+    fixed_space = correspondence._fixed_space
+
+    def recorded(h, sf):
+        kernels.append(h)
+        return fixed_space(h, sf)
+
+    monkeypatch.setattr(correspondence, "_rank_mod_p", lambda rows: rank(rows) - 1)
+    monkeypatch.setattr(correspondence, "_fixed_space", recorded)
+    assert main(["analyze", text, "--format", "json"]) == 0
+    assert capsys.readouterr().out == expected
+    assert kernels == all_subgroups(corpus_pipeline(text).gd.group)
+
+
+def test_wrong_symmetric_field_is_a_theorem_error(monkeypatch):
+    # conjugates that are all 1 give Q as every symmetric field, which
+    # differs from the fixed field of any proper subgroup
+    data = corpus_pipeline("x^3 - 2")
+    monkeypatch.setattr(SplittingField, "psi_for", lambda sf, s: sf.field.one())
+    with pytest.raises(TheoremError, match="constructed field differs from the fixed field"):
         correspondence.correspondence_lattice(data.sf)

@@ -7,7 +7,12 @@ import pickle
 
 import pytest
 
-from galcert.correspondence import CorrespondenceReport, Subfield, SubgroupEntry
+from galcert.correspondence import (
+    CorrespondenceReport,
+    Subfield,
+    SubgroupEntry,
+    field_from_subgroup,
+)
 from galcert.groups import Arrangement, ArrangementGroup, Permutation
 from galcert.numberfield import SplittingField
 from galcert.resolvent import GaloisData
@@ -88,8 +93,15 @@ def test_splitting_field_equality_ignores_the_matrices(cubic):
 
 
 def test_subfield_equality_ignores_the_generators(cubic):
-    sub = cubic.report.entries[0].subfield
-    assert sub.generators and sub.dim == 6
+    # the lattice builds a subfield from its primitive's powers, and
+    # field_from_subgroup from the elementary values: equal all the same
+    entry = cubic.report.entries[0]
+    sub = entry.subfield
+    assert sub.generators == (entry.primitive,) and sub.dim == 6
+    for e in cubic.report.entries[1:]:
+        closed = field_from_subgroup(e.subgroup, cubic.sf)
+        assert len(closed.generators) == e.subgroup.order > len(e.subfield.generators)
+        assert closed == e.subfield and hash(closed) == hash(e.subfield)
     assert sub.rows == tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
     bare = Subfield(sub.field, sub.rows)
     assert bare.generators == ()
