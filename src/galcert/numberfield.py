@@ -210,10 +210,6 @@ class NumberFieldElement:
                 base = base * base
         return acc
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
     def inverse(self) -> "NumberFieldElement":
         """Multiplicative inverse: the y with x * y = 1, solved exactly in
         the basis x * a^j and then checked by the product itself."""

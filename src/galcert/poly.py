@@ -40,12 +40,6 @@ class UniPoly:
     def is_zero(self):
         return not self.coeffs
 
-    @property
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 

@@ -8,6 +8,7 @@ from galcert import correspondence
 from galcert.cli import main
 from galcert.correspondence import (
     Subfield,
+    _closure,
     _fixed_rows,
     _fixed_space,
     _power_subfield,
@@ -292,16 +293,18 @@ def test_subfield_construction_rejects_non_closed_spans():
 
 
 def test_lattice_witnesses_agree_with_the_exact_references():
-    # the inverse witness read off each primitive's minimal polynomial is
-    # the echelon inverse and the extended-Euclid one; the fixpoint's
-    # basis is the verified subfield it spans
+    # the inverse witness read off each primitive's minimal polynomial and
+    # its powers 1, ..., x^(k-1) is the echelon inverse and the
+    # extended-Euclid one
     fallbacks = []
     for text in CORPUS:
         data = corpus_pipeline(text)
-        sf = data.sf
-        K = sf.field
+        K = data.sf.field
         for e in data.report.entries:
-            x, inv = inverse_witness(e.primitive, e.primitive_min_poly)
+            powers = [K.one()]
+            while len(powers) < e.dim:
+                powers.append(powers[-1] * e.primitive)
+            x, inv = inverse_witness(e.primitive, e.primitive_min_poly, powers)
             assert inv == x.inverse()
             if e.primitive.is_zero():
                 assert x == K.one() and inv == K.one()
@@ -309,11 +312,20 @@ def test_lattice_witnesses_agree_with_the_exact_references():
             else:
                 assert x == e.primitive
                 assert inv == xgcd_inverse(x)
-            la = field_from_subgroup(e.subgroup, sf)
-            assert la == Subfield.from_elements(K, la.basis)
-            assert la == e.subfield
     # the full group of x^2 - 2 fixes Q, whose primitive, the trace, is 0
     assert ("x^2 - 2", 2) in fallbacks
+
+
+@pytest.mark.parametrize("text", CORPUS + ("x^4 + 8x + 12", "x^4 - x - 1"))
+def test_field_from_subgroup_is_the_reported_field(text):
+    # one construction: field_from_subgroup is each entry's subfield, with
+    # its primitive as the generator, and the verified subfield its basis
+    # spans; x^4 - x - 1 has subgroups whose primitive combines values
+    data = corpus_pipeline(text)
+    for e in data.report.entries:
+        la = field_from_subgroup(e.subgroup, data.sf)
+        assert la == e.subfield and la.generators == (e.primitive,)
+        assert la == Subfield.from_elements(data.sf.field, la.basis)
 
 
 # the corpus S3, D4 and A4 fields and a full S4 field
@@ -356,8 +368,9 @@ def test_sized_certificates_match_their_full_references(text):
     group = data.gd.group
     for e in data.report.entries:
         h = e.subgroup
-        # the worklist closure is the all-pairs fixpoint
-        assert field_from_subgroup(h, sf).rows == _all_pairs_field(h, sf)
+        # the worklist closure is the all-pairs fixpoint and the reported field
+        values = elementary_values([sf.psi_for(s) for s in h])
+        assert _closure(sf.field, values) == _all_pairs_field(h, sf) == e.subfield.rows
         # the fixed space of the generators is that of every element
         assert _fixed_space(h, sf) == _fixed_space(PermGroup(h.elements), sf)
         # the stabilizer of the primitive is that of the whole basis
@@ -432,8 +445,8 @@ def test_stabilizer_replay_rejects_a_primitive_of_another_field(monkeypatch):
 @pytest.mark.parametrize("text", SIZED_FIELDS)
 def test_rank_bound_and_power_sequence_match_the_exact_kernel(text):
     # d - rank mod p is the exact kernel's dimension on every subgroup,
-    # and the power sequence's rows are the closure's and the kernel's;
-    # it gives up only where no elementary value is primitive
+    # the worklist closure's rows are the kernel's, and so are the power
+    # sequence's; it gives up only where no elementary value is primitive
     data = corpus_pipeline(text)
     sf, d = data.sf, data.sf.degree
     for h in all_subgroups(data.gd.group):
@@ -441,11 +454,12 @@ def test_rank_bound_and_power_sequence_match_the_exact_kernel(text):
         assert d - _rank_mod_p(_fixed_rows(h, sf)) == len(kernel)
         values = elementary_values([sf.psi_for(s) for s in h])
         assert list(_symmetric_values(h, sf)) == values
+        assert _closure(sf.field, values) == kernel
         found = _power_subfield(h, sf, values, len(kernel))
         if found is None:
             assert all(minimal_polynomial(v).degree < len(kernel) for v in values)
         else:
-            assert found[0].rows == field_from_subgroup(h, sf).rows == kernel
+            assert found[0].rows == kernel
 
 
 @pytest.mark.parametrize("text", ("x^3 - 2", "x^4 - 2"))
@@ -466,6 +480,36 @@ def test_unlucky_rank_bound_takes_the_exact_fallback(monkeypatch, capsys, text):
     assert main(["analyze", text, "--format", "json"]) == 0
     assert capsys.readouterr().out == expected
     assert kernels == all_subgroups(corpus_pipeline(text).gd.group)
+
+
+@pytest.mark.parametrize("text", ("x^3 - 2", "x^4 - 2"))
+def test_exact_fallback_makes_each_value_once(monkeypatch, capsys, text):
+    # under the unlucky rank every subgroup takes the fallback, whose
+    # closure and combinations read the values the power walk made:
+    # elementary_values runs at most once per subgroup, same output
+    assert main(["analyze", text, "--format", "json"]) == 0
+    expected = capsys.readouterr().out
+    rank, values, certified = (correspondence._rank_mod_p, correspondence.elementary_values,
+                               correspondence._certified_field)
+    calls, per_subgroup = [], []
+
+    def recorded_values(conj):
+        calls.append(conj)
+        return values(conj)
+
+    def counted(h, sf):
+        start = len(calls)
+        found = certified(h, sf)
+        per_subgroup.append(len(calls) - start)
+        return found
+
+    monkeypatch.setattr(correspondence, "_rank_mod_p", lambda rows: rank(rows) - 1)
+    monkeypatch.setattr(correspondence, "elementary_values", recorded_values)
+    monkeypatch.setattr(correspondence, "_certified_field", counted)
+    assert main(["analyze", text, "--format", "json"]) == 0
+    assert capsys.readouterr().out == expected
+    assert len(per_subgroup) == len(all_subgroups(corpus_pipeline(text).gd.group))
+    assert max(per_subgroup) == 1
 
 
 def test_wrong_symmetric_field_is_a_theorem_error(monkeypatch):

@@ -11,13 +11,14 @@ from galcert.correspondence import (
     CorrespondenceReport,
     Subfield,
     SubgroupEntry,
-    field_from_subgroup,
+    _closure,
 )
 from galcert.groups import Arrangement, ArrangementGroup, Permutation
 from galcert.numberfield import SplittingField
 from galcert.resolvent import GaloisData
 from galcert.roots import RootSystem
 from galcert.selftest import corpus_pipeline
+from galcert.sympoly import elementary_values
 
 
 @pytest.fixture(scope="module")
@@ -93,13 +94,14 @@ def test_splitting_field_equality_ignores_the_matrices(cubic):
 
 
 def test_subfield_equality_ignores_the_generators(cubic):
-    # the lattice builds a subfield from its primitive's powers, and
-    # field_from_subgroup from the elementary values: equal all the same
+    # the lattice builds a subfield from its primitive's powers, and the
+    # worklist closure from all |H| elementary values: equal all the same
     entry = cubic.report.entries[0]
     sub = entry.subfield
     assert sub.generators == (entry.primitive,) and sub.dim == 6
     for e in cubic.report.entries[1:]:
-        closed = field_from_subgroup(e.subgroup, cubic.sf)
+        values = elementary_values([cubic.sf.psi_for(s) for s in e.subgroup])
+        closed = Subfield(sub.field, _closure(sub.field, values), tuple(values))
         assert len(closed.generators) == e.subgroup.order > len(e.subfield.generators)
         assert closed == e.subfield and hash(closed) == hash(e.subfield)
     assert sub.rows == tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
@@ -113,10 +115,9 @@ def test_subfield_equality_ignores_the_generators(cubic):
 def test_lattice_records_are_mutable_values(cubic):
     report = cubic.report
     e = report.entries[0]
-    fields = (e.subgroup, e.dim, e.subfield, e.primitive, e.primitive_min_poly,
-              e.fixed_field_equal)
+    fields = (e.subgroup, e.dim, e.subfield, e.primitive, e.primitive_min_poly)
     entry = SubgroupEntry(*fields)
-    assert entry == e and entry != SubgroupEntry(*fields[:-1], not e.fixed_field_equal)
+    assert entry == e and entry != SubgroupEntry(e.subgroup, e.dim + 1, *fields[2:])
     with pytest.raises(TypeError):
         hash(entry)
 
