@@ -229,7 +229,13 @@ def analyze(text: str, weights=None, array: bool = False) -> CorrespondenceRepor
     _check_digits(parsed.coeffs + f.coeffs + (scale,))
     rs = isolate_roots(f)
     if weights is not None:
-        weights = tuple(int(w) for w in weights)
+        given = tuple(weights)
+        try:
+            weights = tuple(int(w) for w in given)
+        except (TypeError, ValueError, OverflowError):
+            weights = None
+        if weights != given:
+            raise InputError(f"the weights must be integers, got {list(given)!r}")
         if len(weights) != f.degree:
             raise InputError("the explicit weight list must match the degree")
         ladder = Ladder(weights, rs)

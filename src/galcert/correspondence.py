@@ -133,15 +133,13 @@ class Subfield(Frozen):
     """A subfield of the splitting field as its echelon rows: the form
     ``echelon`` returns, so equal subfields have equal rows.  Built from a
     primitive's powers by ``_certified_field``, or by ``from_elements``,
-    which proves closure with ``_closure``.  Immutable;
-    equality and hashing read the ambient field and the rows, not the
-    ``generators`` it was built from."""
+    which proves closure with ``_closure``.  Immutable; equality and
+    hashing read the ambient field and the rows, whatever built them."""
 
-    __slots__ = ("field", "rows", "generators")
-    _compared = ("field", "rows")
+    __slots__ = ("field", "rows")
 
-    def __init__(self, field: NumberField, rows: tuple, generators: tuple = ()):
-        Record.__init__(self, field, rows, generators)
+    def __init__(self, field: NumberField, rows: tuple):
+        Record.__init__(self, field, rows)
 
     @property
     def dim(self):
@@ -357,7 +355,7 @@ def _power_subfield(h: PermGroup, sf: SplittingField, candidates, k: int):
         red, pivots, powers = [], [], [nf.one(), x]
         while insert_row(red, pivots, powers[-2].num):
             if len(powers) > k:
-                return Subfield(nf, _rows(red), (x,)), x, _relation(powers, pivots), powers[:-1]
+                return Subfield(nf, _rows(red)), x, _relation(powers, pivots), powers[:-1]
             powers.append(powers[-1] * x)
     return None
 
@@ -388,7 +386,7 @@ def field_from_subgroup(h: PermGroup, sf: SplittingField) -> Subfield:
     generator's conjugates under h, certified to be Fix(h).  Every
     symmetric value is a polynomial in the elementary symmetric values of
     the conjugates, so those suffice.  It is the field the lattice
-    reports, and its ``generators`` are that entry's primitive alone."""
+    reports, spanned by the powers of that entry's primitive."""
     return _certified_field(h, sf)[0]
 
 

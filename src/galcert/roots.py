@@ -34,8 +34,10 @@ factor in ``identify_galois``) gives up with ``CertificationError`` or
 rejects the subgroup, and ``RootSystem.refine`` and ``express_roots``
 raise ``CertificationError`` (exit code 3 in the CLI).  Injectivity of a
 weight vector needs no schedule of its own: it is decided exactly on the
-resolvent.  ``isolate_roots`` has a separate working-precision loop with
-its own budget: it drives the approximation, not a certificate.
+resolvent.  ``isolate_roots`` is the first isolation: it checks f,
+warm-starts the points and sorts the balls, which fixes the root order;
+``RootSystem.refine`` re-polishes its own balls and matches new to old.
+Both run ``_enclose``, with a working-precision budget of its own.
 
 ``read_integers`` is the one place where a list of balls is read as the
 integers they pin down, on the balls' ints: the resolvent, the subgroup
@@ -176,14 +178,14 @@ def _ceval(cs, z, prec):
     return acc
 
 
-def _dyadic_aberth(f: UniPoly, zs, prec, max_iters):
+def _dyadic_aberth(f: UniPoly, zs, prec):
     """Aberth iteration on Gaussian integers with prec significant bits.
 
     The points zs (balls; only their centers are used) become complex
     pairs of ints (see ``_sum``).  Each sweep moves every point from the
     previous sweep's points (Jacobi style) and rounds them to prec
     significant bits; the iteration stops once every correction is at
-    most 2**-(prec - 8), or after max_iters sweeps.  The rounding rule
+    most 2**-(prec - 8), or after 80 sweeps.  The rounding rule
     fixes the points bit for bit, and with them the order of the roots
     (by real part, then imaginary part).  Nothing here is trusted: the
     certificate checks the points afterwards.
@@ -194,7 +196,7 @@ def _dyadic_aberth(f: UniPoly, zs, prec, max_iters):
     one = (1, 0, 0, 0)
     nudge = -(prec // 2)
     pts = [_normalize(z.x, z.exp) + _normalize(z.y, z.exp) for z in zs]
-    for _ in range(max_iters):
+    for _ in range(80):
         worst = (0, 0)
         new = []
         for i, z in enumerate(pts):
@@ -241,6 +243,27 @@ def _certified_balls(f: UniPoly, zs, prec):
     return balls
 
 
+def _enclose(f: UniPoly, zs, precision_bits: int):
+    """Certified, pairwise-disjoint balls of radius at most
+    2**-precision_bits, in the order of the points zs: the polish and the
+    certificate at a working precision that doubles within its budget."""
+    target = Fraction(1, 1 << precision_bits)
+    # the certificate radius is |f(z)|**(1/n), so hitting 2**-pb takes
+    # roughly n*pb accurate bits in z
+    prec = max(64, f.degree * precision_bits + 64)
+    work_cap = max(16 * prec, 1 << 21)
+    while prec <= work_cap:
+        zs = _dyadic_aberth(f, zs, prec)
+        balls = _certified_balls(f, zs, prec + 32)
+        if all(b.rad <= target for b in balls) and pairwise_disjoint(balls):
+            return balls
+        prec *= 2
+    raise CertificationError(
+        "root certification failed within the precision budget; "
+        f"achieved radii {[_float(b.r, b.exp) for b in balls]}"
+    )
+
+
 class RootSystem(Frozen):
     """Pairwise-disjoint certified enclosures, one per root of poly;
     immutable."""
@@ -251,71 +274,44 @@ class RootSystem(Frozen):
         Record.__init__(self, poly, enclosures, precision_bits)
 
     def refine(self, precision_bits: int) -> "RootSystem":
-        """Shrink all enclosures; root order is preserved."""
+        """Narrow the enclosures to 2**-precision_bits; ``_enclose`` re-polishes
+        them, and matching new balls to old, one-to-one, keeps the order."""
         if precision_bits <= self.precision_bits:
             return self
-        seeds = self.enclosures
         for bits in precisions(precision_bits):
-            fresh = isolate_roots(self.poly, bits, _seeds=seeds).enclosures
+            fresh = _enclose(self.poly, self.enclosures, bits)
             # each old ball must meet exactly one new ball, one-to-one
-            hits = [
-                [j for j, nb in enumerate(fresh) if not ball_disjoint(old, nb)]
-                for old in self.enclosures
-            ]
+            hits = [[j for j, nb in enumerate(fresh) if not ball_disjoint(old, nb)]
+                    for old in self.enclosures]
             if sorted(hits) == [[j] for j in range(len(fresh))]:
                 ordered = tuple(fresh[j] for [j] in hits)
                 return RootSystem(self.poly, ordered, precision_bits)
-        raise CertificationError(
-            "could not match refined enclosures to the original ones"
-        )
+        raise CertificationError("could not match refined enclosures to the original ones")
 
 
-def isolate_roots(f: UniPoly, precision_bits: int = 128, *, _seeds=None) -> RootSystem:
+def isolate_roots(f: UniPoly, precision_bits: int = 128) -> RootSystem:
     """Certified enclosures for all roots of a monic squarefree polynomial,
-    with radii at most 2**-precision_bits."""
+    with radii at most 2**-precision_bits, in the root order (see above)."""
     if f.degree is None or f.degree < 1:
         raise InputError("degree must be at least 1")
     if not f.is_monic():
         raise InputError("polynomial must be monic")
     if precision_bits < 1:
         raise InputError("the precision must be at least 1 bit")
+    if not is_squarefree(f):
+        g = gcd(f, f.derivative())
+        raise InputError(f"not squarefree, gcd with derivative is {g.render()}")
     n = f.degree
-    if _seeds is None:
-        # a refinement (seeded by ``RootSystem.refine``) re-isolates a
-        # polynomial its first isolation already checked
-        if not is_squarefree(f):
-            g = gcd(f, f.derivative())
-            raise InputError(f"not squarefree, gcd with derivative is {g.render()}")
-        warm = _float_aberth(f)
-        if warm is not None:
-            zs = [_float_point(z) for z in warm]
-        else:
-            bound_bits = max(abs(Fraction(c).numerator).bit_length() for c in f.coeffs) + 1
-            zs = [
-                _float_point(cmath.exp(2j * cmath.pi * (k + 0.3545) / n) * 2.0)
-                for k in range(n)
-            ]
-            zs = [ComplexBall.from_ints(z.x, z.y, 0, z.exp + bound_bits) for z in zs]
+    warm = _float_aberth(f)
+    if warm is not None:
+        zs = [_float_point(z) for z in warm]
     else:
-        zs = list(_seeds)
-
-    target = Fraction(1, 1 << precision_bits)
-    # the certificate radius is |f(z)|**(1/n), so hitting 2**-pb takes
-    # roughly n*pb accurate bits in z
-    prec = max(64, n * precision_bits + 64)
-    work_cap = max(16 * prec, 1 << 21)
-    balls = []
-    while prec <= work_cap:
-        zs = _dyadic_aberth(f, zs, prec, max_iters=80)
-        balls = _certified_balls(f, zs, prec + 32)
-        if all(b.rad <= target for b in balls) and pairwise_disjoint(balls):
-            balls.sort(key=lambda b: (b.re, b.im))
-            return RootSystem(f, tuple(balls), precision_bits)
-        prec *= 2
-    raise CertificationError(
-        "root certification failed within the precision budget; "
-        f"achieved radii {[_float(b.r, b.exp) for b in balls]}"
-    )
+        bound_bits = max(abs(Fraction(c).numerator).bit_length() for c in f.coeffs) + 1
+        zs = [_float_point(cmath.exp(2j * cmath.pi * (k + 0.3545) / n) * 2.0) for k in range(n)]
+        zs = [ComplexBall.from_ints(z.x, z.y, 0, z.exp + bound_bits) for z in zs]
+    balls = _enclose(f, zs, precision_bits)
+    balls.sort(key=lambda b: (b.re, b.im))
+    return RootSystem(f, tuple(balls), precision_bits)
 
 
 def read_integers(balls):

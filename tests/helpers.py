@@ -4,11 +4,15 @@ These deliberately avoid the code paths they are used to check: root
 enclosures come from plain bisection over exact fractions, complex
 rational arithmetic is spelled out directly over Fraction pairs, and
 field inverses come from extended Euclid against the modulus.
+``record_refinements`` counts the pipeline's refinements at the one
+place they polish balls.
 """
 
+import sys
 from fractions import Fraction
 from math import ceil
 
+from galcert import roots
 from galcert.arith import ComplexBall, fixed_rational
 from galcert.poly import xgcd
 
@@ -78,3 +82,20 @@ def xgcd_inverse(x):
     g, s, _ = xgcd(x.to_unipoly(), x.field.modulus)
     assert g.degree == 0
     return x.field.element(s.scale(Fraction(1) / Fraction(g.coeffs[0])).coeffs)
+
+
+def record_refinements(monkeypatch):
+    """The list, filled as the test runs, of the precision of each
+    refinement attempt: each ``roots._enclose`` call that
+    ``RootSystem.refine`` makes, one per precision of its schedule.  The
+    first isolation's call is not one."""
+    attempts = []
+    enclose, refine = roots._enclose, roots.RootSystem.refine.__code__
+
+    def counted_enclose(f, zs, precision_bits):
+        if sys._getframe(1).f_code is refine:
+            attempts.append(precision_bits)
+        return enclose(f, zs, precision_bits)
+
+    monkeypatch.setattr(roots, "_enclose", counted_enclose)
+    return attempts

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import galcert
-from galcert import resolvent, roots
+from galcert import resolvent
 from galcert.cli import (
     analyze,
     main,
@@ -26,6 +26,8 @@ from galcert.cli import (
 from galcert.errors import InputError
 from galcert.numberfield import compose_mod
 from galcert.poly import UniPoly
+
+from helpers import record_refinements
 
 
 def test_parse_poly_examples():
@@ -92,6 +94,14 @@ def test_analyze_keeps_explicit_weights_as_ints():
     assert report.weights == (1, 0) and all(type(w) is int for w in report.weights)
     with pytest.raises(InputError, match="must match the degree"):
         analyze("x^2 - 2", [0, 1, 2])
+
+
+@pytest.mark.parametrize("weights", [[0, 1.5], [0, "1"], [0, "a"], [0, float("inf")]])
+def test_analyze_refuses_weights_that_are_not_integers(weights):
+    # int() would truncate 1.5 and read "1": a weight it changes or
+    # cannot read is an input error, as --spec 0,1.5 is
+    with pytest.raises(InputError, match="weights must be integers"):
+        analyze("x^2 - 2", weights)
 
 
 def test_report_numbers_past_the_digit_limit_exit_2(capsys):
@@ -286,15 +296,7 @@ def test_analyze_s4_quartic(monkeypatch):
     # Its resolvent needs 256 bits: the search refines once for the
     # accepted weights, and hands that ladder, resolvent and all, to
     # identify_galois, the root expressions and the automorphisms
-    refinements = []
-    isolate = roots.isolate_roots
-
-    def counted_isolate(f, bits=128, *, _seeds=None):
-        if _seeds is not None:
-            refinements.append(bits)
-        return isolate(f, bits, _seeds=_seeds)
-
-    monkeypatch.setattr(roots, "isolate_roots", counted_isolate)
+    refinements = record_refinements(monkeypatch)
     for text, expected, refined in (
         ("x^4 - x - 1", "c4282b338256f00070d3a6aee2942df09a634e0b078dff2e83241ed496df129e", []),
         ("x^4 - x - 1000000", "86ff90650e28132ede17de03a782bdffc996bc690c5f49ffc5233f00ef54ba35",
@@ -321,21 +323,15 @@ def test_analyze_quartics_that_need_large_weights(monkeypatch, text, weights, or
     # search has no bound; the arithmetic progressions 0, 1, 2, 3 and
     # -3, -1, 1, 3 reach norm 14 after 289 decisions.  Every resolvent
     # reads at the isolation's 128 bits, so nothing is refined
-    decisions, refinements = [], []
+    decisions = []
     certify = resolvent.certify_distinct_values
-    isolate = roots.isolate_roots
 
     def counted_certify(ladder):
         decisions.append(ladder.weights)
         return certify(ladder)
 
-    def counted_isolate(f, bits=128, *, _seeds=None):
-        if _seeds is not None:
-            refinements.append(bits)
-        return isolate(f, bits, _seeds=_seeds)
-
+    refinements = record_refinements(monkeypatch)
     monkeypatch.setattr(resolvent, "certify_distinct_values", counted_certify)
-    monkeypatch.setattr(roots, "isolate_roots", counted_isolate)
     report = analyze(text)
     assert report.weights == weights == decisions[-1]
     assert report.group_order == order

@@ -318,13 +318,13 @@ def test_lattice_witnesses_agree_with_the_exact_references():
 
 @pytest.mark.parametrize("text", CORPUS + ("x^4 + 8x + 12", "x^4 - x - 1"))
 def test_field_from_subgroup_is_the_reported_field(text):
-    # one construction: field_from_subgroup is each entry's subfield, with
-    # its primitive as the generator, and the verified subfield its basis
+    # one construction: field_from_subgroup is each entry's subfield,
+    # which holds its primitive, and the verified subfield its basis
     # spans; x^4 - x - 1 has subgroups whose primitive combines values
     data = corpus_pipeline(text)
     for e in data.report.entries:
         la = field_from_subgroup(e.subgroup, data.sf)
-        assert la == e.subfield and la.generators == (e.primitive,)
+        assert la == e.subfield and la.contains(e.primitive)
         assert la == Subfield.from_elements(data.sf.field, la.basis)
 
 

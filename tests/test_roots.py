@@ -11,7 +11,7 @@ from galcert.errors import InputError
 from galcert.poly import UniPoly, gcd
 from galcert.roots import isolate_roots, read_integers
 
-from helpers import ball_add, ball_contains_rational, bisect_root
+from helpers import ball_add, ball_contains_rational, bisect_root, record_refinements
 
 
 def test_isolate_sqrt2():
@@ -116,24 +116,25 @@ def test_pipeline_refines_once_per_resolvent_read(monkeypatch):
     # weight multisets, whose ladders share one refinement, and
     # identify_galois takes the winning ladder with its resolvent from the
     # search; the 128-bit system serves everything else.  Only the first
-    # isolation decides that f is squarefree
-    refinements, decisions = [], []
-    isolate, squarefree = roots.isolate_roots, roots.is_squarefree
-
-    def counted_isolate(f, bits=128, *, _seeds=None):
-        if _seeds is not None:
-            refinements.append(bits)
-        return isolate(f, bits, _seeds=_seeds)
+    # isolation decides that f is squarefree and warm-starts in floats
+    decisions, warm_starts = [], []
+    squarefree, float_aberth = roots.is_squarefree, roots._float_aberth
 
     def counted_squarefree(f):
         decisions.append(f)
         return squarefree(f)
 
-    monkeypatch.setattr(roots, "isolate_roots", counted_isolate)
+    def counted_float_aberth(f):
+        warm_starts.append(f)
+        return float_aberth(f)
+
+    refinements = record_refinements(monkeypatch)
     monkeypatch.setattr(roots, "is_squarefree", counted_squarefree)
+    monkeypatch.setattr(roots, "_float_aberth", counted_float_aberth)
     assert analyze("x^4 - 1000003").all_passed()
     assert refinements == [256]
     assert len(decisions) == 1
+    assert len(warm_starts) == 1
 
 
 def test_discriminant_reads_as_an_integer():
