@@ -227,7 +227,6 @@ def analyze(text: str, weights=None, array: bool = False) -> CorrespondenceRepor
         raise InputError("the degree must be between 2 and 4")
     f, scale = normalize_monic_integer(parsed)
     _check_digits(parsed.coeffs + f.coeffs + (scale,))
-    rs = isolate_roots(f)
     if weights is not None:
         given = tuple(weights)
         try:
@@ -238,13 +237,13 @@ def analyze(text: str, weights=None, array: bool = False) -> CorrespondenceRepor
             raise InputError(f"the weights must be integers, got {list(given)!r}")
         if len(weights) != f.degree:
             raise InputError("the explicit weight list must match the degree")
+    rs = isolate_roots(f)
+    if weights is None:
+        ladder = search_resolvent(rs)
+    else:
         ladder = Ladder(weights, rs)
         if not certify_distinct_values(ladder):
-            raise CertificationError(
-                "the explicit weight vector could not be certified injective"
-            )
-    else:
-        ladder = search_resolvent(rs)
+            raise CertificationError("the explicit weight vector could not be certified injective")
     gd = identify_galois(ladder)
     roots = express_roots(gd)
     sf = automorphism_table(gd, roots)

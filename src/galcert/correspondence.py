@@ -7,15 +7,19 @@ map is a bijection onto the subfields, that dimensions match the group
 orders, and that the averaging witness expresses every fixed element as
 a symmetric value.
 
+A fixed point is the integer identity ``sf.sends(s, x, x)`` on the
+matrices the splitting field stores, tested on generators only:
+``automorphism_table`` pins each matrix to its own root permutation, so
+the matrices compose as the group does, and an element fixed by the
+generators that ``all_subgroups`` carries with H is fixed by all of H.
 Each subgroup's field has one construction, ``_certified_field``, which
 the lattice, ``field_from_subgroup`` and the selftest all read:
 
-* Rank bound.  Fix(H) is the kernel of the rows den * (M - I) of the
-  generators that ``all_subgroups`` carries with H (``_fixed_rows``), and
-  their rank mod p is at most their rank over Q, so d - rank_p is at
-  least dim Fix(H) (``_rank_mod_p``).
+* Rank bound.  Fix(H) is the kernel of the rows den * (M - I) of H's
+  generators (``_fixed_rows``), and their rank mod p is at most their
+  rank over Q, so d - rank_p is at least dim Fix(H) (``_rank_mod_p``).
 * Power sequence.  If the powers 1, ..., x^(k-1) of a value x fixed by
-  those generators are independent, k the bound, then Q[x] <= Q[values]
+  H's generators are independent, k the bound, then Q[x] <= Q[values]
   <= Fix(H) (H permutes the conjugates) all have dimension k and are
   equal; x's minimal relation, read off the same powers, is the closure
   proof (``_power_subfield``).  When no value closes the bound, the
@@ -23,19 +27,19 @@ the lattice, ``field_from_subgroup`` and the selftest all read:
   ``_fixed_space``, whose dimension the values' combinations then close.
 
 Then one element per subfield suffices: an automorphism fixes Q(prim)
-iff it fixes prim, and prim^-1 is one integer combination of prim's
-powers, read off its minimal polynomial.
+iff it fixes prim, so inclusion reversal tests one primitive per pair
+and the stabilizer replay only the elements outside H; prim^-1 is one
+integer combination of prim's powers, read off its minimal polynomial.
 
 A subfield is its echelon rows: the primitive integer rows with positive
 pivot entries that ``echelon`` returns, so subfield equality is equality
 of rows, and ``Subfield.basis`` is a view for the renderers.  Spans,
 kernels and relations all come from the fraction-free ``echelon`` and
-its one-row step ``insert_row``.  A fixed point is the integer identity
-``sf.sends(s, x, x)`` on the matrices the splitting field stores.  The
-closure and the kernel also serve ``from_elements`` and ``fixed_field``,
-the selftest's independent construction.  The pipeline does not call
-``rref``, ``nullspace``, ``fixed_field`` or ``minimal_polynomial``: they
-serve the selftest, the tests and perfbench's tracer.
+its one-row step ``insert_row``.  The closure and the kernel also serve
+``from_elements`` and ``fixed_field``, the selftest's independent
+construction.  The pipeline does not call ``rref``, ``nullspace``,
+``fixed_field`` or ``minimal_polynomial``: they serve the selftest, the
+tests and perfbench's tracer.
 """
 
 from __future__ import annotations
@@ -168,10 +172,6 @@ class Subfield(Frozen):
     def contains(self, x: NumberFieldElement) -> bool:
         return in_span(self.rows, self.pivots, x.num)
 
-    def contains_subfield(self, other: "Subfield") -> bool:
-        pivots = self.pivots
-        return all(in_span(self.rows, pivots, r) for r in other.rows)
-
 
 def _fixed_rows(h: PermGroup, sf: SplittingField):
     """The rows of den * (M - I) for the stored matrix M = rows / den of
@@ -223,10 +223,10 @@ def fixed_field(h: PermGroup, sf: SplittingField) -> Subfield:
 
 def averaging_check(x: NumberFieldElement, h: PermGroup, sf: SplittingField) -> bool:
     """Whether the explicit symmetric witness holds: x equals the average
-    of its h-orbit images.  Each image is tested to equal x, an exact
-    identity per element of h; their sum is then |h| * x, whose average
-    is x."""
-    return all(sf.sends(s, x, x) for s in h)
+    of its h-orbit images.  Each generator of h is tested to fix x, an
+    exact identity each; the stored matrices compose as the group does,
+    so all of h fixes x, and the images' sum |h| * x averages to x."""
+    return all(sf.sends(s, x, x) for s in h.generators)
 
 
 def _isomorphism_to(sf: SplittingField, sf2: SplittingField) -> NumberFieldElement:
@@ -443,19 +443,19 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
             raise TheoremError(f"dim {la.dim} times order {h.order} is not {d} for {h!r}")
     checks.append(("degree_matches_subgroup_order", True))
 
-    # inclusion reversal on every comparable pair
+    # inclusion reversal on every comparable pair, one primitive per pair
     for i, hi in enumerate(subgroups):
         for j, hj in enumerate(subgroups):
             if i != j and hi.is_subgroup_of(hj):
-                if not constructed[i].contains_subfield(constructed[j]):
+                if not constructed[i].contains(entries[j].primitive):
                     raise TheoremError(f"inclusion {hi!r} <= {hj!r} is not reversed by the fields")
     checks.append(("inclusion_reversal", True))
 
     # surjectivity replay: the stabilizer of each subfield maps back to it.
-    # la = Q(prim), so an automorphism fixes la iff it fixes prim
+    # h's generators fix la = Q(prim) (_power_subfield), so test s outside h
     for e in entries:
         h, prim = e.subgroup, e.primitive
-        stab = tuple(s for s in sf.galois.group if sf.sends(s, prim, prim))
+        stab = tuple(s for s in sf.galois.group if s in h or sf.sends(s, prim, prim))
         # once stab == h, its field is la by construction, so no rebuild
         if stab != h.elements:
             raise TheoremError(
@@ -474,9 +474,8 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
     # averaging witness on a spanning set of every fixed field, which by
     # the first check has the rows of the constructed field
     for h, la in zip(subgroups, constructed):
-        for b in la.basis:
-            if not averaging_check(b, h, sf):
-                raise TheoremError(f"averaging witness failed for subgroup {h!r}")
+        if not all(averaging_check(b, h, sf) for b in la.basis):
+            raise TheoremError(f"averaging witness failed for subgroup {h!r}")
     checks.append(("averaging_witness", True))
 
     return CorrespondenceReport(

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import galcert
-from galcert import resolvent
+from galcert import cli, resolvent
 from galcert.cli import (
     analyze,
     main,
@@ -102,6 +102,21 @@ def test_analyze_refuses_weights_that_are_not_integers(weights):
     # cannot read is an input error, as --spec 0,1.5 is
     with pytest.raises(InputError, match="weights must be integers"):
         analyze("x^2 - 2", weights)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([0, 1.5, 2], "weights must be integers"),
+    ([0, 1], "weight list must match the degree"),
+])
+def test_analyze_checks_weights_before_the_isolation(monkeypatch, weights, message):
+    # both checks read only the degree, so a lopsided cubic whose
+    # isolation takes seconds is refused without one
+    def no_isolation(f):
+        raise AssertionError("isolate_roots ran")
+
+    monkeypatch.setattr(cli, "isolate_roots", no_isolation)
+    with pytest.raises(InputError, match=message):
+        analyze("x^3 - 1000000000000x^2 + 1", weights)
 
 
 def test_report_numbers_past_the_digit_limit_exit_2(capsys):

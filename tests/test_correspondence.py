@@ -198,11 +198,11 @@ def test_failed_averaging_witness_is_a_theorem_error(monkeypatch, capsys):
     assert "assertion failure: averaging witness failed" in capsys.readouterr().err
 
 
-def test_fixed_point_checks_test_every_element(monkeypatch):
+def test_fixed_point_checks_test_generators_then_the_rest(monkeypatch):
     # the power sequence tests each primitive against its subgroup's
-    # generators, and the stabilizer replay then against every element of
-    # G; the averaging witness tests each fixed basis element against
-    # every element of its subgroup, not only the generators
+    # generators, and the stabilizer replay then against the elements of
+    # G outside the subgroup only; the averaging witness tests each fixed
+    # basis element against the subgroup's generators only
     data = corpus_pipeline("x^4 - 2")
     tested, averaged = [], []
     sends, averaging = SplittingField.sends, correspondence.averaging_check
@@ -220,13 +220,16 @@ def test_fixed_point_checks_test_every_element(monkeypatch):
     monkeypatch.setattr(SplittingField, "sends", recorded)
     monkeypatch.setattr(correspondence, "averaging_check", recorded_averaging)
     report = correspondence.correspondence_lattice(data.sf)
-    group, d = list(data.gd.group), data.sf.degree
+    group = list(data.gd.group)
+    assert any(e.subgroup.generators != e.subgroup.elements for e in report.entries)
     for e in report.entries:
         h = e.subgroup
-        assert [p for p, x in tested if x is e.primitive] == list(h.generators) + group
-        # dim * |H| = d tests per subgroup's fixed basis
-        assert [perms for k, perms in averaged if k is h] == [list(h.elements)] * e.dim
-    assert sum(len(perms) for _, perms in averaged) == len(report.entries) * d
+        outside = [s for s in group if s not in h]
+        assert [p for p, x in tested if x is e.primitive] == list(h.generators) + outside
+        assert [perms for k, perms in averaged if k is h] == [list(h.generators)] * e.dim
+    assert sum(len(perms) for _, perms in averaged) == sum(
+        e.dim * len(e.subgroup.generators) for e in report.entries
+    )
 
 
 def test_primitive_independence_quadratic():
@@ -427,19 +430,93 @@ def test_subfield_sized_minimal_polynomial_matches_all_powers(monkeypatch, text)
         minimal_polynomial(data.sf.field.gen(), 1)
 
 
-def test_stabilizer_replay_rejects_a_primitive_of_another_field(monkeypatch):
-    # the generator a is fixed by the identity only, so every nontrivial
-    # subgroup's replay finds a smaller stabilizer
+def _with_fields_of(monkeypatch, pick):
+    """Make the lattice certify each subgroup h with the field, primitive,
+    minimal polynomial and powers that ``pick(h, found)`` returns, where
+    ``found`` is ``_certified_field`` itself."""
+    found = correspondence._certified_field
+    monkeypatch.setattr(correspondence, "_certified_field", lambda h, sf: pick(h, found))
+
+
+def test_injectivity_rejects_a_repeated_field(monkeypatch):
+    # every subgroup certified with the rationals, the full group's field
     data = corpus_pipeline("x^3 - 2")
-    gen, mp = data.sf.field.gen(), data.gd.min_poly
-    power_subfield = correspondence._power_subfield
-
-    def with_generator(h, sf, candidates, k):
-        return power_subfield(h, sf, candidates, k)[0], gen, mp, None
-
-    monkeypatch.setattr(correspondence, "_power_subfield", with_generator)
-    with pytest.raises(TheoremError, match="stabilizer of the subfield"):
+    _with_fields_of(monkeypatch, lambda h, found: found(data.gd.group, data.sf))
+    with pytest.raises(TheoremError, match="map to the same subfield"):
         correspondence.correspondence_lattice(data.sf)
+
+
+def test_degree_check_rejects_fields_of_the_wrong_size(monkeypatch):
+    # the subgroups' fields in reverse order: all distinct, so injective,
+    # but the trivial group gets the rationals
+    data = corpus_pipeline("x^3 - 2")
+    subgroups = all_subgroups(data.gd.group)
+    other = dict(zip(subgroups, reversed(subgroups)))
+    _with_fields_of(monkeypatch, lambda h, found: found(other[h], data.sf))
+    with pytest.raises(TheoremError, match=r"dim 1 times order 1 is not 6"):
+        correspondence.correspondence_lattice(data.sf)
+
+
+def test_inclusion_reversal_rejects_swapped_fields(monkeypatch):
+    # D4's center lies in all three subgroups of order 4, another subgroup
+    # of order 2 in one only: their swapped fields keep injectivity and
+    # the degrees, but the center's new field misses a larger field
+    data = corpus_pipeline("x^4 - 2")
+    subgroups = all_subgroups(data.gd.group)
+    order2 = sorted((h for h in subgroups if h.order == 2),
+                    key=lambda h: sum(h.is_subgroup_of(k) for k in subgroups))
+    swap = {order2[0]: order2[-1], order2[-1]: order2[0]}
+    _with_fields_of(monkeypatch, lambda h, found: found(swap.get(h, h), data.sf))
+    with pytest.raises(TheoremError, match="is not reversed by the fields"):
+        correspondence.correspondence_lattice(data.sf)
+
+
+def test_stabilizer_replay_rejects_a_primitive_of_another_field(monkeypatch):
+    # each subgroup keeps its field but takes the primitive of a strictly
+    # larger subgroup's field: that passes injectivity, the degrees and
+    # inclusion, and is fixed by the larger subgroup's elements outside h
+    data = corpus_pipeline("x^3 - 2")
+    subgroups = all_subgroups(data.gd.group)
+
+    def larger_primitive(h, found):
+        k = next((k for k in subgroups if k.order > h.order and h.is_subgroup_of(k)), h)
+        return (found(h, data.sf)[0], *found(k, data.sf)[1:])
+
+    _with_fields_of(monkeypatch, larger_primitive)
+    trivial, order2 = subgroups[0], subgroups[1]
+    assert trivial.order == 1 and order2.order == 2
+    with pytest.raises(TheoremError, match="stabilizer of the subfield") as raised:
+        correspondence.correspondence_lattice(data.sf)
+    # the message names h and the stabilizer, h plus the outside elements
+    assert str(raised.value) == (f"stabilizer of the subfield of {trivial!r} is {order2!r}, "
+                                 f"not the subgroup")
+
+
+def test_inverse_closure_rejects_a_wrong_minimal_polynomial(monkeypatch):
+    # a doubled constant term makes the inverse read off it wrong by 2
+    data = corpus_pipeline("x^3 - 2")
+
+    def doubled(h, found):
+        la, prim, mp, powers = found(h, data.sf)
+        return la, prim, UniPoly([2 * mp.coeffs[0], *mp.coeffs[1:]]), powers
+
+    _with_fields_of(monkeypatch, doubled)
+    with pytest.raises(TheoremError, match="a sampled inverse escapes its subfield"):
+        correspondence.correspondence_lattice(data.sf)
+
+
+def test_no_primitive_in_the_search_range_is_a_theorem_error(monkeypatch, capsys):
+    # under a rank that under-reports by one every subgroup takes the
+    # exact fallback, whose combinations here are none; the CLI exits 4
+    data = corpus_pipeline("x^3 - 2")
+    rank = correspondence._rank_mod_p
+    monkeypatch.setattr(correspondence, "_rank_mod_p", lambda rows: rank(rows) - 1)
+    monkeypatch.setattr(correspondence, "_candidates", lambda values: iter(()))
+    with pytest.raises(TheoremError, match="no primitive element found in the search range"):
+        correspondence.correspondence_lattice(data.sf)
+    assert main(["analyze", "x^3 - 2"]) == 4
+    err = capsys.readouterr().err
+    assert err == "assertion failure: no primitive element found in the search range\n"
 
 
 @pytest.mark.parametrize("text", SIZED_FIELDS)

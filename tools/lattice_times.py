@@ -36,10 +36,18 @@ def lattice_seconds(text: str, repeat: int):
     return sf, best, report
 
 
+def at_least_one(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("polys", nargs="+", help="polynomials, e.g. 'x^4 - x - 1'")
-    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--repeat", type=at_least_one, default=3)
     args = parser.parse_args(argv)
     for text in args.polys:
         sf, best, report = lattice_seconds(text, args.repeat)
