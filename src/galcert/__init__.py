@@ -13,7 +13,7 @@ from .groups import all_subgroups, arrangement_array, substitution_group
 from .numberfield import automorphism_table, express_roots
 from .resolvent import identify_galois, resolvent_poly, search_resolvent
 from .roots import isolate_roots
-from .sympoly import decompose, eval_elementary, expand_elementary, substitute_elementary
+from .sympoly import decompose, expand_elementary, substitute_elementary
 
 __all__ = [
     "CertificationError",
@@ -25,7 +25,6 @@ __all__ = [
     "automorphism_table",
     "correspondence_lattice",
     "decompose",
-    "eval_elementary",
     "expand_elementary",
     "express_roots",
     "identify_galois",

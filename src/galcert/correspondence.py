@@ -187,10 +187,11 @@ def _fixed_rows(h: PermGroup, sf: SplittingField):
     return stacked
 
 
-def _rank_mod_p(rows, p=SQUAREFREE_PRIME):
+def _rank_mod_p(rows):
     """Rank of integer rows mod p, by Gaussian elimination on residues,
     column by column.  A minor that vanishes over Q vanishes mod p, so
     this is at most the rank over Q (Dixon, Numer. Math. 40, 1982)."""
+    p = SQUAREFREE_PRIME
     rows = [[v % p for v in row] for row in rows]
     rank = 0
     for c in range(len(rows[0]) if rows else 0):
@@ -368,8 +369,10 @@ def _certified_field(h: PermGroup, sf: SplittingField):
     walk, values = tee(_symmetric_values(h, sf))
     found = _power_subfield(h, sf, walk, sf.field.degree - _rank_mod_p(_fixed_rows(h, sf)))
     if found is None:
-        # an unlucky prime, a primitive that combines values, or a real
-        # mismatch: the exact fixed space settles the dimension first
+        # an unlucky prime, a primitive that combines values, or a real mismatch.
+        # The exact kernel settles the dimension, but only the closure shows that the
+        # values generate it: without the comparison a wrong symmetric field raises
+        # nothing at once, and _candidates walks up to 7^|h| combinations (7^24 on S4)
         values = list(values)
         rows = _closure(sf.field, values)
         if rows != _fixed_space(h, sf):

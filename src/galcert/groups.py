@@ -3,7 +3,7 @@
 Permutations compose left to right as functions: (p * q)(i) = p(q(i)).
 An arrangement is an ordering of the root indices; the group action on
 arrangements is (p . a)(i) = a(p^-1(i)), a left action, so acting by p
-then q equals acting by q * p ... by (q * p).  Blocks of the arrangement
+and then by q equals acting by q * p.  Blocks of the arrangement
 array record the coset representative used to build them, which is the
 conjugator relating the block's substitution group back to the subgroup.
 
@@ -313,7 +313,15 @@ def transition(a: Arrangement, b: Arrangement) -> Permutation:
 class ArrangementGroup(Frozen):
     """A set of arrangements closed under its own transition substitutions;
     immutable.  ``rep``, the coset representative that built the block, is
-    left out of equality and hashing."""
+    left out of equality and hashing.
+
+    Transitions from the first row a suffice.  Arrangements of n letters
+    form one free S_n-orbit, so each row b is g_b . a for one g_b, and the
+    transition from b to c is g_c * g_b^-1.  T = {g_b}, the transitions
+    from a, maps every row into the set iff T is closed under products, so
+    iff T is a group, which then holds every g_c * g_b^-1.  So a set that is
+    not closed has a witness from a, which the sweep over all triples tries
+    first, and a closed set's substitutions are T."""
 
     __slots__ = ("rows", "rep")
     _compared = ("rows",)
@@ -330,7 +338,7 @@ class ArrangementGroup(Frozen):
 
     def _closure_witness(self):
         row_set = set(self.rows)
-        for a in self.rows:
+        for a in self.rows[:1]:
             for b in self.rows:
                 s = transition(a, b)
                 for c in self.rows:
@@ -343,8 +351,8 @@ class ArrangementGroup(Frozen):
 
 
 def substitution_group(ag: ArrangementGroup) -> PermGroup:
-    """All transition substitutions between pairs of rows."""
-    return PermGroup({transition(a, b) for a in ag.rows for b in ag.rows})
+    """All transitions between rows: for a closed set, those from its first."""
+    return PermGroup({transition(a, b) for a in ag.rows[:1] for b in ag.rows})
 
 
 def arrangement_array(g: PermGroup, h: PermGroup, base: Arrangement):
@@ -367,5 +375,4 @@ def arrangement_array(g: PermGroup, h: PermGroup, base: Arrangement):
             remaining.remove(p)
         rows = tuple(base.act(p) for p in coset)
         blocks.append(ArrangementGroup(rows, rep=rep))
-    blocks.sort(key=lambda blk: blk.rep.images)
     return blocks

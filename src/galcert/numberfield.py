@@ -141,8 +141,6 @@ class NumberFieldElement:
             if other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.rational(other)
         return NotImplemented
 
     def _add(self, other, sign):

@@ -151,13 +151,6 @@ def elementary_values(values):
     return es
 
 
-def eval_elementary(values, k: int):
-    """e_k of the given scalars (sum of all k-element products)."""
-    if not 1 <= k <= len(values):
-        raise ValueError(f"need 1 <= k <= {len(values)}, got {k}")
-    return elementary_values(values)[k - 1]
-
-
 def substitute_elementary(q: ElementarySymmetricExpression, e_values):
     """Evaluate the expression at given elementary symmetric values."""
     if len(e_values) != q.n:

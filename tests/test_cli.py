@@ -230,6 +230,20 @@ def test_main_exit_codes(capsys):
     assert "unrecognized arguments: --norm-bound 8" in capsys.readouterr().err
 
 
+def test_main_reads_a_leading_minus_after_double_dash(capsys):
+    # argparse reads "-x^2+2" as an option, so poly is missing; after
+    # "--", or with a space inside, it is the polynomial 2 - x^2
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "-x^2+2"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: poly" in capsys.readouterr().err
+    outs = []
+    for args in (["--", "-x^2+2"], ["-x^2 + 2"], ["2 - x^2"]):
+        assert main(["analyze", *args]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_main_rejects_overlong_number(capsys):
     # more digits than int() converts by default
     text = "x^2 - " + "9" * 5000
@@ -380,6 +394,9 @@ PINNED_OUTPUTS = [
      "13c24c9fbae3f6d3143657c1a60718b3e4e727378a761997222cc67eef40efee"),
     (["x^2 - 2", "--spec", "1,0", "--format", "json"],
      "02d298cdd2bacd7e98b93214b2e5d6327804d7761d3c584762421e20ab88b8f5"),
+    (["x^4 + 8x + 12", "--array"], "e324a8f6210416df0119be3f5f4e007640d4b0bef1c2ef784a9437e4120d725a"),
+    (["x^4 - x - 1", "--array", "--format", "json"],
+     "c0757f1fb2416e0c9e7d3fdac1ffa597fd39cd789d09490ddf3dfc7f31039d27"),
 ]
 
 

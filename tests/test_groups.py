@@ -1,4 +1,6 @@
 import random
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -221,3 +223,56 @@ def test_random_nonclosed_subsets_are_rejected():
         except ValueError:
             found_invalid += 1
     assert found_invalid > 0
+
+
+@lru_cache(maxsize=None)
+def _swept(rows):
+    """The ValueError text of the sweep over all triples of the sorted
+    rows, or None if it accepts: the reference for the first-row check."""
+    for a in rows:
+        for b in rows:
+            s = transition(a, b)
+            for c in rows:
+                if c.act(s) not in rows:
+                    return ("not closed: the substitution taking "
+                            f"{a.order} to {b.order} moves {c.order} outside the set")
+    return None
+
+
+def _checked(rows):
+    try:
+        ArrangementGroup(rows)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_first_row_closure_matches_the_sweep_over_all_triples():
+    base3 = Arrangement((0, 1, 2))
+    rows3 = [base3.act(p) for p in symmetric_group(3)]
+    subsets = [c for k in range(len(rows3) + 1) for c in combinations(rows3, k)]
+    assert len(subsets) == 64
+    base4 = Arrangement((0, 1, 2, 3))
+    rows4 = [base4.act(p) for p in symmetric_group(4)]
+    rng = random.Random(24)
+    subsets += [tuple(rng.sample(rows4, rng.randint(1, 24))) for _ in range(2000)]
+    accepted = 0
+    for rows in subsets:
+        want = _swept(tuple(sorted(rows)))
+        assert _checked(rows) == want, rows
+        accepted += want is None
+    # S3's 19 closed subsets are the empty one and the 18 cosets of its 6
+    # subgroups; the S4 samples add closed singletons, pairs and whole orbits
+    assert _checked(()) is None and accepted > 19
+
+
+def test_substitution_group_reads_the_first_row():
+    s4 = symmetric_group(4)
+    subs = all_subgroups(s4)
+    assert len(subs) == 30
+    base = Arrangement((2, 0, 3, 1))
+    for h in subs:
+        for blk in arrangement_array(s4, h, base):
+            pairs = PermGroup({transition(a, b) for a in blk.rows for b in blk.rows})
+            assert substitution_group(blk) == pairs
+            assert _swept(blk.rows) is None

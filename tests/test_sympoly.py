@@ -9,7 +9,7 @@ from galcert.poly import MultiPoly, UniPoly
 from galcert.sympoly import (
     decompose,
     elementary_polynomial,
-    eval_elementary,
+    elementary_values,
     expand_elementary,
     is_symmetric,
     substitute_elementary,
@@ -88,20 +88,15 @@ def test_decompose_roundtrip_randomized():
         done += 1
 
 
-def test_eval_elementary_rationals():
-    assert eval_elementary([2, 3], 1) == 5
-    assert eval_elementary([2, 3], 2) == 6
-    with pytest.raises(ValueError):
-        eval_elementary([2, 3], 3)
-    with pytest.raises(ValueError):
-        eval_elementary([2, 3], 0)
+def test_elementary_values_rationals():
+    assert elementary_values([2, 3]) == [5, 6]
+    assert elementary_values([2, 3, 4]) == [9, 26, 24]
 
 
-def test_eval_elementary_in_a_number_field():
+def test_elementary_values_in_a_number_field():
     K = NumberField(UniPoly([-2, 0, 1]))
     root = K.gen()
-    assert eval_elementary([root, -root], 2) == K.rational(-2)
-    assert eval_elementary([root, -root], 1) == K.zero()
+    assert elementary_values([root, -root]) == [K.zero(), K.rational(-2)]
 
 
 def test_substitute_elementary_examples():
@@ -132,8 +127,9 @@ def test_vieta_consistency_random_rational_roots():
         f = UniPoly([1])
         for r in roots:
             f = f * UniPoly([-r, 1])
+        es = elementary_values(roots)
         for k in range(1, n + 1):
-            assert eval_elementary(roots, k) == (-1) ** k * f[n - k]
+            assert es[k - 1] == (-1) ** k * f[n - k]
 
 
 def test_base_case_single_variable():
