@@ -20,14 +20,15 @@ from .correspondence import CorrespondenceReport, correspondence_lattice
 from .errors import CertificationError, InputError, TheoremError
 from .groups import Arrangement, Permutation, all_subgroups, arrangement_array
 from .numberfield import automorphism_table, express_roots
-from .poly import UniPoly
+from .poly import UniPoly, is_squarefree
 from .resolvent import (
     Ladder,
+    Roots,
     certify_distinct_values,
     identify_galois,
     search_resolvent,
 )
-from .roots import isolate_roots
+from .roots import isolate_roots, not_squarefree
 
 _LABELS = "abcdefgh"
 
@@ -219,9 +220,11 @@ def _printed_numbers(report):
 # -- pipeline ----------------------------------------------------------------
 
 def analyze(text: str, weights=None, array: bool = False) -> CorrespondenceReport:
-    """Full pipeline: isolate roots, certify a resolvent (from ``weights``
-    if given), identify the Galois group, build the splitting field,
-    certify the correspondence; ``array`` adds the arrangement arrays."""
+    """Full pipeline: certify a resolvent (from ``weights`` if given),
+    identify the Galois group, build the splitting field, certify the
+    correspondence; ``array`` adds the arrangement arrays.  The roots are
+    isolated only where balls are read: for a group other than S_n, and
+    for the arrays."""
     parsed = parse_poly(text)
     if parsed.degree is None or not 2 <= parsed.degree <= 4:
         raise InputError("the degree must be between 2 and 4")
@@ -237,16 +240,23 @@ def analyze(text: str, weights=None, array: bool = False) -> CorrespondenceRepor
             raise InputError(f"the weights must be integers, got {list(given)!r}")
         if len(weights) != f.degree:
             raise InputError("the explicit weight list must match the degree")
-    rs = isolate_roots(f)
+    # decided once: the search and the ladders take it from ``Roots``
+    if not is_squarefree(f):
+        raise not_squarefree(f)
+    # the roots are isolated on first use, which an S_n field without
+    # arrays never makes: its report does not depend on the root order
+    roots = Roots(f, isolate_roots)
     if weights is None:
-        ladder = search_resolvent(rs)
+        ladder = search_resolvent(roots)
     else:
-        ladder = Ladder(weights, rs)
+        ladder = Ladder(weights, roots)
         if not certify_distinct_values(ladder):
             raise CertificationError("the explicit weight vector could not be certified injective")
     gd = identify_galois(ladder)
-    roots = express_roots(gd)
-    sf = automorphism_table(gd, roots)
+    # the report prints the minimal polynomial: refuse it before the
+    # stages that build on it
+    _check_digits(gd.min_poly.coeffs)
+    sf = automorphism_table(gd, express_roots(gd))
     report = correspondence_lattice(sf)
     _check_digits(_printed_numbers(report))
     report.input_polynomial = parsed

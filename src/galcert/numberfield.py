@@ -10,12 +10,17 @@ turns the pair back into rationals for callers that read them.
 
 Each root of the input polynomial is expressed as such an element by
 the rational univariate representation: P_i(x) = sum over the group of
-alpha_{s(i)} * m(x)/(x - theta_s) has integer coefficients, read off the
-certified balls by the same integer read-off as the resolvent, on the
-ladder of conjugate balls that identified the group, and root i is
-P_i(a) / m'(a).  Each group permutation becomes a field automorphism
-sending the generator to the matching conjugate, checked by exact
-identities alone, since the root expressions already fix its value.  An
+alpha_{s(i)} * m(x)/(x - theta_s) has integer coefficients, and root i
+is P_i(a) / m'(a).  For G = S_n they are symmetric functions of the
+roots, computed from f's coefficients like the resolvent, and the last
+two roots follow from the trace and from a = sum w_i E_i; for other
+groups they are read off the certified balls, on the ladder of conjugate
+balls that identified the group.  The expressions are accepted on exact
+identities alone: f(E_i) = 0, the E_i pairwise distinct, and
+sum w_i E_i = a, which with the weights' injectivity pin each E_i to
+root i.  Each group permutation becomes a field automorphism sending the
+generator to the matching conjugate, checked by exact identities alone,
+since the root expressions already fix its value.  An
 automorphism is stored as its power-basis matrix, integer rows over one
 denominator, derived once from the generator's image, and applied as a
 matrix-vector product; whether it sends x to y is that product's integer
@@ -33,15 +38,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 
-from .arith import ComplexBall, ball_disjoint, fixed_mul
+from .arith import ComplexBall, fixed_mul
 from .errors import CertificationError
-from .groups import Permutation
 from .poly import UniPoly, render_terms
 from .record import Frozen, Record
-from .resolvent import GaloisData
+from .resolvent import GaloisData, orbit_sums
 
 
 def integer_vector(cs):
@@ -239,9 +243,6 @@ class NumberFieldElement:
     def to_unipoly(self) -> UniPoly:
         return UniPoly(self.coeffs)
 
-    def eval_ball(self, gen: ComplexBall, prec: int) -> ComplexBall:
-        return self.to_unipoly().eval_ball(gen, prec)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             # a canonical rational element is (p, 0, ..., 0) over q
@@ -341,16 +342,7 @@ def in_span(red, pivots, vec):
     return not any(_reduce_row(red, pivots, vec))
 
 
-# -- root expressions from the balls ----------------------------------------
-
-def _unique_hit(value_ball, enclosures, index):
-    """True if the value ball meets enclosure[index] and no other."""
-    for j, enc in enumerate(enclosures):
-        hit = not ball_disjoint(value_ball, enc)
-        if hit != (j == index):
-            return False
-    return True
-
+# -- root expressions ---------------------------------------------------------
 
 def _plus(a, b):
     """Sum of two balls given as (x, y, r) ints over one power of two."""
@@ -392,6 +384,66 @@ def _rur_numerators(gd: GaloisData, cur, vals, prec):
     return out
 
 
+def _ball_numerators(gd: GaloisData):
+    """The integer coefficients of every P_i, read off the ball sums of
+    ``_rur_numerators`` by ``Ladder.read`` on the ladder of conjugate
+    balls that identified the group."""
+    d = gd.min_poly.degree
+    ints = next(gd.ladder.read(partial(_rur_numerators, gd)), (None,))[0]
+    if ints is None:
+        raise CertificationError(
+            "root expressions could not be certified within the precision budget"
+        )
+    if ints is False:
+        raise CertificationError(
+            "root expression numerators read off the balls are not integers"
+        )
+    return [ints[i * d:(i + 1) * d] for i in range(gd.ladder.poly.degree)]
+
+
+def _symmetric_numerators(gd: GaloisData, count):
+    """The integer coefficients of P_0, ..., P_(count-1) for G = S_n,
+    where m = R: the coefficient of P_i at x^j is sum_k r_(j+k+1) T_(i,k),
+    with T_(i,k) = sum over sigma of alpha_sigma(i) theta_sigma^k from
+    ``resolvent.orbit_sums``.  Nothing is read off balls."""
+    r = [int(c) for c in gd.min_poly.coeffs]
+    d = len(r) - 1
+    sums = orbit_sums(gd.ladder.poly, gd.weights, d - 1, range(count))
+    return [[sum(r[j + k + 1] * t[k] for k in range(d - j)) for j in range(d)]
+            for t in sums]
+
+
+def _complete(known, weights, trace, gen):
+    """All n root expressions from the first n - 2 of them: the last two,
+    E_j and E_k, solve E_j + E_k = trace - (the sum of the others) and
+    w_j E_j + w_k E_k = gen - (the others' weighted sum).  Injective
+    weights are pairwise distinct, so w_j != w_k."""
+    n = len(weights)
+    w_j, w_k = weights[n - 2], weights[n - 1]
+    s1, s2 = gen.field.rational(trace), gen
+    for w, e in zip(weights, known):
+        s1 = s1 - e
+        s2 = s2 - e * w
+    e_k = (s2 - s1 * w_j) * Fraction(1, w_k - w_j)
+    return (*known, s1 - e_k, e_k)
+
+
+def _accept(exprs, f: UniPoly, weights, gen):
+    """The root expressions as a tuple once the three identities of
+    ``express_roots`` hold; CertificationError at the first that fails."""
+    for i, e in enumerate(exprs):
+        if not compose_mod(f, e).is_zero():
+            raise CertificationError(f"root expression {i} is not a root of the polynomial")
+    if len(set(exprs)) != len(exprs):
+        raise CertificationError("root expressions are not pairwise distinct")
+    total = gen.field.zero()
+    for w, e in zip(weights, exprs):
+        total = total + e * w
+    if total != gen:
+        raise CertificationError("root expressions do not recombine to the generator")
+    return tuple(exprs)
+
+
 def express_roots(gd: GaloisData):
     """Each root of the input polynomial as an element of the field, by
     the rational univariate representation (Rouillier, AAECC 9, 1999).
@@ -400,39 +452,39 @@ def express_roots(gd: GaloisData):
     G of alpha_{s(i)} * m(x)/(x - theta_s).  G permutes the terms of this
     sum, so its coefficients are rational; they are algebraic integers,
     since f is monic and integral (``identify_galois`` accepts no other)
-    and the weights are integers; so they are integers, read off the ball
-    sums like the resolvent's, by ``Ladder.read`` on the ladder of
-    conjugate balls that identified the group.  At the generator only the
-    identity term survives, so root i is P_i(a) * m'(a)^-1, with one exact
-    inverse per field.  Each expression is then verified exactly,
-    f(expr) = 0 mod m, and by its value at the generator's ball meeting
-    the i-th root ball and no other.
-    """
-    f = gd.ladder.rs.poly
-    field = NumberField(gd.min_poly)
-    d = field.degree
-    n = f.degree
-    dm_inv = field.element(gd.min_poly.derivative().coeffs).inverse()
+    and the weights are integers; so they are integers.  At the
+    generator only the identity term survives, so root i is
+    P_i(a) * m'(a)^-1, with one exact inverse per field.
 
-    for ints, (cur, vals, prec) in gd.ladder.read(partial(_rur_numerators, gd)):
-        if ints is False:
-            raise CertificationError(
-                "root expression numerators read off the balls are not integers"
-            )
-        exprs = []
-        for i in range(n):
-            cand = NumberFieldElement(field, ints[i * d:(i + 1) * d]) * dm_inv
-            if not compose_mod(f, cand).is_zero():
-                break
-            val = cand.eval_ball(vals[Permutation.identity(n)], prec)
-            if not _unique_hit(val, cur.enclosures, i):
-                break
-            exprs.append(cand)
-        else:
-            return tuple(exprs)
-    raise CertificationError(
-        "root expressions could not be certified within the precision budget"
-    )
+    For G = S_n the coefficients are symmetric functions of the roots,
+    computed exactly (``_symmetric_numerators``) for all but two roots;
+    those two follow from the trace and from a = sum w_i E_i
+    (``_complete``), so a quadratic needs no numerator at all.  For
+    other groups they are read off the ball sums, like the subgroup
+    candidates, on the ladder that identified the group.
+
+    Either way the expressions are accepted by exact identities alone
+    (``_accept``): f(E_i) = 0, the E_i pairwise distinct, and
+    sum_i w_i E_i = a.  These pin each E_i to root i.  Under the
+    embedding a -> theta_id of the field, the E_i go to roots of f, and
+    distinct ones to distinct roots, so to alpha_tau(i) for some
+    permutation tau; then theta_tau = sum_i w_i alpha_tau(i) = theta_id,
+    and since the weights are injective, tau is the identity.
+    """
+    f = gd.ladder.poly
+    field = NumberField(gd.min_poly)
+    n = f.degree
+    if n > 1 and gd.group.order == factorial(n):
+        numerators = _symmetric_numerators(gd, n - 2)
+    else:
+        numerators = _ball_numerators(gd)
+    exprs = []
+    if numerators:
+        dm_inv = field.element(gd.min_poly.derivative().coeffs).inverse()
+        exprs = [NumberFieldElement(field, num) * dm_inv for num in numerators]
+    if len(exprs) < n:
+        exprs = _complete(exprs, gd.weights, -f[n - 1], field.gen())
+    return _accept(exprs, f, gd.weights, field.gen())
 
 
 def _power_matrix(psi: NumberFieldElement):
@@ -531,7 +583,7 @@ def automorphism_table(gd: GaloisData, roots) -> SplittingField:
     sf = SplittingField(
         galois=gd,
         field=field,
-        poly=gd.ladder.rs.poly,
+        poly=gd.ladder.poly,
         root_exprs=tuple(roots),
         automorphisms=tuple(autos),
         matrices=matrices,

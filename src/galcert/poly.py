@@ -213,6 +213,23 @@ def _gcd_degree_mod(a, b, p):
     return len(a) - 1
 
 
+def mul_mod(a, b, f, p):
+    """a * b mod (f, p), for lists of residues of length n = deg f, f a
+    monic list of ints, ascending."""
+    n = len(f) - 1
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    for i in range(2 * n - 2, n - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j in range(n):
+                prod[i - n + j] -= c * f[j]
+    return [c % p for c in prod[:n]]
+
+
 def is_squarefree(f: UniPoly) -> bool:
     """Whether gcd(f, f') is constant.
 

@@ -1,13 +1,21 @@
-"""Resolvent machinery: the degree-n! resolvent, the injective weight
-search, and identification of the Galois group.
+"""Resolvent machinery: the degree-n! resolvent from power sums, the
+injective weight search, and identification of the Galois group.
 
 A weight vector turns the roots into n! linear-combination values, one per
 permutation.  The resolvent R is the product of x minus each value.  Its
 coefficients are symmetric in the roots, so by the main theorem of
-symmetric polynomials they are integers when f is monic and integral.
-The pipeline reads R off the certified root balls (Stauduhar's approach):
-the ball product is refined until every coefficient ball is narrower
-than 1/2, and each ball's unique integer is the exact coefficient.
+symmetric polynomials they are integers when f is monic and integral, and
+f's coefficients give them exactly (Casperson & McKay, Math. Comp. 63,
+1994).  Newton's identities give the power sums p_k of f's roots, with
+p_0 = n.  The power sums of the values, P_k = sum over sigma of
+theta_sigma^k, come from the exponential generating series
+sum_k P_k t^k / k! = sum over sigma of prod_i exp(t w_i alpha_sigma(i)).
+A sum over the injective maps sigma is, by Moebius inversion on the set
+partitions of the n weight positions, an alternating sum over the
+partitions, each block B with sign and weight (-1)^(|B|-1) (|B|-1)!, of
+products over the blocks of the series sum_m W_B^m p_m t^m / m!, W_B the
+block's weight sum (``orbit_sums``).  Newton's identities turn P_1, ...,
+P_(n!) back into R.
 
 Injectivity is then an exact decision: the n! values are pairwise
 distinct exactly when R is squarefree, i.e. gcd(R, R') is constant,
@@ -29,33 +37,51 @@ decompose into elementary symmetric polynomials, evaluate at the input's
 coefficients) as the reference that the tests and the selftest compare
 against.
 
-The group is found without factoring over Q: subgroups are enumerated by
-ascending order and each candidate product of linear factors is read off
-as an integer polynomial the same way as R, checked to divide R exactly,
-and each claimed root is certified via the cofactor (if the cofactor
-provably misses a value that the full product kills, the candidate must
-kill it).  Any subgroup passing all of that contains the Galois group, so
-the first hit is the group and its candidate is the minimal polynomial,
-irreducible by minimality.  Each weight vector's conjugate balls climb
-one ``Ladder``, which reads the resolvent once; the winning ladder goes
-on to ``identify_galois``, the root expressions and the automorphisms.
-``Ladder.read`` starts every read at the finest root system built, so
-each precision is refined once and no read goes back to a coarser one.
-That changes no decision: each read feeds an exact one, a finer system
-only narrows the balls, and the root order is the first isolation's.
+The group is first tested for all of S_n (``certify_symmetric``).  By
+Dedekind's theorem, for a prime p that does not divide disc(f), the
+degrees of f's irreducible factors mod p are the cycle type of an
+element of G.  A square discriminant puts G inside A_n; otherwise an odd
+element is in G, which settles n = 2.  For n = 3 a 3-cycle and an odd
+element generate S3; for n = 4 a 4-cycle and a 3-cycle make 12 divide
+|G| and leave A4, so G = S4.  Then the minimal polynomial is R itself,
+and nothing is read off balls.  When no certificate appears within
+``DEDEKIND_PRIMES`` good primes, subgroups are enumerated by ascending
+order and each candidate product of linear factors is read off the
+certified root balls as an integer polynomial (Stauduhar's approach),
+checked to divide R exactly, and each claimed root is certified via the
+cofactor (if the cofactor provably misses a value that the full product
+kills, the candidate must kill it).  Any subgroup passing all of that
+contains the Galois group, so the first hit is the group and its
+candidate is the minimal polynomial, irreducible by minimality.  None of
+this factors over Q.
+
+Each weight vector's conjugate balls climb one ``Ladder``, built on the
+``Roots`` of f, which isolate on first use: an S_n field never needs
+them.  The winning ladder goes on to ``identify_galois``, the root
+expressions and the automorphisms.  ``Ladder.read`` starts every read at
+the finest root system built, so each precision is refined once and no
+read goes back to a coarser one.  That changes no decision: each read
+feeds an exact one, a finer system only narrows the balls, and the root
+order is the first isolation's.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, count
+from math import factorial, isqrt
 
 from .arith import ComplexBall, fixed_mul, round_sig
 from .errors import CertificationError, InputError
 from .groups import PermGroup, Permutation, all_subgroups, symmetric_group
-from .poly import MultiPoly, UniPoly, is_squarefree
+from .poly import MultiPoly, UniPoly, _gcd_degree_mod, is_squarefree, mul_mod
 from .record import Frozen, Record
 from .roots import RootSystem, precisions, read_integers
 from .sympoly import decompose, substitute_elementary
+
+# the good primes whose cycle types ``certify_symmetric`` reads before it
+# leaves the group to the subgroup search
+DEDEKIND_PRIMES = 40
 
 
 class GaloisData(Frozen):
@@ -70,6 +96,235 @@ class GaloisData(Frozen):
                  group: PermGroup, resolvent: UniPoly):
         Record.__init__(self, weights, min_poly, ladder, group, resolvent)
 
+
+# -- symmetric functions of the roots ----------------------------------------
+
+def power_sums(f: UniPoly, top: int) -> list:
+    """[p_0, ..., p_top]: p_k is the sum of the k-th powers of the roots
+    of the monic integral f, p_0 its degree, by Newton's identities."""
+    c = [int(x) for x in f.coeffs]
+    n = len(c) - 1
+    p = [n]
+    for k in range(1, top + 1):
+        s = k * c[n - k] if k <= n else 0
+        for j in range(1, min(k - 1, n) + 1):
+            s += c[n - j] * p[k - j]
+        p.append(-s)
+    return p
+
+
+@cache
+def _binomial_rows(top: int) -> tuple:
+    rows = [(1,)]
+    for _ in range(top):
+        last = rows[-1]
+        rows.append((1, *map(sum, zip(last, last[1:])), 1))
+    return tuple(rows)
+
+
+def _egf_mul(a, b, rows):
+    """The product of two exponential generating series, truncated to
+    len(rows) terms: c_m = sum_k C(m, k) a_k b_(m-k)."""
+    terms = [(k, x) for k, x in enumerate(a) if x]
+    return [sum(row[k] * x * b[m - k] for k, x in terms if k <= m)
+            for m, row in enumerate(rows)]
+
+
+def orbit_sums(f: UniPoly, weights: tuple, top: int, marks) -> list:
+    """For each mark, the integers S_0, ..., S_top over the n! values
+    theta_sigma = sum_i w_i alpha_sigma(i) of the monic integral f: for
+    the mark None, S_k = P_k = sum over sigma of theta_sigma^k; for a
+    weight position i, S_k = T_(i,k) = sum over sigma of
+    alpha_sigma(i) theta_sigma^k.
+
+    These are exponential generating series: sum_k P_k t^k / k! is the
+    sum over sigma of prod_l g_l(alpha_sigma(l)), g_l(y) = exp(t w_l y).
+    Summing a product over the injective sigma is, by Moebius inversion
+    on the set partitions of the positions, the alternating sum over the
+    partitions of the products, over the blocks B, of
+    sum_j prod_(l in B) g_l(alpha_j) = sum_m W_B^m p_m t^m / m!, with
+    p_(m+1) in the block of a marked position i, whose factor
+    alpha_sigma(i) raises the power.
+    The partitions are taken block by block: the block of one position,
+    then a partition of the rest, which is shared (``joint``)."""
+    n = len(weights)
+    p = power_sums(f, top + 1)
+    rows = _binomial_rows(top)
+
+    def series(block, shift):
+        w = sum(weights[i] for i in range(n) if block >> i & 1)
+        if not w:
+            return [p[shift]] + [0] * top
+        out, wm = [], 1
+        for m in range(top + 1):
+            out.append(wm * p[m + shift])
+            wm *= w
+        return out
+
+    @cache
+    def joint(mask):
+        """The series over the injections of mask's positions; None for
+        the empty mask, whose series is 1."""
+        return split(mask, mask & -mask, 0) if mask else None
+
+    def split(mask, first, shift):
+        acc = [0] * (top + 1)
+        rest = mask ^ first
+        sub = rest
+        while True:
+            block = sub | first
+            term = series(block, shift)
+            other = joint(mask ^ block)
+            if other is not None:
+                term = _egf_mul(term, other, rows)
+            size = block.bit_count()
+            sign = (-1) ** (size - 1) * factorial(size - 1)
+            acc = [a + sign * t for a, t in zip(acc, term)]
+            if not sub:
+                return acc
+            sub = (sub - 1) & rest
+
+    full = (1 << n) - 1
+    return [split(full, 1, 0) if i is None else split(full, 1 << i, 1) for i in marks]
+
+
+def power_sum_resolvent(f: UniPoly, weights: tuple) -> UniPoly:
+    """The resolvent, the product of (x - theta_sigma) over all n!
+    values, exactly: its roots' power sums P_1, ..., P_(n!) from
+    ``orbit_sums``, then Newton's identities k e_k = sum_(i<=k)
+    (-1)^(i-1) e_(k-i) P_i for its coefficients (-1)^k e_k."""
+    if len(weights) != f.degree:
+        raise InputError("weight count must match the degree")
+    if not f.is_monic():
+        raise InputError("polynomial must be monic")
+    if not f.has_integer_coeffs():
+        raise InputError("integer coefficients required; scale the variable first")
+    big = factorial(f.degree)
+    [ps] = orbit_sums(f, weights, big, (None,))
+    e = [1]
+    for k in range(1, big + 1):
+        s = 0
+        for i in range(1, k + 1):
+            s += e[k - i] * ps[i] if i % 2 else -e[k - i] * ps[i]
+        q, r = divmod(s, k)
+        if r:
+            raise CertificationError("the resolvent's power sums are not those of an integer polynomial")
+        e.append(q)
+    return UniPoly([-c if k % 2 else c for k, c in enumerate(e)][::-1])
+
+
+# -- Dedekind's certificate of G = S_n ---------------------------------------
+
+def _det(rows) -> int:
+    """Determinant of a square integer matrix, by Bareiss's fraction-free
+    elimination: each division is exact."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def discriminant(f: UniPoly) -> int:
+    """disc(f) = prod_(i<j) (alpha_i - alpha_j)^2 for monic integral f:
+    the determinant of V^T V, V the roots' Vandermonde matrix, whose
+    entries are the power sums p_(i+j)."""
+    n = f.degree
+    p = power_sums(f, 2 * n - 2)
+    return _det([p[i:i + n] for i in range(n)])
+
+
+def _frobenius_fixed(h, f, p):
+    """deg gcd(f, h - x) mod p: for h = x^(p^k) mod (f, p), the number
+    of roots of f in GF(p^k)."""
+    g = list(h)
+    g[1] = (g[1] - 1) % p
+    while g and not g[-1]:
+        g.pop()
+    return _gcd_degree_mod(f, g, p)
+
+
+def _power_mod(h, e, f, p):
+    """h^e mod (f, p), by squaring."""
+    acc = [1] + [0] * (len(f) - 2)
+    while e:
+        if e & 1:
+            acc = mul_mod(acc, h, f, p)
+        e >>= 1
+        if e:
+            h = mul_mod(h, h, f, p)
+    return acc
+
+
+def cycle_type(f: UniPoly, p: int):
+    """The degrees of the irreducible factors of the monic integral f
+    mod p, ascending, for 2 <= deg f <= 4; None when f mod p is not
+    squarefree, that is when p divides disc(f).  From the roots in
+    GF(p) and GF(p^2): what is left has no factor of degree 1 or 2, so
+    it is one factor of degree 3 or 4."""
+    fs = [int(c) % p for c in f.coeffs]
+    n = len(fs) - 1
+    df = [k * c % p for k, c in enumerate(fs)][1:]
+    while df and not df[-1]:
+        df.pop()
+    if _gcd_degree_mod(fs, df, p):
+        return None
+    frobenius = _power_mod([0, 1] + [0] * (n - 2), p, fs, p)
+    r1 = r2 = _frobenius_fixed(frobenius, fs, p)
+    if n - r1 == 2:
+        r2 = n
+    elif n - r1 == 4:
+        r2 = _frobenius_fixed(_power_mod(frobenius, p, fs, p), fs, p)
+    rest = n - r2
+    return (1,) * r1 + (2,) * ((r2 - r1) // 2) + ((rest,) if rest else ())
+
+
+def _primes():
+    found = []
+    for q in count(2):
+        if all(q % r for r in found if r * r <= q):
+            found.append(q)
+            yield q
+
+
+def certify_symmetric(f: UniPoly) -> bool:
+    """True if the Galois group of the monic integral squarefree f of
+    degree 2 to 4 is proved to be all of S_n (see the module docstring):
+    a discriminant that is not a square, and for n = 3 the cycle type
+    (3), for n = 4 the types (4) and (1, 3), read mod the good primes
+    from 2 up.  False when the discriminant is a square, or when
+    ``DEDEKIND_PRIMES`` good primes leave a type unseen."""
+    n = f.degree
+    d = discriminant(f)
+    if d >= 0 and isqrt(d) ** 2 == d:
+        return False
+    if n == 2:
+        return True
+    wanted = {(3,)} if n == 3 else {(4,), (1, 3)}
+    good = 0
+    for p in _primes():
+        t = cycle_type(f, p)
+        if t is None:
+            continue
+        wanted.discard(t)
+        if not wanted:
+            return True
+        good += 1
+        if good == DEDEKIND_PRIMES:
+            return False
+
+
+# -- the conjugate balls ------------------------------------------------------
 
 def _round_sig_at(v: int, prec: int):
     """v rounded to prec significant bits (``arith.round_sig``), in v's
@@ -109,37 +364,75 @@ def conjugate_balls(weights: tuple, rs: RootSystem):
     return out
 
 
+class Roots:
+    """The roots of one monic squarefree polynomial as its ladders climb
+    them: ``rs``, the first isolation, made by ``isolate(poly)`` on first
+    use, and ``systems``, the systems refined from it, a dict by bits.
+    Every ladder of one polynomial shares one, so each is built once.
+    Whoever builds one has decided that poly is squarefree, as
+    ``cli.analyze`` does before anything else reads the roots."""
+
+    __slots__ = ("poly", "_isolate", "_rs", "systems")
+
+    def __init__(self, poly: UniPoly, isolate):
+        self.poly = poly
+        self._isolate = isolate
+        self._rs = None
+        self.systems = {}
+
+    @classmethod
+    def of(cls, rs: RootSystem) -> Roots:
+        """The roots of a system already isolated."""
+        roots = cls(rs.poly, None)
+        roots._rs = rs
+        return roots
+
+    @property
+    def rs(self) -> RootSystem:
+        if self._rs is None:
+            self._rs = self._isolate(self.poly)
+        return self._rs
+
+
 class Ladder:
     """The conjugate balls of one weight vector, a tuple of ints, along
-    the precision schedule of one root system.  Rung ``bits`` is (the
-    system refined to bits, its conjugate balls, the working precision
-    bits + 32), built on first use and kept.  Each rung refines the
-    original system, so ladders of one system share the refined systems
-    through ``systems``, a dict by bits.  ``read`` starts at the finest:
-    a finer system only narrows the balls, and every read feeds an exact
-    decision, so none changes.  The resolvent read is kept here too."""
+    the precision schedule of one polynomial's ``Roots`` (a ``RootSystem``
+    is taken as its roots).  Rung ``bits`` is (the system refined to bits,
+    its conjugate balls, the working precision bits + 32), built on first
+    use and kept; the roots are isolated at the first rung.  ``read``
+    starts at the finest system built: a finer system only narrows the
+    balls, and every read feeds an exact decision, so none changes.  The
+    resolvent, ``power_sum_resolvent``, is kept here too."""
 
-    __slots__ = ("weights", "rs", "_systems", "_rungs", "_resolvent")
+    __slots__ = ("weights", "roots", "_rungs", "_resolvent")
 
-    def __init__(self, weights: tuple, rs: RootSystem, systems: dict | None = None):
+    def __init__(self, weights: tuple, roots):
         self.weights = weights
-        self.rs = rs
-        self._systems = {} if systems is None else systems
+        self.roots = roots if isinstance(roots, Roots) else Roots.of(roots)
         self._rungs = {}
         self._resolvent = None
 
     @property
+    def poly(self) -> UniPoly:
+        return self.roots.poly
+
+    @property
+    def rs(self) -> RootSystem:
+        return self.roots.rs
+
+    @property
     def resolvent(self) -> UniPoly:
-        """``read_resolvent`` of this ladder, read on first use."""
+        """``power_sum_resolvent`` of the ladder's weights, on first use."""
         if self._resolvent is None:
-            self._resolvent = read_resolvent(self)
+            self._resolvent = power_sum_resolvent(self.poly, self.weights)
         return self._resolvent
 
     def rung(self, bits: int):
         if bits not in self._rungs:
-            cur = self._systems.get(bits)
+            systems = self.roots.systems
+            cur = systems.get(bits)
             if cur is None:
-                cur = self._systems[bits] = self.rs.refine(bits)
+                cur = systems[bits] = self.rs.refine(bits)
             self._rungs[bits] = cur, conjugate_balls(self.weights, cur), bits + 32
         return self._rungs[bits]
 
@@ -156,7 +449,7 @@ class Ladder:
         about halved per bit, should be below 1/4; the last rung is always
         tried."""
         schedule = list(precisions(self.rs.precision_bits))
-        need = max(self._systems, default=0)
+        need = max(self.roots.systems, default=0)
         for bits in schedule:
             if bits < need and bits != schedule[-1]:
                 continue
@@ -171,28 +464,30 @@ class Ladder:
 
 def certify_distinct_values(ladder: Ladder) -> bool:
     """True if all n! weighted root combinations of the ladder's weights
-    are pairwise distinct, decided exactly: the resolvent read off the
-    balls is squarefree."""
+    are pairwise distinct, decided exactly: the resolvent is squarefree."""
     return is_squarefree(ladder.resolvent)
 
 
-def search_resolvent(rs: RootSystem, skip: int = 0) -> Ladder:
+def search_resolvent(roots, skip: int = 0) -> Ladder:
     """The ladder of the first weight vector (0, *rest, norm), by norm,
     then lexicographically, whose n! values are certified pairwise
     distinct, with the resolvent that decided it; skip returns later
-    hits.  The module docstring shows why these vectors suffice and why
-    the search ends; every candidate's ladder shares one dict of refined
-    root systems."""
+    hits.  ``roots`` is a ``Roots``, squarefree by construction, or a
+    ``RootSystem``, whose polynomial is decided squarefree here.  The
+    module docstring shows why these vectors suffice and why the search
+    ends; every candidate's ladder shares the one ``Roots``."""
     if skip < 0:
         raise InputError("skip must be at least 0")
-    n = rs.poly.degree
-    if n is None or n < 2 or not is_squarefree(rs.poly):
+    n = roots.poly.degree
+    decided = isinstance(roots, Roots)
+    if n is None or n < 2 or not (decided or is_squarefree(roots.poly)):
         raise InputError("the weight search needs a squarefree polynomial "
                          "of degree at least 2")
-    systems = {}
+    if not decided:
+        roots = Roots.of(roots)
     for norm in count(1):
         for rest in combinations(range(1, norm), n - 2):
-            ladder = Ladder((0, *rest, norm), rs, systems)
+            ladder = Ladder((0, *rest, norm), roots)
             if certify_distinct_values(ladder):
                 if not skip:
                     return ladder
@@ -268,30 +563,20 @@ def _integer_products(ladder: Ladder, perms):
         yield (None if ints is False else UniPoly(ints + [1])), vals, prec
 
 
-def read_resolvent(ladder: Ladder) -> UniPoly:
-    """The resolvent, the product of (x - value) over all n! conjugate
-    values.  Its coefficients are symmetric in the roots, so for monic
-    integral f they are integers, and the ball product pins each down."""
-    poly = ladder.rs.poly
-    if not poly.has_integer_coeffs():
-        raise InputError("integer coefficients required; scale the variable first")
-    r = next(_integer_products(ladder, symmetric_group(poly.degree)), (None,))[0]
-    if r is None:
-        raise CertificationError("the resolvent coefficients could not be read off as integers")
-    return r
-
-
 def identify_galois(ladder: Ladder) -> GaloisData:
-    """Minimal-subgroup search for the Galois group with exact division
-    and cofactor certificates, on the ladder of an injective weight
-    vector and its resolvent; returns group, minimal polynomial and the
-    ladder, which every subgroup test climbed, for the later stages to
-    climb on."""
-    n = ladder.rs.poly.degree
+    """The Galois group and the generator's minimal polynomial, on the
+    ladder of an injective weight vector and its resolvent: S_n with R
+    itself when ``certify_symmetric`` proves it, else the minimal-subgroup
+    search with exact division and cofactor certificates, which climbs
+    the ladder that it returns, for the later stages to climb on."""
+    n = ladder.poly.degree
     if n is None or n < 1 or n > 4:
         raise InputError("degree must be between 1 and 4")
     resolvent = ladder.resolvent
-    for sub in all_subgroups(symmetric_group(n)):
+    full = symmetric_group(n)
+    if n > 1 and certify_symmetric(ladder.poly):
+        return GaloisData(ladder.weights, resolvent, ladder, full, resolvent)
+    for sub in all_subgroups(full):
         min_poly = _test_subgroup(resolvent, sub, ladder)
         if min_poly is not None:
             return GaloisData(ladder.weights, min_poly, ladder, sub, resolvent)

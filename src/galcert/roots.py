@@ -28,21 +28,21 @@ above the cap, then the precision doubles while it stays at or below
 ``PREC_CAP`` = 2**16 bits.  No caller picks another cap.  After the
 isolation the stages climb it by ``resolvent.Ladder.read`` from the
 finest system built, which refines each precision once.  Each climber
-decides what running out of the schedule means: reading an integer
-polynomial off a ball product (the resolvent, or a subgroup's candidate
-factor in ``identify_galois``) gives up with ``CertificationError`` or
-rejects the subgroup, and ``RootSystem.refine`` and ``express_roots``
-raise ``CertificationError`` (exit code 3 in the CLI).  Injectivity of a
-weight vector needs no schedule of its own: it is decided exactly on the
-resolvent.  ``isolate_roots`` is the first isolation: it checks f,
-warm-starts the points and sorts the balls, which fixes the root order;
-``RootSystem.refine`` re-polishes its own balls and matches new to old.
-Both run ``_enclose``, with a working-precision budget of its own.
+decides what running out of the schedule means: reading a subgroup's
+candidate factor off a ball product in ``identify_galois`` rejects the
+subgroup, and ``RootSystem.refine`` and ``express_roots`` raise
+``CertificationError`` (exit code 3 in the CLI).  The resolvent, and
+with it the injectivity of a weight vector, needs no balls at all: it
+comes from power sums.  ``isolate_roots`` is the first isolation: it
+checks f, warm-starts the points and sorts the balls, which fixes the
+root order; ``RootSystem.refine`` re-polishes its own balls and matches
+new to old.  Both run ``_enclose``, with a working-precision budget of
+its own.
 
 ``read_integers`` is the one place where a list of balls is read as the
-integers they pin down, on the balls' ints: the resolvent, the subgroup
-candidates and the root expressions' numerators all come through it.  It
-tests the disk, not the box around it.
+integers they pin down, on the balls' ints: the subgroup candidates and,
+for groups other than S_n, the root expressions' numerators come
+through it.  It tests the disk, not the box around it.
 """
 
 from __future__ import annotations
@@ -289,6 +289,11 @@ class RootSystem(Frozen):
         raise CertificationError("could not match refined enclosures to the original ones")
 
 
+def not_squarefree(f: UniPoly) -> InputError:
+    """The error for a polynomial with a repeated root: it names gcd(f, f')."""
+    return InputError(f"not squarefree, gcd with derivative is {gcd(f, f.derivative()).render()}")
+
+
 def isolate_roots(f: UniPoly, precision_bits: int = 128) -> RootSystem:
     """Certified enclosures for all roots of a monic squarefree polynomial,
     with radii at most 2**-precision_bits, in the root order (see above)."""
@@ -299,8 +304,7 @@ def isolate_roots(f: UniPoly, precision_bits: int = 128) -> RootSystem:
     if precision_bits < 1:
         raise InputError("the precision must be at least 1 bit")
     if not is_squarefree(f):
-        g = gcd(f, f.derivative())
-        raise InputError(f"not squarefree, gcd with derivative is {g.render()}")
+        raise not_squarefree(f)
     n = f.degree
     warm = _float_aberth(f)
     if warm is not None:

@@ -166,9 +166,10 @@ def _exact_distinctness_value(weights, f: UniPoly):
 
 
 def criterion_5_distinctness_certificates():
-    """The pipeline's resolvent, read off the balls, equals the symbolic
-    resolvent and is squarefree on the whole corpus; on degrees <= 3 the
-    exact symmetric-elimination certificate must agree."""
+    """The pipeline's resolvent, from the roots' power sums, equals the
+    symbolic resolvent, which never forms a power sum, and is squarefree
+    on the whole corpus; on degrees <= 3 the exact symmetric-elimination
+    certificate must agree."""
     for text in CORPUS:
         data = corpus_pipeline(text)
         resolvent = data.gd.resolvent

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import galcert
-from galcert import cli, resolvent
+from galcert import cli, resolvent, roots
 from galcert.cli import (
     analyze,
     main,
@@ -104,6 +104,10 @@ def test_analyze_refuses_weights_that_are_not_integers(weights):
         analyze("x^2 - 2", weights)
 
 
+def _no_isolation(f):
+    raise AssertionError("isolate_roots ran")
+
+
 @pytest.mark.parametrize("weights, message", [
     ([0, 1.5, 2], "weights must be integers"),
     ([0, 1], "weight list must match the degree"),
@@ -111,10 +115,7 @@ def test_analyze_refuses_weights_that_are_not_integers(weights):
 def test_analyze_checks_weights_before_the_isolation(monkeypatch, weights, message):
     # both checks read only the degree, so a lopsided cubic whose
     # isolation takes seconds is refused without one
-    def no_isolation(f):
-        raise AssertionError("isolate_roots ran")
-
-    monkeypatch.setattr(cli, "isolate_roots", no_isolation)
+    monkeypatch.setattr(cli, "isolate_roots", _no_isolation)
     with pytest.raises(InputError, match=message):
         analyze("x^3 - 1000000000000x^2 + 1", weights)
 
@@ -322,23 +323,91 @@ def test_analyze_cyclic_quartic():
 def test_analyze_s4_quartic(monkeypatch):
     # the full symmetric group: a degree-24 field and 30 subgroups; a
     # 7-digit constant term gives larger roots and wider exact coordinates.
-    # Its resolvent needs 256 bits: the search refines once for the
-    # accepted weights, and hands that ladder, resolvent and all, to
-    # identify_galois, the root expressions and the automorphisms
+    # Read off balls, its resolvent would need 256 bits; from power sums,
+    # with G = S4 certified mod primes and the root expressions exact,
+    # nothing is isolated or refined
     refinements = record_refinements(monkeypatch)
-    for text, expected, refined in (
-        ("x^4 - x - 1", "c4282b338256f00070d3a6aee2942df09a634e0b078dff2e83241ed496df129e", []),
-        ("x^4 - x - 1000000", "86ff90650e28132ede17de03a782bdffc996bc690c5f49ffc5233f00ef54ba35",
-         [256]),
+    monkeypatch.setattr(cli, "isolate_roots", _no_isolation)
+    for text, expected in (
+        ("x^4 - x - 1", "c4282b338256f00070d3a6aee2942df09a634e0b078dff2e83241ed496df129e"),
+        ("x^4 - x - 1000000", "86ff90650e28132ede17de03a782bdffc996bc690c5f49ffc5233f00ef54ba35"),
     ):
-        refinements.clear()
         report = analyze(text)
-        assert refinements == refined
+        assert refinements == []
         assert report.group_order == 24
         assert len(report.entries) == 30
         assert report.all_passed()
         digest = hashlib.sha256(render_json(report).encode()).hexdigest()
         assert digest == expected
+
+
+def test_s_n_fields_are_never_isolated(monkeypatch):
+    # G = S_n is certified mod primes and every root expression is exact,
+    # so no root ball is needed; only the arrays print ball values
+    monkeypatch.setattr(cli, "isolate_roots", _no_isolation)
+    for text, digest in (
+        ("x^2 - 2", "13c4fcec771f154a153c855fcd8407e7eedc9d6bbfe7431a3bd227cd50db9402"),
+        ("x^3 - 2", "69e41d35e03dfef0393decb1b0c88fe215e5f07ef26ae9c3153c8b880f89673d"),
+    ):
+        report = analyze(text)
+        assert hashlib.sha256(render_json(report).encode()).hexdigest() == digest
+    with pytest.raises(AssertionError, match="isolate_roots ran"):
+        analyze("x^3 - 2", array=True)
+
+
+
+@pytest.mark.parametrize("text, isolated", [("x^3 - 2", 0), ("x^4 + 8x + 12", 1)])
+def test_squarefreeness_is_decided_once_before_the_search(monkeypatch, text, isolated):
+    # the analysis decides it before building the roots; the weight
+    # search takes it from them, and only the isolation, on the ball
+    # route, checks its own input again
+    f = parse_poly(text)
+    seen = {"cli": 0, "resolvent": 0, "roots": 0}
+    for name, module in (("cli", cli), ("resolvent", resolvent), ("roots", roots)):
+        def counted(g, name=name, decide=module.is_squarefree):
+            seen[name] += g == f
+            return decide(g)
+        monkeypatch.setattr(module, "is_squarefree", counted)
+    analyze(text)
+    assert seen == {"cli": 1, "resolvent": 0, "roots": isolated}
+
+def test_a_missing_cycle_type_takes_the_ball_route(monkeypatch, capsys):
+    # a pattern reader that never sees a 4-cycle leaves S4 unproved, so
+    # the subgroup search isolates, reads the balls and finds S4, and the
+    # report is the same
+    isolations = []
+    isolate, pattern = cli.isolate_roots, resolvent.cycle_type
+
+    def counted_isolate(f):
+        isolations.append(f)
+        return isolate(f)
+
+    monkeypatch.setattr(cli, "isolate_roots", counted_isolate)
+    monkeypatch.setattr(resolvent, "cycle_type",
+                        lambda f, p: (2, 2) if pattern(f, p) == (4,) else pattern(f, p))
+    for args, digest in (
+        (["x^4 - x - 1", "--format", "json"],
+         "c4282b338256f00070d3a6aee2942df09a634e0b078dff2e83241ed496df129e"),
+        (["x^4 - x - 1", "--array", "--format", "json"],
+         "c0757f1fb2416e0c9e7d3fdac1ffa597fd39cd789d09490ddf3dfc7f31039d27"),
+    ):
+        isolations.clear()
+        assert main(["analyze", *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        assert len(isolations) == 1
+
+
+def test_a_long_minimal_polynomial_is_refused_before_the_expressions(monkeypatch, capsys):
+    # a weight of 1,001 digits gives the S3 resolvent, which the report
+    # prints, coefficients of about 6,000 digits: analyze refuses it as
+    # soon as the group is identified
+    def no_expressions(gd):
+        raise AssertionError("express_roots ran")
+
+    monkeypatch.setattr(cli, "express_roots", no_expressions)
+    assert main(["analyze", "x^3 - 2", "--spec", "0,1,1" + "0" * 1000]) == 2
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == f"error: coefficient too long (more than {limit} digits)\n"
 
 
 @pytest.mark.parametrize("text, weights, order", [

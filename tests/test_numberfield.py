@@ -7,11 +7,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from galcert import numberfield, resolvent
 from galcert.arith import ComplexBall
 from galcert.cli import render_json
 from galcert.correspondence import correspondence_lattice
+from galcert.errors import CertificationError
 from galcert.groups import Permutation, symmetric_group
-from galcert.numberfield import NumberField, automorphism_table, compose_mod, express_roots
+from galcert.numberfield import (
+    NumberField,
+    NumberFieldElement,
+    automorphism_table,
+    compose_mod,
+    express_roots,
+)
 from galcert.poly import UniPoly, gcd
 from galcert.resolvent import identify_galois, search_resolvent
 from galcert.roots import isolate_roots
@@ -108,23 +116,36 @@ def test_express_roots_cubic_exact_identities():
 
 
 def test_express_roots_reads_integers_not_a_ball_system(monkeypatch):
-    # the root numerators of x^4 - x - 1 take |G|*(d-1) ball products in
-    # synthetic division and n*n*d in the sums, about a thousand at one
-    # precision; the report stays the same
+    # the group of x^4 - x - 1 is S4, so its root numerators are exact
+    # and take no ball product.  Read off the balls, as for any other
+    # group, they take |G|*(d-1) fixed-point products in synthetic
+    # division and n*n*d in the sums, about a thousand at one precision,
+    # and no ball polynomial arithmetic.  The report stays the same
     f = UniPoly([-1, -1, 0, 0, 1])
     rs = isolate_roots(f)
     gd = identify_galois(search_resolvent(rs))
-    calls = []
-    mul = ComplexBall.mul
+    calls, products = [], []
+    mul, fixed_mul = ComplexBall.mul, numberfield.fixed_mul
 
     def counted_mul(self, other, prec):
         calls.append(prec)
         return mul(self, other, prec)
 
+    def counted_fixed_mul(a, b, prec):
+        products.append(prec)
+        return fixed_mul(a, b, prec)
+
     monkeypatch.setattr(ComplexBall, "mul", counted_mul)
+    monkeypatch.setattr(numberfield, "fixed_mul", counted_fixed_mul)
     roots = express_roots(gd)
+    assert calls == products == []
+    monkeypatch.setattr(resolvent, "certify_symmetric", lambda f: False)
+    searched = identify_galois(search_resolvent(isolate_roots(f)))
+    calls.clear()
+    blocks = numberfield._ball_numerators(searched)
     monkeypatch.undo()
-    assert len(calls) <= 2000
+    assert calls == [] and 0 < len(products) <= 2000
+    assert blocks[:2] == numberfield._symmetric_numerators(gd, 2)
     report = correspondence_lattice(automorphism_table(gd, roots))
     digest = hashlib.sha256(render_json(report).encode()).hexdigest()
     assert digest == "c4282b338256f00070d3a6aee2942df09a634e0b078dff2e83241ed496df129e"
@@ -258,3 +279,46 @@ def test_matrix_agrees_with_apply():
                 assert applied == compose_mod(x.to_unipoly(), psi)
                 coords = [sum(m * Fraction(c) for m, c in zip(row, x.coeffs)) for row in mat]
                 assert list(applied.coeffs) == coords
+
+
+@pytest.mark.parametrize("coeffs", [[-1, -1, 0, 0, 1], [-1000000, -1, 0, 0, 1]])
+def test_exact_root_expressions_are_the_ball_route_ones(coeffs):
+    # for G = S4 the numerators of P_0 and P_1 come from power sums and
+    # the last two roots from the trace and the generator; reading all
+    # four numerators off the balls gives the same expressions
+    f = UniPoly(coeffs)
+    gd = identify_galois(search_resolvent(isolate_roots(f)))
+    assert gd.group == symmetric_group(4)
+    exact = express_roots(gd)
+    balls = numberfield._ball_numerators(gd)
+    assert numberfield._symmetric_numerators(gd, 2) == balls[:2]
+    dm_inv = NumberField(gd.min_poly).element(gd.min_poly.derivative().coeffs).inverse()
+    assert tuple(NumberFieldElement(exact[0].field, num) * dm_inv for num in balls) == exact
+
+
+def test_a_tampered_trace_fails_the_root_identity(monkeypatch):
+    # the last two roots solve two linear equations; a wrong trace still
+    # recombines to the generator, and f(E) = 0 catches it
+    gd = corpus_pipeline("x^3 - 2").gd
+    complete = numberfield._complete
+    monkeypatch.setattr(numberfield, "_complete",
+                        lambda known, weights, trace, gen: complete(known, weights, trace + 1, gen))
+    with pytest.raises(CertificationError, match="not a root of the polynomial"):
+        express_roots(gd)
+
+
+@pytest.mark.parametrize("text", ["x^4 - 2", "x^3 - 3x - 1"])
+def test_swapped_ball_numerators_are_rejected(monkeypatch, text):
+    # swapping two roots' numerator blocks keeps f(E_i) = 0 and the E_i
+    # distinct; the generator's recombination sum w_i E_i = a fails
+    gd = corpus_pipeline(text).gd
+    read = numberfield._ball_numerators
+
+    def swapped(gd):
+        blocks = read(gd)
+        blocks[1], blocks[2] = blocks[2], blocks[1]
+        return blocks
+
+    monkeypatch.setattr(numberfield, "_ball_numerators", swapped)
+    with pytest.raises(CertificationError, match="do not recombine to the generator"):
+        express_roots(gd)

@@ -7,15 +7,24 @@ constant term (rational roots of the input).  An irreducible cubic has
 group A3 when its discriminant is a square and S3 otherwise; a cubic
 with a root has group order 1 or 2 as its quadratic cofactor splits or
 not.
+
+The same oracle checks ``certify_symmetric``, Dedekind's certificate of
+G = S_n, on its draws and on the benchmark's seeded small_warm inputs.
 """
 
-from math import isqrt
+import sys
+from fractions import Fraction
+from math import factorial, isqrt, lcm
+from pathlib import Path
 
-from hypothesis import example, given, reject, settings
+import pytest
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from galcert.cli import analyze
+from galcert.cli import analyze, normalize_monic_integer, parse_poly
 from galcert.errors import InputError
+from galcert.poly import is_squarefree
+from galcert.resolvent import certify_symmetric
 
 
 def _monic(coeffs):
@@ -120,3 +129,49 @@ def test_group_order_matches_the_oracle(coeffs):
         reject()
     assert report.group_order == oracle_group_order(coeffs)
     assert report.all_passed()
+
+
+def _integer_coeffs(text):
+    """The monic integral form that galcert analyses, via its parser."""
+    f, _ = normalize_monic_integer(parse_poly(text))
+    return f
+
+
+# the oracle's draws, also where its group is smaller than S_n: there
+# Dedekind's cycle types must never certify S_n, however many primes
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_polys)
+@example([-1, -3, 0, 1])
+@example([1, -2, -1, 1])
+@example([6, -7, 0, 1])
+@example([-2, 2, -1, 1])
+@example([-1, 0, 4])
+def test_dedekind_agrees_with_the_oracle(coeffs):
+    f = _integer_coeffs(_text(coeffs))
+    assume(is_squarefree(f))
+    n = len(coeffs) - 1
+    assert certify_symmetric(f) == (oracle_group_order(coeffs) == factorial(n))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_dedekind_certifies_every_small_warm_s_n_field(seed):
+    # the benchmark's seeded quadratics and cubics at its default length:
+    # 74 of the 75 squarefree ones on either seed are S_n fields, and
+    # none of them falls back to the subgroup search
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    count = workloads.input_count(workloads.WORKLOADS["small_warm"], 15)
+    symmetric = 0
+    for text in workloads.make_inputs("small_warm", seed, count):
+        f = _integer_coeffs(text)
+        if not is_squarefree(f):
+            continue
+        coeffs = parse_poly(text).coeffs
+        den = lcm(*(Fraction(c).denominator for c in coeffs))
+        expected = oracle_group_order([int(c * den) for c in coeffs]) == factorial(f.degree)
+        assert certify_symmetric(f) == expected
+        symmetric += expected
+    assert symmetric == 74

@@ -16,9 +16,12 @@ from galcert.poly import UniPoly, gcd
 from galcert.resolvent import (
     Ladder,
     certify_distinct_values,
+    certify_symmetric,
     conjugate_balls,
+    cycle_type,
+    discriminant,
     identify_galois,
-    read_resolvent,
+    power_sum_resolvent,
     resolvent_poly,
     search_resolvent,
 )
@@ -36,17 +39,17 @@ def decide(weights, rs):
 
 
 def test_pipeline_reads_each_resolvent_once(monkeypatch):
-    # the search reads one resolvent per candidate, each a different
+    # the search computes one resolvent per candidate, each a different
     # multiset, and identify_galois takes the winning ladder with its
     # resolvent, also for a later hit
     reads = []
-    read = resolvent.read_resolvent
+    read = resolvent.power_sum_resolvent
 
-    def counted_read(ladder):
-        reads.append(ladder.weights)
-        return read(ladder)
+    def counted_read(f, weights):
+        reads.append(weights)
+        return read(f, weights)
 
-    monkeypatch.setattr(resolvent, "read_resolvent", counted_read)
+    monkeypatch.setattr(resolvent, "power_sum_resolvent", counted_read)
     for rs, skip, weights in ((rs2, 0, (0, 1)), (rs2, 1, (0, 2)), (rs3, 1, (0, 1, 3))):
         reads.clear()
         gd = identify_galois(search_resolvent(rs, skip=skip))
@@ -77,10 +80,11 @@ def test_first_attempt_runs_even_above_the_cap():
 
 
 def test_schedule_needs_a_positive_start():
-    # isolate_roots refuses 0 bits, so the system is built by hand
+    # isolate_roots refuses 0 bits, so the system is built by hand; the
+    # resolvent reads no balls, so the climb is started directly
     rs = RootSystem(rs2.poly, rs2.enclosures, 0)
     with pytest.raises(InputError, match="at least 1 bit"):
-        decide((0, 1), rs)
+        next(Ladder((0, 1), rs).read(lambda *rung: []))
 
 
 def test_search_cubic_within_norm_two():
@@ -164,10 +168,23 @@ def test_identify_requires_integer_coefficients():
         decide((0, 1), rs)
 
 
+
+@pytest.mark.parametrize("coeffs, weights, message", [
+    ([-2, 0, 2], (0, 1), "must be monic"),
+    ([-2, 0, 1], (0, 1, 2), "weight count must match the degree"),
+    ([-2, 0, 0, 1], (0, 1), "weight count must match the degree"),
+])
+def test_power_sum_resolvent_refuses_what_its_power_sums_cannot_describe(coeffs, weights, message):
+    # the power sums assume a monic f and take n from the weights: either
+    # mismatch would silently give a wrong R
+    with pytest.raises(InputError, match=message):
+        power_sum_resolvent(UniPoly(coeffs), weights)
+
 _small = st.integers(-12, 12)
+_weight = st.integers(-40, 40)
 _inputs = st.one_of(
-    st.tuples(st.tuples(_small, _small), st.tuples(*[st.integers(0, 3)] * 2)),
-    st.tuples(st.tuples(_small, _small, _small), st.tuples(*[st.integers(0, 3)] * 3)),
+    st.tuples(st.tuples(_small, _small), st.tuples(*[_weight] * 2)),
+    st.tuples(st.tuples(_small, _small, _small), st.tuples(*[_weight] * 3)),
 )
 
 
@@ -176,15 +193,19 @@ _inputs = st.one_of(
 @example(((-2, 0, 0), (1, 0, 0)))
 @example(((-2, 0, 0), (1, 1, 1)))
 @example(((-2, 0, 0), (1, 2, 0)))
-def test_resolvent_read_off_the_balls_is_the_symbolic_one(case):
+@example(((-2, 0, 0), (-7, 0, 33)))
+@example(((1, 0, 0, 0), (0, 1, 2, 4)))
+@example(((-2, 0, 0, 0), (0, 1, 2, 4)))
+def test_power_sum_resolvent_is_the_symbolic_one(case):
+    # the symbolic reference multiplies the linear forms out and never
+    # sees a power sum; the quartics are x^4 + 1 and x^4 - 2
     coeffs, weights = case
     f = UniPoly(list(coeffs) + [1])
     assume(gcd(f, f.derivative()).degree == 0)
-    rs = isolate_roots(f)
     expected = resolvent_poly(f, weights)
-    assert read_resolvent(Ladder(weights, rs)) == expected
+    assert power_sum_resolvent(f, weights) == expected
     squarefree = gcd(expected, expected.derivative()).degree == 0
-    assert decide(weights, rs) == squarefree
+    assert decide(weights, isolate_roots(f)) == squarefree
 
 
 def test_colliding_quartic_rejected_without_refining(monkeypatch):
@@ -198,12 +219,14 @@ def test_colliding_quartic_rejected_without_refining(monkeypatch):
     monkeypatch.setattr(RootSystem, "refine", refine)
     rs = isolate_roots(UniPoly([1, 0, 0, 0, 1]), 128)
     assert not decide((0, 1, 2, 3), rs)
-    assert requested and max(requested) <= 128
+    # the resolvent comes from power sums: no ball is read at all
+    assert requested == []
 
 
 def test_search_pays_one_ball_product_per_candidate(monkeypatch):
-    # the resolvent coefficients of x^4 - 1000003 need more than the
-    # 128 bits the roots come with; no candidate should try 128 first
+    # the resolvent coefficients of x^4 - 1000003 would need more than
+    # the 128 bits the roots come with; from power sums the search pays
+    # no ball product at all
     products, candidates = [], []
     product, certify = resolvent._ball_poly_product, resolvent.certify_distinct_values
 
@@ -221,14 +244,15 @@ def test_search_pays_one_ball_product_per_candidate(monkeypatch):
     rs = isolate_roots(f)
     ladder = search_resolvent(rs)
     assert ladder.weights == (0, 1, 2, 4)
-    assert len(products) <= len(candidates) + 1
+    assert len(candidates) == 2 and products == []
     assert identify_galois(ladder).group.order == 8
 
 
 def test_stages_read_from_the_finest_system_built(monkeypatch):
-    # the search needs 512 bits on x^4 + 1/1000x + 1; every later read,
-    # by the subgroup tests and the root expressions, starts there too,
-    # so nothing climbs back to 256 bits
+    # sent down the subgroup search, x^4 + 1/1000x + 1 refines once, to
+    # 512 bits: every read starts at the finest system built, so nothing
+    # climbs back to 256 bits.  Certified S4, it refines nothing, and its
+    # root expressions are the same
     refined = []
     original = RootSystem.refine
 
@@ -239,9 +263,12 @@ def test_stages_read_from_the_finest_system_built(monkeypatch):
 
     monkeypatch.setattr(RootSystem, "refine", refine)
     f, _ = normalize_monic_integer(parse_poly("x^4 + 1/1000x + 1"))
+    exact = express_roots(identify_galois(search_resolvent(isolate_roots(f))))
+    assert refined == []
+    monkeypatch.setattr(resolvent, "certify_symmetric", lambda f: False)
     gd = identify_galois(search_resolvent(isolate_roots(f)))
     assert gd.group.order == 24
-    assert len(express_roots(gd)) == 4
+    assert express_roots(gd) == exact
     assert refined == [512]
 
 
@@ -285,11 +312,10 @@ _squarefree = st.integers(2, 4).flatmap(
 @example(UniPoly([-2, 0, 0, 1]), [1, 1, 0, 0])
 def test_resolvent_depends_only_on_the_weight_multiset(f, weights):
     weights = tuple(weights[:f.degree])
-    rs = isolate_roots(f)
-    expected = read_resolvent(Ladder(weights, rs))
+    expected = power_sum_resolvent(f, weights)
     for pi in symmetric_group(f.degree):
         permuted = tuple(weights[pi(i)] for i in range(f.degree))
-        assert read_resolvent(Ladder(permuted, rs)) == expected
+        assert power_sum_resolvent(f, permuted) == expected
 
 
 def _reference_search(rs, max_norm, skip, normalized=False):
@@ -361,9 +387,9 @@ def test_search_rejects_a_negative_skip():
 
 
 def test_identify_reads_conjugate_balls_once_per_precision(monkeypatch):
-    # x^4 - 1000003's resolvent needs 256 bits; every subgroup test, the
-    # root expressions and the automorphisms share one ladder of balls,
-    # read at 128 and 256 bits
+    # the subgroup candidates of x^4 - (10^30 + 57) need 256 bits; every
+    # subgroup test, the root expressions and the automorphisms share one
+    # ladder of balls, read at 128 and 256 bits
     precisions_read = []
     balls = resolvent.conjugate_balls
 
@@ -371,7 +397,7 @@ def test_identify_reads_conjugate_balls_once_per_precision(monkeypatch):
         precisions_read.append(rs.precision_bits)
         return balls(weights, rs)
 
-    f = UniPoly([-1000003, 0, 0, 0, 1])
+    f = UniPoly([-(10**30 + 57), 0, 0, 0, 1])
     rs = isolate_roots(f)
     monkeypatch.setattr(resolvent, "conjugate_balls", counted_balls)
     gd = identify_galois(Ladder((0, 1, 2, 4), rs))
@@ -394,3 +420,42 @@ def test_misordered_root_expressions_rejected_exactly(monkeypatch, text):
             with pytest.raises(CertificationError):
                 automorphism_table(data.gd, [data.roots[tau(i)] for i in range(n)])
     assert refined == []
+
+
+@pytest.mark.parametrize("text", ["x^4 - x - 1", "x^4 + 3x + 3", "x^4 - x - 1000000"])
+def test_power_sum_resolvent_is_the_ball_product_on_s4(text):
+    # the exact resolvent is the product that the subgroup test of S4
+    # reads off the conjugate balls
+    f = parse_poly(text)
+    ladder = search_resolvent(isolate_roots(f))
+    product, _, _ = next(resolvent._integer_products(ladder, symmetric_group(4)))
+    assert product == ladder.resolvent == power_sum_resolvent(f, ladder.weights)
+
+
+@pytest.mark.parametrize("text, symmetric", [
+    ("x^2 - 2", True), ("x^2 - 5x + 6", False),
+    ("x^3 - 2", True), ("x^3 - 3x - 1", False), ("x^3 - 2x", False),
+    ("x^4 - x - 1", True), ("x^4 + x^3 + x^2 + x + 1", False), ("x^4 + 1", False),
+    ("x^4 - 2", False), ("x^4 + 8x + 12", False), ("x^4 - 5x^2 + 6", False),
+])
+def test_dedekind_certifies_only_the_symmetric_group(text, symmetric):
+    # the benchmark corpus' C3, C4, V4, D4, A4 and reducible V4 never
+    # show the cycle types that force S_n, however many primes are read
+    assert certify_symmetric(parse_poly(text)) is symmetric
+
+
+def test_cycle_types_mod_small_primes():
+    # x^4 - x - 1 is irreducible mod 2 and mod 3, has the root 3 mod 7,
+    # and a repeated root mod 283, its discriminant
+    f = UniPoly([-1, -1, 0, 0, 1])
+    assert discriminant(f) == -283
+    assert cycle_type(f, 2) == cycle_type(f, 3) == (4,)
+    assert cycle_type(f, 7) == (1, 3)
+    assert cycle_type(f, 283) is None
+    # x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2) mod 3
+    assert cycle_type(UniPoly([1, 0, 0, 0, 1]), 3) == (2, 2)
+    # x^3 - 2 has the root 3 mod 5 and the three cube roots of 2 mod 31
+    g = UniPoly([-2, 0, 0, 1])
+    assert cycle_type(g, 5) == (1, 2)
+    assert cycle_type(g, 31) == (1, 1, 1)
+    assert cycle_type(g, 7) == (3,)

@@ -112,11 +112,11 @@ def test_refine_preserves_roots_and_order():
 
 
 def test_pipeline_refines_once_per_resolvent_read(monkeypatch):
-    # x^4 - 1000003's resolvents need 256 bits: the search reads two
-    # weight multisets, whose ladders share one refinement, and
-    # identify_galois takes the winning ladder with its resolvent from the
-    # search; the 128-bit system serves everything else.  Only the first
-    # isolation decides that f is squarefree and warm-starts in floats
+    # read off balls, x^4 - 1000003's resolvents would need 256 bits; from
+    # power sums they need none, and the 128-bit system serves the
+    # subgroup tests and the root expressions of its D4 field.  Only the
+    # first isolation decides that f is squarefree and warm-starts in
+    # floats
     decisions, warm_starts = [], []
     squarefree, float_aberth = roots.is_squarefree, roots._float_aberth
 
@@ -132,7 +132,7 @@ def test_pipeline_refines_once_per_resolvent_read(monkeypatch):
     monkeypatch.setattr(roots, "is_squarefree", counted_squarefree)
     monkeypatch.setattr(roots, "_float_aberth", counted_float_aberth)
     assert analyze("x^4 - 1000003").all_passed()
-    assert refinements == [256]
+    assert refinements == []
     assert len(decisions) == 1
     assert len(warm_starts) == 1
 
