@@ -9,27 +9,25 @@ on ints, and one gcd per result keeps the form canonical; ``coeffs``
 turns the pair back into rationals for callers that read them.
 
 Each root of the input polynomial is expressed as such an element by
-the rational univariate representation: P_i(x) = sum over the group of
-alpha_{s(i)} * m(x)/(x - theta_s) has integer coefficients, and root i
-is P_i(a) / m'(a).  For G = S_n they are symmetric functions of the
-roots, computed from f's coefficients like the resolvent, and the last
-two roots follow from the trace and from a = sum w_i E_i; for other
-groups they are read off the certified balls, on the ladder of conjugate
-balls that identified the group.  The expressions are accepted on exact
-identities alone: f(E_i) = 0, the E_i pairwise distinct, and
-sum w_i E_i = a, which with the weights' injectivity pin each E_i to
-root i.  Each group permutation becomes a field automorphism sending the
-generator to the matching conjugate, checked by exact identities alone,
-since the root expressions already fix its value.  An
+the rational univariate representation, on one route for every group:
+with R the full resolvent, Q_i(x) = sum over all sigma in S_n of
+alpha_sigma(i) * R(x)/(x - theta_sigma) has integer coefficients,
+symmetric functions of the roots computed from f's coefficients like R
+itself, and root i is Q_i(a) / R'(a); for G = S_n, m = R.  The last two
+roots follow from the trace and from a = sum w_i E_i.  The expressions
+are accepted on exact identities alone: f(E_i) = 0, the E_i pairwise
+distinct, and sum w_i E_i = a, which with the weights' injectivity pin
+each E_i to root i.  Each group permutation becomes a field automorphism
+sending the generator to the matching conjugate, checked by exact
+identities alone, since the root expressions already fix its value.  An
 automorphism is stored as its power-basis matrix, integer rows over one
 denominator, derived once from the generator's image, and applied as a
 matrix-vector product; whether it sends x to y is that product's integer
 identity, cross-multiplied by the denominators.  ``compose_mod``
 (substitution by Horner) is kept for evaluating polynomial identities
 such as f(expr) = 0.  Exact linear algebra, inverses included, runs
-through one fraction-free Gauss-Jordan elimination, ``echelon``.  The
-uniform idiom: balls only ever pin down integers or narrow down which
-exact object was found, and every exact object is accepted only once an
+through one fraction-free Gauss-Jordan elimination, ``echelon``.  No
+ball is read here: every object is exact, and accepted only once an
 exact identity confirms it.
 """
 
@@ -37,11 +35,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import partial
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 
-from .arith import ComplexBall, fixed_mul
 from .errors import CertificationError
 from .poly import UniPoly, render_terms
 from .record import Frozen, Record
@@ -344,72 +340,16 @@ def in_span(red, pivots, vec):
 
 # -- root expressions ---------------------------------------------------------
 
-def _plus(a, b):
-    """Sum of two balls given as (x, y, r) ints over one power of two."""
-    return a[0] + b[0], a[1] + b[1], a[2] + b[2]
-
-
-def _rur_numerators(gd: GaloisData, cur, vals, prec):
-    """Coefficient balls of P_i(x) = sum over s in G of alpha_{s(i)} *
-    m(x)/(x - theta_s), ascending, for i = 0, 1, ... in turn, on the
-    rung (cur, vals, prec) of ``gd.ladder``.
-
-    Each quotient q_s = m(x)/(x - theta_s) comes from synthetic division
-    on m's integer coefficients; the sum is grouped by root, P_i = sum_j
-    alpha_j * (sum of q_s over s(i) = j), so the root balls enter in
-    n*n*d products rather than |G|*n*d.  Runs on (x, y, r) ints over
-    2**-prec, where sums are exact, and builds one ball per coefficient."""
-    m = [int(c) for c in gd.min_poly.coeffs]
-    d = len(m) - 1
-    n = len(cur.enclosures)
-    quotients = {}
-    for s in gd.group:
-        theta = vals[s].fixed(prec)
-        q = [(1 << prec, 0, 0)]
-        for k in range(d - 1, 0, -1):
-            x, y, r = fixed_mul(theta, q[-1], prec)
-            q.append((x + (m[k] << prec), y, r))
-        quotients[s] = q[::-1]
-    alphas = [b.fixed(prec) for b in cur.enclosures]
-    out = []
-    for i in range(n):
-        grouped = {}
-        for s, q in quotients.items():
-            j = s(i)
-            grouped[j] = list(map(_plus, grouped[j], q)) if j in grouped else q
-        coeffs = [(0, 0, 0)] * d
-        for j, q in grouped.items():
-            coeffs = [_plus(c, fixed_mul(alphas[j], b, prec)) for c, b in zip(coeffs, q)]
-        out += [ComplexBall.from_ints(x, y, r, -prec) for x, y, r in coeffs]
-    return out
-
-
-def _ball_numerators(gd: GaloisData):
-    """The integer coefficients of every P_i, read off the ball sums of
-    ``_rur_numerators`` by ``Ladder.read`` on the ladder of conjugate
-    balls that identified the group."""
-    d = gd.min_poly.degree
-    ints = next(gd.ladder.read(partial(_rur_numerators, gd)), (None,))[0]
-    if ints is None:
-        raise CertificationError(
-            "root expressions could not be certified within the precision budget"
-        )
-    if ints is False:
-        raise CertificationError(
-            "root expression numerators read off the balls are not integers"
-        )
-    return [ints[i * d:(i + 1) * d] for i in range(gd.ladder.poly.degree)]
-
-
 def _symmetric_numerators(gd: GaloisData, count):
-    """The integer coefficients of P_0, ..., P_(count-1) for G = S_n,
-    where m = R: the coefficient of P_i at x^j is sum_k r_(j+k+1) T_(i,k),
-    with T_(i,k) = sum over sigma of alpha_sigma(i) theta_sigma^k from
-    ``resolvent.orbit_sums``.  Nothing is read off balls."""
-    r = [int(c) for c in gd.min_poly.coeffs]
-    d = len(r) - 1
-    sums = orbit_sums(gd.ladder.poly, gd.weights, d - 1, range(count))
-    return [[sum(r[j + k + 1] * t[k] for k in range(d - j)) for j in range(d)]
+    """The integer coefficients of Q_0, ..., Q_(count-1), ascending, where
+    Q_i(x) = sum over all sigma in S_n of alpha_sigma(i) R(x)/(x - theta_sigma)
+    and R is the full resolvent: the coefficient of Q_i at x^j is
+    sum_k r_(j+k+1) T_(i,k), with T_(i,k) = sum over sigma of
+    alpha_sigma(i) theta_sigma^k from ``resolvent.orbit_sums``."""
+    r = [int(c) for c in gd.resolvent.coeffs]
+    big = len(r) - 1
+    sums = orbit_sums(gd.ladder.poly, gd.weights, big - 1, range(count))
+    return [[sum(r[j + k + 1] * t[k] for k in range(big - j)) for j in range(big)]
             for t in sums]
 
 
@@ -448,40 +388,36 @@ def express_roots(gd: GaloisData):
     """Each root of the input polynomial as an element of the field, by
     the rational univariate representation (Rouillier, AAECC 9, 1999).
 
-    With theta_s the generator's conjugates, take P_i(x) = sum over s in
-    G of alpha_{s(i)} * m(x)/(x - theta_s).  G permutes the terms of this
-    sum, so its coefficients are rational; they are algebraic integers,
-    since f is monic and integral (``identify_galois`` accepts no other)
-    and the weights are integers; so they are integers.  At the
-    generator only the identity term survives, so root i is
-    P_i(a) * m'(a)^-1, with one exact inverse per field.
+    With R the full resolvent and theta_sigma its roots, take Q_i(x) =
+    sum over all sigma in S_n of alpha_sigma(i) * R(x)/(x - theta_sigma).
+    S_n permutes the terms of this sum, so its coefficients are rational;
+    they are algebraic integers, since f is monic and integral
+    (``identify_galois`` accepts no other) and the weights are integers;
+    so they are integers, symmetric functions of the roots computed from
+    f's coefficients (``_symmetric_numerators``).  At the generator only
+    the identity term survives, so Q_i(a) = alpha_i * R'(a).  R is
+    squarefree and m divides it, so R'(a) is invertible, and root i is
+    Q_i(a) * R'(a)^-1, with one exact inverse per field; for G = S_n,
+    m = R.  Only n - 2 roots take a numerator: the last two follow from
+    the trace and from a = sum w_i E_i (``_complete``), so a quadratic
+    needs none, and a linear f takes its one.
 
-    For G = S_n the coefficients are symmetric functions of the roots,
-    computed exactly (``_symmetric_numerators``) for all but two roots;
-    those two follow from the trace and from a = sum w_i E_i
-    (``_complete``), so a quadratic needs no numerator at all.  For
-    other groups they are read off the ball sums, like the subgroup
-    candidates, on the ladder that identified the group.
-
-    Either way the expressions are accepted by exact identities alone
-    (``_accept``): f(E_i) = 0, the E_i pairwise distinct, and
-    sum_i w_i E_i = a.  These pin each E_i to root i.  Under the
-    embedding a -> theta_id of the field, the E_i go to roots of f, and
-    distinct ones to distinct roots, so to alpha_tau(i) for some
-    permutation tau; then theta_tau = sum_i w_i alpha_tau(i) = theta_id,
-    and since the weights are injective, tau is the identity.
+    The expressions are accepted by exact identities alone (``_accept``):
+    f(E_i) = 0, the E_i pairwise distinct, and sum_i w_i E_i = a.  These
+    pin each E_i to root i.  Under the embedding a -> theta_id of the
+    field, the E_i go to roots of f, and distinct ones to distinct roots,
+    so to alpha_tau(i) for some permutation tau; then theta_tau =
+    sum_i w_i alpha_tau(i) = theta_id, and since the weights are
+    injective, tau is the identity.
     """
     f = gd.ladder.poly
     field = NumberField(gd.min_poly)
     n = f.degree
-    if n > 1 and gd.group.order == factorial(n):
-        numerators = _symmetric_numerators(gd, n - 2)
-    else:
-        numerators = _ball_numerators(gd)
+    numerators = _symmetric_numerators(gd, n - 2 if n > 1 else 1)
     exprs = []
     if numerators:
-        dm_inv = field.element(gd.min_poly.derivative().coeffs).inverse()
-        exprs = [NumberFieldElement(field, num) * dm_inv for num in numerators]
+        dr_inv = field.element(gd.resolvent.derivative().coeffs).inverse()
+        exprs = [NumberFieldElement(field, num) * dr_inv for num in numerators]
     if len(exprs) < n:
         exprs = _complete(exprs, gd.weights, -f[n - 1], field.gen())
     return _accept(exprs, f, gd.weights, field.gen())

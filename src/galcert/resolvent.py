@@ -57,8 +57,10 @@ this factors over Q.
 
 Each weight vector's conjugate balls climb one ``Ladder``, built on the
 ``Roots`` of f, which isolate on first use: an S_n field never needs
-them.  The winning ladder goes on to ``identify_galois``, the root
-expressions and the automorphisms.  ``Ladder.read`` starts every read at
+them.  The winning ladder goes on to ``identify_galois``, whose
+subgroup search reads it, and then only to the arrangement arrays, which
+print the conjugate values: the root expressions and the automorphisms
+are exact.  ``Ladder.read`` starts every read at
 the finest root system built, so each precision is refined once and no
 read goes back to a coarser one.  That changes no decision: each read
 feeds an exact one, a finer system only narrows the balls, and the root
@@ -86,8 +88,9 @@ DEDEKIND_PRIMES = 40
 
 class GaloisData(Frozen):
     """The certified Galois group with the resolvent data that found it;
-    immutable.  ``ladder`` carries the conjugate balls on to the later
-    stages and is left out of equality and hashing."""
+    immutable.  ``ladder`` carries the polynomial on, and its conjugate
+    balls to the arrangement arrays; it is left out of equality and
+    hashing."""
 
     __slots__ = ("weights", "min_poly", "ladder", "group", "resolvent")
     _compared = ("weights", "min_poly", "group", "resolvent")
@@ -568,7 +571,7 @@ def identify_galois(ladder: Ladder) -> GaloisData:
     ladder of an injective weight vector and its resolvent: S_n with R
     itself when ``certify_symmetric`` proves it, else the minimal-subgroup
     search with exact division and cofactor certificates, which climbs
-    the ladder that it returns, for the later stages to climb on."""
+    the ladder that it returns."""
     n = ladder.poly.degree
     if n is None or n < 1 or n > 4:
         raise InputError("degree must be between 1 and 4")

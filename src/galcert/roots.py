@@ -30,8 +30,8 @@ isolation the stages climb it by ``resolvent.Ladder.read`` from the
 finest system built, which refines each precision once.  Each climber
 decides what running out of the schedule means: reading a subgroup's
 candidate factor off a ball product in ``identify_galois`` rejects the
-subgroup, and ``RootSystem.refine`` and ``express_roots`` raise
-``CertificationError`` (exit code 3 in the CLI).  The resolvent, and
+subgroup, and ``RootSystem.refine`` raises ``CertificationError`` (exit
+code 3 in the CLI).  The resolvent, and
 with it the injectivity of a weight vector, needs no balls at all: it
 comes from power sums.  ``isolate_roots`` is the first isolation: it
 checks f, warm-starts the points and sorts the balls, which fixes the
@@ -40,9 +40,8 @@ new to old.  Both run ``_enclose``, with a working-precision budget of
 its own.
 
 ``read_integers`` is the one place where a list of balls is read as the
-integers they pin down, on the balls' ints: the subgroup candidates and,
-for groups other than S_n, the root expressions' numerators come
-through it.  It tests the disk, not the box around it.
+integers they pin down, on the balls' ints: the subgroup candidates
+come through it.  It tests the disk, not the box around it.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 from math import gcd as int_gcd
 
@@ -8,8 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from galcert import numberfield, resolvent
-from galcert.arith import ComplexBall
-from galcert.cli import render_json
+from galcert.arith import ComplexBall, fixed_mul
+from galcert.cli import parse_poly, render_json
 from galcert.correspondence import correspondence_lattice
 from galcert.errors import CertificationError
 from galcert.groups import Permutation, symmetric_group
@@ -21,8 +22,8 @@ from galcert.numberfield import (
     express_roots,
 )
 from galcert.poly import UniPoly, gcd
-from galcert.resolvent import identify_galois, search_resolvent
-from galcert.roots import isolate_roots
+from galcert.resolvent import Ladder, identify_galois, search_resolvent
+from galcert.roots import RootSystem, isolate_roots
 from galcert.selftest import CORPUS, corpus_pipeline
 
 from helpers import xgcd_inverse
@@ -115,40 +116,52 @@ def test_express_roots_cubic_exact_identities():
     assert prod == K.rational((-1) ** 3 * f[0])
 
 
+# one polynomial for each group of the benchmark corpus: C2, C3, S3, C4,
+# V4, D4, A4 and the reducible V4; and S4
+_EVERY_GROUP = ("x^2 - 2", "x^3 - 3x - 1", "x^3 - 2", "x^4 + x^3 + x^2 + x + 1", "x^4 + 1",
+                "x^4 - 2", "x^4 + 8x + 12", "x^4 - 5x^2 + 6", "x^4 - x - 1")
+
+
 def test_express_roots_reads_integers_not_a_ball_system(monkeypatch):
-    # the group of x^4 - x - 1 is S4, so its root numerators are exact
-    # and take no ball product.  Read off the balls, as for any other
-    # group, they take |G|*(d-1) fixed-point products in synthetic
-    # division and n*n*d in the sums, about a thousand at one precision,
-    # and no ball polynomial arithmetic.  The report stays the same
-    f = UniPoly([-1, -1, 0, 0, 1])
-    rs = isolate_roots(f)
-    gd = identify_galois(search_resolvent(rs))
-    calls, products = [], []
-    mul, fixed_mul = ComplexBall.mul, numberfield.fixed_mul
+    # every group's numerators are symmetric functions of the roots,
+    # computed from f's coefficients: express_roots makes no ball product
+    # and refines no root system.  fixed_mul is patched in every galcert
+    # module that binds it, and the same patches count the subgroup search's
+    # ball reads, so they do see a ball read where there is one.  The S4
+    # report stays the same
+    data = {text: identify_galois(search_resolvent(isolate_roots(parse_poly(text))))
+            for text in _EVERY_GROUP}
+    calls = []
 
-    def counted_mul(self, other, prec):
-        calls.append(prec)
-        return mul(self, other, prec)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
 
-    def counted_fixed_mul(a, b, prec):
-        products.append(prec)
-        return fixed_mul(a, b, prec)
-
-    monkeypatch.setattr(ComplexBall, "mul", counted_mul)
-    monkeypatch.setattr(numberfield, "fixed_mul", counted_fixed_mul)
-    roots = express_roots(gd)
-    assert calls == products == []
-    monkeypatch.setattr(resolvent, "certify_symmetric", lambda f: False)
-    searched = identify_galois(search_resolvent(isolate_roots(f)))
-    calls.clear()
-    blocks = numberfield._ball_numerators(searched)
+    monkeypatch.setattr(ComplexBall, "mul", counted("mul", ComplexBall.mul))
+    monkeypatch.setattr(RootSystem, "refine", counted("refine", RootSystem.refine))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("galcert.") and getattr(module, "fixed_mul", None) is fixed_mul:
+            monkeypatch.setattr(module, "fixed_mul", counted("fixed_mul", fixed_mul))
+    exprs = {text: express_roots(gd) for text, gd in data.items()}
+    assert calls == []
+    identify_galois(search_resolvent(isolate_roots(UniPoly([-1000003, 0, 0, 0, 1]))))
+    assert {"fixed_mul", "refine"} <= set(calls)
     monkeypatch.undo()
-    assert calls == [] and 0 < len(products) <= 2000
-    assert blocks[:2] == numberfield._symmetric_numerators(gd, 2)
-    report = correspondence_lattice(automorphism_table(gd, roots))
+    gd = data["x^4 - x - 1"]
+    report = correspondence_lattice(automorphism_table(gd, exprs["x^4 - x - 1"]))
     digest = hashlib.sha256(render_json(report).encode()).hexdigest()
     assert digest == "c4282b338256f00070d3a6aee2942df09a634e0b078dff2e83241ed496df129e"
+
+
+def test_a_linear_polynomial_takes_its_one_numerator():
+    # n - 2 roots take a numerator and the last two follow from the trace
+    # and the generator; a linear f has one root, which takes its one
+    # numerator over R' = 1 in a field of degree 1
+    exprs = express_roots(identify_galois(Ladder((0,), isolate_roots(UniPoly([-3, 1])))))
+    assert exprs == (3,)
+    assert exprs[0].field.degree == 1
 
 
 _coeff = st.integers(-30, 30)
@@ -281,19 +294,37 @@ def test_matrix_agrees_with_apply():
                 assert list(applied.coeffs) == coords
 
 
-@pytest.mark.parametrize("coeffs", [[-1, -1, 0, 0, 1], [-1000000, -1, 0, 0, 1]])
+# sha256 of each input's express_roots tuple, rendered, as the exact
+# route for S_n and the ball route for every other group gave it, before
+# the one exact route replaced both
+_PINNED_EXPRESSIONS = {
+    (-1, -1, 0, 0, 1): "c1ff9403a8c8aad6e43038761a965d0705c5b2d4fe23a9c0a4cb216120e3c6b1",
+    (-1000000, -1, 0, 0, 1): "c7f89c31f52d261ad237891dc4f960f02898ec64d8fa18c11caaa6d84616119d",
+    (-2, 0, 1): "6629ab50240369c70d9ca7b1e1d88ae861fcfcba547d5705f499a46bbb414fd3",
+    (-2, 0, 0, 1): "70010907817d6bb2b8c307e66aa9e397ee78464d97eb99be71a9195b08526a88",
+    (-1, -3, 0, 1): "d6f0afea6936709b0f3121bcfc19a053d138356d34c9f107938f9ffeb79b482b",
+    (-2, 0, 0, 0, 1): "c4742889c2dd269616fcdaba501a62e067c4c1410e36a0355c5ab196072fc88f",
+    (1, 0, 0, 0, 1): "d71aaa026da7b5956d1c3acec405d6b39c8fc62d0a39c0a12e37e8bb9aea09da",
+    (12, 8, 0, 0, 1): "b4a1e97909c6f902b8005e26f472383255e5f16145276bab019a55dac9d44467",
+    (1, 1, 1, 1, 1): "176e1209d91259d7583b535740d32d1aaa47495abcffd4a7be0db8cdbacb6395",
+    (6, 0, -5, 0, 1): "3abecb8e6425cebd8ceba21429881ba37edce44a8b1d6b2a7199252cf7e0e14f",
+    (-1000003, 0, 0, 0, 1): "c1462edcc5cb819a5b4e1d6fdac354f6490d0c2555573cc96889654b4749308d",
+    (2, 0, 1000000, 0, 1): "67a9b0dd2206cae1fec145508a94301df7f7ffa5ddcc4976b57898782be10101",
+    (7, -7, 0, 1): "71e5c2ac2e9ab9533cdf92a3500a13797e6e63c5b005113b706ece79cef54f3f",
+    (5, 5, 0, 0, 1): "143bf0a8c9764acb36d03b8788e310c6b113428b5120f61baacf56b5ae51bb34",
+    (0, -6, 11, -6, 1): "b69c9b6a1e58fae71bd5f9ee7007e01f5e0f87673ad381fdbdc192686d06f599",
+    (1, 0, -10, 0, 1): "3ff36bc1f3bf33c93dd76dae90b3a460332ec066318da2691b25953661fd7706",
+}
+
+
+@pytest.mark.parametrize("coeffs", [list(c) for c in _PINNED_EXPRESSIONS])
 def test_exact_root_expressions_are_the_ball_route_ones(coeffs):
-    # for G = S4 the numerators of P_0 and P_1 come from power sums and
-    # the last two roots from the trace and the generator; reading all
-    # four numerators off the balls gives the same expressions
-    f = UniPoly(coeffs)
-    gd = identify_galois(search_resolvent(isolate_roots(f)))
-    assert gd.group == symmetric_group(4)
-    exact = express_roots(gd)
-    balls = numberfield._ball_numerators(gd)
-    assert numberfield._symmetric_numerators(gd, 2) == balls[:2]
-    dm_inv = NumberField(gd.min_poly).element(gd.min_poly.derivative().coeffs).inverse()
-    assert tuple(NumberFieldElement(exact[0].field, num) * dm_inv for num in balls) == exact
+    # the S4 quartics x^4 - x - 1 and x^4 - x - 10^6 first, then groups
+    # S3 to the trivial one: the exact numerators give the expressions
+    # that were read off the balls, byte for byte
+    gd = identify_galois(search_resolvent(isolate_roots(UniPoly(coeffs))))
+    rendered = ", ".join(e.render() for e in express_roots(gd))
+    assert hashlib.sha256(rendered.encode()).hexdigest() == _PINNED_EXPRESSIONS[tuple(coeffs)]
 
 
 def test_a_tampered_trace_fails_the_root_identity(monkeypatch):
@@ -308,17 +339,16 @@ def test_a_tampered_trace_fails_the_root_identity(monkeypatch):
 
 
 @pytest.mark.parametrize("text", ["x^4 - 2", "x^3 - 3x - 1"])
-def test_swapped_ball_numerators_are_rejected(monkeypatch, text):
-    # swapping two roots' numerator blocks keeps f(E_i) = 0 and the E_i
+def test_swapped_root_expressions_are_rejected(monkeypatch, text):
+    # swapping the last two root expressions keeps f(E_i) = 0 and the E_i
     # distinct; the generator's recombination sum w_i E_i = a fails
     gd = corpus_pipeline(text).gd
-    read = numberfield._ball_numerators
+    complete = numberfield._complete
 
-    def swapped(gd):
-        blocks = read(gd)
-        blocks[1], blocks[2] = blocks[2], blocks[1]
-        return blocks
+    def swapped(*args):
+        *known, e_j, e_k = complete(*args)
+        return (*known, e_k, e_j)
 
-    monkeypatch.setattr(numberfield, "_ball_numerators", swapped)
+    monkeypatch.setattr(numberfield, "_complete", swapped)
     with pytest.raises(CertificationError, match="do not recombine to the generator"):
         express_roots(gd)
