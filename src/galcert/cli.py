@@ -20,7 +20,7 @@ from .correspondence import CorrespondenceReport, correspondence_lattice
 from .errors import CertificationError, InputError, TheoremError
 from .groups import Arrangement, Permutation, all_subgroups, arrangement_array
 from .numberfield import automorphism_table, express_roots
-from .poly import UniPoly, is_squarefree
+from .poly import UniPoly
 from .resolvent import (
     Ladder,
     Roots,
@@ -28,7 +28,7 @@ from .resolvent import (
     identify_galois,
     search_resolvent,
 )
-from .roots import isolate_roots, not_squarefree
+from .roots import isolate_roots
 
 _LABELS = "abcdefgh"
 
@@ -240,11 +240,10 @@ def analyze(text: str, weights=None, array: bool = False) -> CorrespondenceRepor
             raise InputError(f"the weights must be integers, got {list(given)!r}")
         if len(weights) != f.degree:
             raise InputError("the explicit weight list must match the degree")
-    # decided once: the search and the ladders take it from ``Roots``
-    if not is_squarefree(f):
-        raise not_squarefree(f)
-    # the roots are isolated on first use, which an S_n field without
-    # arrays never makes: its report does not depend on the root order
+    # ``Roots`` decides squarefreeness once, for the search and the
+    # ladders; the roots are isolated on first use, which an S_n field
+    # without arrays never makes: its report does not depend on the
+    # root order
     roots = Roots(f, isolate_roots)
     if weights is None:
         ladder = search_resolvent(roots)

@@ -60,9 +60,6 @@ class Permutation:
             inv[j] = i
         return Permutation._trusted(tuple(inv))
 
-    def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 

@@ -233,9 +233,6 @@ class NumberFieldElement:
     def is_zero(self):
         return not any(self.num)
 
-    def is_rational(self):
-        return not any(self.num[1:])
-
     def to_unipoly(self) -> UniPoly:
         return UniPoly(self.coeffs)
 

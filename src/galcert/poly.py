@@ -281,12 +281,6 @@ class MultiPoly:
     def const(cls, n, c):
         return cls(n, {(0,) * n: c}) if c != 0 else cls(n)
 
-    @classmethod
-    def variable(cls, n, i, c=1):
-        e = [0] * n
-        e[i] = 1
-        return cls(n, {tuple(e): c})
-
     def is_zero(self):
         return not self.terms
 

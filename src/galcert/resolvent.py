@@ -56,15 +56,14 @@ candidate is the minimal polynomial, irreducible by minimality.  None of
 this factors over Q.
 
 Each weight vector's conjugate balls climb one ``Ladder``, built on the
-``Roots`` of f, which isolate on first use: an S_n field never needs
-them.  The winning ladder goes on to ``identify_galois``, whose
-subgroup search reads it, and then only to the arrangement arrays, which
-print the conjugate values: the root expressions and the automorphisms
-are exact.  ``Ladder.read`` starts every read at
-the finest root system built, so each precision is refined once and no
-read goes back to a coarser one.  That changes no decision: each read
-feeds an exact one, a finer system only narrows the balls, and the root
-order is the first isolation's.
+``Roots`` of f, which decide that f is squarefree and isolate on first
+use: an S_n field never needs them.  Only the winning ladder reads
+balls.  The subgroup search climbs its rungs, each test from the finest
+one built, so each precision is refined once and no test goes back to a
+coarser one; the arrangement arrays print its unrefined rung.  That
+changes no decision: each read feeds an exact one, a finer system only
+narrows the balls, and the root order is the first isolation's.  The
+root expressions and the automorphisms are exact.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ from .errors import CertificationError, InputError
 from .groups import PermGroup, Permutation, all_subgroups, symmetric_group
 from .poly import MultiPoly, UniPoly, _gcd_degree_mod, is_squarefree, mul_mod
 from .record import Frozen, Record
-from .roots import RootSystem, precisions, read_integers
+from .roots import RootSystem, not_squarefree, precisions, read_integers
 from .sympoly import decompose, substitute_elementary
 
 # the good primes whose cycle types ``certify_symmetric`` reads before it
@@ -88,9 +87,9 @@ DEDEKIND_PRIMES = 40
 
 class GaloisData(Frozen):
     """The certified Galois group with the resolvent data that found it;
-    immutable.  ``ladder`` carries the polynomial on, and its conjugate
-    balls to the arrangement arrays; it is left out of equality and
-    hashing."""
+    immutable.  ``ladder`` carries the polynomial on, and its unrefined
+    conjugate balls to the arrangement arrays; it is left out of equality
+    and hashing."""
 
     __slots__ = ("weights", "min_poly", "ladder", "group", "resolvent")
     _compared = ("weights", "min_poly", "group", "resolvent")
@@ -368,26 +367,25 @@ def conjugate_balls(weights: tuple, rs: RootSystem):
 
 
 class Roots:
-    """The roots of one monic squarefree polynomial as its ladders climb
-    them: ``rs``, the first isolation, made by ``isolate(poly)`` on first
-    use, and ``systems``, the systems refined from it, a dict by bits.
-    Every ladder of one polynomial shares one, so each is built once.
-    Whoever builds one has decided that poly is squarefree, as
-    ``cli.analyze`` does before anything else reads the roots."""
+    """The roots of one monic squarefree polynomial: ``rs``, the first
+    isolation, made by ``isolate(poly)`` on first use.  Building one
+    decides that poly is squarefree; ``of`` takes a system whose
+    polynomial is already decided."""
 
-    __slots__ = ("poly", "_isolate", "_rs", "systems")
+    __slots__ = ("poly", "_isolate", "_rs")
 
     def __init__(self, poly: UniPoly, isolate):
+        if not is_squarefree(poly):
+            raise not_squarefree(poly)
         self.poly = poly
         self._isolate = isolate
         self._rs = None
-        self.systems = {}
 
     @classmethod
     def of(cls, rs: RootSystem) -> Roots:
         """The roots of a system already isolated."""
-        roots = cls(rs.poly, None)
-        roots._rs = rs
+        roots = cls.__new__(cls)
+        roots.poly, roots._isolate, roots._rs = rs.poly, None, rs
         return roots
 
     @property
@@ -402,10 +400,10 @@ class Ladder:
     the precision schedule of one polynomial's ``Roots`` (a ``RootSystem``
     is taken as its roots).  Rung ``bits`` is (the system refined to bits,
     its conjugate balls, the working precision bits + 32), built on first
-    use and kept; the roots are isolated at the first rung.  ``read``
-    starts at the finest system built: a finer system only narrows the
-    balls, and every read feeds an exact decision, so none changes.  The
-    resolvent, ``power_sum_resolvent``, is kept here too."""
+    use and kept; the roots are isolated at the first rung.  Only the
+    subgroup search climbs the rungs; ``base`` is the unrefined one,
+    which the arrangement arrays print.  The resolvent,
+    ``power_sum_resolvent``, is kept here too."""
 
     __slots__ = ("weights", "roots", "_rungs", "_resolvent")
 
@@ -432,10 +430,7 @@ class Ladder:
 
     def rung(self, bits: int):
         if bits not in self._rungs:
-            systems = self.roots.systems
-            cur = systems.get(bits)
-            if cur is None:
-                cur = systems[bits] = self.rs.refine(bits)
+            cur = self.rs.refine(bits)
             self._rungs[bits] = cur, conjugate_balls(self.weights, cur), bits + 32
         return self._rungs[bits]
 
@@ -443,26 +438,6 @@ class Ladder:
     def base(self):
         """The rung of the unrefined system."""
         return self.rung(self.rs.precision_bits)
-
-    def read(self, balls_at):
-        """(ints, rung) at each rung where ``read_integers(balls_at(*rung))``
-        is not None, from the finest system built up ``precisions``.  After
-        a rung whose widest ball has radius below 2**k, the climb goes on
-        at the first rung of at least bits + k + 2 bits, where the radius,
-        about halved per bit, should be below 1/4; the last rung is always
-        tried."""
-        schedule = list(precisions(self.rs.precision_bits))
-        need = max(self.roots.systems, default=0)
-        for bits in schedule:
-            if bits < need and bits != schedule[-1]:
-                continue
-            rung = self.rung(bits)
-            balls = balls_at(*rung)
-            ints = read_integers(balls)
-            if ints is None:
-                need = bits + 2 + max(b.r.bit_length() + b.exp for b in balls)
-            else:
-                yield ints, rung
 
 
 def certify_distinct_values(ladder: Ladder) -> bool:
@@ -551,21 +526,6 @@ def _ball_poly_product(balls, prec):
     return [ComplexBall.from_ints(x, y, r, -prec) for x, y, r in cs]
 
 
-def _integer_products(ladder: Ladder, perms):
-    """The monic product of (x - value) over the conjugate values of
-    ``perms``, read off its coefficient balls by ``ladder.read``.
-
-    Yields (poly, vals, prec) at each rung where every ball is narrower
-    than 1/2, so holds at most one integer; poly is None as soon as some
-    such ball holds none, which proves the product not integral.
-    """
-    def coefficients(cur, vals, prec):
-        return _ball_poly_product([vals[s] for s in perms], prec)[:-1]
-
-    for ints, (_, vals, prec) in ladder.read(coefficients):
-        yield (None if ints is False else UniPoly(ints + [1])), vals, prec
-
-
 def identify_galois(ladder: Ladder) -> GaloisData:
     """The Galois group and the generator's minimal polynomial, on the
     ladder of an injective weight vector and its resolvent: S_n with R
@@ -590,10 +550,32 @@ def identify_galois(ladder: Ladder) -> GaloisData:
 
 
 def _test_subgroup(resolvent, sub, ladder):
-    """The subgroup's minimal polynomial, or None if it is rejected."""
-    for candidate, vals, prec in _integer_products(ladder, sub):
-        if candidate is None:
+    """The subgroup's minimal polynomial, or None if it is rejected.
+
+    The monic product of (x - value) over the subgroup's conjugate values
+    is read off its coefficient balls by ``read_integers``, up the
+    ladder's ``precisions`` from its finest rung: a finer system only
+    narrows the balls, and each read feeds an exact decision, so none
+    changes.  After a rung whose widest ball has radius below 2**k, the
+    climb goes on at the first rung of at least bits + k + 2 bits, where
+    the radius, about halved per bit, should be below 1/4; the last rung
+    is always tried.  A ball that holds no integer, or a product that
+    does not divide the resolvent, rejects the subgroup.
+    """
+    schedule = list(precisions(ladder.rs.precision_bits))
+    need = max(ladder._rungs, default=0)
+    for bits in schedule:
+        if bits < need and bits != schedule[-1]:
+            continue
+        _, vals, prec = ladder.rung(bits)
+        balls = _ball_poly_product([vals[s] for s in sub], prec)[:-1]
+        ints = read_integers(balls)
+        if ints is None:
+            need = bits + 2 + max(b.r.bit_length() + b.exp for b in balls)
+            continue
+        if ints is False:
             return None
+        candidate = UniPoly(ints + [1])
         quotient, remainder = divmod(resolvent, candidate)
         if not remainder.is_zero():
             return None

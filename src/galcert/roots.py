@@ -26,12 +26,12 @@ Every certificate that may need narrower balls follows one schedule,
 ``precisions(start)``: the first attempt always runs at ``start``, even
 above the cap, then the precision doubles while it stays at or below
 ``PREC_CAP`` = 2**16 bits.  No caller picks another cap.  After the
-isolation the stages climb it by ``resolvent.Ladder.read`` from the
-finest system built, which refines each precision once.  Each climber
-decides what running out of the schedule means: reading a subgroup's
-candidate factor off a ball product in ``identify_galois`` rejects the
-subgroup, and ``RootSystem.refine`` raises ``CertificationError`` (exit
-code 3 in the CLI).  The resolvent, and
+isolation only the subgroup test of ``resolvent.identify_galois``
+climbs it, from the finest system its ladder built, which refines each
+precision once.  Each climber decides what running out of the schedule
+means: the subgroup test rejects the subgroup whose candidate factor it
+could not read off a ball product, and ``RootSystem.refine`` raises
+``CertificationError`` (exit code 3 in the CLI).  The resolvent, and
 with it the injectivity of a weight vector, needs no balls at all: it
 comes from power sums.  ``isolate_roots`` is the first isolation: it
 checks f, warm-starts the points and sorts the balls, which fixes the

@@ -358,18 +358,35 @@ def test_s_n_fields_are_never_isolated(monkeypatch):
 
 @pytest.mark.parametrize("text, isolated", [("x^3 - 2", 0), ("x^4 + 8x + 12", 1)])
 def test_squarefreeness_is_decided_once_before_the_search(monkeypatch, text, isolated):
-    # the analysis decides it before building the roots; the weight
-    # search takes it from them, and only the isolation, on the ball
-    # route, checks its own input again
+    # building the roots decides it; the weight search takes it from
+    # them, and only the isolation, on the ball route, checks its own
+    # input again
     f = parse_poly(text)
-    seen = {"cli": 0, "resolvent": 0, "roots": 0}
-    for name, module in (("cli", cli), ("resolvent", resolvent), ("roots", roots)):
+    seen = {"resolvent": 0, "roots": 0}
+    for name, module in (("resolvent", resolvent), ("roots", roots)):
         def counted(g, name=name, decide=module.is_squarefree):
             seen[name] += g == f
             return decide(g)
         monkeypatch.setattr(module, "is_squarefree", counted)
     analyze(text)
-    assert seen == {"cli": 1, "resolvent": 0, "roots": isolated}
+    assert seen == {"resolvent": 1, "roots": isolated}
+
+
+def test_only_the_winning_ladder_reads_balls(monkeypatch):
+    # the search's candidates read only their resolvents; the subgroup
+    # search refines the winner to 256 bits, and the arrays print its
+    # unrefined rung, read once at 128 bits
+    reads = []
+    balls = resolvent.conjugate_balls
+
+    def counted(weights, rs):
+        reads.append((weights, rs.precision_bits))
+        return balls(weights, rs)
+
+    monkeypatch.setattr(resolvent, "conjugate_balls", counted)
+    analyze("x^4 - 1000000000000000000000000000057", array=True)
+    assert reads == [((0, 1, 2, 4), 128), ((0, 1, 2, 4), 256)]
+
 
 def test_a_missing_cycle_type_takes_the_ball_route(monkeypatch, capsys):
     # a pattern reader that never sees a 4-cycle leaves S4 unproved, so
@@ -466,6 +483,8 @@ PINNED_OUTPUTS = [
     (["x^4 + 8x + 12", "--array"], "e324a8f6210416df0119be3f5f4e007640d4b0bef1c2ef784a9437e4120d725a"),
     (["x^4 - x - 1", "--array", "--format", "json"],
      "c0757f1fb2416e0c9e7d3fdac1ffa597fd39cd789d09490ddf3dfc7f31039d27"),
+    (["x^4 - 1000000000000000000000000000057", "--array", "--format", "json"],
+     "62ae491e85c1e62e5ba981331145bc63736548b5464c05bd0e2a132c6db95e3f"),
 ]
 
 

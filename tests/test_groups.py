@@ -34,7 +34,7 @@ def test_permutation_composition_convention():
     p = perm(1, 2, 0)  # 0->1->2->0
     q = perm(1, 0, 2)  # swap 0,1
     assert (p * q).images == tuple(p(q(i)) for i in range(3))
-    assert (p * p.inverse()).is_identity()
+    assert p * p.inverse() == Permutation.identity(3)
 
 
 def test_closure_examples():

@@ -15,6 +15,7 @@ from galcert.numberfield import automorphism_table, express_roots
 from galcert.poly import UniPoly, gcd
 from galcert.resolvent import (
     Ladder,
+    Roots,
     certify_distinct_values,
     certify_symmetric,
     conjugate_balls,
@@ -81,10 +82,18 @@ def test_first_attempt_runs_even_above_the_cap():
 
 def test_schedule_needs_a_positive_start():
     # isolate_roots refuses 0 bits, so the system is built by hand; the
-    # resolvent reads no balls, so the climb is started directly
-    rs = RootSystem(rs2.poly, rs2.enclosures, 0)
+    # group of x^2 - 1 is not S2, so the subgroup test climbs it
+    f = UniPoly([-1, 0, 1])
+    rs = RootSystem(f, isolate_roots(f).enclosures, 0)
     with pytest.raises(InputError, match="at least 1 bit"):
-        next(Ladder((0, 1), rs).read(lambda *rung: []))
+        identify_galois(Ladder((0, 1), rs))
+
+
+def test_roots_refuse_a_repeated_root():
+    # Roots decides squarefreeness when it is built, so the weight search
+    # never tries weights on a polynomial whose values always coincide
+    with pytest.raises(InputError, match="not squarefree, gcd with derivative is x - 1"):
+        Roots(UniPoly([1, -2, 1]), isolate_roots)
 
 
 def test_search_cubic_within_norm_two():
@@ -136,7 +145,8 @@ def test_identify_cyclotomic_quartic():
     gd = identify_galois(search_resolvent(rs))
     assert gd.group.order == 4
     assert gd.min_poly.degree == 4
-    assert all(p.is_identity() or (p * p).is_identity() for p in gd.group)
+    identity = Permutation.identity(4)
+    assert all(p * p == identity for p in gd.group)
     q, r = divmod(gd.resolvent, gd.min_poly)
     assert r.is_zero()
 
@@ -388,8 +398,8 @@ def test_search_rejects_a_negative_skip():
 
 def test_identify_reads_conjugate_balls_once_per_precision(monkeypatch):
     # the subgroup candidates of x^4 - (10^30 + 57) need 256 bits; every
-    # subgroup test, the root expressions and the automorphisms share one
-    # ladder of balls, read at 128 and 256 bits
+    # subgroup test climbs one ladder of balls, read at 128 and 256 bits,
+    # and the root expressions and the automorphisms read no balls
     precisions_read = []
     balls = resolvent.conjugate_balls
 
@@ -416,7 +426,7 @@ def test_misordered_root_expressions_rejected_exactly(monkeypatch, text):
     monkeypatch.setattr(RootSystem, "refine", lambda rs, bits: refined.append(bits))
     n = data.f.degree
     for tau in symmetric_group(n):
-        if not tau.is_identity():
+        if tau != Permutation.identity(n):
             with pytest.raises(CertificationError):
                 automorphism_table(data.gd, [data.roots[tau(i)] for i in range(n)])
     assert refined == []
@@ -428,7 +438,7 @@ def test_power_sum_resolvent_is_the_ball_product_on_s4(text):
     # reads off the conjugate balls
     f = parse_poly(text)
     ladder = search_resolvent(isolate_roots(f))
-    product, _, _ = next(resolvent._integer_products(ladder, symmetric_group(4)))
+    product = resolvent._test_subgroup(ladder.resolvent, symmetric_group(4), ladder)
     assert product == ladder.resolvent == power_sum_resolvent(f, ladder.weights)
 
 
