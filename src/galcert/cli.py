@@ -63,7 +63,10 @@ class _Tokens:
                 j = i
                 while j < len(text) and text[j].isalnum():
                     j += 1
-                self.items.append(("name", text[i:j], i))
+                name = text[i:j]
+                if not name.isalpha():  # "1e3x" or "x2": a digit in a name is a typo
+                    raise InputError(f"variable name {name!r} at position {i} contains a digit")
+                self.items.append(("name", name, i))
                 i = j
                 continue
             if ch in "+-*/^":

@@ -15,16 +15,16 @@ generators that ``all_subgroups`` carries with H is fixed by all of H.
 Each subgroup's field has one construction, ``_certified_field``, which
 the lattice, ``field_from_subgroup`` and the selftest all read:
 
-* Rank bound.  Fix(H) is the kernel of the rows den * (M - I) of H's
-  generators (``_fixed_rows``), and their rank mod p is at most their
-  rank over Q, so d - rank_p is at least dim Fix(H) (``_rank_mod_p``).
+* Dimension.  dim Fix(H) is the trace of H's averaging projector, the
+  mean of the M_s over s in H, which is idempotent with image Fix(H)
+  since the M_s compose as H does (``_fixed_dimension``).
 * Power sequence.  If the powers 1, ..., x^(k-1) of a value x fixed by
-  H's generators are independent, k the bound, then Q[x] <= Q[values]
+  H's generators are independent, k = dim Fix(H), then Q[x] <= Q[values]
   <= Fix(H) (H permutes the conjugates) all have dimension k and are
   equal; x's minimal relation, read off the same powers, is the closure
-  proof (``_power_subfield``).  When no value closes the bound, the
-  closure worklist ``_closure`` of the values must be the exact kernel
-  ``_fixed_space``, whose dimension the values' combinations then close.
+  proof (``_power_subfield``).  When no value is primitive, the closure
+  worklist ``_closure`` of the values must be the exact kernel
+  ``_fixed_space``, of dimension k, and a combination of values closes k.
 
 Then one element per subfield suffices: an automorphism fixes Q(prim)
 iff it fixes prim, so inclusion reversal tests one primitive per pair
@@ -60,7 +60,7 @@ from .numberfield import (
     insert_row,
     integer_vector,
 )
-from .poly import SQUAREFREE_PRIME, UniPoly
+from .poly import UniPoly
 from .record import Frozen, Record
 from .sympoly import elementary_values
 
@@ -187,24 +187,17 @@ def _fixed_rows(h: PermGroup, sf: SplittingField):
     return stacked
 
 
-def _rank_mod_p(rows):
-    """Rank of integer rows mod p, by Gaussian elimination on residues,
-    column by column.  A minor that vanishes over Q vanishes mod p, so
-    this is at most the rank over Q (Dixon, Numer. Math. 40, 1982)."""
-    p = SQUAREFREE_PRIME
-    rows = [[v % p for v in row] for row in rows]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is not None:
-            top, rows[piv] = rows[piv], rows[rank]
-            rank += 1
-            inv = pow(top[c], -1, p)
-            for row in rows[rank:]:
-                f = row[c] * inv % p
-                if f:
-                    row[c:] = [(a - f * b) % p for a, b in zip(row[c:], top[c:])]
-    return rank
+def _fixed_dimension(h: PermGroup, sf: SplittingField) -> int:
+    """dim Fix(h), exactly: the mean of tr(M_s) over s in h, read off the
+    stored diagonals.  As the matrices compose as the group does, their mean
+    is idempotent with image Fix(h), so its rank is its trace (the character
+    formula; Serre, Linear Representations of Finite Groups, ch. 2)."""
+    traces = (Fraction(sum(row[i] for i, row in enumerate(rows)), den)
+              for rows, den in (sf.matrices[s] for s in h))
+    k = sum(traces) / h.order
+    if k.denominator != 1:
+        raise TheoremError(f"the mean trace {k} over {h!r} is not an integer")
+    return int(k)
 
 
 def _fixed_space(h: PermGroup, sf: SplittingField):
@@ -324,15 +317,12 @@ def minimal_polynomial(x: NumberFieldElement, dim: int | None = None) -> UniPoly
 
 
 def _candidates(values):
-    """Primitive-element candidates, lazily: the values one by one, then
-    their integer combinations with coefficients in [-3, 3]."""
-    gens = []
-    for g in values:
-        gens.append(g)
-        yield g
-    for combo in iter_product(range(-3, 4), repeat=len(gens)):
-        if any(combo):
-            yield sum((g * c for c, g in zip(combo, gens) if c), gens[0].field.zero())
+    """Primitive-element candidates, lazily: the integer combinations of
+    at least two values, coefficients in [-3, 3].  A single value, or a
+    multiple of it, gives the field the power walk has already rejected."""
+    for combo in iter_product(range(-3, 4), repeat=len(values)):
+        if sum(map(bool, combo)) > 1:
+            yield sum((g * c for c, g in zip(combo, values) if c), values[0].field.zero())
 
 
 def _symmetric_values(h: PermGroup, sf: SplittingField):
@@ -346,7 +336,7 @@ def _symmetric_values(h: PermGroup, sf: SplittingField):
 def _power_subfield(h: PermGroup, sf: SplittingField, candidates, k: int):
     """(Q[x], x, its minimal polynomial, [1, ..., x^(k-1)]) for the first
     candidate x that h's generators fix and whose powers 1, ..., x^(k-1)
-    are independent, or None.  For k >= dim Fix(h) and x in Q[values],
+    are independent, or None.  For k = dim Fix(h) and x in Q[values],
     Q[x] = Q[values] = Fix(h) by the power-sequence argument above; its
     rows are the powers' echelon rows, its closure proof the relation."""
     nf = sf.field
@@ -363,22 +353,25 @@ def _power_subfield(h: PermGroup, sf: SplittingField, candidates, k: int):
 
 def _certified_field(h: PermGroup, sf: SplittingField):
     """(Fix(h), its primitive x, x's minimal polynomial, [1, ..., x^(k-1)]):
-    the power sequence of the first symmetric value that closes the rank
-    bound, or, when none does, the exact fallback.  Each value is made
-    once: the fallback reads the ones the walk kept."""
+    the power sequence of the first symmetric value that closes k =
+    dim Fix(h), or, when none does, of the first combination of them.
+    Each value is made once: the fallback reads the ones the walk kept."""
     walk, values = tee(_symmetric_values(h, sf))
-    found = _power_subfield(h, sf, walk, sf.field.degree - _rank_mod_p(_fixed_rows(h, sf)))
+    k = _fixed_dimension(h, sf)
+    found = _power_subfield(h, sf, walk, k)
     if found is None:
-        # an unlucky prime, a primitive that combines values, or a real mismatch.
-        # The exact kernel settles the dimension, but only the closure shows that the
-        # values generate it: without the comparison a wrong symmetric field raises
+        # a primitive that combines values, or a real mismatch.  Only the closure shows
+        # that the values generate Fix(h): without it a wrong symmetric field raises
         # nothing at once, and _candidates walks up to 7^|h| combinations (7^24 on S4)
         values = list(values)
         rows = _closure(sf.field, values)
         if rows != _fixed_space(h, sf):
             raise TheoremError(f"constructed field differs from the fixed field "
                                f"for subgroup {h!r}")
-        found = _power_subfield(h, sf, _candidates(values), len(rows))
+        if len(rows) != k:
+            raise TheoremError(f"fixed field of {h!r} has dimension {len(rows)}, "
+                               f"not the mean trace {k}")
+        found = _power_subfield(h, sf, _candidates(values), k)
         if found is None:
             raise TheoremError("no primitive element found in the search range")
     return found

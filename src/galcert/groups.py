@@ -149,7 +149,7 @@ class PermGroup:
         return iter(self.elements)
 
     def __contains__(self, p):
-        return p in set(self.elements)
+        return p in self.elements
 
     def __len__(self):
         return len(self.elements)
@@ -161,8 +161,7 @@ class PermGroup:
         return hash(self.elements)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        big = set(other.elements)
-        return all(p in big for p in self.elements)
+        return all(p in other.elements for p in self.elements)
 
     def sort_key(self):
         return (self.order, tuple(p.images for p in self.elements))

@@ -45,6 +45,17 @@ def test_parse_poly_second_variable():
         parse_poly("x^2 + y")
 
 
+@pytest.mark.parametrize("text, name, pos", [("1e3x^2 - 2", "e3x", 1), ("x2^2 - 2", "x2", 0),
+                                               ("x^3 + x2 - 1", "x2", 6)])
+def test_a_name_with_a_digit_is_refused(capsys, text, name, pos):
+    # a name is letters only: "1e3x" is not 1 times a variable "e3x", and
+    # "x2" neither a second variable nor 2x
+    with pytest.raises(InputError, match=f"^variable name '{name}' at position {pos} contains"):
+        parse_poly(text)
+    assert main(["analyze", text]) == 2
+    assert f"'{name}' at position {pos}" in capsys.readouterr().err
+
+
 def test_parse_poly_syntax_errors():
     with pytest.raises(InputError, match="position"):
         parse_poly("x^")
@@ -485,6 +496,8 @@ PINNED_OUTPUTS = [
      "c0757f1fb2416e0c9e7d3fdac1ffa597fd39cd789d09490ddf3dfc7f31039d27"),
     (["x^4 - 1000000000000000000000000000057", "--array", "--format", "json"],
      "62ae491e85c1e62e5ba981331145bc63736548b5464c05bd0e2a132c6db95e3f"),
+    (["x^4 + 3x + 3", "--format", "json"],
+     "c0f92263090cfe9e20705f4265545c23ef5bed599d9b69636c5ef21f908301da"),
 ]
 
 

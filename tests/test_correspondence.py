@@ -9,10 +9,9 @@ from galcert.cli import main
 from galcert.correspondence import (
     Subfield,
     _closure,
-    _fixed_rows,
+    _fixed_dimension,
     _fixed_space,
     _power_subfield,
-    _rank_mod_p,
     _symmetric_values,
     averaging_check,
     correspondence_lattice,
@@ -506,29 +505,28 @@ def test_inverse_closure_rejects_a_wrong_minimal_polynomial(monkeypatch):
 
 
 def test_no_primitive_in_the_search_range_is_a_theorem_error(monkeypatch, capsys):
-    # under a rank that under-reports by one every subgroup takes the
-    # exact fallback, whose combinations here are none; the CLI exits 4
-    data = corpus_pipeline("x^3 - 2")
-    rank = correspondence._rank_mod_p
-    monkeypatch.setattr(correspondence, "_rank_mod_p", lambda rows: rank(rows) - 1)
+    # an order-2 subgroup of this D4 quartic has no primitive among its
+    # values, so it takes the fallback, whose combinations here are none;
+    # the CLI exits 4
+    data = corpus_pipeline("x^4 + 3x + 3")
     monkeypatch.setattr(correspondence, "_candidates", lambda values: iter(()))
     with pytest.raises(TheoremError, match="no primitive element found in the search range"):
         correspondence.correspondence_lattice(data.sf)
-    assert main(["analyze", "x^3 - 2"]) == 4
+    assert main(["analyze", "x^4 + 3x + 3"]) == 4
     err = capsys.readouterr().err
     assert err == "assertion failure: no primitive element found in the search range\n"
 
 
 @pytest.mark.parametrize("text", SIZED_FIELDS)
-def test_rank_bound_and_power_sequence_match_the_exact_kernel(text):
-    # d - rank mod p is the exact kernel's dimension on every subgroup,
+def test_trace_and_power_sequence_match_the_exact_kernel(text):
+    # the mean trace is the exact kernel's dimension on every subgroup,
     # the worklist closure's rows are the kernel's, and so are the power
     # sequence's; it gives up only where no elementary value is primitive
     data = corpus_pipeline(text)
     sf, d = data.sf, data.sf.degree
     for h in all_subgroups(data.gd.group):
         kernel = _fixed_space(h, sf)
-        assert d - _rank_mod_p(_fixed_rows(h, sf)) == len(kernel)
+        assert _fixed_dimension(h, sf) == len(kernel) == d // h.order
         values = elementary_values([sf.psi_for(s) for s in h])
         assert list(_symmetric_values(h, sf)) == values
         assert _closure(sf.field, values) == kernel
@@ -539,54 +537,75 @@ def test_rank_bound_and_power_sequence_match_the_exact_kernel(text):
             assert found[0].rows == kernel
 
 
-@pytest.mark.parametrize("text", ("x^3 - 2", "x^4 - 2"))
-def test_unlucky_rank_bound_takes_the_exact_fallback(monkeypatch, capsys, text):
-    # a rank that under-reports by one leaves a bound no value closes; the
-    # exact fixed space then settles every subgroup, with the same output
+def test_a_trace_one_too_many_is_a_theorem_error(monkeypatch, capsys):
+    # no value closes a dimension one above the kernel's, and the fallback
+    # refuses the kernel for not having it; the CLI exits 4
+    data = corpus_pipeline("x^3 - 2")
+    dimension = correspondence._fixed_dimension
+    monkeypatch.setattr(correspondence, "_fixed_dimension", lambda h, sf: dimension(h, sf) + 1)
+    with pytest.raises(TheoremError, match="has dimension 6, not the mean trace 7"):
+        correspondence.correspondence_lattice(data.sf)
+    assert main(["analyze", "x^3 - 2"]) == 4
+    assert "not the mean trace" in capsys.readouterr().err
+
+
+def test_a_mean_trace_that_is_not_an_integer_is_a_theorem_error(monkeypatch):
+    # one more on a diagonal moves the group's mean trace by 1 / (6 den)
+    data = corpus_pipeline("x^3 - 2")
+    group = data.gd.group
+    s = group.elements[-1]
+    rows, den = data.sf.matrices[s]
+    bumped = ((rows[0][0] + 1, *rows[0][1:]), *rows[1:])
+    monkeypatch.setitem(data.sf.matrices, s, (bumped, den))
+    with pytest.raises(TheoremError, match="is not an integer"):
+        _fixed_dimension(group, data.sf)
+    with pytest.raises(TheoremError, match="is not an integer"):
+        correspondence.correspondence_lattice(data.sf)
+
+
+@pytest.mark.parametrize("text, fallbacks", [
+    pytest.param(text, count, id=text)
+    for text, count in (("x^3 - 2", 0), ("x^4 - 2", 0), ("x^4 + 3x + 3", 1), ("x^4 - x - 1", 2))
+])
+def test_exact_fallback_makes_each_value_once(monkeypatch, capsys, text, fallbacks):
+    # the subgroups whose primitives combine values take the fallback,
+    # whose closure and combinations read the values the power walk made:
+    # elementary_values runs at most once per subgroup, and the
+    # combinations walk none of the values again; same output
     assert main(["analyze", text, "--format", "json"]) == 0
     expected = capsys.readouterr().out
-    rank, kernels = correspondence._rank_mod_p, []
-    fixed_space = correspondence._fixed_space
-
-    def recorded(h, sf):
-        kernels.append(h)
-        return fixed_space(h, sf)
-
-    monkeypatch.setattr(correspondence, "_rank_mod_p", lambda rows: rank(rows) - 1)
-    monkeypatch.setattr(correspondence, "_fixed_space", recorded)
-    assert main(["analyze", text, "--format", "json"]) == 0
-    assert capsys.readouterr().out == expected
-    assert kernels == all_subgroups(corpus_pipeline(text).gd.group)
-
-
-@pytest.mark.parametrize("text", ("x^3 - 2", "x^4 - 2"))
-def test_exact_fallback_makes_each_value_once(monkeypatch, capsys, text):
-    # under the unlucky rank every subgroup takes the fallback, whose
-    # closure and combinations read the values the power walk made:
-    # elementary_values runs at most once per subgroup, same output
-    assert main(["analyze", text, "--format", "json"]) == 0
-    expected = capsys.readouterr().out
-    rank, values, certified = (correspondence._rank_mod_p, correspondence.elementary_values,
-                               correspondence._certified_field)
-    calls, per_subgroup = [], []
+    subgroups = all_subgroups(corpus_pipeline(text).gd.group)
+    values, certified, power_subfield = (correspondence.elementary_values,
+                                         correspondence._certified_field,
+                                         correspondence._power_subfield)
+    calls, walks, per_subgroup = [], [], []
 
     def recorded_values(conj):
         calls.append(conj)
         return values(conj)
 
+    def recorded_walk(h, sf, candidates, k):
+        walked = []
+        walks[-1].append(walked)
+        return power_subfield(h, sf, (walked.append(x) or x for x in candidates), k)
+
     def counted(h, sf):
         start = len(calls)
+        walks.append([])
         found = certified(h, sf)
         per_subgroup.append(len(calls) - start)
         return found
 
-    monkeypatch.setattr(correspondence, "_rank_mod_p", lambda rows: rank(rows) - 1)
     monkeypatch.setattr(correspondence, "elementary_values", recorded_values)
+    monkeypatch.setattr(correspondence, "_power_subfield", recorded_walk)
     monkeypatch.setattr(correspondence, "_certified_field", counted)
     assert main(["analyze", text, "--format", "json"]) == 0
     assert capsys.readouterr().out == expected
-    assert len(per_subgroup) == len(all_subgroups(corpus_pipeline(text).gd.group))
+    assert len(per_subgroup) == len(walks) == len(subgroups)
     assert max(per_subgroup) == 1
+    assert sum(len(w) == 2 for w in walks) == fallbacks
+    for single, *combined in walks:
+        assert not any(x in single for walk in combined for x in walk)
 
 
 def test_wrong_symmetric_field_is_a_theorem_error(monkeypatch):
