@@ -15,7 +15,6 @@ turned into ``PermGroup`` objects only at the end.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 
 from .record import Frozen, Record
 
@@ -199,7 +198,11 @@ def closure(generators, n=None) -> PermGroup:
 
 @lru_cache(maxsize=None)
 def symmetric_group(n: int) -> PermGroup:
-    return PermGroup([Permutation(p) for p in permutations(range(n))])
+    """S_n as the closure of its ``generators``, the transposition (0 1)
+    and the n-cycle (0 1 ... n-1): only the transposition for n = 2, where
+    the two coincide, and neither for n = 1."""
+    gens = [Permutation((1, 0, *range(2, n))), Permutation((*range(1, n), 0))] if n > 1 else []
+    return closure(gens[: n - 1], n=n)
 
 
 _SUBGROUP_CACHE: dict = {}

@@ -18,8 +18,9 @@ roots follow from the trace and from a = sum w_i E_i.  The expressions
 are accepted on exact identities alone: f(E_i) = 0, the E_i pairwise
 distinct, and sum w_i E_i = a, which with the weights' injectivity pin
 each E_i to root i.  Each group permutation becomes a field automorphism
-sending the generator to the matching conjugate, checked by exact
-identities alone, since the root expressions already fix its value.  An
+sending the generator to the matching conjugate, which the root
+expressions fix; exact identities check those of the group's generators,
+whose composites are the rest.  An
 automorphism is stored as its power-basis matrix, integer rows over one
 denominator, derived once from the generator's image, and applied as a
 matrix-vector product; whether it sends x to y is that product's integer
@@ -484,36 +485,41 @@ class SplittingField(Frozen):
 
 
 def automorphism_table(gd: GaloisData, roots) -> SplittingField:
-    """One automorphism per group element: the generator maps to the
-    matching conjugate, built exactly from the root expressions.  Each
-    root expression takes the value alpha_i at the generator (certified
-    by ``express_roots``), so psi_s = sum w_i roots[s(i)] takes the value
-    theta_s there by construction; what stays to verify is exact:
-    m(psi) = 0 mod m, and that the automorphism permutes the root
-    expressions as s does.  m(psi) = psi^(d-1) * psi + sum_j m_j psi^j
-    is read off the powers of psi that also make up the automorphism's
-    matrix.
+    """One automorphism per group element s: the generator maps to the
+    conjugate psi_s = sum w_i roots[s(i)], built exactly from the root
+    expressions and stored with its power matrix.  Exact identities are
+    checked on the group's ``generators`` alone: m(psi) = psi^(d-1) * psi
+    + sum_j m_j psi^j = 0, read off the powers that make up the matrix,
+    and that the matrix permutes the root expressions as s does.  The rest
+    follows: a composite of the generators' automorphisms moves each
+    E_i = roots[i] as the product permutation s does, and ``express_roots``
+    certified a = sum w_i E_i, so that composite sends a to psi_s.  So
+    psi_s is a root of m, and its power matrix is that composite's matrix:
+    the stored matrices compose as G does.
     """
     field = roots[0].field
-    group = list(gd.group)
     low = field.element(gd.min_poly.coeffs[:-1])
-
     autos = []
     matrices = {}
-    for s in group:
+    for s in gd.group:
         psi = field.zero()
         for i, w in enumerate(gd.weights):
             if w:
                 psi = psi + roots[s(i)] * w
         mat, top = _power_matrix(psi)
-        if not (top * psi + _mat_vec(field, mat, low)).is_zero():
-            raise CertificationError(
-                f"automorphism image for {s.cycle_string()} is not a conjugate"
-            )
+        if s in gd.group.generators:
+            if not (top * psi + _mat_vec(field, mat, low)).is_zero():
+                raise CertificationError(
+                    f"automorphism image for {s.cycle_string()} is not a conjugate"
+                )
+            if any(_mat_vec(field, mat, e) != roots[s(i)] for i, e in enumerate(roots)):
+                raise CertificationError(
+                    "automorphism does not permute the root expressions "
+                    f"as expected for {s.cycle_string()}"
+                )
         autos.append((s, psi))
         matrices[s] = mat
-
-    sf = SplittingField(
+    return SplittingField(
         galois=gd,
         field=field,
         poly=gd.ladder.poly,
@@ -521,13 +527,3 @@ def automorphism_table(gd: GaloisData, roots) -> SplittingField:
         automorphisms=tuple(autos),
         matrices=matrices,
     )
-
-    # the induced root permutation must be the group element itself
-    for s in group:
-        for i, expr in enumerate(roots):
-            if not sf.sends(s, expr, roots[s(i)]):
-                raise CertificationError(
-                    "automorphism does not permute the root expressions "
-                    f"as expected for {s.cycle_string()}"
-                )
-    return sf

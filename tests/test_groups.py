@@ -1,6 +1,6 @@
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -110,6 +110,12 @@ def test_constructed_groups_carry_a_generating_set():
     same = PermGroup(a4.elements)
     assert same.generators != a4.generators
     assert same == a4 and hash(same) == hash(a4)
+    # S_n carries a transposition and an n-cycle, not its n! elements
+    for n in range(1, 5):
+        sn = symmetric_group(n)
+        assert len(sn.generators) <= 2
+        assert closure(sn.generators, n=n) == sn
+        assert sn.elements == PermGroup(Permutation(p) for p in permutations(range(n))).elements
 
 
 def test_all_subgroups_returns_a_fresh_list():

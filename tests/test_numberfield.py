@@ -1,6 +1,8 @@
 import hashlib
 import random
+import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd as int_gcd
 
@@ -292,6 +294,65 @@ def test_matrix_agrees_with_apply():
                 assert applied == compose_mod(x.to_unipoly(), psi)
                 coords = [sum(m * Fraction(c) for m, c in zip(row, x.coeffs)) for row in mat]
                 assert list(applied.coeffs) == coords
+
+
+def _misordered(roots, pi):
+    """The root expressions with roots[pi(i)] in place i: a = sum w_i E_i,
+    which ``express_roots`` certified, fails for pi != id."""
+    return tuple(roots[pi(i)] for i in range(len(roots)))
+
+
+def test_a_misordering_outside_the_group_is_not_a_conjugate():
+    # on the D4 quartic a misordering pi outside G sends the generator to
+    # theta_(pi s) for each s, a root of R but not of m; the first
+    # generator in G's order is the first element that is checked
+    data = corpus_pipeline("x^4 - 2")
+    group = data.gd.group
+    pi = next(p for p in symmetric_group(4) if p not in group)
+    first = min(group.generators)
+    with pytest.raises(CertificationError,
+                       match=rf"image for {re.escape(first.cycle_string())} is not a conjugate"):
+        automorphism_table(data.gd, _misordered(data.roots, pi))
+
+
+def test_a_misordering_inside_the_group_does_not_permute_the_roots():
+    # on S3 every misordering pi stays in G: each image theta_(pi s) is a
+    # conjugate, but its automorphism moves roots[i] = E_pi(i) to
+    # E_(pi s pi)(i), not to roots[s(i)] = E_(pi s)(i)
+    data = corpus_pipeline("x^3 - 2")
+    first = min(data.gd.group.generators)
+    with pytest.raises(CertificationError,
+                       match=("does not permute the root expressions as expected for "
+                              + re.escape(first.cycle_string()))):
+        automorphism_table(data.gd, _misordered(data.roots, Permutation((1, 0, 2))))
+
+
+def test_automorphism_identities_run_on_the_generators_only(monkeypatch):
+    # S4 stores 24 matrices; m(psi) = 0 and the n = 4 root identities,
+    # one matrix-vector product each, run for its two generators alone
+    gd = identify_galois(search_resolvent(isolate_roots(UniPoly([-1, -1, 0, 0, 1]))))
+    roots = express_roots(gd)
+    applied = []
+    mat_vec = numberfield._mat_vec
+
+    def recorded(field, mat, x):
+        applied.append(mat)
+        return mat_vec(field, mat, x)
+
+    monkeypatch.setattr(numberfield, "_mat_vec", recorded)
+    sf = automorphism_table(gd, roots)
+    gens = gd.group.generators
+    assert gd.group == symmetric_group(4) and len(gens) == 2
+    assert len(sf.matrices) == len(sf.automorphisms) == 24
+    perm_of = {id(mat): s for s, mat in sf.matrices.items()}
+    assert Counter(perm_of[id(mat)] for mat in applied) == {s: 1 + len(roots) for s in gens}
+
+
+def test_psi_for_refuses_a_permutation_outside_the_group():
+    data = corpus_pipeline("x^4 - 2")
+    outside = next(p for p in symmetric_group(4) if p not in data.gd.group)
+    with pytest.raises(KeyError, match="is not in the group"):
+        data.sf.psi_for(outside)
 
 
 # sha256 of each input's express_roots tuple, rendered, as the exact

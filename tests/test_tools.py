@@ -8,15 +8,34 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_lattice_times(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "lattice_times.py"), *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 @pytest.mark.parametrize("repeat", ["0", "-1"])
 def test_lattice_times_refuses_a_repeat_below_one(repeat):
     # no timed run would leave no best time: argparse refuses the value
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src")
-    run = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "lattice_times.py"), "--repeat", repeat, "x^2 - 2"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    run = run_lattice_times("--repeat", repeat, "x^2 - 2")
     assert run.returncode == 2
     assert f"--repeat: must be at least 1, got {repeat}" in run.stderr
     assert "Traceback" not in run.stderr and run.stdout == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x^2", "not squarefree, gcd with derivative is x"),
+    ("x^5 - 2", "the degree must be between 2 and 4"),
+])
+def test_lattice_times_reports_a_refused_input_as_an_error(text, message):
+    # a refused input ends the run as the CLI ends it: "error: ..." on
+    # stderr and exit 2, after the input before it was timed, its
+    # automorphisms beside its lattice
+    run = run_lattice_times("--repeat", "1", "x^2 - 2", text, "x^3 - 2")
+    assert run.returncode == 2
+    assert run.stderr == f"error: {text}: {message}\n"
+    [line] = run.stdout.splitlines()
+    assert line.startswith("x^2 - 2 ") and "automorphisms " in line and "lattice " in line
