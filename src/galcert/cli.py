@@ -9,11 +9,11 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from decimal import MAX_EMAX, Context, Decimal
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from math import gcd, isinf, lcm
 
 from .correspondence import CorrespondenceReport, correspondence_lattice
@@ -314,57 +314,6 @@ def _fmt_part(v: float, m: int, e: int) -> str:
 
 # -- output ------------------------------------------------------------------
 
-def _coordinates(x) -> list:
-    """A field element's coordinates num / den as "p" or "p/q" in lowest
-    terms, as ``str`` writes a ``Fraction``, with one gcd each."""
-    den = x.den
-    out = []
-    for c in x.num:
-        g = gcd(c, den)
-        q = den // g
-        out.append(str(c // g) if q == 1 else f"{c // g}/{q}")
-    return out
-
-
-def report_to_dict(report: CorrespondenceReport) -> dict:
-    """The report as JSON-ready data.  Every coefficient is an int or a
-    ``Fraction``, so ``str`` writes it exactly, as "p" or "p/q"; field
-    elements are written from their integer vectors the same way."""
-    data = {
-        "polynomial": {
-            "input": report.input_polynomial.render(),
-            "analyzed": report.polynomial.render(),
-            "coefficients": list(map(str, report.polynomial.coeffs)),
-            "root_scale": str(report.scale),
-        },
-        "resolvent": {
-            "weights": list(report.weights),
-            "degree": report.min_poly.degree,
-            "min_poly": list(map(str, report.min_poly.coeffs)),
-        },
-        "group": {
-            "order": report.group_order,
-            "elements": [list(p.images) for p in report.group],
-        },
-        "subgroups": [
-            {
-                "order": e.subgroup.order,
-                "elements": [list(p.images) for p in e.subgroup],
-                "dim": e.dim,
-                "basis": [_coordinates(b) for b in e.subfield.basis],
-                "primitive_element": _coordinates(e.primitive),
-                "primitive_min_poly": list(map(str, e.primitive_min_poly.coeffs)),
-                "fixed_field_equal": True,
-            }
-            for e in report.entries
-        ],
-        "checks": [{"name": name, "pass": ok} for name, ok in report.checks],
-    }
-    if report.arrangement_arrays is not None:
-        data["arrangement_arrays"] = report.arrangement_arrays
-    return data
-
-
 def render_text(report: CorrespondenceReport) -> str:
     lines = []
     lines.append(f"polynomial: {report.input_polynomial.render()}")
@@ -405,8 +354,91 @@ def render_text(report: CorrespondenceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _array(items, pad):
+    """A JSON array of encoded items as ``json.dumps(indent=2)`` lays it out,
+    one item per line, at the depth whose indent is pad."""
+    if not items:
+        return "[]"
+    inner = "\n  " + pad
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _object(pairs, pad):
+    """A JSON object of (key, encoded value) pairs, laid out as ``_array``."""
+    inner = "\n  " + pad
+    return "{" + inner + ("," + inner).join(f'"{k}": {v}' for k, v in pairs) + "\n" + pad + "}"
+
+
+def _strings(values, pad):
+    """A JSON array of the values' ``str``: ints and ``Fraction``s, "p" or "p/q"."""
+    return _array([f'"{v}"' for v in values], pad)
+
+
+def _ints(values, pad):
+    return _array(list(map(str, values)), pad)
+
+
+def _coordinates(num, den, pad):
+    """The coordinates num / den of a field element as ``_strings`` writes
+    their ``Fraction``s, "p" or "p/q" in lowest terms, with one gcd each."""
+    out = []
+    for c in num:
+        g = gcd(c, den)
+        q = den // g
+        out.append(f'"{c // g}"' if q == 1 else f'"{c // g}/{q}"')
+    return _array(out, pad)
+
+
+def _perms(group, pad):
+    inner = pad + "  "
+    return _array([_ints(p.images, inner) for p in group], pad)
+
+
 def render_json(report: CorrespondenceReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    """The report as JSON text, byte for byte what ``json.dumps(data,
+    indent=2)`` writes for it, with a final newline.  Every coefficient is
+    an int or a ``Fraction``, which ``str`` writes exactly as "p" or "p/q";
+    field elements are written from their integer vectors the same way."""
+    quote = encode_basestring_ascii
+    p4, p6, p8 = " " * 4, " " * 6, " " * 8
+    subgroups = [
+        _object((
+            ("order", e.subgroup.order),
+            ("elements", _perms(e.subgroup, p6)),
+            ("dim", e.dim),
+            ("basis", _array([_coordinates(r, r[p], p8)
+                              for r, p in zip(e.subfield.rows, e.subfield.pivots)], p6)),
+            ("primitive_element", _coordinates(e.primitive.num, e.primitive.den, p6)),
+            ("primitive_min_poly", _strings(e.primitive_min_poly.coeffs, p6)),
+            ("fixed_field_equal", "true"),
+        ), p4)
+        for e in report.entries
+    ]
+    checks = [_object((("name", quote(name)), ("pass", "true" if ok else "false")), p4)
+              for name, ok in report.checks]
+    sections = [
+        ("polynomial", _object((
+            ("input", quote(report.input_polynomial.render())),
+            ("analyzed", quote(report.polynomial.render())),
+            ("coefficients", _strings(report.polynomial.coeffs, p4)),
+            ("root_scale", f'"{report.scale}"'),
+        ), "  ")),
+        ("resolvent", _object((
+            ("weights", _ints(report.weights, p4)),
+            ("degree", report.min_poly.degree),
+            ("min_poly", _strings(report.min_poly.coeffs, p4)),
+        ), "  ")),
+        ("group", _object((
+            ("order", report.group_order),
+            ("elements", _perms(report.group, p4)),
+        ), "  ")),
+        ("subgroups", _array(subgroups, "  ")),
+        ("checks", _array(checks, "  ")),
+    ]
+    if report.arrangement_arrays is not None:
+        sections.append(("arrangement_arrays",
+                         _array(list(map(quote, report.arrangement_arrays)), "  ")))
+    return _object(sections, "") + "\n"
 
 
 # -- entry point -------------------------------------------------------------

@@ -28,8 +28,9 @@ the lattice, ``field_from_subgroup`` and the selftest all read:
 
 Then one element per subfield suffices: an automorphism fixes Q(prim)
 iff it fixes prim, so inclusion reversal tests one primitive per pair
-and the stabilizer replay only the elements outside H; prim^-1 is one
-integer combination of prim's powers, read off its minimal polynomial.
+and the stabilizer replay only the elements outside H, both listed once
+per group (``subgroup_inclusions``); prim^-1 is one integer combination
+of prim's powers, read off its minimal polynomial.
 
 A subfield is its echelon rows: the primitive integer rows with positive
 pivot entries that ``echelon`` returns, so subfield equality is equality
@@ -49,11 +50,12 @@ from itertools import product as iter_product, tee
 from math import lcm
 
 from .errors import CertificationError, TheoremError
-from .groups import PermGroup, all_subgroups
+from .groups import PermGroup, all_subgroups, subgroup_inclusions
 from .numberfield import (
     NumberField,
     NumberFieldElement,
     SplittingField,
+    combination,
     compose_mod,
     echelon,
     in_span,
@@ -136,22 +138,22 @@ def _closure(nf: NumberField, gens):
 class Subfield(Frozen):
     """A subfield of the splitting field as its echelon rows: the form
     ``echelon`` returns, so equal subfields have equal rows.  Built from a
-    primitive's powers by ``_certified_field``, or by ``from_elements``,
-    which proves closure with ``_closure``.  Immutable; equality and
-    hashing read the ambient field and the rows, whatever built them."""
+    primitive's powers by ``_certified_field``, which keeps the pivot
+    columns of its walk, or by ``from_elements``, which proves closure
+    with ``_closure``.  Immutable; equality and hashing read the ambient
+    field and the rows, whatever built them."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "pivots")
+    _compared = ("field", "rows")
 
-    def __init__(self, field: NumberField, rows: tuple):
-        Record.__init__(self, field, rows)
+    def __init__(self, field: NumberField, rows: tuple, pivots: tuple | None = None):
+        if pivots is None:
+            pivots = tuple(next(j for j, v in enumerate(r) if v) for r in rows)
+        Record.__init__(self, field, rows, pivots)
 
     @property
     def dim(self):
         return len(self.rows)
-
-    @property
-    def pivots(self):
-        return [next(j for j, v in enumerate(r) if v) for r in self.rows]
 
     @property
     def basis(self):
@@ -192,12 +194,14 @@ def _fixed_dimension(h: PermGroup, sf: SplittingField) -> int:
     stored diagonals.  As the matrices compose as the group does, their mean
     is idempotent with image Fix(h), so its rank is its trace (the character
     formula; Serre, Linear Representations of Finite Groups, ch. 2)."""
-    traces = (Fraction(sum(row[i] for i, row in enumerate(rows)), den)
-              for rows, den in (sf.matrices[s] for s in h))
-    k = sum(traces) / h.order
-    if k.denominator != 1:
-        raise TheoremError(f"the mean trace {k} over {h!r} is not an integer")
-    return int(k)
+    mats = [sf.matrices[s] for s in h]
+    den = lcm(*(d for _, d in mats))
+    total = sum(sum(row[i] for i, row in enumerate(rows)) * (den // d) for rows, d in mats)
+    k, r = divmod(total, den * h.order)
+    if r:
+        mean = Fraction(total, den * h.order)
+        raise TheoremError(f"the mean trace {mean} over {h!r} is not an integer")
+    return k
 
 
 def _fixed_space(h: PermGroup, sf: SplittingField):
@@ -230,10 +234,7 @@ def _isomorphism_to(sf: SplittingField, sf2: SplittingField) -> NumberFieldEleme
     the second weight vector applied to the first field's root
     expressions; the map is verified by the modular identity m2(t) = 0.
     """
-    t = sf.field.zero()
-    for i, w in enumerate(sf2.galois.weights):
-        if w:
-            t = t + sf.root_exprs[i] * w
+    t = combination(sf2.galois.weights, sf.root_exprs)
     if not compose_mod(sf2.galois.min_poly, t).is_zero():
         raise CertificationError("isomorphism construction failed")
     for i in range(len(sf.root_exprs)):
@@ -299,7 +300,9 @@ def _relation(powers, coords):
     if k == len(powers):
         return None
     dk = powers[k].den
-    return UniPoly([-Fraction(red[i][k] * powers[i].den, red[i][i] * dk) for i in range(k)] + [1])
+    terms = [(-red[i][k] * powers[i].den, red[i][i] * dk) for i in range(k)]
+    # ints where they divide, as for the algebraic integers the lattice reads
+    return UniPoly([Fraction(n, d) if n % d else n // d for n, d in terms] + [1])
 
 
 def minimal_polynomial(x: NumberFieldElement, dim: int | None = None) -> UniPoly:
@@ -322,7 +325,7 @@ def _candidates(values):
     multiple of it, gives the field the power walk has already rejected."""
     for combo in iter_product(range(-3, 4), repeat=len(values)):
         if sum(map(bool, combo)) > 1:
-            yield sum((g * c for c, g in zip(combo, values) if c), values[0].field.zero())
+            yield combination(combo, values)
 
 
 def _symmetric_values(h: PermGroup, sf: SplittingField):
@@ -346,7 +349,8 @@ def _power_subfield(h: PermGroup, sf: SplittingField, candidates, k: int):
         red, pivots, powers = [], [], [nf.one(), x]
         while insert_row(red, pivots, powers[-2].num):
             if len(powers) > k:
-                return Subfield(nf, _rows(red)), x, _relation(powers, pivots), powers[:-1]
+                return (Subfield(nf, _rows(red), tuple(pivots)), x, _relation(powers, pivots),
+                        powers[:-1])
             powers.append(powers[-1] * x)
     return None
 
@@ -394,14 +398,8 @@ def inverse_witness(x: NumberFieldElement, mp: UniPoly, powers):
     powers are the same [1], stands in for it."""
     if x.is_zero():
         x, mp = x.field.one(), UniPoly([-1, 1])
-    cs = mp.coeffs
-    qs = [-Fraction(c) / cs[0] for c in cs[1:]]
-    den = lcm(*(q.denominator * p.den for q, p in zip(qs, powers)))
-    num = [0] * x.field.degree
-    for q, p in zip(qs, powers):
-        f = q.numerator * (den // (q.denominator * p.den))
-        num = [a + f * b for a, b in zip(num, p.num)]
-    return x, NumberFieldElement(x.field, num, den)
+    cs, _ = integer_vector(mp.coeffs)
+    return x, combination(cs[1:], powers, -cs[0])
 
 
 def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
@@ -411,6 +409,7 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
     Raises TheoremError (with the offending subgroup pair in the message)
     as soon as an exact assertion fails."""
     subgroups = all_subgroups(sf.galois.group)
+    pairs, outside = subgroup_inclusions(sf.galois.group)
     d = sf.field.degree
 
     entries = []
@@ -440,20 +439,20 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
     checks.append(("degree_matches_subgroup_order", True))
 
     # inclusion reversal on every comparable pair, one primitive per pair
-    for i, hi in enumerate(subgroups):
-        for j, hj in enumerate(subgroups):
-            if i != j and hi.is_subgroup_of(hj):
-                if not constructed[i].contains(entries[j].primitive):
-                    raise TheoremError(f"inclusion {hi!r} <= {hj!r} is not reversed by the fields")
+    for i, j in pairs:
+        if not constructed[i].contains(entries[j].primitive):
+            raise TheoremError(f"inclusion {subgroups[i]!r} <= {subgroups[j]!r} "
+                               "is not reversed by the fields")
     checks.append(("inclusion_reversal", True))
 
     # surjectivity replay: the stabilizer of each subfield maps back to it.
-    # h's generators fix la = Q(prim) (_power_subfield), so test s outside h
-    for e in entries:
+    # h's generators fix la = Q(prim) (_power_subfield), so test s outside h;
+    # once none fixes prim, the stabilizer is h, whose field is la by
+    # construction, so no rebuild
+    for e, out in zip(entries, outside):
         h, prim = e.subgroup, e.primitive
-        stab = tuple(s for s in sf.galois.group if s in h or sf.sends(s, prim, prim))
-        # once stab == h, its field is la by construction, so no rebuild
-        if stab != h.elements:
+        if any(sf.sends(s, prim, prim) for s in out):
+            stab = tuple(s for s in sf.galois.group if s in h or sf.sends(s, prim, prim))
             raise TheoremError(
                 f"stabilizer of the subfield of {h!r} is "
                 f"{PermGroup._trusted(stab)!r}, not the subgroup"

@@ -231,6 +231,25 @@ def all_subgroups(g: PermGroup):
     return list(cached)
 
 
+_INCLUSION_CACHE: dict = {}
+
+
+def subgroup_inclusions(g: PermGroup):
+    """(pairs, outside) for the list ``all_subgroups(g)`` returns, worked out
+    once per group: the index pairs (i, j), i != j, with subgroup i inside
+    subgroup j, and for each subgroup the elements of g outside it, in
+    g's order."""
+    key = g.elements
+    cached = _INCLUSION_CACHE.get(key)
+    if cached is None:
+        sets = [set(h.elements) for h in all_subgroups(g)]
+        pairs = tuple((i, j) for i, a in enumerate(sets) for j, b in enumerate(sets)
+                      if i != j and a <= b)
+        outside = tuple(tuple(p for p in key if p not in h) for h in sets)
+        cached = _INCLUSION_CACHE[key] = pairs, outside
+    return cached
+
+
 def _all_subgroups(g: PermGroup):
     elems = g.elements
     index = {p: i for i, p in enumerate(elems)}

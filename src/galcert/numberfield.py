@@ -188,9 +188,12 @@ class NumberFieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        b = other.num
+        # the outer loop skips zeros: run it over the sparser operand
+        a, b = self.num, other.num
+        if a.count(0) < b.count(0):
+            a, b = b, a
         conv = [0] * (2 * len(b) - 1)
-        for i, ca in enumerate(self.num):
+        for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b, i):
                     conv[j] += ca * cb
@@ -262,10 +265,21 @@ class NumberFieldElement:
         return f"NFE({self.render()})"
 
 
+def combination(coeffs, elements, den=1) -> NumberFieldElement:
+    """sum_i c_i x_i / den for ints c_i and den != 0, as one integer vector
+    over the elements' common denominator, normalized once."""
+    common = lcm(*(x.den for x in elements))
+    scaled = [c * (common // x.den) for c, x in zip(coeffs, elements)]
+    cols = zip(*(x.num for x in elements))
+    return NumberFieldElement(elements[0].field, [sum(map(mul, scaled, col)) for col in cols],
+                              common * den)
+
+
 def compose_mod(p: UniPoly, x: NumberFieldElement) -> NumberFieldElement:
-    """p(x) reduced in the field (Horner)."""
-    acc = x.field.zero()
-    for c in reversed(p.coeffs):
+    """p(x) reduced in the field (Horner, from the leading coefficient)."""
+    *rest, lead = p.coeffs or (0,)
+    acc = x.field.rational(lead)
+    for c in reversed(rest):
         acc = acc * x + c
     return acc
 
@@ -351,19 +365,16 @@ def _symmetric_numerators(gd: GaloisData, count):
             for t in sums]
 
 
-def _complete(known, weights, trace, gen):
+def _complete(known, weights, trace: int, gen):
     """All n root expressions from the first n - 2 of them: the last two,
     E_j and E_k, solve E_j + E_k = trace - (the sum of the others) and
-    w_j E_j + w_k E_k = gen - (the others' weighted sum).  Injective
-    weights are pairwise distinct, so w_j != w_k."""
-    n = len(weights)
-    w_j, w_k = weights[n - 2], weights[n - 1]
-    s1, s2 = gen.field.rational(trace), gen
-    for w, e in zip(weights, known):
-        s1 = s1 - e
-        s2 = s2 - e * w
-    e_k = (s2 - s1 * w_j) * Fraction(1, w_k - w_j)
-    return (*known, s1 - e_k, e_k)
+    w_j E_j + w_k E_k = gen - (the others' weighted sum), so E_k = (gen -
+    w_j trace - sum_i (w_i - w_j) E_i) / (w_k - w_j), and E_j likewise with
+    j and k swapped.  Injective weights are pairwise distinct: w_j != w_k."""
+    elements = (gen, gen.field.one(), *known)
+    w_j, w_k = weights[-2:]
+    return (*known, *(combination((1, -w * trace, *(w - v for v in weights)), elements, u - w)
+                      for w, u in ((w_k, w_j), (w_j, w_k))))
 
 
 def _accept(exprs, f: UniPoly, weights, gen):
@@ -374,10 +385,7 @@ def _accept(exprs, f: UniPoly, weights, gen):
             raise CertificationError(f"root expression {i} is not a root of the polynomial")
     if len(set(exprs)) != len(exprs):
         raise CertificationError("root expressions are not pairwise distinct")
-    total = gen.field.zero()
-    for w, e in zip(weights, exprs):
-        total = total + e * w
-    if total != gen:
+    if combination(weights, exprs) != gen:
         raise CertificationError("root expressions do not recombine to the generator")
     return tuple(exprs)
 
@@ -417,7 +425,7 @@ def express_roots(gd: GaloisData):
         dr_inv = field.element(gd.resolvent.derivative().coeffs).inverse()
         exprs = [NumberFieldElement(field, num) * dr_inv for num in numerators]
     if len(exprs) < n:
-        exprs = _complete(exprs, gd.weights, -f[n - 1], field.gen())
+        exprs = _complete(exprs, gd.weights, int(-f[n - 1]), field.gen())
     return _accept(exprs, f, gd.weights, field.gen())
 
 
@@ -486,26 +494,24 @@ class SplittingField(Frozen):
 
 def automorphism_table(gd: GaloisData, roots) -> SplittingField:
     """One automorphism per group element s: the generator maps to the
-    conjugate psi_s = sum w_i roots[s(i)], built exactly from the root
-    expressions and stored with its power matrix.  Exact identities are
-    checked on the group's ``generators`` alone: m(psi) = psi^(d-1) * psi
-    + sum_j m_j psi^j = 0, read off the powers that make up the matrix,
-    and that the matrix permutes the root expressions as s does.  The rest
-    follows: a composite of the generators' automorphisms moves each
-    E_i = roots[i] as the product permutation s does, and ``express_roots``
-    certified a = sum w_i E_i, so that composite sends a to psi_s.  So
-    psi_s is a root of m, and its power matrix is that composite's matrix:
-    the stored matrices compose as G does.
+    conjugate psi_s = sum w_i roots[s(i)], one integer combination of the
+    root expressions (``combination``), stored with its power matrix.
+    Exact identities are checked on the group's ``generators`` alone:
+    m(psi) = psi^(d-1) * psi + sum_j m_j psi^j = 0, read off the powers
+    that make up the matrix, and that the matrix permutes the root
+    expressions as s does.  The rest follows: a composite of the
+    generators' automorphisms moves each E_i = roots[i] as the product
+    permutation s does, and ``express_roots`` certified a = sum w_i E_i,
+    so that composite sends a to psi_s.  So psi_s is a root of m, and its
+    power matrix is that composite's matrix: the stored matrices compose
+    as G does.
     """
     field = roots[0].field
     low = field.element(gd.min_poly.coeffs[:-1])
     autos = []
     matrices = {}
     for s in gd.group:
-        psi = field.zero()
-        for i, w in enumerate(gd.weights):
-            if w:
-                psi = psi + roots[s(i)] * w
+        psi = combination(gd.weights, [roots[i] for i in s.images])
         mat, top = _power_matrix(psi)
         if s in gd.group.generators:
             if not (top * psi + _mat_vec(field, mat, low)).is_zero():

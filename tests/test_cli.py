@@ -21,7 +21,6 @@ from galcert.cli import (
     parse_poly,
     render_json,
     render_text,
-    report_to_dict,
 )
 from galcert.errors import InputError
 from galcert.numberfield import compose_mod
@@ -180,13 +179,42 @@ def test_json_and_text_share_content():
 
 def test_rationals_serialize_as_fraction_strings():
     report = analyze("x^2 - 1/2")
-    data = report_to_dict(report)
+    text = render_json(report)
+    data = json.loads(text)
     assert data["polynomial"]["root_scale"] == "2"
-    flat = json.dumps(data)
-    assert "/" in flat  # subfield coordinates carry exact p/q strings
+    assert "/" in text  # subfield coordinates carry exact p/q strings
     for row in data["subgroups"][-1]["basis"]:
         for cell in row:
             Fraction(cell)  # parseable back to exact rationals
+
+
+def _benchmark_inputs():
+    """The benchmark's corpus and its small_warm inputs of seeds 1 and 2,
+    at the default run length."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    count = workloads.input_count(workloads.WORKLOADS["small_warm"], 15)
+    return [k.poly for k in workloads.CORPUS] + [
+        text for seed in (1, 2) for text in workloads.make_inputs("small_warm", seed, count)]
+
+
+def test_json_text_is_what_json_dumps_writes():
+    # render_json writes its text itself: json.dumps(indent=2) of the data
+    # it parses back to gives the same bytes, on every benchmark input and
+    # on arrays, whose blocks are strings with newlines in them
+    reports = [analyze("x^4 - 2", array=True), analyze("x^4 + 8x + 12", array=True)]
+    for text in _benchmark_inputs():
+        try:
+            reports.append(analyze(text))
+        except InputError:
+            pass  # the repeated roots
+    assert len(reports) == 2 + 8 + 150
+    for report in reports:
+        out = render_json(report)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_deterministic_output():
@@ -587,7 +615,7 @@ def test_cli_import_leaves_code_generators_and_selftest_unloaded():
 
 
 def test_rendered_coefficients_are_ints_or_fractions():
-    # report_to_dict writes coefficients with str, exact only for these
+    # render_json writes coefficients with str, exact only for these
     report = analyze("1/2 x^3 - 3/4 x + 5", array=True)
     coeffs = [report.scale, *report.polynomial.coeffs, *report.min_poly.coeffs]
     for e in report.entries:
@@ -595,5 +623,5 @@ def test_rendered_coefficients_are_ints_or_fractions():
         for b in e.subfield.basis:
             coeffs += b.coeffs
     assert {type(c) for c in coeffs} <= {int, Fraction}
-    data = report_to_dict(report)
+    data = json.loads(render_json(report))
     assert data["polynomial"]["coefficients"] == [str(Fraction(c)) for c in report.polynomial.coeffs]

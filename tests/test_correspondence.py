@@ -11,6 +11,7 @@ from galcert.correspondence import (
     _closure,
     _fixed_dimension,
     _fixed_space,
+    _isomorphism_to,
     _power_subfield,
     _symmetric_values,
     averaging_check,
@@ -23,7 +24,7 @@ from galcert.correspondence import (
     primitive_independence_check,
     rref,
 )
-from galcert.errors import TheoremError
+from galcert.errors import CertificationError, TheoremError
 from galcert.groups import PermGroup, all_subgroups, closure
 from galcert.numberfield import (
     SplittingField,
@@ -233,11 +234,42 @@ def test_fixed_point_checks_test_generators_then_the_rest(monkeypatch):
 
 def test_primitive_independence_quadratic():
     data = corpus_pipeline("x^2 - 2")
-    gd2 = identify_galois(search_resolvent(data.rs, skip=1))
-    roots2 = express_roots(gd2)
-    sf2 = automorphism_table(gd2, roots2)
+    sf2 = _second_field(data)
     for h in all_subgroups(data.gd.group):
         assert primitive_independence_check(h, data.sf, sf2)
+
+
+def _second_field(data):
+    """The splitting field on the second certified weight vector."""
+    gd2 = identify_galois(search_resolvent(data.rs, skip=1))
+    return automorphism_table(gd2, express_roots(gd2))
+
+
+def test_an_isomorphism_off_the_conjugates_is_refused(monkeypatch):
+    # the transported generator moved by 1 is no root of the second
+    # minimal polynomial; the roots would not match either, but the
+    # modular identity fails first
+    data = corpus_pipeline("x^3 - 2")
+    sf2 = _second_field(data)
+    combine = correspondence.combination
+    monkeypatch.setattr(correspondence, "combination", lambda cs, xs: combine(cs, xs) + 1)
+    with pytest.raises(CertificationError, match="^isomorphism construction failed$"):
+        _isomorphism_to(data.sf, sf2)
+
+
+def test_an_isomorphism_onto_another_conjugate_is_refused(monkeypatch):
+    # the second weights applied to the root expressions permuted by an
+    # element of G: a conjugate of the second generator, so a root of its
+    # minimal polynomial, but a map that moves the roots
+    data = corpus_pipeline("x^3 - 2")
+    sf2 = _second_field(data)
+    s = data.gd.group.elements[-1]
+    combine = correspondence.combination
+    monkeypatch.setattr(correspondence, "combination",
+                        lambda cs, xs: combine(cs, [xs[i] for i in s.images]))
+    with pytest.raises(CertificationError, match="^isomorphism does not match the roots$"):
+        _isomorphism_to(data.sf, sf2)
+    assert s != s.identity(3)
 
 
 def test_lattice_report_quadratic():

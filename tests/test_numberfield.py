@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from galcert import numberfield, resolvent
 from galcert.arith import ComplexBall, fixed_mul
-from galcert.cli import parse_poly, render_json
+from galcert.cli import main, parse_poly, render_json
 from galcert.correspondence import correspondence_lattice
 from galcert.errors import CertificationError
 from galcert.groups import Permutation, symmetric_group
@@ -413,3 +413,32 @@ def test_swapped_root_expressions_are_rejected(monkeypatch, text):
     monkeypatch.setattr(numberfield, "_complete", swapped)
     with pytest.raises(CertificationError, match="do not recombine to the generator"):
         express_roots(gd)
+
+
+def test_a_perturbed_inverse_fails_its_product_check(monkeypatch):
+    # the linear solve returns a solution one off in its first coordinate:
+    # the product x * inv == 1 refuses it
+    x = sqrt2_field().gen() + 3
+    solve = numberfield.echelon
+
+    def perturbed(rows):
+        red, pivots = solve(rows)
+        red[0][-1] += red[0][0]
+        return red, pivots
+
+    monkeypatch.setattr(numberfield, "echelon", perturbed)
+    with pytest.raises(CertificationError, match=r"^inverse failed its check x \* inv == 1$"):
+        x.inverse()
+
+
+def test_a_repeated_root_expression_is_refused(monkeypatch, capsys):
+    # the first expression in the second's place: every expression is
+    # still a root of f, but they are not pairwise distinct; the CLI exits 3
+    # with that message, not the recombination's, which fails too
+    accept = numberfield._accept
+    monkeypatch.setattr(numberfield, "_accept",
+                        lambda exprs, *rest: accept((exprs[0], *exprs[:1], *exprs[2:]), *rest))
+    assert main(["analyze", "x^3 - 2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "certification failure: root expressions are not pairwise distinct\n"

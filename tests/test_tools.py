@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +40,29 @@ def test_lattice_times_reports_a_refused_input_as_an_error(text, message):
     assert run.stderr == f"error: {text}: {message}\n"
     [line] = run.stdout.splitlines()
     assert line.startswith("x^2 - 2 ") and "automorphisms " in line and "lattice " in line
+
+
+def run_paired_times(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "paired_times.py"), *args],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_paired_times_of_a_tree_against_itself():
+    # both package names import the same sources; the ratio is near 1
+    src = str(ROOT / "src")
+    run = run_paired_times(src, src, "--passes", "1")
+    assert run.returncode == 0, run.stderr
+    old, new, ratio = run.stdout.splitlines()
+    assert old.startswith(f"old {src}: pass totals ") and new.startswith(f"new {src}: pass totals ")
+    match = re.fullmatch(r"median per-input ratio new/old (\S+) over 79 inputs "
+                         r"\(best of 1 passes each\)", ratio)
+    assert match and 0.5 <= float(match[1]) <= 2
+
+
+def test_paired_times_refuses_a_path_without_galcert(tmp_path):
+    run = run_paired_times(str(ROOT / "src"), str(tmp_path))
+    assert run.returncode == 2
+    assert run.stderr == f"error: {tmp_path}: no galcert/__init__.py\n"
+    assert run.stdout == ""
