@@ -14,7 +14,7 @@ from decimal import MAX_EMAX, Context, Decimal
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from math import gcd, isinf, lcm
+from math import gcd, isinf
 
 from .correspondence import CorrespondenceReport, correspondence_lattice
 from .errors import CertificationError, InputError, TheoremError
@@ -173,7 +173,7 @@ def parse_poly(text: str) -> UniPoly:
     coeffs = {k: c for k, c in coeffs.items() if c}
     if coeffs and max(coeffs) > 4:
         raise InputError("the degree must be between 2 and 4")
-    return UniPoly.from_dict(coeffs)
+    return UniPoly([coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)])
 
 
 def normalize_monic_integer(f: UniPoly):
@@ -183,12 +183,8 @@ def normalize_monic_integer(f: UniPoly):
     if f.is_zero() or f.degree == 0:
         raise InputError("a nonconstant polynomial is required")
     g = f.monic()
-    denoms = [Fraction(c).denominator for c in g.coeffs]
-    c = lcm(*denoms) if len(denoms) > 1 else denoms[0]
-    if c == 1:
-        return g, 1
-    scaled = g.substitute_scaled(c)
-    return UniPoly([int(v) for v in scaled.coeffs]), c
+    # g.den is the lcm of the denominators of g's coefficients
+    return g.substitute_scaled(g.den), g.den
 
 
 def _check_digits(numbers):

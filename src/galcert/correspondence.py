@@ -60,9 +60,8 @@ from .numberfield import (
     echelon,
     in_span,
     insert_row,
-    integer_vector,
 )
-from .poly import UniPoly
+from .poly import UniPoly, integer_vector
 from .record import Frozen, Record
 from .sympoly import elementary_values
 
@@ -299,10 +298,11 @@ def _relation(powers, coords):
     k = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
     if k == len(powers):
         return None
-    dk = powers[k].den
-    terms = [(-red[i][k] * powers[i].den, red[i][i] * dk) for i in range(k)]
-    # ints where they divide, as for the algebraic integers the lattice reads
-    return UniPoly([Fraction(n, d) if n % d else n // d for n, d in terms] + [1])
+    # x^k = sum c_i (den_i / den_k) x^i, c_i = red[i][k] / red[i][i], over one denominator
+    top = lcm(*(red[i][i] for i in range(k)))
+    den = top * powers[k].den
+    return UniPoly([-red[i][k] * powers[i].den * (top // red[i][i]) for i in range(k)] + [den],
+                   den)
 
 
 def minimal_polynomial(x: NumberFieldElement, dim: int | None = None) -> UniPoly:
@@ -398,8 +398,7 @@ def inverse_witness(x: NumberFieldElement, mp: UniPoly, powers):
     powers are the same [1], stands in for it."""
     if x.is_zero():
         x, mp = x.field.one(), UniPoly([-1, 1])
-    cs, _ = integer_vector(mp.coeffs)
-    return x, combination(cs[1:], powers, -cs[0])
+    return x, combination(mp.num[1:], powers, -mp.num[0])
 
 
 def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:

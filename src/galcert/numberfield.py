@@ -40,16 +40,9 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import CertificationError
-from .poly import UniPoly, render_terms
+from .poly import UniPoly, integer_vector, render_terms
 from .record import Frozen, Record
 from .resolvent import GaloisData, orbit_sums
-
-
-def integer_vector(cs):
-    """(num, den): a list of rationals as ints over their least common
-    denominator."""
-    den = lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 class NumberField:
@@ -61,11 +54,11 @@ class NumberField:
     def __init__(self, modulus: UniPoly):
         if not modulus.is_monic():
             raise ValueError("modulus must be monic")
-        if not modulus.has_integer_coeffs():
+        if modulus.den != 1:
             raise ValueError("modulus must have integer coefficients")
         self.modulus = modulus
         self.degree = modulus.degree
-        self._mod_coeffs = tuple(int(c) for c in modulus.coeffs)
+        self._mod_coeffs = modulus.num
 
     def __eq__(self, other):
         return self is other or (
@@ -238,7 +231,7 @@ class NumberFieldElement:
         return not any(self.num)
 
     def to_unipoly(self) -> UniPoly:
-        return UniPoly(self.coeffs)
+        return UniPoly(self.num, self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -358,7 +351,7 @@ def _symmetric_numerators(gd: GaloisData, count):
     and R is the full resolvent: the coefficient of Q_i at x^j is
     sum_k r_(j+k+1) T_(i,k), with T_(i,k) = sum over sigma of
     alpha_sigma(i) theta_sigma^k from ``resolvent.orbit_sums``."""
-    r = [int(c) for c in gd.resolvent.coeffs]
+    r = gd.resolvent.num
     big = len(r) - 1
     sums = orbit_sums(gd.ladder.poly, gd.weights, big - 1, range(count))
     return [[sum(r[j + k + 1] * t[k] for k in range(big - j)) for j in range(big)]
@@ -422,10 +415,10 @@ def express_roots(gd: GaloisData):
     numerators = _symmetric_numerators(gd, n - 2 if n > 1 else 1)
     exprs = []
     if numerators:
-        dr_inv = field.element(gd.resolvent.derivative().coeffs).inverse()
+        dr_inv = NumberFieldElement(field, gd.resolvent.derivative().num).inverse()
         exprs = [NumberFieldElement(field, num) * dr_inv for num in numerators]
     if len(exprs) < n:
-        exprs = _complete(exprs, gd.weights, int(-f[n - 1]), field.gen())
+        exprs = _complete(exprs, gd.weights, -f.num[n - 1], field.gen())
     return _accept(exprs, f, gd.weights, field.gen())
 
 
@@ -507,7 +500,7 @@ def automorphism_table(gd: GaloisData, roots) -> SplittingField:
     as G does.
     """
     field = roots[0].field
-    low = field.element(gd.min_poly.coeffs[:-1])
+    low = NumberFieldElement(field, gd.min_poly.num[:-1])
     autos = []
     matrices = {}
     for s in gd.group:

@@ -1,130 +1,140 @@
 """Dense univariate and sparse multivariate polynomials over the rationals.
 
-Coefficients are exact (``int`` or ``Fraction``; Python lets the two mix
-freely).  Univariate polynomials are coefficient tuples indexed by degree
-with no trailing zeros; the zero polynomial has degree ``None``, never -1.
-Multivariate polynomials map exponent tuples to nonzero coefficients.
-Values are immutable: every operation builds a new polynomial.
+A univariate polynomial is one integer vector over one positive
+denominator, canonical like a field element (``numberfield``): ``num``
+holds den times the coefficients, ascending with no trailing zeros, and
+gcd(den, *num) == 1, so equal polynomials have equal (num, den); zero is
+((), 1), of degree None, never -1.  ``coeffs`` is the rational view:
+``num`` when den == 1, else reduced ``Fraction``s.  Arithmetic runs on
+ints and normalizes each result once.  Division is integer
+pseudo-division (Knuth, *TAOCP* vol. 2, 4.6.1), lead**k * a = q * b + r
+on the vectors, with lead**k joining the denominator.  Normalizing r
+divides its content out as far as its denominator allows, so Euclid's
+loop in ``gcd`` is the primitive polynomial remainder sequence (Brown,
+J. ACM 18, 1971) up to one integer factor per remainder, the numerator
+of its rational content, and forms no ``Fraction``.  Multivariate
+polynomials map exponent tuples to nonzero coefficients.  Values are
+immutable: every operation builds a new polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd as _int_gcd
+from math import lcm
 
 from .arith import ComplexBall, fixed_mul, fixed_rational
 
 
+def integer_vector(cs):
+    """(num, den): a list of rationals as ints over their least common
+    denominator."""
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
 class UniPoly:
-    __slots__ = ("coeffs",)
+    """num / den, canonical; built from ints or rationals, over den."""
 
-    def __init__(self, coeffs=()):
+    __slots__ = ("num", "den")
+
+    def __init__(self, coeffs=(), den=1):
         cs = list(coeffs)
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        if not all(type(c) is int for c in cs):
+            cs, d = integer_vector(cs)
+            den *= d
+        g = _int_gcd(den, *cs) if den > 0 else -_int_gcd(den, *cs)
+        if g != 1:
+            cs = [c // g for c in cs]
+            den //= g
+        self.num, self.den = tuple(cs), den
 
-    @classmethod
-    def from_dict(cls, d):
-        if not d:
-            return cls()
-        cs = [0] * (max(d) + 1)
-        for k, v in d.items():
-            cs[k] = v
-        return cls(cs)
+    @property
+    def coeffs(self):
+        """The exact rational coefficients, ascending."""
+        den = self.den
+        return self.num if den == 1 else tuple(Fraction(c, den) for c in self.num)
 
     @property
     def degree(self):
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.num) - 1 if self.num else None
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.num) and self.num[-1] == self.den
 
     def __getitem__(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+        return self.coeffs[k] if 0 <= k < len(self.num) else 0
 
     def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return isinstance(other, UniPoly) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly([-c for c in self.num], self.den)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+        a, b, da, db = self.num, other.num, self.den, other.den
+        if da != db:
+            a, b, da = [c * db for c in a], [c * da for c in b], da * db
+        return UniPoly([x + y for x, y in zip_longest(a, b, fillvalue=0)], da)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly()
+        a, b = self.num, other.num
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
+                for j, cb in enumerate(b, i):
                     if cb:
-                        out[i + j] += ca * cb
-        return UniPoly(out)
+                        out[j] += ca * cb
+        return UniPoly(out, self.den * other.den)
 
     def scale(self, c):
-        if c == 0:
-            return UniPoly()
-        return UniPoly([c * k for k in self.coeffs])
+        """c times the polynomial, for an int or rational c."""
+        k = c.numerator
+        return UniPoly([k * v for v in self.num], self.den * c.denominator)
 
     def __divmod__(self, other):
-        if other.is_zero():
+        """(q, r), deg r < deg other, by pseudo-division of the integer
+        vectors: lead**k * self.num == quot * other.num + rem, for lead the
+        divisor's leading entry and k the number of quotient terms."""
+        b = other.num
+        if not b:
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        db = other.degree
-        lead = other.coeffs[-1]
-        if len(rem) <= db:
+        db, k = len(b) - 1, len(self.num) - len(b) + 1
+        if k <= 0:
             return UniPoly(), self
-        quot = [0] * (len(rem) - db)
+        lead = b[-1]
+        scale = lead**k
+        rem = [c * scale for c in self.num]
+        quot = [0] * k
         for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = c if lead == 1 else Fraction(c, 1) / lead
-            quot[i - db] = q
-            for j in range(db + 1):
-                rem[i - db + j] -= q * other.coeffs[j]
-        return UniPoly(quot), UniPoly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
+            q = quot[i - db] = rem[i] // lead
+            if q:
+                for j in range(db):
+                    rem[i - db + j] -= q * b[j]
+        den = scale * self.den
+        return UniPoly([q * other.den for q in quot], den), UniPoly(rem[:db], den)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
 
     def monic(self):
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return UniPoly([Fraction(c) / lead for c in self.coeffs])
+        return UniPoly(self.num, self.num[-1]) if self.num else self
 
     def derivative(self):
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def eval_rational(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return UniPoly([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def eval_ball(self, x: ComplexBall, prec: int) -> ComplexBall:
         """Horner evaluation with outward rounding: the result encloses
@@ -138,21 +148,13 @@ class UniPoly:
             acc = (acc[0] + cv, acc[1], acc[2] + inexact)
         return ComplexBall.from_ints(*acc, -prec)
 
-    def substitute_scaled(self, lam):
-        """Return lam**n * p(x / lam), the root-scaling substitution."""
+    def substitute_scaled(self, lam: int):
+        """Return lam**n * p(x / lam), the root-scaling substitution, for
+        an int lam."""
         n = self.degree
         if n is None:
             return self
-        out = []
-        power = 1
-        for i in range(n, -1, -1):
-            out.append(self.coeffs[i] * power)
-            power *= lam
-        out.reverse()
-        return UniPoly(out)
-
-    def has_integer_coeffs(self):
-        return all(c.denominator == 1 for c in self.coeffs)
+        return UniPoly([c * lam ** (n - i) for i, c in enumerate(self.num)], self.den)
 
     def render(self, var="x"):
         return render_terms(reversed(list(enumerate(self.coeffs))), var)
@@ -213,6 +215,15 @@ def _gcd_degree_mod(a, b, p):
     return len(a) - 1
 
 
+def _derivative_gcd_degree(fs, p):
+    """deg gcd(f, f') over GF(p), for f's residues mod p, ascending, the
+    leading one nonzero."""
+    df = [k * c % p for k, c in enumerate(fs)][1:]
+    while df and not df[-1]:
+        df.pop()
+    return _gcd_degree_mod(fs, df, p)
+
+
 def mul_mod(a, b, f, p):
     """a * b mod (f, p), for lists of residues of length n = deg f, f a
     monic list of ints, ascending."""
@@ -241,28 +252,10 @@ def is_squarefree(f: UniPoly) -> bool:
     mod p only ever accepts: any other input, or a gcd mod p that is not
     constant, goes to the rational ``gcd``.
     """
-    df = f.derivative()
-    if f.is_monic() and f.has_integer_coeffs():
-        p = SQUAREFREE_PRIME
-        b = [int(c) % p for c in df.coeffs]
-        while b and not b[-1]:
-            b.pop()
-        if _gcd_degree_mod([int(c) % p for c in f.coeffs], b, p) == 0:
-            return True
-    return gcd(f, df).degree == 0
-
-
-def xgcd(a: UniPoly, b: UniPoly):
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = a, b
-    s0, s1 = UniPoly([1]), UniPoly()
-    t0, t1 = UniPoly(), UniPoly([1])
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
+    p = SQUAREFREE_PRIME
+    if f.den == 1 and f.is_monic() and not _derivative_gcd_degree([c % p for c in f.num], p):
+        return True
+    return gcd(f, f.derivative()).degree == 0
 
 
 class MultiPoly:

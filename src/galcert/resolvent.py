@@ -75,7 +75,7 @@ from math import factorial, isqrt
 from .arith import ComplexBall, fixed_mul, round_sig
 from .errors import CertificationError, InputError
 from .groups import PermGroup, Permutation, all_subgroups, symmetric_group
-from .poly import MultiPoly, UniPoly, _gcd_degree_mod, is_squarefree, mul_mod
+from .poly import MultiPoly, UniPoly, _derivative_gcd_degree, _gcd_degree_mod, is_squarefree, mul_mod
 from .record import Frozen, Record
 from .roots import RootSystem, not_squarefree, precisions, read_integers
 from .sympoly import decompose, substitute_elementary
@@ -104,7 +104,7 @@ class GaloisData(Frozen):
 def power_sums(f: UniPoly, top: int) -> list:
     """[p_0, ..., p_top]: p_k is the sum of the k-th powers of the roots
     of the monic integral f, p_0 its degree, by Newton's identities."""
-    c = [int(x) for x in f.coeffs]
+    c = f.num
     n = len(c) - 1
     p = [n]
     for k in range(1, top + 1):
@@ -199,7 +199,7 @@ def power_sum_resolvent(f: UniPoly, weights: tuple) -> UniPoly:
         raise InputError("weight count must match the degree")
     if not f.is_monic():
         raise InputError("polynomial must be monic")
-    if not f.has_integer_coeffs():
+    if f.den != 1:
         raise InputError("integer coefficients required; scale the variable first")
     big = factorial(f.degree)
     [ps] = orbit_sums(f, weights, big, (None,))
@@ -274,12 +274,9 @@ def cycle_type(f: UniPoly, p: int):
     squarefree, that is when p divides disc(f).  From the roots in
     GF(p) and GF(p^2): what is left has no factor of degree 1 or 2, so
     it is one factor of degree 3 or 4."""
-    fs = [int(c) % p for c in f.coeffs]
+    fs = [c % p for c in f.num]
     n = len(fs) - 1
-    df = [k * c % p for k, c in enumerate(fs)][1:]
-    while df and not df[-1]:
-        df.pop()
-    if _gcd_degree_mod(fs, df, p):
+    if _derivative_gcd_degree(fs, p):
         return None
     frobenius = _power_mod([0, 1] + [0] * (n - 2), p, fs, p)
     r1 = r2 = _frobenius_fixed(frobenius, fs, p)

@@ -84,7 +84,7 @@ def _float_aberth(f: UniPoly):
     """Double-precision warm start; None if floats cannot represent f."""
     n = f.degree
     try:
-        cs = [float(Fraction(c)) for c in f.coeffs]
+        cs = [float(c) for c in f.coeffs]
     except OverflowError:
         return None
     if any(c != c or abs(c) == float("inf") for c in cs):
@@ -190,8 +190,8 @@ def _dyadic_aberth(f: UniPoly, zs, prec):
     certificate checks the points afterwards.
     """
     n = f.degree
-    cs = [sig_rational(Fraction(c), prec) for c in f.coeffs]
-    dcs = [sig_rational(Fraction(i * c), prec) for i, c in enumerate(f.coeffs)][1:]
+    cs = [sig_rational(c, prec) for c in f.coeffs]
+    dcs = [sig_rational(i * c, prec) for i, c in enumerate(f.coeffs)][1:]
     one = (1, 0, 0, 0)
     nudge = -(prec // 2)
     pts = [_normalize(z.x, z.exp) + _normalize(z.y, z.exp) for z in zs]
@@ -309,7 +309,7 @@ def isolate_roots(f: UniPoly, precision_bits: int = 128) -> RootSystem:
     if warm is not None:
         zs = [_float_point(z) for z in warm]
     else:
-        bound_bits = max(abs(Fraction(c).numerator).bit_length() for c in f.coeffs) + 1
+        bound_bits = max(abs(c.numerator).bit_length() for c in f.coeffs) + 1
         zs = [_float_point(cmath.exp(2j * cmath.pi * (k + 0.3545) / n) * 2.0) for k in range(n)]
         zs = [ComplexBall.from_ints(z.x, z.y, 0, z.exp + bound_bits) for z in zs]
     balls = _enclose(f, zs, precision_bits)

@@ -54,10 +54,6 @@ def _e_product(n: int, exps: tuple) -> MultiPoly:
     return _e_product(n, tuple(prev)) * elementary_polynomial(n, j + 1)
 
 
-def is_symmetric(p: MultiPoly) -> bool:
-    return _violating_transposition(p) is None
-
-
 def _violating_transposition(p: MultiPoly):
     """Index i if swapping x_{i+1} and x_{i+2} changes p, else None."""
     for i in range(p.n - 1):

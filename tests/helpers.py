@@ -2,8 +2,10 @@
 
 These deliberately avoid the code paths they are used to check: root
 enclosures come from plain bisection over exact fractions, complex
-rational arithmetic is spelled out directly over Fraction pairs, and
-field inverses come from extended Euclid against the modulus.
+rational arithmetic is spelled out directly over Fraction pairs,
+field inverses come from extended Euclid against the modulus, and
+``fraction_divmod`` is schoolbook division over ``Fraction``s, the
+reference for the integer form's pseudo-division.
 ``record_refinements`` counts the pipeline's refinements at the one
 place they polish balls.
 """
@@ -14,19 +16,27 @@ from math import ceil
 
 from galcert import roots
 from galcert.arith import ComplexBall, fixed_rational
-from galcert.poly import xgcd
+from galcert.poly import UniPoly
+
+
+def eval_rational(f, x):
+    """f(x) by Horner over exact rationals."""
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def bisect_root(f, lo, hi, steps=80):
     """Bisection enclosure [lo, hi] of a sign-changing root, over exact
     dyadic fractions.  Endpoints must be dyadic for exactness."""
     lo, hi = Fraction(lo), Fraction(hi)
-    flo = f.eval_rational(lo)
-    fhi = f.eval_rational(hi)
+    flo = eval_rational(f, lo)
+    fhi = eval_rational(f, hi)
     assert flo * fhi < 0, "no sign change on the starting interval"
     for _ in range(steps):
         mid = (lo + hi) / 2
-        fmid = f.eval_rational(mid)
+        fmid = eval_rational(f, mid)
         if fmid == 0:
             return mid, mid
         if flo * fmid < 0:
@@ -75,6 +85,46 @@ def cplx_mul(a, b):
 
 def cplx_add(a, b):
     return (a[0] + b[0], a[1] + b[1])
+
+
+def fraction_divmod(a, b):
+    """(q, r) as lists of ``Fraction``s, ascending, with no trailing
+    zeros: schoolbook long division of the coefficient lists a by b."""
+    rem = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+    db = len(b) - 1
+    quot = [Fraction(0)] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        q = rem[i] / b[-1]
+        quot[i - db] = q
+        for j in range(db + 1):
+            rem[i - db + j] -= q * b[j]
+    for cs in (quot, rem):
+        while cs and not cs[-1]:
+            cs.pop()
+    return quot, rem
+
+
+def fraction_gcd(a, b):
+    """The monic gcd of two coefficient lists by Euclid over ``Fraction``s."""
+    a = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+    while any(b):
+        a, b = b, fraction_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def xgcd(a, b):
+    """Extended Euclid: returns (g, s, t) with s*a + t*b = g."""
+    r0, r1 = a, b
+    s0, s1 = UniPoly([1]), UniPoly()
+    t0, t1 = UniPoly(), UniPoly([1])
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return r0, s0, t0
 
 
 def xgcd_inverse(x):

@@ -526,6 +526,12 @@ PINNED_OUTPUTS = [
      "62ae491e85c1e62e5ba981331145bc63736548b5464c05bd0e2a132c6db95e3f"),
     (["x^4 + 3x + 3", "--format", "json"],
      "c0f92263090cfe9e20705f4265545c23ef5bed599d9b69636c5ef21f908301da"),
+    # 288 weight vectors rejected, each by a rational gcd of R and R'
+    (["x^4 - 6x^3 + 11x^2 - 6x", "--format", "json"],
+     "89d89ff7e081c3abe6985bc4ffcfc6c1cf42b1a4101c59348c8f3c4adbea5815"),
+    # a rational input whose roots are scaled by 15
+    (["3x^3 - 2x + 7/5", "--format", "json"],
+     "cfa059e8157655d01e3160e9f222c18d0065053b5962b409f9bccacef25192cd"),
 ]
 
 

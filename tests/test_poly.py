@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd as int_gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 
 from galcert import poly
 from galcert.arith import ComplexBall
-from galcert.poly import SQUAREFREE_PRIME, MultiPoly, UniPoly, gcd, is_squarefree, xgcd
+from galcert.poly import SQUAREFREE_PRIME, MultiPoly, UniPoly, gcd, is_squarefree
 from galcert.resolvent import resolvent_poly
 
-from helpers import ball_contains_rational, bisect_root, interval_ball
+from helpers import ball_contains_rational, bisect_root, fraction_divmod, fraction_gcd, interval_ball, xgcd
 
 
 def P(*coeffs):
@@ -125,6 +126,49 @@ def test_squarefree_falls_back_when_the_prime_splits_a_root_pair(monkeypatch):
     # rational or non-monic input goes to the rational gcd at once
     assert is_squarefree(P(Fraction(-1, 2), 0, 1)) and len(calls) == 1
     assert not is_squarefree(P(2, 4, 2)) and len(calls) == 2
+
+
+def _polys(max_deg):
+    """Integer and rational polynomials of degree at most max_deg, with
+    any leading coefficient."""
+    coeff = st.one_of(
+        st.integers(-10**6, 10**6),
+        st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 60)),
+    )
+    return st.lists(coeff, max_size=max_deg + 1).map(UniPoly)
+
+
+def _assert_canonical(p):
+    assert all(type(c) is int for c in p.num) and type(p.den) is int
+    assert p.den > 0 and int_gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1]
+    assert UniPoly(p.coeffs) == p == UniPoly(p.num, p.den)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_polys(8), _polys(8), _polys(8), st.booleans())
+@example(P(-1, 0, 1), P(-1, 1), P(1), False)
+@example(UniPoly([-1] + [0] * 23 + [1]), P(0, 0, 3), P(1), False)  # x^24 - 1
+@example(P(1, 0, 0, 0, 0, 0, -1), P(2, 0, -3), P(-1, 0, 0, 0, 0, 0, 1), True)
+@example(P(Fraction(7, 5), -2, 0, 3), P(Fraction(-2, 3), 9), P(Fraction(1, 2), -4), True)
+def test_integer_form_matches_fraction_euclid(f, g, h, square):
+    # a and b share the factor h; with square, a holds h twice, so it is
+    # not squarefree when h is not constant.  Degrees reach 24.
+    a = f * h * (h if square else P(1))
+    b = g * h
+    for p in (f, g, h, a, b, a.monic(), a.derivative(), -b, a + b, a - b):
+        _assert_canonical(p)
+    if not b.is_zero():
+        q, r = divmod(a, b)
+        _assert_canonical(q)
+        _assert_canonical(r)
+        assert q * b + r == a
+        assert r.is_zero() or r.degree < b.degree
+        assert (list(q.coeffs), list(r.coeffs)) == fraction_divmod(a.coeffs, b.coeffs)
+    if not (a.is_zero() and b.is_zero()):
+        assert list(gcd(a, b).coeffs) == fraction_gcd(a.coeffs, b.coeffs)
+    if a.degree:
+        assert list(gcd(a, a.derivative()).coeffs) == fraction_gcd(a.coeffs, a.derivative().coeffs)
 
 
 def test_xgcd_bezout():

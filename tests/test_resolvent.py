@@ -10,7 +10,7 @@ from galcert import resolvent
 from galcert.arith import ball_disjoint
 from galcert.cli import normalize_monic_integer, parse_poly
 from galcert.errors import CertificationError, InputError
-from galcert.groups import Permutation, symmetric_group
+from galcert.groups import Permutation, all_subgroups, symmetric_group
 from galcert.numberfield import automorphism_table, express_roots
 from galcert.poly import UniPoly, gcd
 from galcert.resolvent import (
@@ -469,3 +469,50 @@ def test_cycle_types_mod_small_primes():
     assert cycle_type(g, 5) == (1, 2)
     assert cycle_type(g, 31) == (1, 1, 1)
     assert cycle_type(g, 7) == (3,)
+
+
+def _ladder(text):
+    f, _ = normalize_monic_integer(parse_poly(text))
+    return search_resolvent(Roots(f, isolate_roots))
+
+
+def test_exact_division_rejects_a_candidate_off_by_one(monkeypatch):
+    # x^3 - 3x - 1 has group A3.  With each read's constant term off by
+    # one, no candidate divides R; the cofactor of such a candidate does
+    # not vanish on the group's values, so only the division rejects it
+    ladder = _ladder("x^3 - 3x - 1")
+    gd = identify_galois(ladder)
+    assert gd.group.order == 3
+    assert resolvent._test_subgroup(ladder.resolvent, gd.group, ladder) == gd.min_poly
+    read = resolvent.read_integers
+
+    def off_by_one(balls):
+        ints = read(balls)
+        return [ints[0] + 1, *ints[1:]] if ints else ints
+
+    monkeypatch.setattr(resolvent, "read_integers", off_by_one)
+    assert resolvent._test_subgroup(ladder.resolvent, gd.group, ladder) is None
+    with pytest.raises(CertificationError, match="no subgroup produced"):
+        identify_galois(ladder)
+
+
+def test_cofactor_rejects_the_other_dihedral_conjugates(monkeypatch):
+    # every order-8 read of x^4 - 2 returns G's own minimal polynomial m.
+    # m divides R, so the division passes for all three D4 conjugates, and
+    # only the cofactor R / m, which vanishes on a value of each other
+    # conjugate, rejects them; the first one tried is not G.  A value
+    # where the cofactor vanishes stays in doubt on every rung, so the
+    # climb is cut to two rungs: up to 65536 bits it takes minutes
+    ladder = _ladder("x^4 - 2")
+    gd = identify_galois(ladder)
+    read = resolvent.read_integers
+    low = list(gd.min_poly.num[:-1])
+    monkeypatch.setattr(resolvent, "read_integers",
+                        lambda balls: list(low) if len(balls) == 8 else read(balls))
+    monkeypatch.setattr(resolvent, "precisions", lambda start: islice(precisions(start), 2))
+    others = [h for h in all_subgroups(symmetric_group(4)) if h.order == 8 and h != gd.group]
+    assert len(others) == 2
+    for h in others:
+        assert resolvent._test_subgroup(ladder.resolvent, h, ladder) is None
+    again = identify_galois(ladder)
+    assert again.group == gd.group and again.min_poly == gd.min_poly

@@ -7,7 +7,7 @@ import pytest
 from galcert import roots
 from galcert.arith import ComplexBall, ball_disjoint
 from galcert.cli import analyze, parse_poly
-from galcert.errors import InputError
+from galcert.errors import CertificationError, InputError
 from galcert.poly import UniPoly, gcd
 from galcert.roots import isolate_roots, read_integers
 
@@ -157,6 +157,35 @@ def test_isolation_survives_float_overflow():
     centers = sorted(b.re for b in rs.enclosures)
     for c, expected in zip(centers, (-(10**200), 10**200)):
         assert abs(c - expected) <= max(b.rad for b in rs.enclosures)
+
+
+def test_isolation_rejects_a_polish_that_repeats_a_point(monkeypatch):
+    # the repeated point is an accurate root, so its ball is narrow enough:
+    # only the disjointness of the balls rejects it, at every precision
+    polish, points = roots._dyadic_aberth, []
+
+    def repeating(f, zs, prec):
+        if not points:
+            first, _, *rest = polish(f, zs, prec)
+            points.extend([first, first, *rest])
+        return list(points)
+
+    monkeypatch.setattr(roots, "_dyadic_aberth", repeating)
+    with pytest.raises(CertificationError, match="root certification failed"):
+        isolate_roots(UniPoly([-2, 0, 1]))
+
+
+def test_refine_rejects_two_new_balls_meeting_one_old_ball(monkeypatch):
+    # the old ball of -sqrt(2) meets both new balls, and the old ball of
+    # sqrt(2) meets one: each old ball has a hit, but the matching is not
+    # one-to-one
+    rs = isolate_roots(UniPoly([-2, 0, 1]))
+    low = rs.enclosures[0]
+    wide = ComplexBall.from_ints(0, 0, 4, 0)
+    assert not ball_disjoint(wide, rs.enclosures[1])
+    monkeypatch.setattr(roots, "_enclose", lambda f, zs, bits: [low, wide])
+    with pytest.raises(CertificationError, match="could not match"):
+        rs.refine(256)
 
 
 # the benchmark corpus (one polynomial per transitive group up to degree
