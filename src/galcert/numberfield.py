@@ -5,8 +5,9 @@ certified injective root combination), stored as one integer vector over
 one positive denominator with no common factor (Cohen, *A Course in
 Computational Algebraic Number Theory*, 4.2).  The modulus m is monic
 with integer coefficients, so sums, products and the reduction mod m run
-on ints, and one gcd per result keeps the form canonical; ``coeffs``
-turns the pair back into rationals for callers that read them.
+on ints, the last two through ``poly.convolve`` and ``poly.reduce_monic``,
+and one gcd per result keeps the form canonical; ``coeffs`` turns the
+pair back into rationals for callers that read them.
 
 Each root of the input polynomial is expressed as such an element by
 the rational univariate representation, on one route for every group:
@@ -40,7 +41,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import CertificationError
-from .poly import UniPoly, integer_vector, render_terms
+from .poly import UniPoly, convolve, integer_vector, reduce_monic, render_terms
 from .record import Frozen, Record
 from .resolvent import GaloisData, orbit_sums
 
@@ -49,7 +50,7 @@ class NumberField:
     """Context Q[a]/(m(a)) for a monic irreducible m with integer
     coefficients, so reducing an integer vector mod m stays integral."""
 
-    __slots__ = ("modulus", "degree", "_mod_coeffs")
+    __slots__ = ("modulus", "degree")
 
     def __init__(self, modulus: UniPoly):
         if not modulus.is_monic():
@@ -58,7 +59,6 @@ class NumberField:
             raise ValueError("modulus must have integer coefficients")
         self.modulus = modulus
         self.degree = modulus.degree
-        self._mod_coeffs = modulus.num
 
     def __eq__(self, other):
         return self is other or (
@@ -72,20 +72,6 @@ class NumberField:
         """The element with the given rational coordinates; a longer
         vector is reduced mod m."""
         return NumberFieldElement(self, *integer_vector(list(coeffs)))
-
-    def _reduce(self, cs):
-        """Integer vector of any length reduced mod m, padded to length d."""
-        d = self.degree
-        m = self._mod_coeffs
-        for i in range(len(cs) - 1, d - 1, -1):
-            c = cs[i]
-            if c:
-                cs[i] = 0
-                for j in range(d):
-                    cs[i - d + j] -= c * m[j]
-        del cs[d:]
-        cs += [0] * (d - len(cs))
-        return cs
 
     def zero(self):
         return NumberFieldElement(self, [0] * self.degree)
@@ -113,7 +99,7 @@ class NumberFieldElement:
         """Normalize an integer vector over an integer denominator; a
         vector longer than d is reduced mod m first."""
         if len(num) != field.degree:
-            num = field._reduce(list(num))
+            num = reduce_monic(list(num), field.modulus.num)
         g = gcd(den, *num)
         if den < 0:
             g = -g
@@ -181,29 +167,9 @@ class NumberFieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # the outer loop skips zeros: run it over the sparser operand
-        a, b = self.num, other.num
-        if a.count(0) < b.count(0):
-            a, b = b, a
-        conv = [0] * (2 * len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b, i):
-                    conv[j] += ca * cb
-        return NumberFieldElement(self.field, conv, self.den * other.den)
+        return NumberFieldElement(self.field, convolve(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        acc = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            k >>= 1
-            if k:
-                base = base * base
-        return acc
 
     def inverse(self) -> "NumberFieldElement":
         """Multiplicative inverse: the y with x * y = 1, solved exactly in
@@ -214,7 +180,7 @@ class NumberFieldElement:
         d = field.degree
         cols = [self.num]
         for _ in range(d - 1):
-            cols.append(tuple(field._reduce([0, *cols[-1]])))
+            cols.append(tuple(reduce_monic([0, *cols[-1]], field.modulus.num)))
         # x = num / den, so x * y = 1 reads sum_j y_j (num * a^j) = den * e_0
         rows = [[*row, 0] for row in zip(*cols)]
         rows[0][d] = self.den

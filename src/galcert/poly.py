@@ -12,7 +12,12 @@ on the vectors, with lead**k joining the denominator.  Normalizing r
 divides its content out as far as its denominator allows, so Euclid's
 loop in ``gcd`` is the primitive polynomial remainder sequence (Brown,
 J. ACM 18, 1971) up to one integer factor per remainder, the numerator
-of its rational content, and forms no ``Fraction``.  Multivariate
+of its rational content, and forms no ``Fraction``.  Two integer
+kernels serve every exact product: ``convolve`` multiplies vectors for
+``UniPoly``, ``numberfield.NumberFieldElement`` and ``mul_mod``;
+``reduce_monic`` reduces by a monic vector for field elements and, over
+Z before the residues are taken, for ``mul_mod``, which Dedekind's
+``resolvent.cycle_type`` reaches through ``_power_mod``.  Multivariate
 polynomials map exponent tuples to nonzero coefficients.  Values are
 immutable: every operation builds a new polynomial.
 """
@@ -32,6 +37,34 @@ def integer_vector(cs):
     denominator."""
     den = lcm(*(c.denominator for c in cs))
     return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def convolve(a, b):
+    """The product of two ascending integer vectors, as a list of length
+    len(a) + len(b) - 1.  The outer loop skips zeros, so it runs over the
+    operand with more of them."""
+    if a.count(0) < b.count(0):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return out
+
+
+def reduce_monic(cs, m):
+    """The integer list cs reduced in place mod the monic integer vector m,
+    ascending, and padded with zeros to length deg m; returns cs."""
+    d = len(m) - 1
+    for i in range(len(cs) - 1, d - 1, -1):
+        c = cs[i]
+        if c:
+            for j in range(d):
+                cs[i - d + j] -= c * m[j]
+    del cs[d:]
+    cs += [0] * (d - len(cs))
+    return cs
 
 
 class UniPoly:
@@ -91,14 +124,7 @@ class UniPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        a, b = self.num, other.num
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b, i):
-                    if cb:
-                        out[j] += ca * cb
-        return UniPoly(out, self.den * other.den)
+        return UniPoly(convolve(self.num, other.num), self.den * other.den)
 
     def scale(self, c):
         """c times the polynomial, for an int or rational c."""
@@ -226,19 +252,8 @@ def _derivative_gcd_degree(fs, p):
 
 def mul_mod(a, b, f, p):
     """a * b mod (f, p), for lists of residues of length n = deg f, f a
-    monic list of ints, ascending."""
-    n = len(f) - 1
-    prod = [0] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    for i in range(2 * n - 2, n - 1, -1):
-        c = prod[i] % p
-        if c:
-            for j in range(n):
-                prod[i - n + j] -= c * f[j]
-    return [c % p for c in prod[:n]]
+    monic list of ints, ascending: reduced over Z, then taken mod p."""
+    return [c % p for c in reduce_monic(convolve(a, b), f)]
 
 
 def is_squarefree(f: UniPoly) -> bool:

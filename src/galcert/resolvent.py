@@ -557,7 +557,12 @@ def _test_subgroup(resolvent, sub, ladder):
     climb goes on at the first rung of at least bits + k + 2 bits, where
     the radius, about halved per bit, should be below 1/4; the last rung
     is always tried.  A ball that holds no integer, or a product that
-    does not divide the resolvent, rejects the subgroup.
+    does not divide the resolvent, rejects the subgroup.  So does a value
+    where the cofactor's ball holds 0 and the candidate's does not: the
+    candidate is not 0 there, so it is not the product over the subgroup.
+    R is squarefree, so each value is a root of exactly one of the two,
+    and a wrong candidate that divides R is rejected as soon as its ball
+    at such a value excludes 0, instead of on the last rung.
     """
     schedule = list(precisions(ladder.rs.precision_bits))
     need = max(ladder._rungs, default=0)
@@ -578,6 +583,9 @@ def _test_subgroup(resolvent, sub, ladder):
             return None
         # cofactor certificate: resolvent kills each claimed value and
         # the cofactor provably does not, so the candidate must
-        if not any(quotient.eval_ball(vals[s], prec).contains_zero() for s in sub):
+        doubt = [vals[s] for s in sub if quotient.eval_ball(vals[s], prec).contains_zero()]
+        if not doubt:
             return candidate
+        if any(not candidate.eval_ball(v, prec).contains_zero() for v in doubt):
+            return None
     return None

@@ -500,11 +500,14 @@ def test_cofactor_rejects_the_other_dihedral_conjugates(monkeypatch):
     # every order-8 read of x^4 - 2 returns G's own minimal polynomial m.
     # m divides R, so the division passes for all three D4 conjugates, and
     # only the cofactor R / m, which vanishes on a value of each other
-    # conjugate, rejects them; the first one tried is not G.  A value
-    # where the cofactor vanishes stays in doubt on every rung, so the
-    # climb is cut to two rungs: up to 65536 bits it takes minutes
+    # conjugate, rejects them; the first one tried is not G.  At that
+    # value m's ball excludes 0, so the rejection needs no finer rung than
+    # those identify_galois built.  The climb stays cut to two rungs, so
+    # that a value left in doubt fails the rung check instead of climbing
+    # to 65536 bits, which takes minutes
     ladder = _ladder("x^4 - 2")
     gd = identify_galois(ladder)
+    built = sorted(ladder._rungs)
     read = resolvent.read_integers
     low = list(gd.min_poly.num[:-1])
     monkeypatch.setattr(resolvent, "read_integers",
@@ -514,5 +517,6 @@ def test_cofactor_rejects_the_other_dihedral_conjugates(monkeypatch):
     assert len(others) == 2
     for h in others:
         assert resolvent._test_subgroup(ladder.resolvent, h, ladder) is None
+    assert sorted(ladder._rungs) == built
     again = identify_galois(ladder)
     assert again.group == gd.group and again.min_poly == gd.min_poly

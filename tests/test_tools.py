@@ -56,9 +56,10 @@ def test_paired_times_of_a_tree_against_itself():
     assert run.returncode == 0, run.stderr
     old, new, ratio = run.stdout.splitlines()
     assert old.startswith(f"old {src}: pass totals ") and new.startswith(f"new {src}: pass totals ")
-    match = re.fullmatch(r"median per-input ratio new/old (\S+) over 79 inputs "
-                         r"\(best of 1 passes each\)", ratio)
+    match = re.fullmatch(r"median per-input ratio new/old (\S+), quartiles (\S+)-(\S+), "
+                         r"over 79 inputs \(best of 1 passes each\)", ratio)
     assert match and 0.5 <= float(match[1]) <= 2
+    assert float(match[2]) <= float(match[1]) <= float(match[3])
 
 
 def test_paired_times_refuses_a_path_without_galcert(tmp_path):

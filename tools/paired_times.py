@@ -12,8 +12,9 @@ benchmark's warm worker does.  Each input runs in both trees back to
 back, and which tree goes first alternates from input to input, so both
 see the same machine speed.  Times are CPU seconds of this process.
 
-Prints, per tree, the total of each pass, and the median over inputs of
-the ratio NEW / OLD of each input's best time over the passes.  A path
+Prints, per tree, the total of each pass, and the median and quartiles
+over inputs of the ratio NEW / OLD of each input's best time over the
+passes; the quartiles tell a median ratio of 1.01 from noise.  A path
 without ``galcert/__init__.py`` ends the run with ``error: ...`` on
 stderr and exit status 2.
 """
@@ -94,9 +95,9 @@ def main(argv=None) -> int:
     for label, src, passes in zip(("old", "new"), (args.old, args.new), totals):
         print(f"{label} {src}: pass totals " + " ".join(f"{s:.3f}" for s in passes)
               + f" s, median {statistics.median(passes):.3f} s")
-    ratio = statistics.median(b / a for a, b in zip(*best))
-    print(f"median per-input ratio new/old {ratio:.3f} over {len(inputs)} inputs "
-          f"(best of {args.passes} passes each)")
+    low, ratio, high = statistics.quantiles([b / a for a, b in zip(*best)], n=4)
+    print(f"median per-input ratio new/old {ratio:.3f}, quartiles {low:.3f}-{high:.3f}, "
+          f"over {len(inputs)} inputs (best of {args.passes} passes each)")
     return 0
 
 
