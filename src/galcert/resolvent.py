@@ -40,20 +40,23 @@ against.
 The group is first tested for all of S_n (``certify_symmetric``).  By
 Dedekind's theorem, for a prime p that does not divide disc(f), the
 degrees of f's irreducible factors mod p are the cycle type of an
-element of G.  A square discriminant puts G inside A_n; otherwise an odd
-element is in G, which settles n = 2.  For n = 3 a 3-cycle and an odd
-element generate S3; for n = 4 a 4-cycle and a 3-cycle make 12 divide
-|G| and leave A4, so G = S4.  Then the minimal polynomial is R itself,
-and nothing is read off balls.  When no certificate appears within
-``DEDEKIND_PRIMES`` good primes, subgroups are enumerated by ascending
-order and each candidate product of linear factors is read off the
-certified root balls as an integer polynomial (Stauduhar's approach),
-checked to divide R exactly, and each claimed root is certified via the
-cofactor (if the cofactor provably misses a value that the full product
-kills, the candidate must kill it).  Any subgroup passing all of that
-contains the Galois group, so the first hit is the group and its
-candidate is the minimal polynomial, irreducible by minimality.  None of
-this factors over Q.
+element of G.  The discriminant is a norm read off power sums, as R is:
+(-1)^(n(n-1)/2) times the product of the values f'(alpha_i), whose power
+sums come from f's, and Newton's identities (``from_power_sums``, R's
+own) give the product.  A square discriminant puts G inside A_n;
+otherwise an odd element is in G, which settles n = 2.  For n = 3 a
+3-cycle and an odd element generate S3; for n = 4 a 4-cycle and a
+3-cycle make 12 divide |G| and leave A4, so G = S4.  Then the minimal
+polynomial is R itself, and nothing is read off balls.  When no
+certificate appears within ``DEDEKIND_PRIMES`` good primes, subgroups
+are enumerated by ascending order and each candidate product of linear
+factors is read off the certified root balls as an integer polynomial
+(Stauduhar's approach), checked to divide R exactly, and each claimed
+root is certified via the cofactor (if the cofactor provably misses a
+value that the full product kills, the candidate must kill it).  Any
+subgroup passing all of that contains the Galois group, so the first hit
+is the group and its candidate is the minimal polynomial, irreducible by
+minimality.  None of this factors over Q.
 
 Each weight vector's conjugate balls climb one ``Ladder``, built on the
 ``Roots`` of f, which decide that f is squarefree and isolate on first
@@ -193,18 +196,25 @@ def orbit_sums(f: UniPoly, weights: tuple, top: int, marks) -> list:
 def power_sum_resolvent(f: UniPoly, weights: tuple) -> UniPoly:
     """The resolvent, the product of (x - theta_sigma) over all n!
     values, exactly: its roots' power sums P_1, ..., P_(n!) from
-    ``orbit_sums``, then Newton's identities k e_k = sum_(i<=k)
-    (-1)^(i-1) e_(k-i) P_i for its coefficients (-1)^k e_k."""
+    ``orbit_sums``, then Newton's identities (``from_power_sums``) for
+    its coefficients (-1)^k e_k."""
     if len(weights) != f.degree:
         raise InputError("weight count must match the degree")
     if not f.is_monic():
         raise InputError("polynomial must be monic")
     if f.den != 1:
         raise InputError("integer coefficients required; scale the variable first")
-    big = factorial(f.degree)
-    [ps] = orbit_sums(f, weights, big, (None,))
+    [ps] = orbit_sums(f, weights, factorial(f.degree), (None,))
+    return UniPoly([-c if k % 2 else c for k, c in enumerate(from_power_sums(ps))][::-1])
+
+
+def from_power_sums(ps) -> list:
+    """[e_0, ..., e_N], the elementary symmetric functions of N numbers
+    whose power sums are ps = [p_0, ..., p_N] (p_0 unread), by Newton's
+    identities k e_k = sum_(i<=k) (-1)^(i-1) e_(k-i) p_i; each division
+    by k must be exact."""
     e = [1]
-    for k in range(1, big + 1):
+    for k in range(1, len(ps)):
         s = 0
         for i in range(1, k + 1):
             s += e[k - i] * ps[i] if i % 2 else -e[k - i] * ps[i]
@@ -212,38 +222,23 @@ def power_sum_resolvent(f: UniPoly, weights: tuple) -> UniPoly:
         if r:
             raise CertificationError("the resolvent's power sums are not those of an integer polynomial")
         e.append(q)
-    return UniPoly([-c if k % 2 else c for k, c in enumerate(e)][::-1])
+    return e
 
 
 # -- Dedekind's certificate of G = S_n ---------------------------------------
 
-def _det(rows) -> int:
-    """Determinant of a square integer matrix, by Bareiss's fraction-free
-    elimination: each division is exact."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
 def discriminant(f: UniPoly) -> int:
-    """disc(f) = prod_(i<j) (alpha_i - alpha_j)^2 for monic integral f:
-    the determinant of V^T V, V the roots' Vandermonde matrix, whose
-    entries are the power sums p_(i+j)."""
+    """disc(f) = prod_(i<j) (alpha_i - alpha_j)^2 for monic integral f, a
+    norm read off power sums: (-1)^(n(n-1)/2) times prod_i f'(alpha_i),
+    the e_n of the values f'(alpha_i), whose k-th power sum is
+    sum_m [x^m](f'^k) p_m."""
     n = f.degree
-    p = power_sums(f, 2 * n - 2)
-    return _det([p[i:i + n] for i in range(n)])
+    p = power_sums(f, n * (n - 1))
+    df, g, qs = f.derivative(), UniPoly([1]), [n]
+    for _ in range(n):
+        g = g * df
+        qs.append(sum(c * p[m] for m, c in enumerate(g.num)))
+    return (-1) ** (n * (n - 1) // 2) * from_power_sums(qs)[n]
 
 
 def _frobenius_fixed(h, f, p):

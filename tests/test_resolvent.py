@@ -471,6 +471,47 @@ def test_cycle_types_mod_small_primes():
     assert cycle_type(g, 7) == (3,)
 
 
+def _closed_form_discriminant(cs):
+    """The discriminant of the monic x^n + ... of degree n <= 4 from its
+    lower coefficients cs, ascending, by the classical formulas."""
+    if len(cs) == 1:
+        return 1
+    if len(cs) == 2:
+        c, b = cs
+        return b * b - 4 * c
+    if len(cs) == 3:
+        d, c, b = cs
+        return b * b * c * c - 4 * c ** 3 - 4 * b ** 3 * d - 27 * d * d + 18 * b * c * d
+    # x^4 + bx^3 + cx^2 + dx + e has the discriminant of its resolvent
+    # cubic, whose roots are a1 a2 + a3 a4, a1 a3 + a2 a4 and a1 a4 + a2 a3
+    e, d, c, b = cs
+    return _closed_form_discriminant([-(b * b * e - 4 * c * e + d * d), b * d - 4 * e, -c])
+
+
+_coefficient = st.one_of(st.integers(-3, 3), st.integers(-10 ** 12, 10 ** 12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(_coefficient, min_size=n, max_size=n)))
+@example([-1, -1, 0, 0])          # x^4 - x - 1
+@example([-2, 0, 0])              # x^3 - 2
+@example([1, -2])                 # (x - 1)^2
+@example([0, 0, 0, 0])            # x^4
+def test_discriminant_matches_the_closed_forms(cs):
+    assert discriminant(UniPoly(cs + [1])) == _closed_form_discriminant(cs)
+
+
+def test_newton_refuses_power_sums_of_no_integer_polynomial():
+    # two numbers with sum 1 and sum of squares 0 have e_2 = 1/2: no monic
+    # integer polynomial has them as its roots
+    with pytest.raises(CertificationError, match="the resolvent's power sums are not those "
+                                                 "of an integer polynomial"):
+        resolvent.from_power_sums([2, 1, 0])
+    # the roots 0 and 1, and the roots of x^2 - 2
+    assert resolvent.from_power_sums([2, 1, 1]) == [1, 1, 0]
+    assert resolvent.from_power_sums([2, 0, 4]) == [1, 0, -2]
+
+
 def _ladder(text):
     f, _ = normalize_monic_integer(parse_poly(text))
     return search_resolvent(Roots(f, isolate_roots))

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import re
 import subprocess
@@ -67,3 +68,17 @@ def test_paired_times_refuses_a_path_without_galcert(tmp_path):
     assert run.returncode == 2
     assert run.stderr == f"error: {tmp_path}: no galcert/__init__.py\n"
     assert run.stdout == ""
+
+
+def test_each_mutation_probe_line_occurs_once():
+    # a row whose line has moved or been duplicated would mutate nothing,
+    # or the wrong check; mutate refuses both
+    spec = importlib.util.spec_from_file_location("mutation_probe", ROOT / "tools" / "mutation_probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    for name, line, replacement, selectors in probe.MUTANTS:
+        text = (ROOT / "src" / "galcert" / name).read_text()
+        assert [s.strip() for s in text.splitlines()].count(line) == 1, (name, line)
+        assert probe.mutate(text, line, replacement) != text
+        for selector in selectors:
+            assert (ROOT / selector.split("::")[0]).is_file(), selector
