@@ -21,10 +21,11 @@ the lattice, ``field_from_subgroup`` and the selftest all read:
 * Power sequence.  If the powers 1, ..., x^(k-1) of a value x fixed by
   H's generators are independent, k = dim Fix(H), then Q[x] <= Q[values]
   <= Fix(H) (H permutes the conjugates) all have dimension k and are
-  equal; x's minimal relation, read off the same powers, is the closure
-  proof (``_power_subfield``).  When no value is primitive, the closure
-  worklist ``_closure`` of the values must be the exact kernel
-  ``_fixed_space``, of dimension k, and a combination of values closes k.
+  equal (``_power_subfield``), and ``charpoly`` reads x's minimal
+  polynomial off the traces of the same powers.  When no value is
+  primitive, the closure worklist ``_closure`` of the values must be the
+  exact kernel ``_fixed_space``, of dimension k, and a combination of
+  values closes k.
 
 Then one element per subfield suffices: an automorphism fixes Q(prim)
 iff it fixes prim, so inclusion reversal tests one primitive per pair
@@ -34,9 +35,9 @@ of prim's powers, read off its minimal polynomial.
 
 A subfield is its echelon rows: the primitive integer rows with positive
 pivot entries that ``echelon`` returns, so subfield equality is equality
-of rows, and ``Subfield.basis`` is a view for the renderers.  Spans,
-kernels and relations all come from the fraction-free ``echelon`` and
-its one-row step ``insert_row``.  The closure and the kernel also serve
+of rows, and ``Subfield.basis`` is a view for the renderers.  Spans and
+kernels come from the fraction-free ``echelon`` and its one-row step
+``insert_row``.  The closure and the kernel also serve
 ``from_elements`` and ``fixed_field``, the selftest's independent
 construction.  The pipeline does not call ``rref``, ``nullspace``,
 ``fixed_field`` or ``minimal_polynomial``: they serve the selftest, the
@@ -55,6 +56,7 @@ from .numberfield import (
     NumberField,
     NumberFieldElement,
     SplittingField,
+    charpoly,
     combination,
     compose_mod,
     echelon,
@@ -288,35 +290,19 @@ class CorrespondenceReport(Record):
         return all(ok for _, ok in self.checks)
 
 
-def _relation(powers, coords):
-    """x's minimal polynomial from powers = [1, x, x^2, ...], or None if
-    they are independent.  The first non-pivot column k of the echelon
-    form of the columns num_j, on the coordinates coords, holds the
-    relation num_k = sum c_i num_i, so x^k = sum c_i (den_i / den_k) x^i;
-    coordinates that keep 1, ..., x^(k-1) independent suffice."""
-    red, pivots = echelon([[p.num[i] for p in powers] for i in coords])
-    k = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
-    if k == len(powers):
-        return None
-    # x^k = sum c_i (den_i / den_k) x^i, c_i = red[i][k] / red[i][i], over one denominator
-    top = lcm(*(red[i][i] for i in range(k)))
-    den = top * powers[k].den
-    return UniPoly([-red[i][k] * powers[i].den * (top // red[i][i]) for i in range(k)] + [den],
-                   den)
-
-
 def minimal_polynomial(x: NumberFieldElement, dim: int | None = None) -> UniPoly:
     """Minimal polynomial over Q of x, which lies in a field of dimension
-    dim (the whole field by default): its powers up to x^dim depend."""
+    dim (the whole field by default): its powers up to x^dim depend.  The
+    first power in the span of the ones before it closes Q[x], and
+    ``charpoly`` reads the polynomial off the powers' traces."""
     if dim is None:
         dim = x.field.degree
-    powers = [x.field.one(), x]
-    while len(powers) <= dim:
+    red, pivots, powers = [], [], [x.field.one()]
+    while insert_row(red, pivots, powers[-1].num):
+        if len(powers) > dim:
+            raise ValueError(f"the element lies in no field of dimension {dim}")
         powers.append(powers[-1] * x)
-    mp = _relation(powers, range(x.field.degree))
-    if mp is None:
-        raise ValueError(f"the element lies in no field of dimension {dim}")
-    return mp
+    return charpoly(powers)
 
 
 def _candidates(values):
@@ -341,7 +327,9 @@ def _power_subfield(h: PermGroup, sf: SplittingField, candidates, k: int):
     candidate x that h's generators fix and whose powers 1, ..., x^(k-1)
     are independent, or None.  For k = dim Fix(h) and x in Q[values],
     Q[x] = Q[values] = Fix(h) by the power-sequence argument above; its
-    rows are the powers' echelon rows, its closure proof the relation."""
+    rows are the powers' echelon rows, and x's minimal polynomial is the
+    ``charpoly`` of [1, ..., x^k], which the lattice's inverse closure
+    confirms: the inverse read off it must give x * inv == 1."""
     nf = sf.field
     for x in candidates:
         if not all(sf.sends(s, x, x) for s in h.generators):
@@ -349,7 +337,7 @@ def _power_subfield(h: PermGroup, sf: SplittingField, candidates, k: int):
         red, pivots, powers = [], [], [nf.one(), x]
         while insert_row(red, pivots, powers[-2].num):
             if len(powers) > k:
-                return (Subfield(nf, _rows(red), tuple(pivots)), x, _relation(powers, pivots),
+                return (Subfield(nf, _rows(red), tuple(pivots)), x, charpoly(powers),
                         powers[:-1])
             powers.append(powers[-1] * x)
     return None

@@ -14,7 +14,7 @@ turned into ``PermGroup`` objects only at the end.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .record import Frozen, Record
 
@@ -205,9 +205,6 @@ def symmetric_group(n: int) -> PermGroup:
     return closure(gens[: n - 1], n=n)
 
 
-_SUBGROUP_CACHE: dict = {}
-
-
 def all_subgroups(g: PermGroup):
     """Every subgroup of g, each once, sorted by order then element list,
     in a new list on each call.
@@ -222,35 +219,24 @@ def all_subgroups(g: PermGroup):
     |g| x |g| multiplication table and a subgroup is an int bitmask.
     Each subgroup carries the join's elements as its ``generators``.
     """
-    if g.order > 24:
-        raise ValueError(f"group order {g.order} exceeds the cap of 24")
-    key = g.elements
-    cached = _SUBGROUP_CACHE.get(key)
-    if cached is None:
-        cached = _SUBGROUP_CACHE[key] = _all_subgroups(g)
-    return list(cached)
-
-
-_INCLUSION_CACHE: dict = {}
+    return list(_subgroup_table(g)[0])
 
 
 def subgroup_inclusions(g: PermGroup):
-    """(pairs, outside) for the list ``all_subgroups(g)`` returns, worked out
-    once per group: the index pairs (i, j), i != j, with subgroup i inside
-    subgroup j, and for each subgroup the elements of g outside it, in
-    g's order."""
-    key = g.elements
-    cached = _INCLUSION_CACHE.get(key)
-    if cached is None:
-        sets = [set(h.elements) for h in all_subgroups(g)]
-        pairs = tuple((i, j) for i, a in enumerate(sets) for j, b in enumerate(sets)
-                      if i != j and a <= b)
-        outside = tuple(tuple(p for p in key if p not in h) for h in sets)
-        cached = _INCLUSION_CACHE[key] = pairs, outside
-    return cached
+    """(pairs, outside) for the list ``all_subgroups(g)`` returns: the
+    index pairs (i, j), i != j, with subgroup i inside subgroup j, and for
+    each subgroup the elements of g outside it, in g's order."""
+    return _subgroup_table(g)[1:]
 
 
-def _all_subgroups(g: PermGroup):
+@cache
+def _subgroup_table(g: PermGroup):
+    """(subgroups, pairs, outside), worked out once per group (groups are
+    equal when their elements are) on bitmasks: i inside j when
+    mask_i & mask_j == mask_i, and the elements outside a subgroup are
+    the bits of its mask's complement."""
+    if g.order > 24:
+        raise ValueError(f"group order {g.order} exceeds the cap of 24")
     elems = g.elements
     index = {p: i for i, p in enumerate(elems)}
     table = [[index[p * q] for q in elems] for p in elems]
@@ -271,6 +257,9 @@ def _all_subgroups(g: PermGroup):
             frontier = nxt
         return mask
 
+    def picked(mask):
+        return [p for i, p in enumerate(elems) if mask >> i & 1]
+
     trivial = 1 << one
     seen = {trivial}
     queue = [(trivial, ())]
@@ -286,14 +275,13 @@ def _all_subgroups(g: PermGroup):
             if sub not in seen:
                 seen.add(sub)
                 queue.append((sub, gens + (x,)))
-    subs = [
-        PermGroup._trusted(
-            [p for i, p in enumerate(elems) if h >> i & 1],
-            [elems[x] for x in gens],
-        )
-        for h, gens in queue
-    ]
-    return sorted(subs, key=PermGroup.sort_key)
+    subs = sorted((PermGroup._trusted(picked(h), [elems[x] for x in gens]) for h, gens in queue),
+                  key=PermGroup.sort_key)
+    masks = [sum(1 << index[p] for p in h) for h in subs]
+    full = (1 << len(elems)) - 1
+    pairs = tuple((i, j) for i, a in enumerate(masks) for j, b in enumerate(masks)
+                  if i != j and a & b == a)
+    return tuple(subs), pairs, tuple(tuple(picked(full ^ a)) for a in masks)
 
 
 class Arrangement(Frozen):

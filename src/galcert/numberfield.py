@@ -27,8 +27,9 @@ denominator, derived once from the generator's image, and applied as a
 matrix-vector product; whether it sends x to y is that product's integer
 identity, cross-multiplied by the denominators.  ``compose_mod``
 (substitution by Horner) is kept for evaluating polynomial identities
-such as f(expr) = 0.  Exact linear algebra, inverses included, runs
-through one fraction-free Gauss-Jordan elimination, ``echelon``.  No
+such as f(expr) = 0.  Spans and kernels run through one fraction-free
+Gauss-Jordan elimination, ``echelon``; minimal polynomials and inverses
+come from traces by Newton's identities (``charpoly``), as R does.  No
 ball is read here: every object is exact, and accepted only once an
 exact identity confirms it.
 """
@@ -43,7 +44,7 @@ from operator import mul
 from .errors import CertificationError
 from .poly import UniPoly, convolve, integer_vector, reduce_monic, render_terms
 from .record import Frozen, Record
-from .resolvent import GaloisData, orbit_sums
+from .resolvent import GaloisData, from_power_sums, orbit_sums, power_sums
 
 
 class NumberField:
@@ -172,23 +173,19 @@ class NumberFieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "NumberFieldElement":
-        """Multiplicative inverse: the y with x * y = 1, solved exactly in
-        the basis x * a^j and then checked by the product itself."""
+        """Multiplicative inverse, read off x's characteristic polynomial
+        chi = t^d + ... + c_1 t + c_0 (``charpoly``): chi(x) = 0, so x^-1 =
+        -(x^(d-1) + ... + c_1) / c_0, and then checked by the product."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         field = self.field
-        d = field.degree
-        cols = [self.num]
-        for _ in range(d - 1):
-            cols.append(tuple(reduce_monic([0, *cols[-1]], field.modulus.num)))
-        # x = num / den, so x * y = 1 reads sum_j y_j (num * a^j) = den * e_0
-        rows = [[*row, 0] for row in zip(*cols)]
-        rows[0][d] = self.den
-        red, pivots = echelon(rows)
-        if pivots != list(range(d)):
+        powers = [field.one(), self]
+        while len(powers) <= field.degree:
+            powers.append(powers[-1] * self)
+        chi = charpoly(powers)
+        if not chi.num[0]:
             raise ZeroDivisionError("element shares a factor with the modulus")
-        den = lcm(*(row[i] for i, row in enumerate(red)))
-        inv = NumberFieldElement(field, [row[d] * (den // row[i]) for i, row in enumerate(red)], den)
+        inv = combination(chi.num[1:], powers[:-1], -chi.num[0])
         if self * inv != field.one():
             raise CertificationError("inverse failed its check x * inv == 1")
         return inv
@@ -241,6 +238,27 @@ def compose_mod(p: UniPoly, x: NumberFieldElement) -> NumberFieldElement:
     for c in reversed(rest):
         acc = acc * x + c
     return acc
+
+
+def charpoly(powers) -> UniPoly:
+    """From powers = [1, x, ..., x^k] in a field of degree d, the monic
+    polynomial of degree k whose power sums are k/d times Tr(x^j): x's
+    minimal polynomial when deg x = k, its characteristic one when k = d.
+    For x = z / den with z integral, an algebraic integer as m is monic,
+    Tr(z^j) is z^j's coordinates dotted with m's power sums; Newton's
+    identities give z's polynomial P, and x's is P(den t) / den^k."""
+    field = powers[0].field
+    d, k, den = field.degree, len(powers) - 1, powers[1].den
+    if d % k:
+        raise CertificationError(f"x^{k} closes no subfield: {k} does not divide the degree {d}")
+    p, sums = power_sums(field.modulus, d - 1), [k]
+    for j, x in enumerate(powers[1:], 1):
+        q, r = divmod(k * (den ** j // x.den) * sum(map(mul, x.num, p)), d)
+        if r:
+            raise CertificationError(f"the trace of x^{j} is not {d // k} times an integer")
+        sums.append(q)
+    e = from_power_sums(sums)
+    return UniPoly([(-1) ** i * e[i] * den ** (k - i) for i in range(k, -1, -1)], den ** k)
 
 
 # -- exact linear algebra over integer rows --------------------------------

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they are used to check: root
 enclosures come from plain bisection over exact fractions, complex
 rational arithmetic is spelled out directly over Fraction pairs,
-field inverses come from extended Euclid against the modulus, and
+field inverses come from extended Euclid against the modulus or from a
+Gauss-Jordan solve over ``Fraction``s, and
 ``fraction_divmod`` is schoolbook division over ``Fraction``s, the
 reference for the integer form's pseudo-division.
 ``record_refinements`` counts the pipeline's refinements at the one
@@ -132,6 +133,29 @@ def xgcd_inverse(x):
     g, s, _ = xgcd(x.to_unipoly(), x.field.modulus)
     assert g.degree == 0
     return x.field.element(s.scale(Fraction(1) / Fraction(g.coeffs[0])).coeffs)
+
+
+def fraction_inverse(x):
+    """Reference inverse: the coordinates y of x^-1 as ``Fraction``s,
+    solving sum_j y_j (x * a^j mod m) = 1 by Gauss-Jordan elimination
+    over ``Fraction``s, with the products taken by ``fraction_divmod``."""
+    m = x.field.modulus.coeffs
+    d = len(m) - 1
+    cols = []
+    for j in range(d):
+        rem = fraction_divmod([0] * j + list(x.coeffs), m)[1]
+        cols.append(rem + [Fraction(0)] * (d - len(rem)))
+    rows = [[col[i] for col in cols] + [Fraction(int(i == 0))] for i in range(d)]
+    for c in range(d):
+        pivot = next(r for r in range(c, d) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        lead = rows[c][c]
+        rows[c] = [v / lead for v in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [row[d] for row in rows]
 
 
 def record_refinements(monkeypatch):

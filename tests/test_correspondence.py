@@ -434,28 +434,25 @@ def test_early_stopping_minimal_polynomial_matches_all_powers(text):
 
 @pytest.mark.parametrize("text", ("x^4 - 2", "x^4 + 8x + 12"))
 def test_subfield_sized_minimal_polynomial_matches_all_powers(monkeypatch, text):
-    # every primitive's minimal polynomial is read off its powers up to
-    # its subfield's dimension, on the pivot coordinates of their span;
-    # the full powers up to the field degree agree
+    # every primitive's minimal polynomial is read off the traces of its
+    # powers up to its subfield's dimension; the linear relation among the
+    # full powers up to the field degree agrees
     data = corpus_pipeline(text)
     calls = []
-    sized = correspondence._relation
+    sized = correspondence.charpoly
 
-    def recorded(powers, coords):
-        mp = sized(powers, coords)
-        calls.append((powers, list(coords), mp))
+    def recorded(powers):
+        mp = sized(powers)
+        calls.append((powers, mp))
         return mp
 
-    monkeypatch.setattr(correspondence, "_relation", recorded)
+    monkeypatch.setattr(correspondence, "charpoly", recorded)
     report = correspondence.correspondence_lattice(data.sf)
     assert len(calls) >= len(report.entries)
-    for powers, coords, mp in calls:
+    for powers, mp in calls:
         assert mp == _full_power_minimal_polynomial(powers[1])
     for e in report.entries:
-        assert any(
-            powers[1] is e.primitive and len(powers) == len(coords) + 1 == e.dim + 1
-            for powers, coords, _ in calls
-        )
+        assert any(powers[1] is e.primitive and len(powers) == e.dim + 1 for powers, _ in calls)
     # an element outside every field of the given dimension is refused
     with pytest.raises(ValueError, match="dimension 1"):
         minimal_polynomial(data.sf.field.gen(), 1)

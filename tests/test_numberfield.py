@@ -20,6 +20,7 @@ from galcert.numberfield import (
     NumberField,
     NumberFieldElement,
     automorphism_table,
+    charpoly,
     compose_mod,
     express_roots,
 )
@@ -28,7 +29,7 @@ from galcert.resolvent import Ladder, identify_galois, search_resolvent
 from galcert.roots import RootSystem, isolate_roots
 from galcert.selftest import CORPUS, corpus_pipeline
 
-from helpers import xgcd_inverse
+from helpers import fraction_inverse, xgcd_inverse
 
 
 def sqrt2_field():
@@ -57,12 +58,63 @@ def test_inverse_examples():
 
 
 def test_inverse_of_zero_is_an_error():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
         sqrt2_field().zero().inverse()
-    # a zero divisor modulo a reducible modulus: a singular system
+    # a zero divisor modulo a reducible modulus: a - 1 has characteristic
+    # polynomial t^2 + 2t, whose constant term 0 leaves no inverse
     R = NumberField(UniPoly([-1, 0, 1]))
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="^element shares a factor with the modulus$"):
         (R.gen() - 1).inverse()
+
+
+_fraction = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(CORPUS), st.lists(_fraction, min_size=8, max_size=8))
+def test_inverse_matches_a_fraction_solve(text, coords):
+    # the inverse read off the characteristic polynomial agrees with a
+    # Gauss-Jordan solve over Fractions, non-integral coordinates included
+    K = corpus_pipeline(text).sf.field
+    x = K.element(coords[:K.degree])
+    assume(not x.is_zero())
+    assert list(x.inverse().coeffs) == fraction_inverse(x)
+
+
+def _powers(x, k):
+    powers = [x.field.one()]
+    while len(powers) <= k:
+        powers.append(powers[-1] * x)
+    return powers
+
+
+def test_charpoly_reads_minimal_and_characteristic_polynomials():
+    K = corpus_pipeline("x^3 - 2").sf.field
+    a = K.gen()
+    assert charpoly(_powers(a, 6)) == K.modulus
+    # a^3 = sqrt(-108) over Q: its minimal polynomial from two powers
+    assert charpoly(_powers(a * a * a, 2)) == UniPoly([108, 0, 1])
+    # a non-integral element: x = (a + 1) / 2 in Q(sqrt 2) has x^2 - x - 1/4
+    x = (sqrt2_field().gen() + 1) * Fraction(1, 2)
+    assert charpoly(_powers(x, 2)) == UniPoly([Fraction(-1, 4), -1, 1])
+
+
+def test_charpoly_refuses_a_power_that_closes_no_subfield():
+    # k = 4 does not divide the degree 6 of the field of x^3 - 2
+    a = corpus_pipeline("x^3 - 2").sf.field.gen()
+    with pytest.raises(CertificationError,
+                       match=r"^x\^4 closes no subfield: 4 does not divide the degree 6$"):
+        charpoly(_powers(a, 4))
+
+
+def test_charpoly_refuses_a_trace_of_no_subfield():
+    # in Q[a]/(a^4 + a + 1), Tr(a^3) = -3, and k/d = 2/4 of it is no
+    # integer: a^3 generates no subfield of degree 2
+    K = NumberField(UniPoly([1, 1, 0, 0, 1]))
+    cube = K.gen() * K.gen() * K.gen()
+    with pytest.raises(CertificationError,
+                       match=r"^the trace of x\^1 is not 2 times an integer$"):
+        charpoly(_powers(cube, 2))
 
 
 def test_field_arithmetic_and_powers():
@@ -418,17 +470,12 @@ def test_swapped_root_expressions_are_rejected(monkeypatch, text):
 
 
 def test_a_perturbed_inverse_fails_its_product_check(monkeypatch):
-    # the linear solve returns a solution one off in its first coordinate:
-    # the product x * inv == 1 refuses it
+    # the characteristic polynomial comes back one off in its linear
+    # coefficient, so the inverse read off it is off by 1/c_0 in its first
+    # coordinate: the product x * inv == 1 refuses it
     x = sqrt2_field().gen() + 3
-    solve = numberfield.echelon
-
-    def perturbed(rows):
-        red, pivots = solve(rows)
-        red[0][-1] += red[0][0]
-        return red, pivots
-
-    monkeypatch.setattr(numberfield, "echelon", perturbed)
+    chi = numberfield.charpoly
+    monkeypatch.setattr(numberfield, "charpoly", lambda powers: chi(powers) + UniPoly([0, 1]))
     with pytest.raises(CertificationError, match=r"^inverse failed its check x \* inv == 1$"):
         x.inverse()
 

@@ -63,13 +63,20 @@ MUTANTS = (
     ("roots.py", "if dx * dx + y * y > r * r:", "if False:",
      ("tests/test_arith.py::test_read_integers_decides_like_the_exact_disk",
       "tests/test_arith.py::test_read_integers_at_the_half_integer_edge")),
-    # the root expressions, the inverse and the automorphisms
+    # the root expressions, the characteristic polynomial, the inverse and the
+    # automorphisms
     ("numberfield.py", "if not compose_mod(f, e).is_zero():", "if False:",
      (N + "test_a_tampered_trace_fails_the_root_identity",)),
     ("numberfield.py", "if len(set(exprs)) != len(exprs):", "if False:",
      (N + "test_a_repeated_root_expression_is_refused",)),
     ("numberfield.py", "if combination(weights, exprs) != gen:", "if False:",
      (N + "test_swapped_root_expressions_are_rejected",)),
+    ("numberfield.py", "if d % k:", "if False:",
+     (N + "test_charpoly_refuses_a_power_that_closes_no_subfield",)),
+    ("numberfield.py", "if r:", "if False:",
+     (N + "test_charpoly_refuses_a_trace_of_no_subfield",)),
+    ("numberfield.py", "if not chi.num[0]:", "if False:",
+     (N + "test_inverse_of_zero_is_an_error",)),
     ("numberfield.py", "if self * inv != field.one():", "if False:",
      (N + "test_a_perturbed_inverse_fails_its_product_check",)),
     ("numberfield.py", "if not (top * psi + _mat_vec(field, mat, low)).is_zero():", "if False:",
