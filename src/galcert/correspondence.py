@@ -8,10 +8,10 @@ orders, and that the averaging witness expresses every fixed element as
 a symmetric value.
 
 A fixed point is the integer identity ``sf.sends(s, x, x)`` on the
-matrices the splitting field stores, tested on generators only: the
-matrices compose as the group does (``automorphism_table`` proves it on
-G's generators), and an element fixed by the generators that
-``all_subgroups`` carries with H is fixed by all of H.
+matrices the splitting field stores, tested on generators by the power
+walk: the matrices compose as the group does (``automorphism_table``
+proves it on G's generators), so an element fixed by the generators
+that ``all_subgroups`` carries with H is fixed by all of H.
 Each subgroup's field has one construction, ``_certified_field``, which
 the lattice, ``field_from_subgroup`` and the selftest all read:
 
@@ -27,11 +27,12 @@ the lattice, ``field_from_subgroup`` and the selftest all read:
   exact kernel ``_fixed_space``, of dimension k, and a combination of
   values closes k.
 
-Then one element per subfield suffices: an automorphism fixes Q(prim)
-iff it fixes prim, so inclusion reversal tests one primitive per pair
-and the stabilizer replay only the elements outside H, both listed once
-per group (``subgroup_inclusions``); prim^-1 is one integer combination
-of prim's powers, read off its minimal polynomial.
+Then one element per subfield suffices: an automorphism, a ring map,
+fixes Q(prim) iff it fixes prim.  Inclusion reversal tests one primitive
+per pair and the stabilizer replay only the elements outside H, both
+listed once per group (``subgroup_inclusions``); the averaging witness
+tests each primitive against every element of H, so it reads every
+matrix of H; prim^-1 is one integer combination of prim's powers.
 
 A subfield is its echelon rows: the primitive integer rows with positive
 pivot entries that ``echelon`` returns, so subfield equality is equality
@@ -222,10 +223,10 @@ def fixed_field(h: PermGroup, sf: SplittingField) -> Subfield:
 
 def averaging_check(x: NumberFieldElement, h: PermGroup, sf: SplittingField) -> bool:
     """Whether the explicit symmetric witness holds: x equals the average
-    of its h-orbit images.  Each generator of h is tested to fix x, an
-    exact identity each; the stored matrices compose as the group does,
-    so all of h fixes x, and the images' sum |h| * x averages to x."""
-    return all(sf.sends(s, x, x) for s in h.generators)
+    of its h-orbit images.  Each element of h, on its own stored matrix, is
+    tested to fix x, an exact identity each, so the images' sum is |h| * x
+    and averages to x."""
+    return all(sf.sends(s, x, x) for s in h)
 
 
 def _isomorphism_to(sf: SplittingField, sf2: SplittingField) -> NumberFieldElement:
@@ -454,11 +455,10 @@ def correspondence_lattice(sf: SplittingField) -> CorrespondenceReport:
             raise TheoremError("a sampled inverse escapes its subfield")
     checks.append(("inverse_closure", True))
 
-    # averaging witness on a spanning set of every fixed field, which by
-    # the first check has the rows of the constructed field
-    for h, la in zip(subgroups, constructed):
-        if not all(averaging_check(b, h, sf) for b in la.basis):
-            raise TheoremError(f"averaging witness failed for subgroup {h!r}")
+    # averaging witness: each primitive, which stands for its subfield, against all of H
+    for e in entries:
+        if not averaging_check(e.primitive, e.subgroup, sf):
+            raise TheoremError(f"averaging witness failed for subgroup {e.subgroup!r}")
     checks.append(("averaging_witness", True))
 
     return CorrespondenceReport(

@@ -25,7 +25,7 @@ from galcert.correspondence import (
     rref,
 )
 from galcert.errors import CertificationError, TheoremError
-from galcert.groups import PermGroup, all_subgroups, closure
+from galcert.groups import PermGroup, Permutation, all_subgroups, closure
 from galcert.numberfield import (
     SplittingField,
     automorphism_table,
@@ -187,6 +187,23 @@ def test_averaging_requires_a_fixed_element():
                     assert not averaging_check(e.primitive, h, data.sf)
 
 
+def test_averaging_witness_reads_every_element_of_the_subgroup(monkeypatch):
+    # the stored matrix of an element of H outside its generators, swapped
+    # for that of an element outside H, moves H's primitive: the generators
+    # still fix it, and the witness, which reads all of H, fails
+    data = corpus_pipeline("x^4 - 2")
+    group = data.gd.group
+    one = Permutation.identity(4)
+    h, prim, s = next((e.subgroup, e.primitive, s) for e in data.report.entries
+                      for s in e.subgroup if s != one and s not in e.subgroup.generators
+                      and e.subgroup.order < group.order)
+    t = next(t for t in group if t not in h)
+    assert not data.sf.sends(t, prim, prim)
+    monkeypatch.setitem(data.sf.matrices, s, data.sf.matrices[t])
+    assert all(data.sf.sends(g, prim, prim) for g in h.generators)
+    assert not averaging_check(prim, h, data.sf)
+
+
 def test_failed_averaging_witness_is_a_theorem_error(monkeypatch, capsys):
     # the lattice turns a failed witness into TheoremError, and the CLI
     # into exit 4, not a traceback
@@ -200,9 +217,9 @@ def test_failed_averaging_witness_is_a_theorem_error(monkeypatch, capsys):
 
 def test_fixed_point_checks_test_generators_then_the_rest(monkeypatch):
     # the power sequence tests each primitive against its subgroup's
-    # generators, and the stabilizer replay then against the elements of
-    # G outside the subgroup only; the averaging witness tests each fixed
-    # basis element against the subgroup's generators only
+    # generators, the stabilizer replay then against the elements of G
+    # outside the subgroup only, and the averaging witness, once per
+    # subgroup, against every element of the subgroup
     data = corpus_pipeline("x^4 - 2")
     tested, averaged = [], []
     sends, averaging = SplittingField.sends, correspondence.averaging_check
@@ -214,7 +231,7 @@ def test_fixed_point_checks_test_generators_then_the_rest(monkeypatch):
     def recorded_averaging(x, h, sf):
         start = len(tested)
         ok = averaging(x, h, sf)
-        averaged.append((h, [p for p, _ in tested[start:]]))
+        averaged.append((h, x, [p for p, _ in tested[start:]]))
         return ok
 
     monkeypatch.setattr(SplittingField, "sends", recorded)
@@ -225,11 +242,9 @@ def test_fixed_point_checks_test_generators_then_the_rest(monkeypatch):
     for e in report.entries:
         h = e.subgroup
         outside = [s for s in group if s not in h]
-        assert [p for p, x in tested if x is e.primitive] == list(h.generators) + outside
-        assert [perms for k, perms in averaged if k is h] == [list(h.generators)] * e.dim
-    assert sum(len(perms) for _, perms in averaged) == sum(
-        e.dim * len(e.subgroup.generators) for e in report.entries
-    )
+        assert [p for p, x in tested if x is e.primitive] == list(h.generators) + outside + list(h)
+        assert [(x, perms) for k, x, perms in averaged if k is h] == [(e.primitive, list(h))]
+    assert len(averaged) == len(report.entries)
 
 
 def test_primitive_independence_quadratic():

@@ -111,8 +111,11 @@ MUTANTS = (
      (C + "test_stabilizer_replay_rejects_a_primitive_of_another_field",)),
     ("correspondence.py", "if x * inv != 1:", "if False:",
      (C + "test_inverse_closure_rejects_a_wrong_minimal_polynomial",)),
-    ("correspondence.py", "if not all(averaging_check(b, h, sf) for b in la.basis):", "if False:",
+    ("correspondence.py", "if not averaging_check(e.primitive, e.subgroup, sf):", "if False:",
      (C + "test_failed_averaging_witness_is_a_theorem_error",)),
+    ("correspondence.py", "return all(sf.sends(s, x, x) for s in h)",
+     "return all(sf.sends(s, x, x) for s in h.generators)",
+     (C + "test_averaging_witness_reads_every_element_of_the_subgroup",)),
 )
 
 
