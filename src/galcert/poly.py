@@ -14,10 +14,8 @@ loop in ``gcd`` is the primitive polynomial remainder sequence (Brown,
 J. ACM 18, 1971) up to one integer factor per remainder, the numerator
 of its rational content, and forms no ``Fraction``.  Two integer
 kernels serve every exact product: ``convolve`` multiplies vectors for
-``UniPoly``, ``numberfield.NumberFieldElement`` and ``mul_mod``;
-``reduce_monic`` reduces by a monic vector for field elements and, over
-Z before the residues are taken, for ``mul_mod``, which Dedekind's
-``resolvent.cycle_type`` reaches through ``_power_mod``.  Multivariate
+``UniPoly`` and ``numberfield.NumberFieldElement``, and ``reduce_monic``
+reduces by a monic vector for field elements.  Multivariate
 polynomials map exponent tuples to nonzero coefficients.  Values are
 immutable: every operation builds a new polynomial.
 """
@@ -248,12 +246,6 @@ def _derivative_gcd_degree(fs, p):
     while df and not df[-1]:
         df.pop()
     return _gcd_degree_mod(fs, df, p)
-
-
-def mul_mod(a, b, f, p):
-    """a * b mod (f, p), for lists of residues of length n = deg f, f a
-    monic list of ints, ascending: reduced over Z, then taken mod p."""
-    return [c % p for c in reduce_monic(convolve(a, b), f)]
 
 
 def is_squarefree(f: UniPoly) -> bool:

@@ -38,13 +38,19 @@ coefficients) as the reference that the tests and the selftest compare
 against.
 
 The group is first tested for all of S_n (``certify_symmetric``).  By
-Dedekind's theorem, for a prime p that does not divide disc(f), the
+Dedekind's theorem, for a prime p that does not divide d = disc(f), the
 degrees of f's irreducible factors mod p are the cycle type of an
-element of G.  The discriminant is a norm read off power sums, as R is:
-(-1)^(n(n-1)/2) times the product of the values f'(alpha_i), whose power
-sums come from f's, and Newton's identities (``from_power_sums``, R's
-own) give the product.  A square discriminant puts G inside A_n;
-otherwise an odd element is in G, which settles n = 2.  For n = 3 a
+element of G, the Frobenius of p.  The discriminant is a norm read off
+power sums, as R is: (-1)^(n(n-1)/2) times the product of the values
+f'(alpha_i), whose power sums come from f's, and Newton's identities
+(``from_power_sums``, R's own) give the product.  A square discriminant
+puts G inside A_n; otherwise an odd element is in G, which settles
+n = 2.  For n = 3 and 4 each odd prime p that does not divide d gives
+two facts (``frobenius_pair``): the number of roots of f mod p, and
+whether Frobenius is odd, which by Stickelberger's theorem (1897) is
+when d is not a square mod p.  A cubic with no root mod p is
+irreducible: a 3-cycle.  A quartic with no root has type (4) or (2, 2),
+and only (4) is odd; one with one root has type (1, 3).  For n = 3 a
 3-cycle and an odd element generate S3; for n = 4 a 4-cycle and a
 3-cycle make 12 divide |G| and leave A4, so G = S4.  Then the minimal
 polynomial is R itself, and nothing is read off balls.  When no
@@ -78,13 +84,14 @@ from math import factorial, isqrt
 from .arith import ComplexBall, fixed_mul, round_sig
 from .errors import CertificationError, InputError
 from .groups import PermGroup, Permutation, all_subgroups, symmetric_group
-from .poly import MultiPoly, UniPoly, _derivative_gcd_degree, _gcd_degree_mod, is_squarefree, mul_mod
+from .poly import MultiPoly, UniPoly, is_squarefree
 from .record import Frozen, Record
 from .roots import RootSystem, not_squarefree, precisions, read_integers
 from .sympoly import decompose, substitute_elementary
 
-# the good primes whose cycle types ``certify_symmetric`` reads before it
-# leaves the group to the subgroup search
+# the good odd primes ``certify_symmetric`` reads before the subgroup
+# search; the S_n inputs of the benchmark corpus, small_warm seeds 1 and 2
+# and tests/test_oracle.py read at most 32 (x^4 - x^3 + x^2 + 7x - 15)
 DEDEKIND_PRIMES = 40
 
 
@@ -241,51 +248,25 @@ def discriminant(f: UniPoly) -> int:
     return (-1) ** (n * (n - 1) // 2) * from_power_sums(qs)[n]
 
 
-def _frobenius_fixed(h, f, p):
-    """deg gcd(f, h - x) mod p: for h = x^(p^k) mod (f, p), the number
-    of roots of f in GF(p^k)."""
-    g = list(h)
-    g[1] = (g[1] - 1) % p
-    while g and not g[-1]:
-        g.pop()
-    return _gcd_degree_mod(f, g, p)
-
-
-def _power_mod(h, e, f, p):
-    """h^e mod (f, p), by squaring."""
-    acc = [1] + [0] * (len(f) - 2)
-    while e:
-        if e & 1:
-            acc = mul_mod(acc, h, f, p)
-        e >>= 1
-        if e:
-            h = mul_mod(h, h, f, p)
-    return acc
-
-
-def cycle_type(f: UniPoly, p: int):
-    """The degrees of the irreducible factors of the monic integral f
-    mod p, ascending, for 2 <= deg f <= 4; None when f mod p is not
-    squarefree, that is when p divides disc(f).  From the roots in
-    GF(p) and GF(p^2): what is left has no factor of degree 1 or 2, so
-    it is one factor of degree 3 or 4."""
-    fs = [c % p for c in f.num]
-    n = len(fs) - 1
-    if _derivative_gcd_degree(fs, p):
-        return None
-    frobenius = _power_mod([0, 1] + [0] * (n - 2), p, fs, p)
-    r1 = r2 = _frobenius_fixed(frobenius, fs, p)
-    if n - r1 == 2:
-        r2 = n
-    elif n - r1 == 4:
-        r2 = _frobenius_fixed(_power_mod(frobenius, p, fs, p), fs, p)
-    rest = n - r2
-    return (1,) * r1 + (2,) * ((r2 - r1) // 2) + ((rest,) if rest else ())
+def frobenius_pair(f: UniPoly, d: int, p: int):
+    """(roots, odd) mod an odd prime p that does not divide d = disc(f):
+    the number of roots of f mod p, by evaluating f at the p residues, and
+    whether Frobenius is an odd permutation of f's roots, which by
+    Stickelberger's theorem is when d is not a square mod p."""
+    cs = [c % p for c in reversed(f.num)]
+    roots = 0
+    for x in range(p):
+        v = 0
+        for c in cs:
+            v = v * x + c
+        roots += not v % p
+    return roots, pow(d, (p - 1) // 2, p) != 1
 
 
 def _primes():
+    """The odd primes, ascending."""
     found = []
-    for q in count(2):
+    for q in count(3, 2):
         if all(q % r for r in found if r * r <= q):
             found.append(q)
             yield q
@@ -294,23 +275,24 @@ def _primes():
 def certify_symmetric(f: UniPoly) -> bool:
     """True if the Galois group of the monic integral squarefree f of
     degree 2 to 4 is proved to be all of S_n (see the module docstring):
-    a discriminant that is not a square, and for n = 3 the cycle type
-    (3), for n = 4 the types (4) and (1, 3), read mod the good primes
-    from 2 up.  False when the discriminant is a square, or when
-    ``DEDEKIND_PRIMES`` good primes leave a type unseen."""
+    a discriminant d that is not a square, and ``frobenius_pair`` read
+    mod the odd primes p from 3 up that do not divide d.  By
+    Stickelberger's theorem the pair tells the types waited for: for
+    n = 3 the 3-cycle, no root and even; for n = 4 the 4-cycle, no root
+    and odd, and the type (1, 3), one root and even.  False when d is a
+    square, or when ``DEDEKIND_PRIMES`` such primes leave a type unseen."""
     n = f.degree
     d = discriminant(f)
     if d >= 0 and isqrt(d) ** 2 == d:
         return False
     if n == 2:
         return True
-    wanted = {(3,)} if n == 3 else {(4,), (1, 3)}
+    wanted = {(0, False)} if n == 3 else {(0, True), (1, False)}
     good = 0
     for p in _primes():
-        t = cycle_type(f, p)
-        if t is None:
+        if not d % p:
             continue
-        wanted.discard(t)
+        wanted.discard(frobenius_pair(f, d, p))
         if not wanted:
             return True
         good += 1
@@ -542,7 +524,8 @@ def identify_galois(ladder: Ladder) -> GaloisData:
 
 
 def _test_subgroup(resolvent, sub, ladder):
-    """The subgroup's minimal polynomial, or None if it is rejected.
+    """The subgroup's minimal polynomial, or None if it is proved not to
+    contain G; ``CertificationError`` when the last rung leaves it undecided.
 
     The monic product of (x - value) over the subgroup's conjugate values
     is read off its coefficient balls by ``read_integers``, up the
@@ -557,7 +540,9 @@ def _test_subgroup(resolvent, sub, ladder):
     candidate is not 0 there, so it is not the product over the subgroup.
     R is squarefree, so each value is a root of exactly one of the two,
     and a wrong candidate that divides R is rejected as soon as its ball
-    at such a value excludes 0, instead of on the last rung.
+    at such a value excludes 0, instead of on the last rung.  Nothing
+    else rejects: rejecting a subgroup without a proof would break
+    ``identify_galois``'s argument that its first hit is G.
     """
     schedule = list(precisions(ladder.rs.precision_bits))
     need = max(ladder._rungs, default=0)
@@ -583,4 +568,4 @@ def _test_subgroup(resolvent, sub, ladder):
             return candidate
         if any(not candidate.eval_ball(v, prec).contains_zero() for v in doubt):
             return None
-    return None
+    raise CertificationError(f"the subgroup {sub!r} stays undecided at {bits} bits")

@@ -28,10 +28,9 @@ above the cap, then the precision doubles while it stays at or below
 ``PREC_CAP`` = 2**16 bits.  No caller picks another cap.  After the
 isolation only the subgroup test of ``resolvent.identify_galois``
 climbs it, from the finest system its ladder built, which refines each
-precision once.  Each climber decides what running out of the schedule
-means: the subgroup test rejects the subgroup whose candidate factor it
-could not read off a ball product, and ``RootSystem.refine`` raises
-``CertificationError`` (exit code 3 in the CLI).  The resolvent, and
+precision once.  Both climbers raise ``CertificationError`` (exit code
+3 in the CLI) when they run out of the schedule; the subgroup test names
+the subgroup that its last rung left undecided.  The resolvent, and
 with it the injectivity of a weight vector, needs no balls at all: it
 comes from power sums.  ``isolate_roots`` is the first isolation: it
 checks f, warm-starts the points and sorts the balls, which fixes the
@@ -81,13 +80,12 @@ def precisions(start: int):
 
 
 def _float_aberth(f: UniPoly):
-    """Double-precision warm start; None if floats cannot represent f."""
+    """Double-precision warm start; None if floats cannot represent f or
+    the iteration leaves them."""
     n = f.degree
     try:
         cs = [float(c) for c in f.coeffs]
     except OverflowError:
-        return None
-    if any(c != c or abs(c) == float("inf") for c in cs):
         return None
     dcs = [i * cs[i] for i in range(1, n + 1)]
     bound = 1.0 + max(abs(c) for c in cs)
@@ -117,6 +115,8 @@ def _float_aberth(f: UniPoly):
         zs = new
         if moved < 1e-14 * scale:
             break
+    if not all(cmath.isfinite(z) for z in zs):
+        return None
     return zs
 
 

@@ -428,19 +428,19 @@ def test_only_the_winning_ladder_reads_balls(monkeypatch):
 
 
 def test_a_missing_cycle_type_takes_the_ball_route(monkeypatch, capsys):
-    # a pattern reader that never sees a 4-cycle leaves S4 unproved, so
-    # the subgroup search isolates, reads the balls and finds S4, and the
-    # report is the same
+    # a reader that never sees a 4-cycle, no root and odd Frobenius,
+    # leaves S4 unproved, so the subgroup search isolates, reads the balls
+    # and finds S4, and the report is the same
     isolations = []
-    isolate, pattern = cli.isolate_roots, resolvent.cycle_type
+    isolate, pair = cli.isolate_roots, resolvent.frobenius_pair
 
     def counted_isolate(f):
         isolations.append(f)
         return isolate(f)
 
     monkeypatch.setattr(cli, "isolate_roots", counted_isolate)
-    monkeypatch.setattr(resolvent, "cycle_type",
-                        lambda f, p: (2, 2) if pattern(f, p) == (4,) else pattern(f, p))
+    monkeypatch.setattr(resolvent, "frobenius_pair",
+                        lambda f, d, p: (0, False) if pair(f, d, p) == (0, True) else pair(f, d, p))
     for args, digest in (
         (["x^4 - x - 1", "--format", "json"],
          "c4282b338256f00070d3a6aee2942df09a634e0b078dff2e83241ed496df129e"),

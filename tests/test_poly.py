@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from galcert import poly
 from galcert.arith import ComplexBall
-from galcert.poly import (SQUAREFREE_PRIME, MultiPoly, UniPoly, convolve, gcd, is_squarefree,
-                          mul_mod, reduce_monic)
+from galcert.poly import SQUAREFREE_PRIME, MultiPoly, UniPoly, convolve, gcd, is_squarefree, reduce_monic
 from galcert.resolvent import resolvent_poly
 
 from helpers import ball_contains_rational, bisect_root, fraction_divmod, fraction_gcd, interval_ball, xgcd
@@ -183,27 +182,22 @@ def _remainder(cs, m):
     return [*r, *[0] * (len(m) - 1 - len(r))]
 
 
-_SMALL_PRIMES = [q for q in range(2, 98) if all(q % r for r in range(2, q))]
 # vectors with many zeros, so the kernels' zero skips and swaps run
 _vectors = st.lists(st.one_of(st.just(0), st.integers(-10**6, 10**6)), max_size=14)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_vectors, _vectors, st.lists(st.integers(-1000, 1000), min_size=1, max_size=6),
-       st.sampled_from(_SMALL_PRIMES))
-@example([], [], [0], 2)
-@example([], [3, 0, 1], [5, -1], 97)
-@example([7], [0, 0, 4], [1, 2, 3], 3)  # both shorter than deg m
-@example([1, 2, 3], [0, 5, 0], [4, 0, -1], 5)  # both as long as deg m
-@example([1] * 9, [0, 0, 0, 0, 1], [-2, 0, 1], 7)  # both longer
-def test_kernels_match_schoolbook_and_division(a, b, low, p):
+@given(_vectors, _vectors, st.lists(st.integers(-1000, 1000), min_size=1, max_size=6))
+@example([], [], [0])
+@example([], [3, 0, 1], [5, -1])
+@example([7], [0, 0, 4], [1, 2, 3])  # both shorter than deg m
+@example([1, 2, 3], [0, 5, 0], [4, 0, -1])  # both as long as deg m
+@example([1] * 9, [0, 0, 0, 0, 1], [-2, 0, 1])  # both longer
+def test_kernels_match_schoolbook_and_division(a, b, low):
     assert convolve(a, b) == _schoolbook(a, b)
     m = [*low, 1]
     for cs in (a, b, convolve(a, b)):
         assert reduce_monic(list(cs), m) == _remainder(cs, m)
-    # residues of length deg m, as cycle_type passes them
-    ra, rb = ([x % p for x in _remainder(v, m)] for v in (a, b))
-    assert mul_mod(ra, rb, m, p) == [c % p for c in _remainder(_schoolbook(ra, rb), m)]
 
 
 def test_xgcd_bezout():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import islice
 from itertools import product as iter_product
+from math import isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from galcert import resolvent
 from galcert.arith import ball_disjoint
-from galcert.cli import normalize_monic_integer, parse_poly
+from galcert.cli import main, normalize_monic_integer, parse_poly
 from galcert.errors import CertificationError, InputError
 from galcert.groups import Permutation, all_subgroups, symmetric_group
 from galcert.numberfield import automorphism_table, express_roots
@@ -19,8 +20,8 @@ from galcert.resolvent import (
     certify_distinct_values,
     certify_symmetric,
     conjugate_balls,
-    cycle_type,
     discriminant,
+    frobenius_pair,
     identify_galois,
     power_sum_resolvent,
     resolvent_poly,
@@ -455,20 +456,48 @@ def test_dedekind_certifies_only_the_symmetric_group(text, symmetric):
 
 
 def test_cycle_types_mod_small_primes():
-    # x^4 - x - 1 is irreducible mod 2 and mod 3, has the root 3 mod 7,
-    # and a repeated root mod 283, its discriminant
+    # x^4 - x - 1 is irreducible mod 3, of type (4), odd, and has the
+    # root 3 mod 7, of type (1, 3)
     f = UniPoly([-1, -1, 0, 0, 1])
-    assert discriminant(f) == -283
-    assert cycle_type(f, 2) == cycle_type(f, 3) == (4,)
-    assert cycle_type(f, 7) == (1, 3)
-    assert cycle_type(f, 283) is None
-    # x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2) mod 3
-    assert cycle_type(UniPoly([1, 0, 0, 0, 1]), 3) == (2, 2)
-    # x^3 - 2 has the root 3 mod 5 and the three cube roots of 2 mod 31
+    d = discriminant(f)
+    assert d == -283
+    assert frobenius_pair(f, d, 3) == (0, True)
+    assert frobenius_pair(f, d, 7) == (1, False)
+    # x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2) mod 3, even
+    assert frobenius_pair(UniPoly([1, 0, 0, 0, 1]), 256, 3) == (0, False)
+    # x^3 - 2 has the root 3 mod 5 and the three cube roots of 2 mod 31,
+    # and none mod 7, where it is irreducible
     g = UniPoly([-2, 0, 0, 1])
-    assert cycle_type(g, 5) == (1, 2)
-    assert cycle_type(g, 31) == (1, 1, 1)
-    assert cycle_type(g, 7) == (3,)
+    assert discriminant(g) == -108
+    assert frobenius_pair(g, -108, 5) == (1, True)
+    assert frobenius_pair(g, -108, 31) == (3, False)
+    assert frobenius_pair(g, -108, 7) == (0, False)
+
+
+@pytest.mark.parametrize("text, skipped", [
+    # 283, the discriminant, lies past the 40 primes: the scan is lengthened
+    ("x^4 - x - 1", {283}),
+    # d = 4 * 105^3
+    ("x^3 - 105x", {3, 5, 7}),
+])
+def test_no_prime_dividing_the_discriminant_is_read(monkeypatch, text, skipped):
+    # a pair that is never waited for keeps the scan going to its end
+    f = parse_poly(text)
+    d = discriminant(f)
+    assert {p for p in skipped if d % p == 0} == skipped
+    read = []
+
+    def never_waited(f, d, p):
+        read.append(p)
+        return 2, True
+
+    monkeypatch.setattr(resolvent, "frobenius_pair", never_waited)
+    monkeypatch.setattr(resolvent, "DEDEKIND_PRIMES", 70)
+    assert certify_symmetric(f) is False
+    odd = [q for q in range(3, 400, 2) if all(q % r for r in range(3, isqrt(q) + 1, 2))]
+    assert read == [q for q in odd if d % q][:70]
+    assert not skipped & set(read)
+    assert read[-1] > max(skipped)
 
 
 def _closed_form_discriminant(cs):
@@ -515,6 +544,21 @@ def test_newton_refuses_power_sums_of_no_integer_polynomial():
 def _ladder(text):
     f, _ = normalize_monic_integer(parse_poly(text))
     return search_resolvent(Roots(f, isolate_roots))
+
+
+def test_an_undecided_subgroup_is_refused_not_rejected(monkeypatch, capsys):
+    # no order-8 product of x^4 - 2 is read as integers, and the climb is
+    # cut to two rungs: its group, a D4, stays undecided.  Rejecting it
+    # would let the search go on to S4, whose R is reducible
+    ladder = _ladder("x^4 - 2")
+    read = resolvent.read_integers
+    monkeypatch.setattr(resolvent, "read_integers",
+                        lambda balls: None if len(balls) == 8 else read(balls))
+    monkeypatch.setattr(resolvent, "precisions", lambda start: islice(precisions(start), 2))
+    with pytest.raises(CertificationError, match=r"the subgroup PermGroup\(order=8, .* stays undecided"):
+        identify_galois(ladder)
+    assert main(["analyze", "x^4 - 2"]) == 3
+    assert capsys.readouterr().err.startswith("certification failure: the subgroup PermGroup(order=8")
 
 
 def test_exact_division_rejects_a_candidate_off_by_one(monkeypatch):

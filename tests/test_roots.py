@@ -159,6 +159,20 @@ def test_isolation_survives_float_overflow():
         assert abs(c - expected) <= max(b.rad for b in rs.enclosures)
 
 
+def test_isolation_survives_a_float_iteration_that_overflows():
+    # 2 * 10^160 fits in a float, but the float iteration's points
+    # overflow, so isolation takes the circle start
+    f = UniPoly([-2 * 10**160, 0, 1])
+    assert roots._float_aberth(f) is None
+    rs = isolate_roots(f, 96)
+    low, high = rs.enclosures
+    assert low.re < 0 < high.re
+    for b in rs.enclosures:
+        # a root r within b.rad of the center c has |c^2 - r^2| <= rad (2|c| + rad)
+        assert abs(b.im) <= b.rad
+        assert abs(b.re ** 2 - 2 * 10**160) <= b.rad * (2 * abs(b.re) + b.rad)
+
+
 def test_isolation_rejects_a_polish_that_repeats_a_point(monkeypatch):
     # the repeated point is an accurate root, so its ball is narrow enough:
     # only the disjointness of the balls rejects it, at every precision

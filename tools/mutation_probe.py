@@ -44,9 +44,14 @@ MUTANTS = (
      (R + "test_dedekind_certifies_only_the_symmetric_group", "tests/test_oracle.py")),
     ("resolvent.py", "if d >= 0 and isqrt(d) ** 2 == d:", "if d >= 0:",
      (R + "test_dedekind_certifies_only_the_symmetric_group", "tests/test_oracle.py")),
-    ("resolvent.py", "wanted = {(3,)} if n == 3 else {(4,), (1, 3)}",
-     "wanted = {(3,)} if n == 3 else {(4,)}",
+    ("resolvent.py", "wanted = {(0, False)} if n == 3 else {(0, True), (1, False)}",
+     "wanted = {(0, False)} if n == 3 else {(0, True)}",
      (R + "test_dedekind_certifies_only_the_symmetric_group", "tests/test_oracle.py")),
+    ("resolvent.py", "return roots, pow(d, (p - 1) // 2, p) != 1", "return roots, False",
+     (R + "test_cycle_types_mod_small_primes",
+      "tests/test_oracle.py::test_frobenius_pair_matches_the_factor_degrees")),
+    ("resolvent.py", "if not d % p:", "if False:",
+     (R + "test_no_prime_dividing_the_discriminant_is_read",)),
     ("resolvent.py", "return is_squarefree(ladder.resolvent)", "return True",
      ("tests/test_resolvent.py",)),
     ("resolvent.py", "if not remainder.is_zero():", "if False:",
@@ -54,7 +59,13 @@ MUTANTS = (
     ("resolvent.py",
      "if any(not candidate.eval_ball(v, prec).contains_zero() for v in doubt):", "if False:",
      (R + "test_cofactor_rejects_the_other_dihedral_conjugates",)),
+    ("resolvent.py",
+     'raise CertificationError(f"the subgroup {sub!r} stays undecided at {bits} bits")',
+     "return None",
+     (R + "test_an_undecided_subgroup_is_refused_not_rejected",)),
     # the root balls
+    ("roots.py", "if not all(cmath.isfinite(z) for z in zs):", "if False:",
+     (RO + "test_isolation_survives_a_float_iteration_that_overflows",)),
     ("roots.py", "if all(b.rad <= target for b in balls) and pairwise_disjoint(balls):",
      "if all(b.rad <= target for b in balls):",
      (RO + "test_isolation_rejects_a_polish_that_repeats_a_point",)),
