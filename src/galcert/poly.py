@@ -239,15 +239,6 @@ def _gcd_degree_mod(a, b, p):
     return len(a) - 1
 
 
-def _derivative_gcd_degree(fs, p):
-    """deg gcd(f, f') over GF(p), for f's residues mod p, ascending, the
-    leading one nonzero."""
-    df = [k * c % p for k, c in enumerate(fs)][1:]
-    while df and not df[-1]:
-        df.pop()
-    return _gcd_degree_mod(fs, df, p)
-
-
 def is_squarefree(f: UniPoly) -> bool:
     """Whether gcd(f, f') is constant.
 
@@ -260,8 +251,11 @@ def is_squarefree(f: UniPoly) -> bool:
     constant, goes to the rational ``gcd``.
     """
     p = SQUAREFREE_PRIME
-    if f.den == 1 and f.is_monic() and not _derivative_gcd_degree([c % p for c in f.num], p):
-        return True
+    if f.den == 1 and f.is_monic():
+        # the degree n < p, so f' mod p keeps its leading coefficient n
+        df = [k * c % p for k, c in enumerate(f.num)][1:]
+        if not _gcd_degree_mod([c % p for c in f.num], df, p):
+            return True
     return gcd(f, f.derivative()).degree == 0
 
 

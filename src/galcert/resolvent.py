@@ -45,15 +45,16 @@ power sums, as R is: (-1)^(n(n-1)/2) times the product of the values
 f'(alpha_i), whose power sums come from f's, and Newton's identities
 (``from_power_sums``, R's own) give the product.  A square discriminant
 puts G inside A_n; otherwise an odd element is in G, which settles
-n = 2.  For n = 3 and 4 each odd prime p that does not divide d gives
-two facts (``frobenius_pair``): the number of roots of f mod p, and
-whether Frobenius is odd, which by Stickelberger's theorem (1897) is
-when d is not a square mod p.  A cubic with no root mod p is
-irreducible: a 3-cycle.  A quartic with no root has type (4) or (2, 2),
-and only (4) is odd; one with one root has type (1, 3).  For n = 3 a
-3-cycle and an odd element generate S3; for n = 4 a 4-cycle and a
-3-cycle make 12 divide |G| and leave A4, so G = S4.  Then the minimal
-polynomial is R itself, and nothing is read off balls.  When no
+n = 2.  For n = 3 and 4 each prime p from 2 up that does not divide d
+gives one fact (``roots_mod``): the number of roots of f mod p, the
+fixed points of its Frobenius.  A cubic with no root mod p is
+irreducible mod p: a 3-cycle, so 3 divides |G| and G = S3.  For a
+quartic, one root gives the type (1, 3), a 3-cycle fixing one root, and
+no root a fixed-point-free element, of type (4) or (2, 2), which moves
+that root into the 3-cycle's orbit: G is transitive, so 4 and 3 divide
+|G|, G is A4 or S4, and the odd element leaves S4.  The square test
+alone carries parity.  Then the minimal polynomial is R itself, and
+nothing is read off balls.  When no
 certificate appears within ``DEDEKIND_PRIMES`` good primes, subgroups
 are enumerated by ascending order and each candidate product of linear
 factors is read off the certified root balls as an integer polynomial
@@ -89,9 +90,10 @@ from .record import Frozen, Record
 from .roots import RootSystem, not_squarefree, precisions, read_integers
 from .sympoly import decompose, substitute_elementary
 
-# the good odd primes ``certify_symmetric`` reads before the subgroup
+# the good primes ``certify_symmetric`` reads before the subgroup
 # search; the S_n inputs of the benchmark corpus, small_warm seeds 1 and 2
-# and tests/test_oracle.py read at most 32 (x^4 - x^3 + x^2 + 7x - 15)
+# and tests/test_oracle.py read at most 20, up to 71
+# (83/4x^3 - 7x^2 + 23/2x - 57/4)
 DEDEKIND_PRIMES = 40
 
 
@@ -248,11 +250,9 @@ def discriminant(f: UniPoly) -> int:
     return (-1) ** (n * (n - 1) // 2) * from_power_sums(qs)[n]
 
 
-def frobenius_pair(f: UniPoly, d: int, p: int):
-    """(roots, odd) mod an odd prime p that does not divide d = disc(f):
-    the number of roots of f mod p, by evaluating f at the p residues, and
-    whether Frobenius is an odd permutation of f's roots, which by
-    Stickelberger's theorem is when d is not a square mod p."""
+def roots_mod(f: UniPoly, p: int) -> int:
+    """The number of roots of f mod the prime p, by evaluating f at the p
+    residues."""
     cs = [c % p for c in reversed(f.num)]
     roots = 0
     for x in range(p):
@@ -260,13 +260,13 @@ def frobenius_pair(f: UniPoly, d: int, p: int):
         for c in cs:
             v = v * x + c
         roots += not v % p
-    return roots, pow(d, (p - 1) // 2, p) != 1
+    return roots
 
 
 def _primes():
-    """The odd primes, ascending."""
+    """The primes, ascending."""
     found = []
-    for q in count(3, 2):
+    for q in count(2):
         if all(q % r for r in found if r * r <= q):
             found.append(q)
             yield q
@@ -275,24 +275,24 @@ def _primes():
 def certify_symmetric(f: UniPoly) -> bool:
     """True if the Galois group of the monic integral squarefree f of
     degree 2 to 4 is proved to be all of S_n (see the module docstring):
-    a discriminant d that is not a square, and ``frobenius_pair`` read
-    mod the odd primes p from 3 up that do not divide d.  By
-    Stickelberger's theorem the pair tells the types waited for: for
-    n = 3 the 3-cycle, no root and even; for n = 4 the 4-cycle, no root
-    and odd, and the type (1, 3), one root and even.  False when d is a
-    square, or when ``DEDEKIND_PRIMES`` such primes leave a type unseen."""
+    a discriminant d that is not a square, and ``roots_mod`` read mod the
+    primes p from 2 up that do not divide d.  For n = 3 it waits for a
+    prime with no root, a 3-cycle; for n = 4 for one with no root, of type
+    (4) or (2, 2), and one with one root, of type (1, 3).  False when d
+    is a square, or when ``DEDEKIND_PRIMES`` such primes leave a root
+    count unseen."""
     n = f.degree
     d = discriminant(f)
     if d >= 0 and isqrt(d) ** 2 == d:
         return False
     if n == 2:
         return True
-    wanted = {(0, False)} if n == 3 else {(0, True), (1, False)}
+    wanted = {0} if n == 3 else {0, 1}
     good = 0
     for p in _primes():
         if not d % p:
             continue
-        wanted.discard(frobenius_pair(f, d, p))
+        wanted.discard(roots_mod(f, p))
         if not wanted:
             return True
         good += 1

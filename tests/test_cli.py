@@ -428,19 +428,18 @@ def test_only_the_winning_ladder_reads_balls(monkeypatch):
 
 
 def test_a_missing_cycle_type_takes_the_ball_route(monkeypatch, capsys):
-    # a reader that never sees a 4-cycle, no root and odd Frobenius,
-    # leaves S4 unproved, so the subgroup search isolates, reads the balls
-    # and finds S4, and the report is the same
+    # a reader that never sees a prime with no root leaves S4 unproved,
+    # so the subgroup search isolates, reads the balls and finds S4, and
+    # the report is the same
     isolations = []
-    isolate, pair = cli.isolate_roots, resolvent.frobenius_pair
+    isolate, counts = cli.isolate_roots, resolvent.roots_mod
 
     def counted_isolate(f):
         isolations.append(f)
         return isolate(f)
 
     monkeypatch.setattr(cli, "isolate_roots", counted_isolate)
-    monkeypatch.setattr(resolvent, "frobenius_pair",
-                        lambda f, d, p: (0, False) if pair(f, d, p) == (0, True) else pair(f, d, p))
+    monkeypatch.setattr(resolvent, "roots_mod", lambda f, p: counts(f, p) or 2)
     for args, digest in (
         (["x^4 - x - 1", "--format", "json"],
          "c4282b338256f00070d3a6aee2942df09a634e0b078dff2e83241ed496df129e"),

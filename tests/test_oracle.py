@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 from galcert.cli import analyze, normalize_monic_integer, parse_poly
 from galcert.errors import InputError
 from galcert.poly import UniPoly, is_squarefree
-from galcert.resolvent import Roots, certify_symmetric, frobenius_pair, identify_galois, search_resolvent
+from galcert.resolvent import Roots, certify_symmetric, identify_galois, roots_mod, search_resolvent
 from galcert.roots import isolate_roots
 
 
@@ -277,7 +277,8 @@ def oracle_quartic(g):
 def _cycle_type_mod(g, p, disc):
     """The degrees of the factors of the quartic g mod an odd prime p that
     does not divide disc: the roots in GF(p) by evaluation, and for none
-    Stickelberger's theorem, (disc / p) = (-1)^(4 - number of factors)."""
+    Stickelberger's theorem, (disc / p) = (-1)^(4 - number of factors).
+    Mod 2 only the count of 1s, the roots, is right."""
     roots = sum(_eval(g, x) % p == 0 for x in range(p))
     if roots:
         return {4: (1, 1, 1, 1), 2: (1, 1, 2), 1: (1, 3)}[roots]
@@ -351,28 +352,26 @@ def test_quartic_group_matches_the_oracle(low):
         assert _cycle_type_mod(g, p, disc) in types
 
 
-_ODD_PRIMES = [q for q in range(3, 100, 2) if all(q % r for r in range(3, q, 2))]
+_PRIMES = [q for q in range(2, 100) if all(q % r for r in range(2, q))]
 
 
-# the pair that certify_symmetric reads mod each good odd prime: the
-# roots mod p, and the parity of Frobenius.  A quartic's is read off its
-# factor degrees; a cubic's parity is odd exactly with one root, type (1, 2)
+# the root count that certify_symmetric reads mod each good prime: a
+# quartic's is read off its factor degrees, a cubic's by evaluation
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.integers(-20, 20), min_size=3, max_size=4))
 @example([-1, -1, 0, 0])                 # x^4 - x - 1
 @example([1, 0, 0, 0])                   # x^4 + 1
+@example([-4, 1, -3, 4])                 # x^4 + 4x^3 - 3x^2 + x - 4
 @example([-2, 0, 0])                     # x^3 - 2
 @example([-1, -3, 0])                    # x^3 - 3x - 1
-def test_frobenius_pair_matches_the_factor_degrees(low):
+def test_roots_mod_matches_the_factor_degrees(low):
     g = low + [1]
     quartic = len(g) == 5
     disc = _quartic_discriminant(g) if quartic else _cubic_discriminant(g)
     assume(disc != 0)
-    for p in [p for p in _ODD_PRIMES if disc % p][:8]:
-        pair = frobenius_pair(UniPoly(g), disc, p)
+    for p in [p for p in _PRIMES if disc % p][:8]:
         if quartic:
-            t = _cycle_type_mod(g, p, disc)
-            assert pair == (t.count(1), len(t) % 2 == 1)
+            roots = _cycle_type_mod(g, p, disc).count(1)
         else:
             roots = sum(_eval(g, x) % p == 0 for x in range(p))
-            assert pair == (roots, roots == 1)
+        assert roots_mod(UniPoly(g), p) == roots

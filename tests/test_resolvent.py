@@ -21,10 +21,10 @@ from galcert.resolvent import (
     certify_symmetric,
     conjugate_balls,
     discriminant,
-    frobenius_pair,
     identify_galois,
     power_sum_resolvent,
     resolvent_poly,
+    roots_mod,
     search_resolvent,
 )
 from galcert.roots import PREC_CAP, RootSystem, isolate_roots, precisions
@@ -456,46 +456,68 @@ def test_dedekind_certifies_only_the_symmetric_group(text, symmetric):
 
 
 def test_cycle_types_mod_small_primes():
-    # x^4 - x - 1 is irreducible mod 3, of type (4), odd, and has the
-    # root 3 mod 7, of type (1, 3)
+    # x^4 - x - 1 is irreducible mod 3, of type (4), and has the root 3
+    # mod 7, of type (1, 3)
     f = UniPoly([-1, -1, 0, 0, 1])
-    d = discriminant(f)
-    assert d == -283
-    assert frobenius_pair(f, d, 3) == (0, True)
-    assert frobenius_pair(f, d, 7) == (1, False)
-    # x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2) mod 3, even
-    assert frobenius_pair(UniPoly([1, 0, 0, 0, 1]), 256, 3) == (0, False)
+    assert discriminant(f) == -283
+    assert roots_mod(f, 3) == 0
+    assert roots_mod(f, 7) == 1
+    # x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2) mod 3
+    assert roots_mod(UniPoly([1, 0, 0, 0, 1]), 3) == 0
     # x^3 - 2 has the root 3 mod 5 and the three cube roots of 2 mod 31,
     # and none mod 7, where it is irreducible
     g = UniPoly([-2, 0, 0, 1])
     assert discriminant(g) == -108
-    assert frobenius_pair(g, -108, 5) == (1, True)
-    assert frobenius_pair(g, -108, 31) == (3, False)
-    assert frobenius_pair(g, -108, 7) == (0, False)
+    assert roots_mod(g, 5) == 1
+    assert roots_mod(g, 31) == 3
+    assert roots_mod(g, 7) == 0
+    # x^4 + x + 1 has no root mod 2, which does not divide its discriminant
+    h = UniPoly([1, 1, 0, 0, 1])
+    assert discriminant(h) == 229
+    assert roots_mod(h, 2) == 0
+
+
+def test_a_root_free_prime_of_type_2_2_completes_s4(monkeypatch):
+    # x^4 + 4x^3 - 3x^2 + x - 4 has one root mod 2, type (1, 3), and none
+    # mod 3, where it is (x^2 + 1)(x^2 + x + 2), type (2, 2): with its
+    # discriminant not a square that proves S4 at the second prime.  A
+    # reader that waits for a 4-cycle goes on to 71
+    f = parse_poly("x^4 + 4x^3 - 3x^2 + x - 4")
+    assert discriminant(f) == -253175
+    assert not any(c % 3 for c in (UniPoly([1, 0, 1]) * UniPoly([2, 1, 1]) - f).num)
+    counts, read = resolvent.roots_mod, []
+
+    def recorded(f, p):
+        read.append((p, counts(f, p)))
+        return read[-1][1]
+
+    monkeypatch.setattr(resolvent, "roots_mod", recorded)
+    assert certify_symmetric(f) is True
+    assert read == [(2, 1), (3, 0)]
 
 
 @pytest.mark.parametrize("text, skipped", [
     # 283, the discriminant, lies past the 40 primes: the scan is lengthened
     ("x^4 - x - 1", {283}),
     # d = 4 * 105^3
-    ("x^3 - 105x", {3, 5, 7}),
+    ("x^3 - 105x", {2, 3, 5, 7}),
 ])
 def test_no_prime_dividing_the_discriminant_is_read(monkeypatch, text, skipped):
-    # a pair that is never waited for keeps the scan going to its end
+    # a root count that is never waited for keeps the scan going to its end
     f = parse_poly(text)
     d = discriminant(f)
     assert {p for p in skipped if d % p == 0} == skipped
     read = []
 
-    def never_waited(f, d, p):
+    def never_waited(f, p):
         read.append(p)
-        return 2, True
+        return 2
 
-    monkeypatch.setattr(resolvent, "frobenius_pair", never_waited)
+    monkeypatch.setattr(resolvent, "roots_mod", never_waited)
     monkeypatch.setattr(resolvent, "DEDEKIND_PRIMES", 70)
     assert certify_symmetric(f) is False
-    odd = [q for q in range(3, 400, 2) if all(q % r for r in range(3, isqrt(q) + 1, 2))]
-    assert read == [q for q in odd if d % q][:70]
+    primes = [q for q in range(2, 400) if all(q % r for r in range(2, isqrt(q) + 1))]
+    assert read == [q for q in primes if d % q][:70]
     assert not skipped & set(read)
     assert read[-1] > max(skipped)
 
